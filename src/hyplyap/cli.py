@@ -23,8 +23,9 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import __version__
-from .cocycle import Representation
+from .cocycle import CocycleError, Representation
 from .diffusion import (
+    DiffusionError,
     RngStream,
     check_circle_vs_diffusion,
     check_dynkin,
@@ -41,6 +42,7 @@ from .diffusion import (
 from .hypgeo import DiscPoint, GeodesicRay, dist_P, geodesic_eval, radius_for_R
 from .surface import build_genus2
 from .lyapunov import (
+    LyapunovError,
     benettin_spectrum,
     check_exp_conversion,
     diffusion_spectrum,
@@ -258,7 +260,7 @@ def _default_representation(dim: int):
 def build_representation(cfg: ExperimentConfig, group):
     matrices = cfg.matrices if cfg.matrices else _default_representation(cfg.dim)
     rep = Representation.from_matrices(cfg.dim, cfg.rep_field, matrices, group)
-    print(f"representation loaded: relator residual {rep.relator_residual:.3e}")
+    print(f"representation loaded: relator residual {rep.relator_residual:.3e}", file=sys.stderr)
     if not rep.exact:
         raise ConfigError(
             f"representation (g1..g4) is projective-only: relator residual "
@@ -487,10 +489,6 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    from .cocycle import CocycleError
-    from .diffusion import DiffusionError
-    from .lyapunov import LyapunovError
-
     base = cfg.output
     if cfg.method.startswith("validate:"):
         try:
@@ -656,7 +654,11 @@ def cmd_validate(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    checks = run_validation(cfg, group, rep)
+    try:
+        checks = run_validation(cfg, group, rep)
+    except (CocycleError, DiffusionError, LyapunovError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _write(cfg.output + ".csv", checks_csv(checks))
     _write(cfg.output + ".manifest.txt", manifest_text(cfg, group))
     for c in checks:

@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from .hypgeo import DiscPoint, mobius_point_chart
-from .diffusion import ScalarField
 from .surface import DeckWord, FuchsianGroup, locate, track
 
 __all__ = [
@@ -216,9 +215,6 @@ class Specialization:
         word = w_end * self.base_word.inverse()
         value = cocycle_of_word(self.rep, word)
         return value.log_vector_growth(self.direction)
-
-    def as_field(self) -> ScalarField:
-        return ScalarField(fn=self.__call__, name="specialization")
 
 
 def convert_direction(rep: Representation, u, eta, group: FuchsianGroup) -> np.ndarray:

@@ -24,9 +24,6 @@ __all__ = [
     "mobius_rotation",
     "mobius_translation",
     "mobius_point_chart",
-    "mobius_compose",
-    "mobius_inverse",
-    "mobius_apply",
 ]
 
 # A point is rejected once its Euclidean norm reaches this bound; beyond it
@@ -137,13 +134,6 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.a.conjugate(), -self.b)
 
-    def derivative_arg(self, p) -> float:
-        """arg of the complex derivative at p; the rotation a tangent
-        direction picks up under the map."""
-        z = _as_complex(p)
-        # m'(z) = 1 / (conj(b) z + conj(a))^2 for the unit-det representative
-        return -2.0 * cmath.phase(self.b.conjugate() * z + self.a.conjugate())
-
 
 def mobius_identity() -> MobiusMap:
     return MobiusMap(1.0 + 0.0j, 0.0j)
@@ -170,18 +160,6 @@ def mobius_point_chart(base) -> MobiusMap:
     z = _as_complex(base)
     s = 1.0 / math.sqrt(1.0 - abs(z) ** 2)
     return MobiusMap(s + 0.0j, s * z)
-
-
-def mobius_compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
-    return m1.compose(m2)
-
-
-def mobius_inverse(m: MobiusMap) -> MobiusMap:
-    return m.inverse()
-
-
-def mobius_apply(m: MobiusMap, p):
-    return m(p)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,18 @@ Three independent routes to the same spectrum:
 Plus the probabilistic diagnostics that justify swapping the routes:
 radial drift, geodesic shadowing, and uniformity of limiting directions.
 
-All ensembles run vectorized across paths; the cocycle matrix of each path
-accumulates letters on the right (crossing order), so the QR deflation runs
-on transposed generator images, which has the same singular-value growth
-and makes the limiting frame estimate the flag at the starting fiber.
+Every route runs on one vectorized engine.  `_reduce_ensemble` is the only
+domain-reduction kernel: each round it pulls every walker that violates a
+side back across its smallest violated side in one Mobius update (walkers
+in the inscribed disc are never tested, and after the first round only the
+walkers that moved are) and reports the round's (side, walker) arrays once.
+`_MatrixAccumulator` is the only cocycle accumulator: it folds a round in
+with one gathered matmul against the eight side images stacked as
+(8, d, d).  A path's matrix takes its letters on the right (crossing
+order); Benettin's QR deflation uses the transposed accumulator, whose
+left products have the same singular-value growth and make the limiting
+frame estimate the flag at the starting fiber.  Benettin and the matrix
+estimators share one Brownian walker loop, `_brownian_walk`.
 """
 
 from __future__ import annotations
@@ -72,66 +80,78 @@ class LyapunovError(RuntimeError):
 
 
 class _GroupData:
-    """Group constants laid out for vectorized reduction."""
+    """Group constants laid out for vectorized reduction: for each side j,
+    the neighbor center q_j, the signed letter a crossing of side j reports,
+    and the coefficients of the map that pulls a walker back across it."""
 
     def __init__(self, group: FuchsianGroup):
-        self.group = group
-        self.q = np.array(group.neighbors)
-        self.one_minus_qa = 1.0 - np.abs(self.q) ** 2
+        q = np.array(group.neighbors)
+        self.q_col = q[:, None]
+        self.one_minus_qa_col = (1.0 - np.abs(q) ** 2)[:, None]
         self.letters = [group.neighbor_letter(j) for j in range(1, 9)]
-        self.maps = []
-        for j in range(1, 9):
-            m = group.generator(-self.letters[j - 1])  # applied during reduction
-            self.maps.append((m.a, m.b))
+        maps = [group.generator(-letter) for letter in self.letters]
+        a = np.array([m.a for m in maps])
+        b = np.array([m.b for m in maps])
+        # rows a, b, conj(b), conj(a) of z -> (a z + b) / (conj(b) z + conj(a))
+        self.coef = np.array([a, b, np.conj(b), np.conj(a)])
+        # no point of the inscribed disc violates a side: with Q = |q_j|,
+        # min_j S_j = Q^2 (1 + r^2) - 2 Q r >= 0 for |z| = r <= tanh(inradius/2)
+        self.inner_r = math.tanh(0.5 * group.inradius)
 
 
-def _reduce_ensemble(data: _GroupData, z, alpha=None, on_letter=None, max_rounds=64):
-    """Pull every walker into the fundamental octagon.
+def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, max_rounds=64):
+    """Pull every walker into the fundamental octagon, in place.
 
-    Applies neighbor maps side by side (smallest violated index first per
-    walker), transports the direction angles when given, and reports each
-    (signed letter, walker mask) to the callback.
+    Each round moves every walker that violates a side across its smallest
+    violated side in one vectorized Mobius update, transports the direction
+    angles when given, and reports the (side index, walker index) arrays of
+    the round to acc.apply.  Walkers in the inscribed disc are never tested;
+    after the first round only the walkers that moved are.
     """
+    idx = np.flatnonzero(np.abs(z) > data.inner_r)
     for _ in range(max_rounds):
-        zz = np.abs(z) ** 2
-        S = np.abs(z[None, :] - data.q[:, None]) ** 2 - zz[None, :] * data.one_minus_qa[:, None]
+        w = z[idx]
+        S = np.abs(w - data.q_col) ** 2 - np.abs(w) ** 2 * data.one_minus_qa_col
         violated = S < -1e-12
-        active = violated.any(axis=0)
-        if not active.any():
-            return z, alpha
-        first = np.argmax(violated, axis=0)
-        for j in range(8):
-            mask = active & (first == j)
-            if not mask.any():
-                continue
-            a, b = data.maps[j]
-            zj = z[mask]
-            den = np.conj(b) * zj + np.conj(a)
-            z[mask] = (a * zj + b) / den
-            if alpha is not None:
-                alpha[mask] -= 2.0 * np.angle(den)
-            if on_letter is not None:
-                on_letter(data.letters[j], mask)
+        moved = violated.any(axis=0)
+        idx = idx[moved]
+        if idx.size == 0:
+            return
+        w = w[moved]
+        first = violated[:, moved].argmax(axis=0)
+        a, b, conj_b, conj_a = data.coef[:, first]
+        den = conj_b * w + conj_a
+        z[idx] = (a * w + b) / den
+        if alpha is not None:
+            alpha[idx] -= 2.0 * np.arctan2(den.imag, den.real)
+        if acc is not None:
+            acc.apply(first, idx)
     raise LyapunovError("fundamental-domain reduction did not settle")
 
 
 class _MatrixAccumulator:
-    """Per-path cocycle products M_p with log-scale spill."""
+    """Per-path cocycle products M_p with log-scale spill.
 
-    def __init__(self, rep: Representation, n: int, transpose: bool = False):
+    Letters arrive in crossing order, i.e. as right factors of M_p.  With
+    transpose=True the transposed images multiply on the left instead: M_p
+    is then the transpose of the product, with the same singular values,
+    which is the frame evolution the QR deflation needs.
+    """
+
+    def __init__(self, rep: Representation, data: _GroupData, n: int, transpose: bool = False):
         rep.require_exact()
-        self.rep = rep
-        dtype = np.float64 if rep.field == "real" else np.complex128
-        self.m = np.broadcast_to(np.eye(rep.dim, dtype=dtype), (n, rep.dim, rep.dim)).copy()
-        self.log_scale = np.zeros(n)
+        imgs = np.stack([rep.image(letter) for letter in data.letters])
+        self.imgs = np.swapaxes(imgs, 1, 2).copy() if transpose else imgs
         self.transpose = transpose
+        self.m = np.broadcast_to(np.eye(rep.dim, dtype=imgs.dtype), (n, rep.dim, rep.dim)).copy()
+        self.log_scale = np.zeros(n)
 
-    def apply_letter(self, letter: int, mask):
-        img = self.rep.image(letter)
+    def apply(self, first, idx):
+        """Fold one reduction round: walker idx[k] crossed side first[k]."""
         if self.transpose:
-            self.m[mask] = np.einsum("ij,njk->nik", img.T, self.m[mask])
+            self.m[idx] = self.imgs[first] @ self.m[idx]
         else:
-            self.m[mask] = np.einsum("nij,jk->nik", self.m[mask], img)
+            self.m[idx] = self.m[idx] @ self.imgs[first]
 
     def rescale(self, threshold=1e100):
         big = np.max(np.abs(self.m), axis=(1, 2))
@@ -150,10 +170,6 @@ class _MatrixAccumulator:
         s = np.linalg.svd(self.m, compute_uv=False)
         return np.log(s[:, 0]) + self.log_scale
 
-    def log_abs_det(self) -> np.ndarray:
-        _, logdet = np.linalg.slogdet(self.m)
-        return logdet + self.rep.dim * self.log_scale
-
 
 def _chunks(total: int, workers: int):
     if workers < 1:
@@ -163,28 +179,39 @@ def _chunks(total: int, workers: int):
     return [s for s in sizes if s > 0]
 
 
-def _brownian_matrices(rep, group, t, n_paths, step, rng, workers, start=0j, transpose=False):
-    """Cocycle matrices along tracked Brownian paths; returns accumulators
-    per worker chunk (concatenated)."""
-    data = _GroupData(group)
+def _chunk_generators(rng, n_paths, workers):
+    """(size, generator) of each worker chunk of an ensemble."""
     if isinstance(rng, np.random.Generator):
         raise LyapunovError("pass an RngStream so worker substreams are reproducible")
+    return [(size, rng.child(c).generator()) for c, size in enumerate(_chunks(n_paths, workers))]
+
+
+def _brownian_walk(data, acc, gen, n, t, step, start=0j):
+    """Walk n tracked Brownian paths from `start` and fold every side
+    crossing into acc; yields (i, last) once step i is reduced."""
+    z = np.full(n, complex(start))
+    _reduce_ensemble(data, z)  # initial reduction: not part of the word
+    times = _time_grid(t, step)
+    for i in range(1, len(times)):
+        dt = times[i] - times[i - 1]
+        n1 = gen.standard_normal(n)
+        n2 = gen.standard_normal(n)
+        ell = np.sqrt(2.0 * dt) * np.hypot(n1, n2)
+        beta = np.arctan2(n2, n1)
+        xi = np.exp(1j * beta) * np.tanh(0.5 * ell)
+        z = (xi + z) / (1.0 + np.conj(z) * xi)
+        _reduce_ensemble(data, z, acc=acc)
+        yield i, i == len(times) - 1
+
+
+def _brownian_matrices(rep, group, t, n_paths, step, rng, workers, start=0j):
+    """Cocycle matrices along tracked Brownian paths; one accumulator per
+    worker chunk."""
+    data = _GroupData(group)
     outs = []
-    for c, size in enumerate(_chunks(n_paths, workers)):
-        gen = rng.child(c).generator()
-        acc = _MatrixAccumulator(rep, size, transpose=transpose)
-        z = np.full(size, complex(start))
-        z, _ = _reduce_ensemble(data, z)  # initial reduction: not part of the word
-        times = _time_grid(t, step)
-        for i in range(1, len(times)):
-            dt = times[i] - times[i - 1]
-            n1 = gen.standard_normal(size)
-            n2 = gen.standard_normal(size)
-            ell = np.sqrt(2.0 * dt) * np.hypot(n1, n2)
-            beta = np.arctan2(n2, n1)
-            xi = np.exp(1j * beta) * np.tanh(0.5 * ell)
-            z = (xi + z) / (1.0 + np.conj(z) * xi)
-            z, _ = _reduce_ensemble(data, z, on_letter=acc.apply_letter)
+    for size, gen in _chunk_generators(rng, n_paths, workers):
+        acc = _MatrixAccumulator(rep, data, size)
+        for i, _ in _brownian_walk(data, acc, gen, size, t, step, start):
             if i % 64 == 0:
                 acc.rescale()
         acc.rescale()
@@ -192,7 +219,7 @@ def _brownian_matrices(rep, group, t, n_paths, step, rng, workers, start=0j, tra
     return outs
 
 
-def _geodesic_matrices(rep, group, thetas, R, spacing, transpose=False):
+def _geodesic_matrices(rep, group, thetas, R, spacing):
     """Cocycle matrices along the rays gamma_{0,theta}, tracked intrinsically
     in reduced coordinates with direction transport."""
     if spacing > _GEODESIC_SPACING + 1e-12:
@@ -200,7 +227,7 @@ def _geodesic_matrices(rep, group, thetas, R, spacing, transpose=False):
     data = _GroupData(group)
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.size
-    acc = _MatrixAccumulator(rep, n, transpose=transpose)
+    acc = _MatrixAccumulator(rep, data, n)
     w = np.zeros(n, complex)
     alpha = 2.0 * np.pi * thetas
     steps = int(math.ceil(R / spacing))
@@ -211,8 +238,8 @@ def _geodesic_matrices(rep, group, thetas, R, spacing, transpose=False):
         xi = math.tanh(0.5 * h) * np.exp(1j * alpha)
         den = 1.0 + np.conj(w) * xi
         w = (xi + w) / den
-        alpha = alpha - 2.0 * np.angle(den)
-        w, alpha = _reduce_ensemble(data, w, alpha, on_letter=acc.apply_letter)
+        alpha = alpha - 2.0 * np.arctan2(den.imag, den.real)
+        _reduce_ensemble(data, w, alpha, acc)
         if k % 64 == 0:
             acc.rescale()
     acc.rescale()
@@ -375,39 +402,15 @@ def benettin_spectrum(
     """
     if reorth_every < 1 or reorth_every * step > 1.0 + 1e-12:
         raise LyapunovError("need reorth_every >= 1 with reorth_every * step <= 1")
-    if isinstance(rng, np.random.Generator):
-        raise LyapunovError("pass an RngStream so worker substreams are reproducible")
-    rep.require_exact()
     data = _GroupData(group)
-    d = rep.dim
-    dtype = np.float64 if rep.field == "real" else np.complex128
-
     all_lams = []
     basis = None
-    for c, size in enumerate(_chunks(n_paths, workers)):
-        gen = rng.child(c).generator()
-        # mutable holder: the frame array is replaced at every QR step and
-        # the crossing callback must always see the current one
-        frame = [np.broadcast_to(np.eye(d, dtype=dtype), (size, d, d)).copy()]
-        logr = np.zeros((size, d))
-        z = np.zeros(size, complex)
-
-        def on_letter(letter, mask):
-            img = rep.image(letter).T
-            frame[0][mask] = np.einsum("ij,njk->nik", img, frame[0][mask])
-
-        times = _time_grid(t_max, step)
-        for i in range(1, len(times)):
-            dt = times[i] - times[i - 1]
-            n1 = gen.standard_normal(size)
-            n2 = gen.standard_normal(size)
-            ell = np.sqrt(2.0 * dt) * np.hypot(n1, n2)
-            beta = np.arctan2(n2, n1)
-            xi = np.exp(1j * beta) * np.tanh(0.5 * ell)
-            z = (xi + z) / (1.0 + np.conj(z) * xi)
-            z, _ = _reduce_ensemble(data, z, on_letter=on_letter)
-            if i % reorth_every == 0 or i == len(times) - 1:
-                q, r = np.linalg.qr(frame[0])
+    for size, gen in _chunk_generators(rng, n_paths, workers):
+        acc = _MatrixAccumulator(rep, data, size, transpose=True)
+        logr = np.zeros((size, rep.dim))
+        for i, last in _brownian_walk(data, acc, gen, size, t_max, step):
+            if i % reorth_every == 0 or last:
+                q, r = np.linalg.qr(acc.m)
                 diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
                 if np.any(diag < 1e-280):
                     raise LyapunovError(
@@ -415,14 +418,14 @@ def benettin_spectrum(
                     )
                 signs = np.sign(np.diagonal(r.real, axis1=1, axis2=2))
                 signs = np.where(signs == 0.0, 1.0, signs)
-                frame[0] = q * signs[:, None, :]
+                acc.m = q * signs[:, None, :]
                 logr += np.log(diag)
         # sort per path: for products without generic alignment (commuting
         # images) the QR diagonal order is path-dependent, and the ensemble
         # average must estimate the sorted spectrum of A(omega, t)
         all_lams.append(np.sort(logr / t_max, axis=1)[:, ::-1])
         if basis is None:
-            basis = frame[0][0].copy()
+            basis = acc.m[0].copy()
     lams = np.vstack(all_lams)
     return _spectrum_from_samples(
         lams,
@@ -458,7 +461,13 @@ def _cluster(raw_sorted, se_sorted):
 
 
 def geodesic_rate(rep, group, theta, R, v, spacing=_GEODESIC_SPACING) -> ExpansionSample:
-    """Deterministic expansion rate (1/R) log(|A(gamma_theta, R) v| / |v|)."""
+    """Deterministic expansion rate (1/R) log(|A(gamma_theta, R) v| / |v|).
+
+    Deterministic for a fixed operation order, but past R ~ 37 a float64
+    ray is a shadowing pseudo-orbit, not the ray of theta: nudging every
+    theta of the 256-direction grid by 1e-15 changes 2 of its rates at
+    R = 30 and 192 at R = 40.
+    """
     if R <= 0:
         raise LyapunovError("geodesic_rate needs R > 0")
     acc = _geodesic_matrices(rep, group, [theta], R, spacing)
@@ -467,7 +476,11 @@ def geodesic_rate(rep, group, theta, R, v, spacing=_GEODESIC_SPACING) -> Expansi
 
 
 def geodesic_norm_rate(rep, group, theta, R, spacing=_GEODESIC_SPACING) -> ExpansionSample:
-    """Deterministic maximal expansion rate (1/R) log |A(gamma_theta, R)|."""
+    """Deterministic maximal expansion rate (1/R) log |A(gamma_theta, R)|.
+
+    Past R ~ 37 the float64 ray is a shadowing pseudo-orbit; see
+    geodesic_rate.
+    """
     if R <= 0:
         raise LyapunovError("geodesic_norm_rate needs R > 0")
     acc = _geodesic_matrices(rep, group, [theta], R, spacing)

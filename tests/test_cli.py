@@ -304,6 +304,17 @@ def test_validate_subcommand_cocycle(tmp_path, capsys, monkeypatch):
     assert "[pass] multiplicative_law" in out
 
 
+@pytest.mark.parametrize("name", ["dynkin", "semigroup"])
+def test_validate_estimator_error_exits_1(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli(["validate", name, "--n-paths", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------ dump-surface
 
 

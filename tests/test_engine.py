@@ -1,0 +1,93 @@
+"""The vectorized ensemble engine against the scalar reference code.
+
+The reduction kernel must reproduce surface.locate walker by walker, the
+inscribed disc it never tests must lie inside the octagon, and the cocycle
+accumulator must reproduce cocycle_of_word on each walker's recorded word.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from hyplyap.cocycle import Representation, cocycle_of_word
+from hyplyap.lyapunov import (
+    _GroupData,
+    _MatrixAccumulator,
+    _brownian_walk,
+    _reduce_ensemble,
+)
+from hyplyap.surface import DeckWord, build_genus2, locate
+
+
+@pytest.fixture(scope="module")
+def group():
+    return build_genus2()
+
+
+@pytest.fixture(scope="module")
+def data(group):
+    return _GroupData(group)
+
+
+@pytest.fixture(scope="module")
+def rep_track(group):
+    """Exact non-commuting pair: rho(g1) = rho(g4), rho(g2) = rho(g3)."""
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    b = np.array([[1.0, 0.0], [1.5, 1.0]])
+    return Representation.from_matrices(2, "real", [a, b, b, a], group)
+
+
+class _Recorder:
+    """Accumulator that records each walker's letters in crossing order and
+    forwards every round to the accumulators it wraps."""
+
+    def __init__(self, data, n, *accs):
+        self.side_letters = data.letters
+        self.letters = [[] for _ in range(n)]
+        self.accs = accs
+
+    def apply(self, first, idx):
+        for j, k in zip(first, idx):
+            self.letters[k].append(self.side_letters[j])
+        for acc in self.accs:
+            acc.apply(first, idx)
+
+
+def test_reduction_matches_scalar_locate(group, data):
+    gen = np.random.default_rng(20150318)
+    n = 2000
+    z = 0.999 * np.sqrt(gen.random(n)) * np.exp(2j * np.pi * gen.random(n))
+    reduced = z.copy()
+    rec = _Recorder(data, n)
+    _reduce_ensemble(data, reduced, acc=rec)
+    assert max(len(w) for w in rec.letters) >= 4
+    for k in range(n):
+        rep, word = locate(complex(z[k]), group)
+        assert DeckWord(tuple(rec.letters[k])) == word, k
+        assert abs(rep.z - reduced[k]) <= 1e-12, k
+
+
+def test_inscribed_disc_lies_in_octagon(group, data):
+    # the kernel never tests walkers with |z| <= inner_r
+    phis = 2.0 * np.pi * np.arange(4001) / 4001
+    assert all(group.contains(data.inner_r * cmath.exp(1j * phi)) for phi in phis)
+    # and the disc is the largest one: it touches every side at its midpoint
+    for j in range(8):
+        assert not group.contains(data.inner_r * (1.0 + 1e-6) * cmath.exp(1j * j * math.pi / 4.0))
+
+
+def test_accumulator_matches_scalar_cocycles(data, rep_track):
+    n = 200
+    plain = _MatrixAccumulator(rep_track, data, n)
+    transposed = _MatrixAccumulator(rep_track, data, n, transpose=True)
+    rec = _Recorder(data, n, plain, transposed)
+    for _ in _brownian_walk(data, rec, np.random.default_rng(7), n, 6.0, 0.05):
+        pass
+    assert sum(len(w) >= 3 for w in rec.letters) > n // 4
+    for k in range(n):
+        value = cocycle_of_word(rep_track, DeckWord(tuple(rec.letters[k])))
+        want = value.matrix * math.exp(value.log_scale)
+        for got in (plain.m[k], transposed.m[k].T):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), k
