@@ -489,44 +489,45 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    base = cfg.output
-    if cfg.method.startswith("validate:"):
-        try:
-            checks = run_validation(cfg, group, rep)
-        except (ConfigError, CocycleError, DiffusionError, LyapunovError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        _write(base + ".csv", checks_csv(checks))
-        _write(base + ".manifest.txt", manifest_text(cfg, group))
-        lines = []
-        for c in checks:
-            status = "pass" if c["passed"] else "FAIL"
-            lines.append(
-                f"[{status}] {c['name']}: lhs={c['lhs']:.6g} rhs={c['rhs']:.6g} tol={c['tol']:.3g}"
-            )
-        summary = "\n".join(lines) + "\n"
-        _write(base + ".summary.txt", summary)
-        print(summary, end="")
-        return 0 if all(c["passed"] for c in checks) else 2
+    return _execute(cfg, group, rep)
 
+
+def _execute(cfg: ExperimentConfig, group, rep) -> int:
+    """Run cfg's method; write <output>.csv, .manifest.txt and .summary.txt
+    and print the summary.  The one output path of `run` and `validate`."""
+    validation = cfg.method.startswith("validate:")
     try:
-        report = run_spectrum(cfg, group, rep)
-    except (CocycleError, DiffusionError, LyapunovError) as exc:
+        result = (run_validation if validation else run_spectrum)(cfg, group, rep)
+    except (ConfigError, CocycleError, DiffusionError, LyapunovError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write(base + ".csv", spectrum_csv(report, cfg))
-    _write(base + ".manifest.txt", manifest_text(cfg, group, extra=report.provenance))
-    lines = [f"method {report.method}  horizon {cfg.horizon}  seed {cfg.seed}"]
-    for row in report.rows():
+    if validation:
+        csv, manifest = checks_csv(result), manifest_text(cfg, group)
+        lines = [
+            f"[{'pass' if c['passed'] else 'FAIL'}] {c['name']}: "
+            f"lhs={c['lhs']:.6g} rhs={c['rhs']:.6g} tol={c['tol']:.3g}"
+            for c in result
+        ]
+        rc = 0 if all(c["passed"] for c in result) else 2
+    else:
+        csv = spectrum_csv(result, cfg)
+        manifest = manifest_text(cfg, group, extra=result.provenance)
+        lines = [f"method {result.method}  horizon {cfg.horizon}  seed {cfg.seed}"]
+        for row in result.rows():
+            lines.append(
+                f"  chi_{row['index']} = {row['chi']:+.6f}  (multiplicity {row['multiplicity']},"
+                f" ci +-{row['ci_halfwidth']:.6f})"
+            )
         lines.append(
-            f"  chi_{row['index']} = {row['chi']:+.6f}  (multiplicity {row['multiplicity']},"
-            f" ci +-{row['ci_halfwidth']:.6f})"
+            f"  exponent sum {result.exponent_sum:+.3e} (ci {result.exponent_sum_ci:.3e})"
         )
-    lines.append(f"  exponent sum {report.exponent_sum:+.3e} (ci {report.exponent_sum_ci:.3e})")
+        rc = 0
     summary = "\n".join(lines) + "\n"
-    _write(base + ".summary.txt", summary)
+    _write(cfg.output + ".csv", csv)
+    _write(cfg.output + ".manifest.txt", manifest)
+    _write(cfg.output + ".summary.txt", summary)
     print(summary, end="")
-    return 0
+    return rc
 
 
 # -------------------------------------------------------- compare command
@@ -654,17 +655,7 @@ def cmd_validate(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        checks = run_validation(cfg, group, rep)
-    except (CocycleError, DiffusionError, LyapunovError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write(cfg.output + ".csv", checks_csv(checks))
-    _write(cfg.output + ".manifest.txt", manifest_text(cfg, group))
-    for c in checks:
-        status = "pass" if c["passed"] else "FAIL"
-        print(f"[{status}] {c['name']}: lhs={c['lhs']:.6g} rhs={c['rhs']:.6g} tol={c['tol']:.3g}")
-    return 0 if all(c["passed"] for c in checks) else 2
+    return _execute(cfg, group, rep)
 
 
 def cmd_dump_surface(args) -> int:

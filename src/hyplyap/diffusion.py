@@ -9,12 +9,18 @@ is a geodesic jump by the polar Gaussian increment
 (sqrt(2 dt) N1, sqrt(2 dt) N2) in normal coordinates at the current point,
 so E[rho^2] = 4 t for small t and the radial drift is asymptotically 1.
 
-Two walkers are provided.  The raw walker stores positions as points of the
-disc and is limited to horizons t <~ 30, where the double-precision gap to
-the unit circle still resolves the position.  The polar walker stores
+Every walker takes one increment per step: one draw
+gen.standard_normal((2, n)) (standard_normal(2) in the scalar sample_path)
+gives the normals (n1, n2); the jump has length sqrt(2 dt) |n| and
+direction n / |n|, and no angle is formed.  The jump is applied in one of
+two coordinate charts.  The raw chart stores points of the disc and is
+limited to horizons t <~ 30, where the double-precision gap to
+the unit circle still resolves the position.  The polar chart stores
 (hyperbolic radius, angle) and updates them by the hyperbolic law of
 cosines, which is stable out to arbitrary horizons; every long-horizon
-statistic uses it.
+statistic uses it.  Both ensemble walkers step on one time grid,
+`_time_grid`; the polar walker lays it over each interval between
+checkpoints, so it lands on every checkpoint.
 """
 
 from __future__ import annotations
@@ -158,7 +164,8 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
 
     Horizons are limited to roughly t ~ 30 by representability of points
     near the unit circle; long-horizon statistics use the polar ensemble
-    walker instead.
+    walker instead.  Scalar arithmetic on purpose: numpy on one walker
+    costs more than it saves.
     """
     _check_step_params(t_max, step)
     gen = _resolve_rng(rng)
@@ -167,12 +174,8 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
     points = [DiscPoint(z0.real, z0.imag)]
     z = z0
     for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
         n1, n2 = gen.standard_normal(2)
-        ell = math.sqrt(2.0 * dt) * math.hypot(n1, n2)
-        beta = math.atan2(n2, n1)
-        xi = complex(math.cos(beta), math.sin(beta)) * math.tanh(0.5 * ell)
-        z = (xi + z) / (1.0 + z.conjugate() * xi)
+        z = _disc_step_scalar(z, n1, n2, math.sqrt(2.0 * (times[i] - times[i - 1])))
         if 2.0 * math.atanh(min(abs(z), 1.0 - 1e-16)) > _RAW_RADIUS_LIMIT + 5.0:
             raise DiffusionError(
                 "path left the raw-coordinate range; use sample_polar_endpoints "
@@ -182,27 +185,76 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
     return LeafPath(tuple(times), tuple(points), step)
 
 
-# ----------------------------------------------------------- polar walker
+# ------------------------------------------------------------- increments
+
+# |n| is floored here so that n = 0 gives a zero jump instead of 0/0
+_TINY = np.finfo(float).tiny
 
 
-def _polar_step(rho, psi, ell, beta):
-    """One geodesic jump in polar coordinates about the origin.
+def _increments(gen, n, t_max, step):
+    """(n1, n2, scale) for each step of an n-walker ensemble on
+    _time_grid(t_max, step); the jump is scale * (n1, n2)."""
+    times = _time_grid(t_max, step)
+    for dt in np.diff(times):
+        n1, n2 = gen.standard_normal((2, n))
+        yield n1, n2, math.sqrt(2.0 * dt)
 
-    Law of cosines with the exp(rho) factor taken out analytically:
-    cosh rho' = e^rho * Y / 2 with Y = (1+u) cosh(l) + (1-u) sinh(l) cos(b),
-    u = exp(-2 rho), so rho' = rho + log(Y/2 + sqrt(Y^2/4 - u)) holds at
-    full precision for every rho >= 0.
+
+def _disc_step(z, n1, n2, scale):
+    """Raw-chart jump: move the origin's jump xi = tanh(l/2) n/|n|, with
+    l = scale |n|, to z."""
+    r = np.maximum(np.sqrt(n1 * n1 + n2 * n2), _TINY)
+    xi = (n1 + 1j * n2) * (np.tanh(0.5 * scale * r) / r)
+    return (xi + z) / (1.0 + np.conj(z) * xi)
+
+
+def _disc_step_scalar(z, n1, n2, scale):
+    """_disc_step for one walker, in Python scalars."""
+    r = max(math.sqrt(n1 * n1 + n2 * n2), _TINY)
+    k = math.tanh(0.5 * scale * r) / r
+    xi = complex(n1 * k, n2 * k)
+    return (xi + z) / (1.0 + z.conjugate() * xi)
+
+
+def _polar_step(rho, psi, n1, n2, scale):
+    """Polar-chart jump by scale * (n1, n2), in normal coordinates at the
+    point (rho, psi) whose first axis points away from the origin.
+
+    With u = exp(-2 rho), l = scale |n|, c = cosh l and
+    (s1, s2) = sinh(l) n / |n|, the hyperboloid coordinates of the new point
+    are (cosh rho', sinh rho' e^{i dpsi}) = exp(rho) / 2 * (w, x + i y), where
+    w = (1+u) c + (1-u) s1, x = (1-u) c + (1+u) s1 and y = 2 sqrt(u) s2.
+    So rho' = rho + log((w + |x + i y|) / 2) and dpsi = arg(x + i y): the
+    exp(rho) factor is taken out analytically, which keeps full precision
+    at every rho >= 0, and nothing cancels near the origin.
     """
-    u = np.exp(-2.0 * rho)
-    ch, sh = np.cosh(ell), np.sinh(ell)
-    cb = np.cos(beta)
-    y_half = 0.5 * ((1.0 + u) * ch + (1.0 - u) * sh * cb)
-    rho_new = rho + np.log(y_half + np.sqrt(np.maximum(y_half * y_half - u, 0.0)))
-    # angle at the origin between the old and new radial directions
-    num = np.sin(beta) * sh * np.sinh(rho)
-    den = np.cosh(rho) * np.cosh(rho_new) - ch
-    dpsi = np.where(rho > 0.0, np.arctan2(num, den), beta)
-    return rho_new, psi + dpsi
+    r = np.maximum(np.sqrt(n1 * n1 + n2 * n2), _TINY)
+    ell = scale * r
+    c = np.cosh(ell)
+    sh_r = np.sinh(ell) / r
+    s1 = sh_r * n1
+    v = np.exp(-rho)
+    u = v * v
+    x = (1.0 - u) * c + (1.0 + u) * s1
+    y = 2.0 * v * (sh_r * n2)
+    w = (1.0 + u) * c + (1.0 - u) * s1
+    return rho + np.log(0.5 * (w + np.sqrt(x * x + y * y))), psi + np.arctan2(y, x)
+
+
+# ---------------------------------------------------------------- walkers
+
+
+def _check_checkpoints(checkpoints, t_max):
+    if checkpoints is None:
+        return [t_max]
+    cps = [float(c) for c in checkpoints]
+    if not cps:
+        raise DiffusionError("checkpoints must not be empty")
+    if not all(math.isfinite(c) and c >= 0.0 for c in cps):
+        raise DiffusionError(f"checkpoints must be finite and >= 0, got {cps}")
+    if max(cps) > t_max + 1e-12:
+        raise DiffusionError("checkpoints must not exceed t_max")
+    return sorted(cps)
 
 
 def sample_polar_endpoints(
@@ -215,39 +267,28 @@ def sample_polar_endpoints(
 ):
     """Vectorized ensemble walker in (hyperbolic radius, angle) coordinates.
 
+    `start` is (rho, psi); each may be a scalar or a length-n_paths array.
     Returns (rho, psi) arrays of shape (len(checkpoints), n_paths); the
-    default is a single checkpoint at t_max.  Stable at any horizon the
-    acceptance suite uses (products stay below overflow for t <~ 200).
+    default is a single checkpoint at t_max.  The walk lands on every
+    checkpoint: each interval between checkpoints is cut by _time_grid.
+    Stable at any horizon.
     """
     _check_step_params(t_max, step)
     if n_paths < 1:
         raise DiffusionError("n_paths must be >= 1")
     gen = _resolve_rng(rng)
-    if checkpoints is None:
-        checkpoints = [t_max]
-    checkpoints = sorted(checkpoints)
-    if checkpoints[-1] > t_max + 1e-12:
-        raise DiffusionError("checkpoints must not exceed t_max")
-    rho0, psi0 = start
-    rho = np.full(n_paths, float(rho0))
-    psi = np.full(n_paths, float(psi0))
+    checkpoints = _check_checkpoints(checkpoints, t_max)
+    rho = np.full(n_paths, start[0], dtype=float)
+    psi = np.full(n_paths, start[1], dtype=float)
     out_rho = np.empty((len(checkpoints), n_paths))
     out_psi = np.empty((len(checkpoints), n_paths))
     t = 0.0
-    ci = 0
-    while ci < len(checkpoints):
-        target = checkpoints[ci]
-        while t < target - 1e-12:
-            dt = min(step, target - t)
-            n1 = gen.standard_normal(n_paths)
-            n2 = gen.standard_normal(n_paths)
-            ell = np.sqrt(2.0 * dt) * np.hypot(n1, n2)
-            beta = np.arctan2(n2, n1)
-            rho, psi = _polar_step(rho, psi, ell, beta)
-            t += dt
-        out_rho[ci] = rho
-        out_psi[ci] = psi
-        ci += 1
+    for i, target in enumerate(checkpoints):
+        for n1, n2, scale in _increments(gen, n_paths, target - t, step):
+            rho, psi = _polar_step(rho, psi, n1, n2, scale)
+        out_rho[i] = rho
+        out_psi[i] = psi
+        t = target
     return out_rho, out_psi
 
 
@@ -263,17 +304,11 @@ def polar_separation(rho1, psi1, rho2, psi2):
 
 
 def _disc_walk_endpoints(n_paths, t_max, step, gen, z0=0j):
-    """Raw-coordinate ensemble endpoints (complex array); small horizons."""
-    z = np.full(n_paths, complex(z0))
-    times = _time_grid(t_max, step)
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        n1 = gen.standard_normal(n_paths)
-        n2 = gen.standard_normal(n_paths)
-        ell = np.sqrt(2.0 * dt) * np.hypot(n1, n2)
-        beta = np.arctan2(n2, n1)
-        xi = np.exp(1j * beta) * np.tanh(0.5 * ell)
-        z = (xi + z) / (1.0 + np.conj(z) * xi)
+    """Raw-coordinate ensemble endpoints (complex array) from z0, a scalar
+    or a length-n_paths array; small horizons."""
+    z = np.full(n_paths, z0, dtype=complex)
+    for n1, n2, scale in _increments(gen, n_paths, t_max, step):
+        z = _disc_step(z, n1, n2, scale)
     if np.max(np.abs(z)) >= 1.0 - 1e-15:
         raise DiffusionError(
             "raw-coordinate walk left the representable disc; use the polar walker"
@@ -525,22 +560,11 @@ def _endpoint_values(f: ScalarField, t, n, gen, step, start):
     if f.polar_fn is not None:
         if isinstance(start, DiscPoint):
             rho0 = dist_P(DiscPoint.origin(), start)
-            psi0 = math.atan2(start.im, start.re) if rho0 > 0 else 0.0
-        else:
-            rho0, psi0 = start
-        if t <= 0:
-            rho = np.full(n, rho0)
-            psi = np.full(n, psi0)
-        else:
-            rhos, psis = sample_polar_endpoints(n, t, step, gen, start=(rho0, psi0))
-            rho, psi = rhos[-1], psis[-1]
-        return f.values_polar(rho, psi)
+            start = (rho0, math.atan2(start.im, start.re) if rho0 > 0 else 0.0)
+        rhos, psis = sample_polar_endpoints(n, t, step, gen, start=start)
+        return f.values_polar(rhos[-1], psis[-1])
     z0 = start.z if isinstance(start, DiscPoint) else complex(start)
-    if t <= 0:
-        zs = np.full(n, z0)
-    else:
-        zs = _disc_walk_endpoints(n, t, step, gen, z0)
-    return f.values_disc(zs)
+    return f.values_disc(_disc_walk_endpoints(n, t, step, gen, z0))
 
 
 def diffuse(
@@ -604,23 +628,20 @@ def check_semigroup(
     lhs, lhs_se = diffuse(f, t + s, n, gen_flat, step=step)
 
     if f.polar_fn is not None:
-        rhos, psis = (
-            sample_polar_endpoints(n, t, step, gen_outer)
-            if t > 0
-            else (np.zeros((1, n)), np.zeros((1, n)))
-        )
-        rho_i, psi_i = _polar_walk_from(
-            np.repeat(rhos[-1], inner_samples),
-            np.repeat(psis[-1], inner_samples),
+        rhos, psis = sample_polar_endpoints(n, t, step, gen_outer)
+        rho_i, psi_i = sample_polar_endpoints(
+            n * inner_samples,
             s,
             step,
             gen_inner,
+            start=(np.repeat(rhos[-1], inner_samples), np.repeat(psis[-1], inner_samples)),
         )
-        inner_vals = f.values_polar(rho_i, psi_i).reshape(n, inner_samples)
+        inner_vals = f.values_polar(rho_i[-1], psi_i[-1]).reshape(n, inner_samples)
     else:
-        z_outer = _disc_walk_endpoints(n, t, step, gen_outer) if t > 0 else np.zeros(n, complex)
-        z_rep = np.repeat(z_outer, inner_samples)
-        z_in = _disc_walk_endpoints_from(z_rep, s, step, gen_inner)
+        z_outer = _disc_walk_endpoints(n, t, step, gen_outer)
+        z_in = _disc_walk_endpoints(
+            n * inner_samples, s, step, gen_inner, np.repeat(z_outer, inner_samples)
+        )
         inner_vals = f.values_disc(z_in).reshape(n, inner_samples)
 
     per_outer = inner_vals.mean(axis=1)
@@ -638,36 +659,6 @@ def check_semigroup(
         passed=passed,
         detail={"n": n, "inner_samples": inner_samples},
     )
-
-
-def _polar_walk_from(rho, psi, t_max, step, gen):
-    rho = np.array(rho, dtype=float)
-    psi = np.array(psi, dtype=float)
-    times = _time_grid(t_max, step)
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        n1 = gen.standard_normal(rho.shape[0])
-        n2 = gen.standard_normal(rho.shape[0])
-        ell = np.sqrt(2.0 * dt) * np.hypot(n1, n2)
-        beta = np.arctan2(n2, n1)
-        rho, psi = _polar_step(rho, psi, ell, beta)
-    return rho, psi
-
-
-def _disc_walk_endpoints_from(z_start, t_max, step, gen):
-    z = np.array(z_start, dtype=complex)
-    times = _time_grid(t_max, step)
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        n1 = gen.standard_normal(z.shape[0])
-        n2 = gen.standard_normal(z.shape[0])
-        ell = np.sqrt(2.0 * dt) * np.hypot(n1, n2)
-        beta = np.arctan2(n2, n1)
-        xi = np.exp(1j * beta) * np.tanh(0.5 * ell)
-        z = (xi + z) / (1.0 + np.conj(z) * xi)
-    if np.max(np.abs(z)) >= 1.0 - 1e-15:
-        raise DiffusionError("raw-coordinate walk left the representable disc")
-    return z
 
 
 def check_dynkin(

@@ -304,6 +304,14 @@ def test_validate_subcommand_cocycle(tmp_path, capsys, monkeypatch):
     assert "[pass] multiplicative_law" in out
 
 
+def test_validate_writes_summary_equal_to_stdout(tmp_path, capsys):
+    rc = run_cli(["validate", "geometry", "--output", str(tmp_path / "v")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert (tmp_path / "v.summary.txt").read_text() == out
+    assert (tmp_path / "v.csv").exists() and (tmp_path / "v.manifest.txt").exists()
+
+
 @pytest.mark.parametrize("name", ["dynkin", "semigroup"])
 def test_validate_estimator_error_exits_1(tmp_path, capsys, monkeypatch, name):
     monkeypatch.chdir(tmp_path)

@@ -32,6 +32,7 @@ from hyplyap.diffusion import (
     sample_polar_endpoints,
     smoothed_dist_field,
 )
+from hyplyap.diffusion import _disc_step, _disc_step_scalar, _polar_step
 from hyplyap.hypgeo import DiscPoint, dist_P
 
 
@@ -155,6 +156,101 @@ def test_polar_and_raw_walkers_agree_in_law():
         np.std(polar_vals, ddof=1) / 63.2, np.std(raw_vals, ddof=1) / 63.2
     )
     assert abs(np.mean(polar_vals) - np.mean(raw_vals)) <= 3.0 * se
+
+
+# ------------------------------------------------------------- increments
+
+
+def _law_of_cosines_step(rho, psi, n1, n2, dt):
+    """The hypot/arctan2/cos/sin law-of-cosines step the walkers used before
+    the algebraic increment, as an oracle.  It runs in 40-digit arithmetic:
+    in float64 its angle cancels near the origin (cosh rho cosh rho' - cosh l;
+    psi off by about 6e-6 at rho = 1e-8 over 2000 draws) and its radius
+    cancels in y^2 - u for short jumps (about 3e-12 relative)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        rho, n1, n2 = mp.mpf(rho), mp.mpf(n1), mp.mpf(n2)
+        ell = mp.sqrt(2 * mp.mpf(dt)) * mp.hypot(n1, n2)
+        beta = mp.atan2(n2, n1)
+        u = mp.exp(-2 * rho)
+        ch, sh = mp.cosh(ell), mp.sinh(ell)
+        y_half = ((1 + u) * ch + (1 - u) * sh * mp.cos(beta)) / 2
+        rho_new = rho + mp.log(y_half + mp.sqrt(max(y_half * y_half - u, 0)))
+        if rho > 0:
+            num = mp.sin(beta) * sh * mp.sinh(rho)
+            dpsi = mp.atan2(num, mp.cosh(rho) * mp.cosh(rho_new) - ch)
+        else:
+            dpsi = beta
+        return float(rho_new), float(psi + dpsi)
+
+
+@pytest.mark.parametrize("rho0", [0.0, 1e-8, 0.5, 5.0, 50.0, 200.0])
+def test_polar_step_matches_law_of_cosines(rho0):
+    n1, n2 = np.random.default_rng(71).standard_normal((2, 64))
+    rho, psi = np.full(64, rho0), np.linspace(-3.0, 3.0, 64)
+    for dt in (0.05, 0.01):
+        rho_new, psi_new = _polar_step(rho, psi, n1, n2, math.sqrt(2.0 * dt))
+        ref = np.array([_law_of_cosines_step(rho0, p, a, b, dt) for p, a, b in zip(psi, n1, n2)])
+        assert np.all(np.abs(rho_new - ref[:, 0]) <= 1e-12 * ref[:, 0])
+        wrapped = np.mod(psi_new - ref[:, 1] + math.pi, 2.0 * math.pi) - math.pi
+        assert np.max(np.abs(wrapped)) <= 1e-12
+
+
+def test_disc_step_matches_polar_angle_increment():
+    n1, n2 = np.random.default_rng(72).standard_normal((2, 1000))
+    for dt in (0.05, 0.01):
+        scale = math.sqrt(2.0 * dt)
+        ell = scale * np.hypot(n1, n2)
+        xi_old = np.exp(1j * np.arctan2(n2, n1)) * np.tanh(0.5 * ell)
+        xi = _disc_step(np.zeros(1000, complex), n1, n2, scale)
+        assert np.max(np.abs(xi - xi_old)) <= 1e-15
+        z = 0.9 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 1000))
+        scalar = [_disc_step_scalar(complex(a), b, c, scale) for a, b, c in zip(z, n1, n2)]
+        assert np.max(np.abs(np.array(scalar) - _disc_step(z, n1, n2, scale))) <= 1e-15
+
+
+def test_zero_increment_is_identity():
+    rho = np.array([0.0, 1e-8, 0.5, 5.0, 50.0, 200.0])
+    psi = np.array([0.0, 1.0, -2.0, 3.0, 0.5, -0.5])
+    zero = np.zeros(rho.size)
+    rho_new, psi_new = _polar_step(rho, psi, zero, zero, 0.3)
+    assert np.all(np.abs(rho_new - rho) <= 1e-15)
+    assert np.array_equal(psi_new, psi)
+    z = np.array([0.0, 0.3 - 0.4j, -0.99j])
+    assert np.array_equal(_disc_step(z, zero[:3], zero[:3], 0.3), z)
+    for zk in z:
+        assert _disc_step_scalar(complex(zk), 0.0, 0.0, 0.3) == zk
+
+
+def test_checkpoint_walk_draws_one_pair_per_grid_step():
+    # 1600 steps of 0.05 to t = 80: no sliver step at a checkpoint
+    n = 50
+    gen, ref = np.random.default_rng(73), np.random.default_rng(73)
+    sample_polar_endpoints(n, 80.0, 0.05, gen, checkpoints=[20.0, 40.0, 80.0])
+    ref.standard_normal(2 * n * 1600)
+    assert np.array_equal(gen.standard_normal(8), ref.standard_normal(8))
+
+
+@pytest.mark.parametrize("checkpoints", [[40.0, 20.0, 80.0], [1.03, 2.0]])
+def test_checkpoint_walk_lands_on_every_checkpoint(checkpoints):
+    # the ensemble at each checkpoint equals a walk of exactly that length,
+    # continued from the previous checkpoint with the same generator
+    n = 64
+    rho, psi = sample_polar_endpoints(
+        n, max(checkpoints), 0.05, np.random.default_rng(74), checkpoints=checkpoints
+    )
+    gen = np.random.default_rng(74)
+    t, start = 0.0, (0.0, 0.0)
+    for i, target in enumerate(sorted(checkpoints)):
+        r, p = sample_polar_endpoints(n, target - t, 0.05, gen, start=start)
+        assert np.array_equal(r[-1], rho[i]) and np.array_equal(p[-1], psi[i])
+        t, start = target, (r[-1], p[-1])
+
+
+@pytest.mark.parametrize("checkpoints", [[], [-1.0, 1.0], [math.nan]])
+def test_checkpoints_rejected(checkpoints):
+    with pytest.raises(DiffusionError):
+        sample_polar_endpoints(10, 2.0, 0.05, RngStream(1), checkpoints=checkpoints)
 
 
 # ------------------------------------------------------------ heat kernel
