@@ -23,7 +23,6 @@ from .hypgeo import (
 from .surface import (
     DeckWord,
     FuchsianGroup,
-    SegmentTooLongError,
     SurfaceError,
     build_genus2,
     locate,

@@ -10,6 +10,11 @@ representations.
 All downstream consumers read log-norms through CocycleValue, never raw
 matrix norms: products carry a separate log-scale accumulator that absorbs
 overflow past 1e300.
+
+`_MatrixAccumulator` is the algebra layer of the vectorized ensemble engine:
+it folds the deck letters that `surface._reduce_ensemble` emits into one
+cocycle product per walker.  `Specialization.values` runs the two on a
+whole array of points.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .hypgeo import DiscPoint, mobius_point_chart
-from .surface import DeckWord, FuchsianGroup, locate, track
+from .hypgeo import DiscPoint
+from .surface import DeckWord, FuchsianGroup, _GroupData, _reduce_ensemble, locate, track
 
 __all__ = [
     "CocycleError",
@@ -190,6 +195,48 @@ def cocycle_of_word(rep: Representation, word: DeckWord) -> CocycleValue:
     return out
 
 
+class _MatrixAccumulator:
+    """Per-path cocycle products M_p with log-scale spill.
+
+    Letters arrive in crossing order, i.e. as right factors of M_p.  With
+    transpose=True the transposed images multiply on the left instead: M_p
+    is then the transpose of the product, with the same singular values,
+    which is the frame evolution the QR deflation needs.
+    """
+
+    def __init__(self, rep: Representation, data: _GroupData, n: int, transpose: bool = False):
+        rep.require_exact()
+        imgs = np.stack([rep.image(letter) for letter in data.letters])
+        self.imgs = np.swapaxes(imgs, 1, 2).copy() if transpose else imgs
+        self.transpose = transpose
+        self.m = np.broadcast_to(np.eye(rep.dim, dtype=imgs.dtype), (n, rep.dim, rep.dim)).copy()
+        self.log_scale = np.zeros(n)
+
+    def apply(self, first, idx):
+        """Fold one reduction round: walker idx[k] crossed side first[k]."""
+        if self.transpose:
+            self.m[idx] = self.imgs[first] @ self.m[idx]
+        else:
+            self.m[idx] = self.m[idx] @ self.imgs[first]
+
+    def rescale(self, threshold=1e100):
+        big = np.max(np.abs(self.m), axis=(1, 2))
+        mask = big > threshold
+        if mask.any():
+            self.m[mask] /= big[mask, None, None]
+            self.log_scale[mask] += np.log(big[mask])
+
+    def log_vector_growth(self, v) -> np.ndarray:
+        v = np.asarray(v)
+        nv = np.linalg.norm(v)
+        img = self.m @ (v / nv)
+        return np.log(np.linalg.norm(img, axis=1)) + self.log_scale
+
+    def log_operator_norm(self) -> np.ndarray:
+        s = np.linalg.svd(self.m, compute_uv=False)
+        return np.log(s[:, 0]) + self.log_scale
+
+
 def evaluate(rep: Representation, path, group: FuchsianGroup) -> CocycleValue:
     """Cocycle value of a discretized leafwise path."""
     return cocycle_of_word(rep, track(path, group))
@@ -215,6 +262,17 @@ class Specialization:
         word = w_end * self.base_word.inverse()
         value = cocycle_of_word(self.rep, word)
         return value.log_vector_growth(self.direction)
+
+    def values(self, zs) -> np.ndarray:
+        """f at every point of a complex array in one pass of the ensemble
+        engine; equals [self(z) for z in zs] up to rounding."""
+        z = np.array(zs, dtype=complex)  # a copy: the reduction works in place
+        data = _GroupData(self.group)
+        acc = _MatrixAccumulator(self.rep, data, z.size)
+        _reduce_ensemble(data, z, acc=acc)
+        base_inv = cocycle_of_word(self.rep, self.base_word.inverse())
+        acc.m = acc.m @ base_inv.matrix
+        return acc.log_vector_growth(self.direction) + base_inv.log_scale
 
 
 def convert_direction(rep: Representation, u, eta, group: FuchsianGroup) -> np.ndarray:
@@ -276,26 +334,20 @@ def estimate_regularity(
     from .diffusion import RngStream
 
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    f = spec if callable(spec) else spec.fn
-
-    seps = np.empty(n_pairs)
-    diffs = np.empty(n_pairs)
-    cosh_rad = math.cosh(radius)
-    for i in range(n_pairs):
-        rho_y = math.acosh(1.0 + gen.random() * (cosh_rad - 1.0))
-        phi_y = 2.0 * math.pi * gen.random()
-        y = DiscPoint.from_complex(
-            math.tanh(0.5 * rho_y) * complex(math.cos(phi_y), math.sin(phi_y))
-        )
-        ell = gen.random() * radius
-        beta = 2.0 * math.pi * gen.random()
-        z = mobius_point_chart(y)(
-            DiscPoint.from_complex(
-                math.tanh(0.5 * ell) * complex(math.cos(beta), math.sin(beta))
-            )
-        )
-        seps[i] = ell
-        diffs[i] = abs(f(y) - f(z))
+    # per pair: radius and angle of y, then separation and direction of z
+    draws = gen.random((n_pairs, 4))
+    rho_y = np.arccosh(1.0 + draws[:, 0] * (math.cosh(radius) - 1.0))
+    y = np.tanh(0.5 * rho_y) * np.exp(2j * np.pi * draws[:, 1])
+    seps = draws[:, 2] * radius
+    xi = np.tanh(0.5 * seps) * np.exp(2j * np.pi * draws[:, 3])
+    z = (xi + y) / (np.conj(y) * xi + 1.0)  # the chart of y, sending 0 to y
+    points = np.concatenate([y, z])
+    if isinstance(spec, Specialization):
+        vals = spec.values(points)
+    else:
+        f = spec if callable(spec) else spec.fn
+        vals = np.array([f(DiscPoint.from_complex(complex(p))) for p in points])
+    diffs = np.abs(vals[:n_pairs] - vals[n_pairs:])
 
     if np.max(diffs) == 0.0:
         return RegularityReport(0.0, 0.0, 0.0, n_pairs, radius)

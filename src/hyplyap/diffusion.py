@@ -306,6 +306,7 @@ def polar_separation(rho1, psi1, rho2, psi2):
 def _disc_walk_endpoints(n_paths, t_max, step, gen, z0=0j):
     """Raw-coordinate ensemble endpoints (complex array) from z0, a scalar
     or a length-n_paths array; small horizons."""
+    _check_step_params(t_max, step)
     z = np.full(n_paths, z0, dtype=complex)
     for n1, n2, scale in _increments(gen, n_paths, t_max, step):
         z = _disc_step(z, n1, n2, scale)

@@ -13,18 +13,21 @@ Three independent routes to the same spectrum:
 Plus the probabilistic diagnostics that justify swapping the routes:
 radial drift, geodesic shadowing, and uniformity of limiting directions.
 
-Every route runs on one vectorized engine.  `_reduce_ensemble` is the only
-domain-reduction kernel: each round it pulls every walker that violates a
-side back across its smallest violated side in one Mobius update (walkers
-in the inscribed disc are never tested, and after the first round only the
-walkers that moved are) and reports the round's (side, walker) arrays once.
-`_MatrixAccumulator` is the only cocycle accumulator: it folds a round in
-with one gathered matmul against the eight side images stacked as
-(8, d, d).  A path's matrix takes its letters on the right (crossing
-order); Benettin's QR deflation uses the transposed accumulator, whose
-left products have the same singular-value growth and make the limiting
-frame estimate the flag at the starting fiber.  Benettin and the matrix
-estimators share one Brownian walker loop, `_brownian_walk`.
+Every route runs on one vectorized engine in two layers: the geometry
+layer `surface._reduce_ensemble` emits deck letters and the algebra layer
+`cocycle._MatrixAccumulator` consumes them; this module walks ensembles on
+top of both.  `_reduce_ensemble` is the only domain-reduction kernel: each
+round it pulls every walker that violates a side back across its smallest
+violated side in one Mobius update (walkers in the inscribed disc are never
+tested, and after the first round only the walkers that moved are) and
+reports the round's (side, walker) arrays once.  `_MatrixAccumulator` is
+the only cocycle accumulator: it folds a round in with one gathered matmul
+against the eight side images stacked as (8, d, d).  A path's matrix takes
+its letters on the right (crossing order); Benettin's QR deflation uses the
+transposed accumulator, whose left products have the same singular-value
+growth and make the limiting frame estimate the flag at the starting
+fiber.  Benettin and the matrix estimators share one Brownian walker loop,
+`_brownian_walk`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import Representation, convert_direction, specialize
+from .cocycle import _MatrixAccumulator, cocycle_of_word, specialize
 from .diffusion import (
     CheckReport,
     RngStream,
@@ -45,7 +48,7 @@ from .diffusion import (
     polar_separation,
 )
 from .hypgeo import DiscPoint
-from .surface import FuchsianGroup
+from .surface import _GroupData, _reduce_ensemble, locate
 
 __all__ = [
     "LyapunovError",
@@ -77,98 +80,6 @@ class LyapunovError(RuntimeError):
 
 
 # ------------------------------------------------------- ensemble engine
-
-
-class _GroupData:
-    """Group constants laid out for vectorized reduction: for each side j,
-    the neighbor center q_j, the signed letter a crossing of side j reports,
-    and the coefficients of the map that pulls a walker back across it."""
-
-    def __init__(self, group: FuchsianGroup):
-        q = np.array(group.neighbors)
-        self.q_col = q[:, None]
-        self.one_minus_qa_col = (1.0 - np.abs(q) ** 2)[:, None]
-        self.letters = [group.neighbor_letter(j) for j in range(1, 9)]
-        maps = [group.generator(-letter) for letter in self.letters]
-        a = np.array([m.a for m in maps])
-        b = np.array([m.b for m in maps])
-        # rows a, b, conj(b), conj(a) of z -> (a z + b) / (conj(b) z + conj(a))
-        self.coef = np.array([a, b, np.conj(b), np.conj(a)])
-        # no point of the inscribed disc violates a side: with Q = |q_j|,
-        # min_j S_j = Q^2 (1 + r^2) - 2 Q r >= 0 for |z| = r <= tanh(inradius/2)
-        self.inner_r = math.tanh(0.5 * group.inradius)
-
-
-def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, max_rounds=64):
-    """Pull every walker into the fundamental octagon, in place.
-
-    Each round moves every walker that violates a side across its smallest
-    violated side in one vectorized Mobius update, transports the direction
-    angles when given, and reports the (side index, walker index) arrays of
-    the round to acc.apply.  Walkers in the inscribed disc are never tested;
-    after the first round only the walkers that moved are.
-    """
-    idx = np.flatnonzero(np.abs(z) > data.inner_r)
-    for _ in range(max_rounds):
-        w = z[idx]
-        S = np.abs(w - data.q_col) ** 2 - np.abs(w) ** 2 * data.one_minus_qa_col
-        violated = S < -1e-12
-        moved = violated.any(axis=0)
-        idx = idx[moved]
-        if idx.size == 0:
-            return
-        w = w[moved]
-        first = violated[:, moved].argmax(axis=0)
-        a, b, conj_b, conj_a = data.coef[:, first]
-        den = conj_b * w + conj_a
-        z[idx] = (a * w + b) / den
-        if alpha is not None:
-            alpha[idx] -= 2.0 * np.arctan2(den.imag, den.real)
-        if acc is not None:
-            acc.apply(first, idx)
-    raise LyapunovError("fundamental-domain reduction did not settle")
-
-
-class _MatrixAccumulator:
-    """Per-path cocycle products M_p with log-scale spill.
-
-    Letters arrive in crossing order, i.e. as right factors of M_p.  With
-    transpose=True the transposed images multiply on the left instead: M_p
-    is then the transpose of the product, with the same singular values,
-    which is the frame evolution the QR deflation needs.
-    """
-
-    def __init__(self, rep: Representation, data: _GroupData, n: int, transpose: bool = False):
-        rep.require_exact()
-        imgs = np.stack([rep.image(letter) for letter in data.letters])
-        self.imgs = np.swapaxes(imgs, 1, 2).copy() if transpose else imgs
-        self.transpose = transpose
-        self.m = np.broadcast_to(np.eye(rep.dim, dtype=imgs.dtype), (n, rep.dim, rep.dim)).copy()
-        self.log_scale = np.zeros(n)
-
-    def apply(self, first, idx):
-        """Fold one reduction round: walker idx[k] crossed side first[k]."""
-        if self.transpose:
-            self.m[idx] = self.imgs[first] @ self.m[idx]
-        else:
-            self.m[idx] = self.m[idx] @ self.imgs[first]
-
-    def rescale(self, threshold=1e100):
-        big = np.max(np.abs(self.m), axis=(1, 2))
-        mask = big > threshold
-        if mask.any():
-            self.m[mask] /= big[mask, None, None]
-            self.log_scale[mask] += np.log(big[mask])
-
-    def log_vector_growth(self, v) -> np.ndarray:
-        v = np.asarray(v)
-        nv = np.linalg.norm(v)
-        img = self.m @ (v / nv)
-        return np.log(np.linalg.norm(img, axis=1)) + self.log_scale
-
-    def log_operator_norm(self) -> np.ndarray:
-        s = np.linalg.svd(self.m, compute_uv=False)
-        return np.log(s[:, 0]) + self.log_scale
 
 
 def _chunks(total: int, workers: int):
@@ -738,19 +649,21 @@ def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckRepo
     if t < 0.5:
         raise LyapunovError("check_exp_conversion needs t >= 0.5")
     eta_pt = eta if isinstance(eta, DiscPoint) else DiscPoint.from_complex(complex(eta))
-    v = convert_direction(rep, u, eta_pt, group)
-
-    accs = _brownian_matrices(rep, group, t, n_paths, step, rng.child(101), workers=1, start=eta_pt.z)
-    lhs_vals = np.concatenate([a.log_vector_growth(v) for a in accs])
-    lhs, lhs_se = _mean_se(lhs_vals)
-
     spec = specialize(rep, u, group)
+
+    # the walk from eta records the crossings delta out of eta's tile w, so
+    # M_p = rho(delta) while A(eta -> z) = rho(w) rho(delta) rho(w)^-1; with
+    # v = [rho(w) u], log |A v| / |v| = log |rho(w) M_p u| - log |rho(w) u|
+    accs = _brownian_matrices(rep, group, t, n_paths, step, rng.child(101), workers=1, start=eta_pt.z)
+    w = cocycle_of_word(rep, locate(eta_pt, group)[1]).matrix
+    for acc in accs:
+        acc.m = w @ acc.m
+    lhs_vals = np.concatenate([a.log_vector_growth(spec.direction) for a in accs])
+    lhs, lhs_se = _mean_se(lhs_vals - math.log(np.linalg.norm(w @ spec.direction)))
+
     gen = rng.child(202).generator()
     zs = _disc_walk_endpoints(n_paths, t, step, gen, z0=eta_pt.z)
-    f_vals = np.array([spec(z) for z in zs])
-    f_eta = spec(eta_pt)
-    rhs_vals = f_vals - f_eta
-    rhs, rhs_se = _mean_se(rhs_vals)
+    rhs, rhs_se = _mean_se(spec.values(zs) - spec(eta_pt))
 
     tol = 3.0 * math.hypot(lhs_se, rhs_se)
     passed = abs(lhs - rhs) <= max(tol, 1e-12)

@@ -4,8 +4,18 @@ The fundamental domain is the regular octagon centered at 0 with interior
 angle pi/4 at every vertex; opposite sides are identified by hyperbolic
 translations.  Side k (1-based, outward direction (k-1)*pi/4) is mapped onto
 side k+4 by generator g_k, and g_{k+4} = g_k^{-1}.  Reduction into the
-domain and homotopy-class tracking both work off the Dirichlet inequalities
-dist(z, 0) <= dist(z, g(0)) for the eight neighbor translates g(0).
+domain works off the Dirichlet inequalities dist(z, 0) <= dist(z, g(0)) for
+the eight neighbor translates g(0).
+
+Homotopy classes need no crossing detection: the disc is simply connected,
+so every lifted path from a point of tile gamma_0(F) to a point of tile
+gamma_1(F) is homotopic rel endpoints to any other, and its deck word is
+gamma_1 gamma_0^{-1}, read off the two endpoint tiles by `locate`.
+
+This module is also the geometry layer of the vectorized ensemble engine:
+`_reduce_ensemble` pulls an array of walkers into the octagon and emits
+each round's deck letters to an accumulator (the algebra layer,
+`cocycle._MatrixAccumulator`).  Scalar `locate` is its reference.
 """
 
 from __future__ import annotations
@@ -14,11 +24,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .hypgeo import (
     DiscPoint,
-    GeometryError,
     MobiusMap,
-    dist_P,
     mobius_identity,
     mobius_point_chart,
     mobius_translation,
@@ -28,15 +38,10 @@ __all__ = [
     "DeckWord",
     "FuchsianGroup",
     "SurfaceError",
-    "SegmentTooLongError",
     "build_genus2",
     "locate",
     "track",
 ]
-
-# each tracked segment must stay below half the injectivity radius so that
-# the crossing sequence is unambiguous
-TRACK_GUARD = 0.1
 
 # membership slack: points within this of a side count as inside, ties
 # resolved by the smallest side index
@@ -47,18 +52,6 @@ _MAX_REDUCTION_STEPS = 10**6
 
 class SurfaceError(RuntimeError):
     """Geometry bug guard: reduction failed to terminate."""
-
-
-class SegmentTooLongError(ValueError):
-    """A tracked path segment exceeds the injectivity-radius guard."""
-
-    def __init__(self, index: int, length: float):
-        self.index = index
-        self.length = length
-        super().__init__(
-            f"path segment {index} has hyperbolic length {length:.6g} "
-            f">= {TRACK_GUARD}; sample finer or allow subdivision"
-        )
 
 
 def reduce_letters(letters) -> tuple:
@@ -177,65 +170,72 @@ def locate(z, group: FuchsianGroup):
     raise SurfaceError("fundamental-domain reduction did not terminate")
 
 
-def _geodesic_subdivide(z0: complex, z1: complex, pieces: int):
-    """Points subdividing the geodesic segment [z0, z1] (excluding z0)."""
-    chart = mobius_point_chart(z0)
-    inv = chart.inverse()
-    xi = inv(z1)
-    length = 2.0 * math.atanh(abs(xi))
-    if length == 0.0:
-        return [z1]
-    direction = xi / abs(xi)
-    out = []
-    for i in range(1, pieces):
-        out.append(chart(direction * math.tanh(0.5 * length * i / pieces)))
-    out.append(z1)
-    return out
-
-
-def track(path, group: FuchsianGroup, subdivide_long_segments: bool = True) -> DeckWord:
+def track(path, group: FuchsianGroup) -> DeckWord:
     """Deck word of a lifted path's homotopy class rel endpoints.
 
-    Built incrementally by side-crossing detection.  Segments longer than the
-    injectivity guard are subdivided along their connecting geodesic (exact
-    for sampler output, whose displacements are geodesic jumps); pass
-    subdivide_long_segments=False to get a SegmentTooLongError instead.
-
-    Satisfies track(head + tail) = (track(tail) * track(head)).reduced.
+    Read off the endpoint tiles: with start in gamma_0(F) and end in
+    gamma_1(F), the word is gamma_1 gamma_0^{-1}.  This is exact: the disc
+    is simply connected, so all lifted paths between two points are
+    homotopic rel endpoints, and the points in between never matter.  Hence
+    track(head + tail) = track(tail) * track(head) as reduced words.
     """
-    points = [p.z if isinstance(p, DiscPoint) else complex(p) for p in path.points]
+    points = path.points
     if not points:
         return DeckWord()
     _, start_word = locate(points[0], group)
-    letters = list(start_word.letters)
-    inv_transform = start_word.evaluate(group).inverse()
-    for i in range(1, len(points)):
-        z_prev, z_next = points[i - 1], points[i]
-        seg = dist_P(z_prev, z_next)
-        if seg >= TRACK_GUARD:
-            if not subdivide_long_segments:
-                raise SegmentTooLongError(i - 1, seg)
-            pieces = int(math.ceil(seg / (0.5 * TRACK_GUARD)))
-            substeps = _geodesic_subdivide(z_prev, z_next, pieces)
-        else:
-            substeps = [z_next]
-        for w in substeps:
-            rep = inv_transform(w)
-            for _ in range(_MAX_REDUCTION_STEPS):
-                j = _first_violated_side(group, rep)
-                if j is None:
-                    break
-                letter = group.neighbor_letter(j)
-                rep = group.generator(-letter)(rep)
-                if letters and letters[-1] == -letter:
-                    letters.pop()
-                else:
-                    letters.append(letter)
-                inv_transform = group.generator(-letter) * inv_transform
-            else:
-                raise SurfaceError("tracking reduction did not terminate")
-    end_word = DeckWord(tuple(letters))
+    _, end_word = locate(points[-1], group)
     return end_word * start_word.inverse()
+
+
+class _GroupData:
+    """Group constants laid out for vectorized reduction: for each side j,
+    the neighbor center q_j, the signed letter a crossing of side j reports,
+    and the coefficients of the map that pulls a walker back across it."""
+
+    def __init__(self, group: FuchsianGroup):
+        q = np.array(group.neighbors)
+        self.q_col = q[:, None]
+        self.one_minus_qa_col = (1.0 - np.abs(q) ** 2)[:, None]
+        self.letters = [group.neighbor_letter(j) for j in range(1, 9)]
+        maps = [group.generator(-letter) for letter in self.letters]
+        a = np.array([m.a for m in maps])
+        b = np.array([m.b for m in maps])
+        # rows a, b, conj(b), conj(a) of z -> (a z + b) / (conj(b) z + conj(a))
+        self.coef = np.array([a, b, np.conj(b), np.conj(a)])
+        # no point of the inscribed disc violates a side: with Q = |q_j|,
+        # min_j S_j = Q^2 (1 + r^2) - 2 Q r >= 0 for |z| = r <= tanh(inradius/2)
+        self.inner_r = math.tanh(0.5 * group.inradius)
+
+
+def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, max_rounds=64):
+    """Pull every walker into the fundamental octagon, in place.
+
+    Each round moves every walker that violates a side across its smallest
+    violated side in one vectorized Mobius update, transports the direction
+    angles when given, and reports the (side index, walker index) arrays of
+    the round to acc.apply.  Walkers in the inscribed disc are never tested;
+    after the first round only the walkers that moved are.  The letters a
+    walker reports, in order, are the word scalar `locate` returns.
+    """
+    idx = np.flatnonzero(np.abs(z) > data.inner_r)
+    for _ in range(max_rounds):
+        w = z[idx]
+        S = np.abs(w - data.q_col) ** 2 - np.abs(w) ** 2 * data.one_minus_qa_col
+        violated = S < -_SIDE_TOL
+        moved = violated.any(axis=0)
+        idx = idx[moved]
+        if idx.size == 0:
+            return
+        w = w[moved]
+        first = violated[:, moved].argmax(axis=0)
+        a, b, conj_b, conj_a = data.coef[:, first]
+        den = conj_b * w + conj_a
+        z[idx] = (a * w + b) / den
+        if alpha is not None:
+            alpha[idx] -= 2.0 * np.arctan2(den.imag, den.real)
+        if acc is not None:
+            acc.apply(first, idx)
+    raise SurfaceError("fundamental-domain reduction did not settle")
 
 
 def _derive_relator(group: FuchsianGroup) -> DeckWord:

@@ -316,6 +316,17 @@ def test_diffuse_needs_samples():
         diffuse(constant_field(1.0), 1.0, 50, RngStream(1).generator())
 
 
+def test_diffuse_raw_walker_rejects_zero_step():
+    # a field without a polar form takes the raw-disc walker
+    with pytest.raises(DiffusionError):
+        diffuse(ScalarField(fn=lambda p: p.re), 1.0, 100, RngStream(1), step=0.0)
+
+
+def test_diffuse_raw_walker_rejects_coarse_step():
+    with pytest.raises(DiffusionError):
+        diffuse(ScalarField(fn=lambda p: p.re), 1.0, 100, RngStream(1), step=0.5)
+
+
 def test_diffuse_from_offset_start():
     # rotational symmetry: diffusion of dist from a point at radius 1 equals
     # the same run restarted at the rotated point

@@ -1,8 +1,12 @@
 """The vectorized ensemble engine against the scalar reference code.
 
-The reduction kernel must reproduce surface.locate walker by walker, the
-inscribed disc it never tests must lie inside the octagon, and the cocycle
-accumulator must reproduce cocycle_of_word on each walker's recorded word.
+The engine has a geometry layer, surface._reduce_ensemble, which emits deck
+letters, and an algebra layer, cocycle._MatrixAccumulator, which folds them
+into cocycle products; lyapunov walks ensembles on top of both.  The
+reduction kernel must reproduce surface.locate walker by walker, the
+inscribed disc it never tests must lie inside the octagon, the accumulator
+must reproduce cocycle_of_word on each walker's recorded word, and the
+batched Specialization.values must reproduce the scalar specialization.
 """
 
 import cmath
@@ -11,14 +15,16 @@ import math
 import numpy as np
 import pytest
 
-from hyplyap.cocycle import Representation, cocycle_of_word
-from hyplyap.lyapunov import (
-    _GroupData,
+from hyplyap.cocycle import (
+    Representation,
     _MatrixAccumulator,
-    _brownian_walk,
-    _reduce_ensemble,
+    cocycle_of_word,
+    estimate_regularity,
+    specialize,
 )
-from hyplyap.surface import DeckWord, build_genus2, locate
+from hyplyap.diffusion import RngStream
+from hyplyap.lyapunov import _brownian_walk
+from hyplyap.surface import DeckWord, _GroupData, _reduce_ensemble, build_genus2, locate
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +97,27 @@ def test_accumulator_matches_scalar_cocycles(data, rep_track):
         want = value.matrix * math.exp(value.log_scale)
         for got in (plain.m[k], transposed.m[k].T):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), k
+
+
+@pytest.mark.parametrize("base_word", [(), (1,)])
+def test_specialization_values_match_scalar(group, rep_track, base_word):
+    base = DeckWord(base_word).evaluate(group)(0j)
+    spec = specialize(rep_track, [0.6, -0.8], group, base=base)
+    assert spec.base_word == DeckWord(base_word)
+    gen = np.random.default_rng(20151104)
+    n = 2000
+    z = 0.999 * np.sqrt(gen.random(n)) * np.exp(2j * np.pi * gen.random(n))
+    got = spec.values(z)
+    want = np.array([spec(complex(p)) for p in z])
+    assert np.max(np.abs(want)) > 1.0
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_regularity_batched_matches_scalar(group, rep_track):
+    spec = specialize(rep_track, [1.0, 0.0], group)
+    batched = estimate_regularity(spec, 400, 6.0, RngStream(31))
+    scalar = estimate_regularity(lambda p: spec(p), 400, 6.0, RngStream(31))
+    assert batched.n_pairs == scalar.n_pairs and batched.radius == scalar.radius
+    assert batched.alpha_fit == scalar.alpha_fit
+    for name in ("c_fit", "lipschitz_c", "bin_centers", "bin_envelope"):
+        assert getattr(batched, name) == pytest.approx(getattr(scalar, name), rel=1e-12, abs=1e-12)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from hyplyap.cocycle import diagonal_representation, trivial_representation
+from hyplyap.cocycle import Representation, diagonal_representation, trivial_representation
 from hyplyap.diffusion import RngStream
 from hyplyap.lyapunov import (
     ExpansionSample,
@@ -348,9 +348,15 @@ def test_exp_conversion_at_origin(group, rep22):
 
 
 def test_exp_conversion_shifted_base(group, rep22):
+    # the non-commuting pair tells A(eta -> z) = rho(w) rho(delta) rho(w)^-1
+    # apart from rho(delta), where w is eta's tile and delta the crossings
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    b = np.array([[1.0, 0.0], [1.5, 1.0]])
+    rep_track = Representation.from_matrices(2, "real", [a, b, b, a], group)
     eta = group.generators[0](0j)
-    r = check_exp_conversion(rep22, group, [1.0, 0.0], eta, 5.0, 1500, 0.05, RngStream(67))
-    assert r.passed, str(r)
+    for rep in (rep22, rep_track):
+        r = check_exp_conversion(rep, group, [1.0, 0.0], eta, 5.0, 1500, 0.05, RngStream(67))
+        assert r.passed, str(r)
 
 
 def test_exp_conversion_needs_horizon(group, rep22):
