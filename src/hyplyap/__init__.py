@@ -60,6 +60,7 @@ from .cocycle import (
     diagonal_representation,
     estimate_regularity,
     evaluate,
+    fuchsian_representation,
     specialize,
     trivial_representation,
 )

@@ -85,7 +85,6 @@ class ExperimentConfig:
     n_dirs: int = 256
     n_vectors: int = 64
     seed: int = 0
-    workers: int = 1
     output: str = "run"
     defaulted: tuple = ()   # keys filled by defaults, recorded in the manifest
 
@@ -104,7 +103,7 @@ class ExperimentConfig:
         for key in ("horizon", "step"):
             if getattr(self, key) <= 0 or not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be positive and finite")
-        for key in ("dim", "n_paths", "n_dirs", "n_vectors", "workers"):
+        for key in ("dim", "n_paths", "n_dirs", "n_vectors"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.rep_field not in ("real", "complex"):
@@ -124,10 +123,12 @@ _SECTION_KEYS = {
         "n_dirs",
         "n_vectors",
         "seed",
-        "workers",
         "output",
     },
 }
+
+# a leftover workers setting is refused, never silently ignored
+_WORKERS_REMOVED = "workers was removed: each run is one ensemble on one stream; drop it"
 
 _PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 
@@ -168,6 +169,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
+        if key == "workers":
+            raise ConfigError(f"line {lineno}: {_WORKERS_REMOVED}")
         if key not in _SECTION_KEYS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         if (section, key) in raw:
@@ -210,7 +213,6 @@ def _config_from_raw(raw: dict) -> ExperimentConfig:
     take("run", "n_dirs", int, "n_dirs")
     take("run", "n_vectors", int, "n_vectors")
     take("run", "seed", int, "seed")
-    take("run", "workers", int, "workers")
     take("run", "output", str, "output")
     if raw:
         (section, key), _ = raw.popitem()
@@ -236,7 +238,7 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """Flags mirror config keys; a conflicting explicit value is an error,
     never a silent precedence decision."""
     for attr in ("method", "horizon", "step", "n_paths", "n_dirs", "n_vectors",
-                 "seed", "workers", "output"):
+                 "seed", "output"):
         flag_val = getattr(args, attr, None)
         if flag_val is None:
             continue
@@ -345,18 +347,16 @@ def _write(path: str, text: str):
 
 
 def run_spectrum(cfg: ExperimentConfig, group, rep):
-    rng = RngStream(cfg.seed)
+    # one stream per route, so the brownian and diffusion routes walk
+    # independent ensembles; brownian keeps stream 0
+    rng = RngStream(cfg.seed, _METHODS.index(cfg.method))
     if cfg.method == "brownian":
         reorth = max(1, int(1.0 / cfg.step) // 2)
-        report = benettin_spectrum(
-            rep, group, cfg.horizon, cfg.step, reorth, cfg.n_paths, rng, workers=cfg.workers
-        )
+        report = benettin_spectrum(rep, group, cfg.horizon, cfg.step, reorth, cfg.n_paths, rng)
     elif cfg.method == "geodesic":
         report = geodesic_spectrum(rep, group, cfg.horizon, cfg.n_dirs, spacing=min(cfg.step, 0.05))
     else:
-        report = diffusion_spectrum(
-            rep, group, int(round(cfg.horizon)), cfg.n_paths, cfg.step, rng, workers=cfg.workers
-        )
+        report = diffusion_spectrum(rep, group, int(round(cfg.horizon)), cfg.n_paths, cfg.step, rng)
     return report
 
 
@@ -400,10 +400,8 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         add("octagon_relator", res, 0.0, 1e-8, res <= 1e-8)
     elif name == "cocycle":
         from .cocycle import evaluate
-        from .surface import track
 
         worst_split = 0.0
-        worst_hom = 0.0
         for i in range(100):
             path = sample_path(DiscPoint.origin(), 2.0, 0.05, rng.child(i))
             mid = len(path.points) // 2
@@ -416,14 +414,10 @@ def run_validation(cfg: ExperimentConfig, group, rep):
                 float(np.max(np.abs(full_v.matrix - prod.matrix)))
                 + abs(full_v.log_scale - prod.log_scale),
             )
-            w1 = track(path, group)
-            w2 = track(path, group)
-            worst_hom = max(worst_hom, 0.0 if w1.letters == w2.letters else 1.0)
         ident = evaluate(rep, sample_path(DiscPoint.origin(), 0.0, 0.05, rng.child(1000)), group)
         ident_err = float(np.max(np.abs(ident.matrix - np.eye(rep.dim))))
         add("identity_law", ident_err, 0.0, 1e-10, ident_err <= 1e-10)
         add("multiplicative_law", worst_split, 0.0, 1e-10, worst_split <= 1e-10)
-        add("homotopy_law", worst_hom, 0.0, 1e-10, worst_hom <= 1e-10)
     elif name == "semigroup":
         for i, (f, t, s) in enumerate(
             (
@@ -452,7 +446,7 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         med = float(np.median(rho[-1]) / 40.0)
         add("drift_median(t=40)", med, 1.0, 0.08, 0.92 <= med <= 1.08)
     elif name == "shadowing":
-        r = shadowing_report(cfg.n_paths, [20.0, 40.0, 80.0], cfg.step, rng, workers=cfg.workers)
+        r = shadowing_report(cfg.n_paths, [20.0, 40.0, 80.0], cfg.step, rng)
         add("shadowing_slope", r.slope_shadow_95, 0.0, 0.1, r.passed)
         i40 = r.t_values.index(40.0)
         add("drift_median(t=40)", r.drift_median[i40], 1.0, 0.08,
@@ -585,6 +579,14 @@ def cmd_compare(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
+class _RemovedFlag(argparse.Action):
+    """A flag that no longer exists: a config error (exit 1), not argparse's
+    usage error (exit 2)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise ConfigError(f"{option_string}: {_WORKERS_REMOVED}")
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hyplyap", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -598,7 +600,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--n-dirs", dest="n_dirs", type=int, default=None)
     run.add_argument("--n-vectors", dest="n_vectors", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--workers", type=int, default=None)
+    run.add_argument("--workers", action=_RemovedFlag, help=argparse.SUPPRESS)
     run.add_argument("--output", default=None)
     run.set_defaults(func=cmd_run)
 
@@ -613,7 +615,7 @@ def make_parser() -> argparse.ArgumentParser:
     val.add_argument("name", choices=_VALIDATIONS)
     val.add_argument("--n-paths", dest="n_paths", type=int, default=None)
     val.add_argument("--seed", type=int, default=None)
-    val.add_argument("--workers", type=int, default=None)
+    val.add_argument("--workers", action=_RemovedFlag, help=argparse.SUPPRESS)
     val.add_argument("--output", default=None)
     val.set_defaults(func=cmd_validate)
 
@@ -639,7 +641,6 @@ def cmd_validate(args) -> int:
         method=f"validate:{args.name}",
         n_paths=args.n_paths or defaults["n_paths"],
         seed=args.seed if args.seed is not None else 0,
-        workers=args.workers or 1,
         output=args.output or f"validate_{args.name}",
         horizon=5.0 if args.name == "conversion" else 60.0,
     )
@@ -666,9 +667,8 @@ def cmd_dump_surface(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

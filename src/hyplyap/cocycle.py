@@ -134,6 +134,14 @@ def diagonal_representation(entries, others_identity: bool = True) -> Representa
     return Representation.from_matrices(d, "real", [g1, eye, eye, eye])
 
 
+def fuchsian_representation(group: FuchsianGroup) -> Representation:
+    """The uniformizing representation g_k -> [[a, b], [conj b, conj a]]:
+    |rho(gamma)| = exp(d(0, gamma 0) / 2) and the radial drift is 1, so its
+    spectrum is exactly +-1/2, the nonzero-spectrum oracle."""
+    mats = [[[g.a, g.b], [g.b.conjugate(), g.a.conjugate()]] for g in group.generators[:4]]
+    return Representation.from_matrices(2, "complex", mats, group)
+
+
 def trivial_representation(dim: int, field: str = "real") -> Representation:
     eye = np.eye(dim)
     return Representation.from_matrices(dim, field, [eye, eye, eye, eye])

@@ -90,7 +90,7 @@ class RngStream:
         return np.random.default_rng([self.master_seed, self.stream_index])
 
     def child(self, task_index: int) -> "RngStream":
-        """Derived stream for a worker task; mixing happens in the seed
+        """Derived stream for a sub-task; mixing happens in the seed
         sequence, so child(0) differs from the parent."""
         return RngStream(self.master_seed, (self.stream_index << 20) ^ (task_index + 1))
 

@@ -18,7 +18,7 @@ layer `surface._reduce_ensemble` emits deck letters and the algebra layer
 `cocycle._MatrixAccumulator` consumes them; this module walks ensembles on
 top of both.  `_reduce_ensemble` is the only domain-reduction kernel: each
 round it pulls every walker that violates a side back across its smallest
-violated side in one Mobius update (walkers in the inscribed disc are never
+violated side in one Mobius update (walkers inside a skip radius are never
 tested, and after the first round only the walkers that moved are) and
 reports the round's (side, walker) arrays once.  `_MatrixAccumulator` is
 the only cocycle accumulator: it folds a round in with one gathered matmul
@@ -26,8 +26,14 @@ against the eight side images stacked as (8, d, d).  A path's matrix takes
 its letters on the right (crossing order); Benettin's QR deflation uses the
 transposed accumulator, whose left products have the same singular-value
 growth and make the limiting frame estimate the flag at the starting
-fiber.  Benettin and the matrix estimators share one Brownian walker loop,
-`_brownian_walk`.
+fiber.
+
+Reduction is lazy: the disc is simply connected, so a lifted path's
+cocycle value depends only on its endpoint tile.  The one Brownian walker,
+`_brownian_walk` (stepping with `diffusion._disc_step`), and the ray
+tracker `_geodesic_matrices` reduce every walker only every _REDUCE_EVERY
+time units and at the last step, else only those past _GUARD_R.  Each
+estimator walks one ensemble on `rng.child(0)`.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ from .cocycle import _MatrixAccumulator, cocycle_of_word, specialize
 from .diffusion import (
     CheckReport,
     RngStream,
+    _disc_step,
     _disc_walk_endpoints,
+    _increments,
     _time_grid,
     pairwise_sum,
     sample_polar_endpoints,
@@ -81,58 +89,55 @@ class LyapunovError(RuntimeError):
 
 # ------------------------------------------------------- ensemble engine
 
+# full reductions every half time (or arc-length) unit: 10 steps at step
+# 0.05, Benettin's default reorth_every; any cadence gives the same product
+_REDUCE_EVERY = 0.5
+# between full reductions, walkers past hyperbolic radius 6 are reduced at
+# once: a raw-chart point there carries at most ~200 eps of position error
+_GUARD_R = math.tanh(3.0)
 
-def _chunks(total: int, workers: int):
-    if workers < 1:
-        raise LyapunovError("workers must be >= 1")
-    base, extra = divmod(total, workers)
-    sizes = [base + (1 if i < extra else 0) for i in range(workers)]
-    return [s for s in sizes if s > 0]
+
+def _ensemble_generator(rng):
+    """The generator of an estimator's single ensemble: rng.child(0)."""
+    if not isinstance(rng, RngStream):
+        raise LyapunovError("pass an RngStream so the ensemble's stream is reproducible")
+    return rng.child(0).generator()
 
 
-def _chunk_generators(rng, n_paths, workers):
-    """(size, generator) of each worker chunk of an ensemble."""
-    if isinstance(rng, np.random.Generator):
-        raise LyapunovError("pass an RngStream so worker substreams are reproducible")
-    return [(size, rng.child(c).generator()) for c, size in enumerate(_chunks(n_paths, workers))]
+def _lazy_skip(k, steps, spacing):
+    """skip_r for the reduction after step k of steps (1-based): a full
+    reduction at every _REDUCE_EVERY and at the last step, else the guard."""
+    full = k % max(1, round(_REDUCE_EVERY / spacing)) == 0 or k == steps
+    return None if full else _GUARD_R
 
 
 def _brownian_walk(data, acc, gen, n, t, step, start=0j):
-    """Walk n tracked Brownian paths from `start` and fold every side
-    crossing into acc; yields (i, last) once step i is reduced."""
+    """Walk n Brownian paths from `start` with lazy reduction, folding their
+    deck letters into acc; yields (i, last, z) after step i.  Between full
+    reductions acc holds a partial product, completed at the last step."""
     z = np.full(n, complex(start))
     _reduce_ensemble(data, z)  # initial reduction: not part of the word
-    times = _time_grid(t, step)
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        n1 = gen.standard_normal(n)
-        n2 = gen.standard_normal(n)
-        ell = np.sqrt(2.0 * dt) * np.hypot(n1, n2)
-        beta = np.arctan2(n2, n1)
-        xi = np.exp(1j * beta) * np.tanh(0.5 * ell)
-        z = (xi + z) / (1.0 + np.conj(z) * xi)
-        _reduce_ensemble(data, z, acc=acc)
-        yield i, i == len(times) - 1
+    steps = len(_time_grid(t, step)) - 1
+    for i, (n1, n2, scale) in enumerate(_increments(gen, n, t, step), start=1):
+        z = _disc_step(z, n1, n2, scale)
+        _reduce_ensemble(data, z, acc=acc, skip_r=_lazy_skip(i, steps, step))
+        yield i, i == steps, z
 
 
-def _brownian_matrices(rep, group, t, n_paths, step, rng, workers, start=0j):
-    """Cocycle matrices along tracked Brownian paths; one accumulator per
-    worker chunk."""
+def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j):
+    """Cocycle matrices along tracked Brownian paths, one ensemble."""
     data = _GroupData(group)
-    outs = []
-    for size, gen in _chunk_generators(rng, n_paths, workers):
-        acc = _MatrixAccumulator(rep, data, size)
-        for i, _ in _brownian_walk(data, acc, gen, size, t, step, start):
-            if i % 64 == 0:
-                acc.rescale()
-        acc.rescale()
-        outs.append(acc)
-    return outs
+    acc = _MatrixAccumulator(rep, data, n_paths)
+    for i, _, _ in _brownian_walk(data, acc, _ensemble_generator(rng), n_paths, t, step, start):
+        if i % 64 == 0:
+            acc.rescale()
+    acc.rescale()
+    return acc
 
 
 def _geodesic_matrices(rep, group, thetas, R, spacing):
     """Cocycle matrices along the rays gamma_{0,theta}, tracked intrinsically
-    in reduced coordinates with direction transport."""
+    with direction transport and reduced lazily, as in _brownian_walk."""
     if spacing > _GEODESIC_SPACING + 1e-12:
         raise LyapunovError(f"geodesic tracking needs spacing <= {_GEODESIC_SPACING}")
     data = _GroupData(group)
@@ -143,14 +148,14 @@ def _geodesic_matrices(rep, group, thetas, R, spacing):
     alpha = 2.0 * np.pi * thetas
     steps = int(math.ceil(R / spacing))
     done = 0.0
-    for k in range(steps):
+    for k in range(1, steps + 1):
         h = min(spacing, R - done)
         done += h
         xi = math.tanh(0.5 * h) * np.exp(1j * alpha)
         den = 1.0 + np.conj(w) * xi
         w = (xi + w) / den
         alpha = alpha - 2.0 * np.arctan2(den.imag, den.real)
-        _reduce_ensemble(data, w, alpha, acc)
+        _reduce_ensemble(data, w, alpha, acc, skip_r=_lazy_skip(k, steps, spacing))
         if k % 64 == 0:
             acc.rescale()
     acc.rescale()
@@ -197,6 +202,11 @@ class SpectrumReport:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.exponents + self.ci_halfwidths)):
+            raise LyapunovError(
+                f"non-finite spectrum estimate: exponents {self.exponents}, "
+                f"ci half-widths {self.ci_halfwidths}"
+            )
         if sum(self.multiplicities) != len(self.raw_exponents):
             raise LyapunovError("multiplicities must sum to the dimension")
         if any(b >= a for a, b in zip(self.exponents[:-1], self.exponents[1:])):
@@ -227,7 +237,6 @@ class ShadowingReport:
     drift_quantiles: dict        # q -> tuple over t of normalized |dist - t|
     slope_shadow_95: float
     passed: bool
-    workers: int = 1
 
     def __str__(self):
         lines = [f"shadowing over t={self.t_values} (normalization t^0.5 (log t)^1.5)"]
@@ -259,23 +268,21 @@ class UniformityReport:
 # -------------------------------------------------------- Brownian rates
 
 
-def brownian_rate(rep, group, v, t, n_paths, step, rng, workers=1):
+def brownian_rate(rep, group, v, t, n_paths, step, rng):
     """Mean single-vector growth rate (1/t) log(|A(omega,t) v| / |v|)
     over tracked Brownian paths from the origin; returns (mean, std_error)."""
     if t < 1.0:
         raise LyapunovError("brownian_rate needs t >= 1")
-    accs = _brownian_matrices(rep, group, t, n_paths, step, rng, workers)
-    vals = np.concatenate([acc.log_vector_growth(v) for acc in accs]) / t
-    return _mean_se(vals)
+    acc = _brownian_matrices(rep, group, t, n_paths, step, rng)
+    return _mean_se(acc.log_vector_growth(v) / t)
 
 
-def brownian_norm_rate(rep, group, t, n_paths, step, rng, workers=1):
+def brownian_norm_rate(rep, group, t, n_paths, step, rng):
     """Mean operator-norm growth rate (1/t) log |A(omega,t)|."""
     if t < 1.0:
         raise LyapunovError("brownian_norm_rate needs t >= 1")
-    accs = _brownian_matrices(rep, group, t, n_paths, step, rng, workers)
-    vals = np.concatenate([acc.log_operator_norm() for acc in accs]) / t
-    return _mean_se(vals)
+    acc = _brownian_matrices(rep, group, t, n_paths, step, rng)
+    return _mean_se(acc.log_operator_norm() / t)
 
 
 def _mean_se(vals):
@@ -296,7 +303,6 @@ def benettin_spectrum(
     reorth_every,
     n_paths,
     rng,
-    workers=1,
     method_tag="brownian",
 ) -> SpectrumReport:
     """Full spectrum by QR deflation along tracked Brownian paths.
@@ -305,7 +311,9 @@ def benettin_spectrum(
     images (letters arrive in crossing order, i.e. on the right of the
     product; transposing turns them into left factors with identical
     singular-value growth).  Re-orthonormalizes every `reorth_every` steps
-    and averages accumulated log diagonals across paths.
+    and averages accumulated log diagonals across paths.  The QR points
+    need not be reduction points: every partial product is a factor of the
+    final one, whose letters are all folded in by the last step.
 
     Exponents whose estimates differ by less than max(0.02, 3 combined se)
     merge into one block: strict spectral gaps are not resolvable at finite
@@ -314,40 +322,32 @@ def benettin_spectrum(
     if reorth_every < 1 or reorth_every * step > 1.0 + 1e-12:
         raise LyapunovError("need reorth_every >= 1 with reorth_every * step <= 1")
     data = _GroupData(group)
-    all_lams = []
-    basis = None
-    for size, gen in _chunk_generators(rng, n_paths, workers):
-        acc = _MatrixAccumulator(rep, data, size, transpose=True)
-        logr = np.zeros((size, rep.dim))
-        for i, last in _brownian_walk(data, acc, gen, size, t_max, step):
-            if i % reorth_every == 0 or last:
-                q, r = np.linalg.qr(acc.m)
-                diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-                if np.any(diag < 1e-280):
-                    raise LyapunovError(
-                        "frame degeneracy: QR diagonal underflow during deflation"
-                    )
-                signs = np.sign(np.diagonal(r.real, axis1=1, axis2=2))
-                signs = np.where(signs == 0.0, 1.0, signs)
-                acc.m = q * signs[:, None, :]
-                logr += np.log(diag)
-        # sort per path: for products without generic alignment (commuting
-        # images) the QR diagonal order is path-dependent, and the ensemble
-        # average must estimate the sorted spectrum of A(omega, t)
-        all_lams.append(np.sort(logr / t_max, axis=1)[:, ::-1])
-        if basis is None:
-            basis = acc.m[0].copy()
-    lams = np.vstack(all_lams)
+    gen = _ensemble_generator(rng)
+    acc = _MatrixAccumulator(rep, data, n_paths, transpose=True)
+    logr = np.zeros((n_paths, rep.dim))
+    for i, last, _ in _brownian_walk(data, acc, gen, n_paths, t_max, step):
+        if i % reorth_every == 0 or last:
+            q, r = np.linalg.qr(acc.m)
+            diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+            if np.any(diag < 1e-280):
+                raise LyapunovError("frame degeneracy: QR diagonal underflow during deflation")
+            signs = np.sign(np.diagonal(r.real, axis1=1, axis2=2))
+            signs = np.where(signs == 0.0, 1.0, signs)
+            acc.m = q * signs[:, None, :]
+            logr += np.log(diag)
+    # sort per path: for products without generic alignment (commuting
+    # images) the QR diagonal order is path-dependent, and the ensemble
+    # average must estimate the sorted spectrum of A(omega, t)
+    lams = np.sort(logr / t_max, axis=1)[:, ::-1]
     return _spectrum_from_samples(
         lams,
-        basis,
+        acc.m[0].copy(),
         method_tag,
         {
             "t_max": t_max,
             "step": step,
             "reorth_every": reorth_every,
             "n_paths": n_paths,
-            "workers": workers,
             "master_seed": rng.master_seed,
             "stream_index": rng.stream_index,
         },
@@ -376,8 +376,8 @@ def geodesic_rate(rep, group, theta, R, v, spacing=_GEODESIC_SPACING) -> Expansi
 
     Deterministic for a fixed operation order, but past R ~ 37 a float64
     ray is a shadowing pseudo-orbit, not the ray of theta: nudging every
-    theta of the 256-direction grid by 1e-15 changes 2 of its rates at
-    R = 30 and 192 at R = 40.
+    theta of the 256-direction grid by 1e-15 changes 0, 2 and 181 of its
+    diag(2, 1/2) rates at R = 20, 30 and 40.
     """
     if R <= 0:
         raise LyapunovError("geodesic_rate needs R > 0")
@@ -449,18 +449,16 @@ def geodesic_spectrum(rep, group, R, n_dirs, spacing=_GEODESIC_SPACING) -> Spect
     )
 
 
-def diffusion_spectrum(rep, group, n, n_paths, step, rng, workers=1) -> SpectrumReport:
+def diffusion_spectrum(rep, group, n, n_paths, step, rng) -> SpectrumReport:
     """Full spectrum by the expectation route: expected sorted log singular
     values of the cocycle at an integer horizon (no deflation along the
     path; the whole matrix is decomposed at the end)."""
     if n < 1:
         raise LyapunovError("diffusion_spectrum needs an integer horizon n >= 1")
-    accs = _brownian_matrices(rep, group, float(int(n)), n_paths, step, rng, workers)
-    mats = np.concatenate([a.m for a in accs])
-    scales = np.concatenate([a.log_scale for a in accs])
-    s = np.linalg.svd(mats, compute_uv=False)
-    lams = (np.log(s) + scales[:, None]) / float(int(n))
-    _, _, vh = np.linalg.svd(mats[0])
+    acc = _brownian_matrices(rep, group, float(int(n)), n_paths, step, rng)
+    s = np.linalg.svd(acc.m, compute_uv=False)
+    lams = (np.log(s) + acc.log_scale[:, None]) / float(int(n))
+    _, _, vh = np.linalg.svd(acc.m[0])
     basis = vh.conj().T
     return _spectrum_from_samples(
         lams,
@@ -470,7 +468,6 @@ def diffusion_spectrum(rep, group, n, n_paths, step, rng, workers=1) -> Spectrum
             "n": int(n),
             "n_paths": n_paths,
             "step": step,
-            "workers": workers,
             "master_seed": rng.master_seed,
             "stream_index": rng.stream_index,
         },
@@ -609,7 +606,7 @@ def _as_basis(rep, basis):
 
 
 def expectation_functions(
-    rep, group, basis, n, n_paths, step, rng, n_vectors=64, workers=1
+    rep, group, basis, n, n_paths, step, rng, n_vectors=64
 ):
     """Endpoints [m_n, M_n] of the expected log-growth rate at integer
     horizon n, extremized over unit vectors of the subspace.
@@ -620,9 +617,8 @@ def expectation_functions(
     if n < 1:
         raise LyapunovError("expectation horizon n must be >= 1")
     basis = _as_basis(rep, basis)
-    accs = _brownian_matrices(rep, group, float(n), n_paths, step, rng, workers)
-    mats = np.concatenate([a.m for a in accs])
-    scales = np.concatenate([a.log_scale for a in accs])
+    acc = _brownian_matrices(rep, group, float(n), n_paths, step, rng)
+    mats, scales = acc.m, acc.log_scale
     complex_field = rep.field == "complex"
 
     def objective(vs_real):
@@ -654,11 +650,10 @@ def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckRepo
     # the walk from eta records the crossings delta out of eta's tile w, so
     # M_p = rho(delta) while A(eta -> z) = rho(w) rho(delta) rho(w)^-1; with
     # v = [rho(w) u], log |A v| / |v| = log |rho(w) M_p u| - log |rho(w) u|
-    accs = _brownian_matrices(rep, group, t, n_paths, step, rng.child(101), workers=1, start=eta_pt.z)
+    acc = _brownian_matrices(rep, group, t, n_paths, step, rng.child(101), start=eta_pt.z)
     w = cocycle_of_word(rep, locate(eta_pt, group)[1]).matrix
-    for acc in accs:
-        acc.m = w @ acc.m
-    lhs_vals = np.concatenate([a.log_vector_growth(spec.direction) for a in accs])
+    acc.m = w @ acc.m
+    lhs_vals = acc.log_vector_growth(spec.direction)
     lhs, lhs_se = _mean_se(lhs_vals - math.log(np.linalg.norm(w @ spec.direction)))
 
     gen = rng.child(202).generator()
@@ -682,7 +677,7 @@ def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckRepo
 # ------------------------------------------------------------ diagnostics
 
 
-def shadowing_report(n_paths, t_list, step, rng, rho_exponent=1.5, workers=1) -> ShadowingReport:
+def shadowing_report(n_paths, t_list, step, rng, rho_exponent=1.5) -> ShadowingReport:
     """Distance between Brownian paths and their limiting geodesic rays.
 
     The landing direction is approximated by the angular coordinate at the
@@ -692,17 +687,9 @@ def shadowing_report(n_paths, t_list, step, rng, rho_exponent=1.5, workers=1) ->
     t_list = sorted(t_list)
     if t_list[-1] < 20.0:
         raise LyapunovError("shadowing needs max(t_list) >= 20")
-    if isinstance(rng, np.random.Generator):
-        raise LyapunovError("pass an RngStream for reproducible worker substreams")
-    rhos, psis = [], []
-    for c, size in enumerate(_chunks(n_paths, workers)):
-        r, p = sample_polar_endpoints(
-            size, t_list[-1], step, rng.child(c).generator(), checkpoints=t_list
-        )
-        rhos.append(r)
-        psis.append(p)
-    rho = np.concatenate(rhos, axis=1)
-    psi = np.concatenate(psis, axis=1)
+    rho, psi = sample_polar_endpoints(
+        n_paths, t_list[-1], step, _ensemble_generator(rng), checkpoints=t_list
+    )
 
     psi_final = psi[-1]
     qs = (50, 90, 95)
@@ -733,7 +720,6 @@ def shadowing_report(n_paths, t_list, step, rng, rho_exponent=1.5, workers=1) ->
         drift_quantiles={q: tuple(v) for q, v in drift_q.items()},
         slope_shadow_95=slope,
         passed=slope <= 0.1,
-        workers=workers,
     )
 
 

@@ -207,17 +207,20 @@ class _GroupData:
         self.inner_r = math.tanh(0.5 * group.inradius)
 
 
-def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, max_rounds=64):
-    """Pull every walker into the fundamental octagon, in place.
+def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, skip_r=None, max_rounds=64):
+    """Pull every walker with |z| > skip_r into the fundamental octagon, in
+    place; skip_r defaults to the inscribed disc's radius, i.e. all walkers.
 
     Each round moves every walker that violates a side across its smallest
     violated side in one vectorized Mobius update, transports the direction
     angles when given, and reports the (side index, walker index) arrays of
-    the round to acc.apply.  Walkers in the inscribed disc are never tested;
-    after the first round only the walkers that moved are.  The letters a
-    walker reports, in order, are the word scalar `locate` returns.
+    the round to acc.apply.  After the first round only the walkers that
+    moved are tested.  The letters a walker reports, in order, are the word
+    scalar `locate` returns.
     """
-    idx = np.flatnonzero(np.abs(z) > data.inner_r)
+    idx = np.flatnonzero(np.abs(z) > (data.inner_r if skip_r is None else skip_r))
+    if idx.size == 0:
+        return
     for _ in range(max_rounds):
         w = z[idx]
         S = np.abs(w - data.q_col) ** 2 - np.abs(w) ** 2 * data.one_minus_qa_col

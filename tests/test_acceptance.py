@@ -46,8 +46,6 @@ from hyplyap.lyapunov import (
 )
 from hyplyap.surface import build_genus2, track
 
-WORKERS = 4
-
 
 def report(number, passed, detail):
     line = f"[{'pass' if passed else 'FAIL'}] criterion {number}: {detail}"
@@ -67,9 +65,7 @@ def rep22():
 
 @pytest.fixture(scope="module")
 def benettin60(group, rep22):
-    return benettin_spectrum(
-        rep22, group, 60.0, 0.05, 10, 400, RngStream(600), workers=WORKERS
-    )
+    return benettin_spectrum(rep22, group, 60.0, 0.05, 10, 400, RngStream(600))
 
 
 def combined_tolerance(a, sa, b, sb, sigmas=3.0, rel=0.05):
@@ -218,7 +214,7 @@ def test_criterion_03_diffusion_suite():
 
 def test_criterion_04_drift_and_shadowing():
     """Median drift ratio at t=40 and bounded shadowing statistic."""
-    rep = shadowing_report(10000, [20.0, 40.0, 80.0], 0.05, RngStream(400), workers=WORKERS)
+    rep = shadowing_report(10000, [20.0, 40.0, 80.0], 0.05, RngStream(400))
     i40 = rep.t_values.index(40.0)
     drift_ok = 0.92 <= rep.drift_median[i40] <= 1.08
     passed = drift_ok and rep.slope_shadow_95 <= 0.1
@@ -256,7 +252,7 @@ def test_criterion_06_spectrum_cross_validation(group, rep22, benettin60):
     chi1_b, ci1 = sp.exponents[0], sp.ci_halfwidths[0]
     se_b = ci1 / 1.96
 
-    bn, se_n = brownian_norm_rate(rep22, group, 60.0, 2000, 0.05, RngStream(601), workers=WORKERS)
+    bn, se_n = brownian_norm_rate(rep22, group, 60.0, 2000, 0.05, RngStream(601))
     _, rates = geodesic_norm_rates(rep22, group, 60.0, 256)
     gm = float(np.mean(rates))
     se_g = float(np.std(rates, ddof=1) / math.sqrt(rates.size))
@@ -331,15 +327,15 @@ def test_criterion_08_expectation_convergence(group, rep22, benettin60):
     gaps, cis = [], []
     for i, n in enumerate((5, 10, 20, 40)):
         m_n, M_n = expectation_functions(
-            rep22, group, np.array([1.0, 0.0]), n, 1500, 0.05, RngStream(800 + i), workers=WORKERS
+            rep22, group, np.array([1.0, 0.0]), n, 1500, 0.05, RngStream(800 + i)
         )
         assert m_n == M_n  # one-dimensional subspace
         # Monte Carlo ci for m_n via an independent split-half estimate
         m_a, _ = expectation_functions(
-            rep22, group, np.array([1.0, 0.0]), n, 750, 0.05, RngStream(850 + i), workers=WORKERS
+            rep22, group, np.array([1.0, 0.0]), n, 750, 0.05, RngStream(850 + i)
         )
         m_b, _ = expectation_functions(
-            rep22, group, np.array([1.0, 0.0]), n, 750, 0.05, RngStream(870 + i), workers=WORKERS
+            rep22, group, np.array([1.0, 0.0]), n, 750, 0.05, RngStream(870 + i)
         )
         se = abs(m_a - m_b) / 2.0 + 1e-6
         gaps.append(abs(0.5 * (m_n + M_n) - chi1))

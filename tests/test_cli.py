@@ -33,7 +33,6 @@ horizon = 10
 step = 0.05
 n_paths = 60
 seed = 7
-workers = 2
 output = {out}
 """
 
@@ -109,7 +108,6 @@ def test_flag_conflict_is_error():
         n_dirs = None
         n_vectors = None
         seed = 9
-        workers = None
         output = None
 
     with pytest.raises(ConfigError, match="seed"):
@@ -127,7 +125,6 @@ def test_flag_fills_defaults():
         n_dirs = None
         n_vectors = None
         seed = None
-        workers = None
         output = None
 
     cfg = apply_flag_overrides(cfg, Args())
@@ -219,6 +216,83 @@ def test_run_geodesic_and_diffusion_methods(tmp_path):
         rows = read_spectrum_csv(str(tmp_path / (method + ".csv")))
         assert rows[0]["method"] == method
         assert sum(r["multiplicity"] for r in rows) == 2
+
+
+ROUTE_CONFIG = """
+[representation]
+dim = 2
+field = real
+g1 = 2 0 0 0.5
+g2 = 1 0 0 1
+g3 = 1 0 0 1
+g4 = 1 0 0 1
+
+[run]
+horizon = 60
+n_paths = 400
+seed = 5
+"""
+
+
+def test_routes_walk_independent_ensembles(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, ROUTE_CONFIG)
+    outs = {}
+    for method in ("brownian", "diffusion"):
+        out = str(tmp_path / method)
+        assert run_cli(["run", cfg_path, "--method", method, "--output", out]) == 0
+        outs[method] = out + ".csv"
+    a, b = (read_spectrum_csv(outs[m])[0]["chi"] for m in ("brownian", "diffusion"))
+    assert a != b
+    capsys.readouterr()
+    assert run_cli(["compare", outs["brownian"], outs["diffusion"]]) == 0
+
+
+def test_workers_config_key_exits_1(tmp_path, capsys):
+    cfg = "[run]\nmethod = brownian\nworkers = 4\noutput = %s\n" % (tmp_path / "w")
+    rc = run_cli(["run", write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: " in err and "workers was removed" in err
+    assert not (tmp_path / "w.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_workers_flag_exits_1(tmp_path, capsys, command):
+    target = "kernel"
+    if command == "run":
+        target = write_config(tmp_path, GOOD_CONFIG.format(out=tmp_path / "w"))
+    rc = run_cli([command, target, "--workers", "2", "--output", str(tmp_path / "w")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: --workers" in err and "Traceback" not in err
+    assert not (tmp_path / "w.csv").exists()
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def test_fuchsian_config_matches_generators():
+    from hyplyap.cocycle import fuchsian_representation
+    from hyplyap.surface import build_genus2
+
+    cfg = parse_config_text(open(os.path.join(CONFIGS, "fuchsian.cfg")).read())
+    rep = fuchsian_representation(build_genus2())
+    for got, want in zip(cfg.matrices, rep.images):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("method", ["geodesic", "diffusion"])
+def test_non_finite_spectrum_exits_1(tmp_path, capsys, method):
+    # both routes decompose the whole product at the end, and at horizon 60
+    # the uniformizing representation's smaller singular value underflows
+    out = tmp_path / method
+    rc = run_cli(["run", os.path.join(CONFIGS, "fuchsian.cfg"), "--method", method,
+                  "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: non-finite spectrum estimate" in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(str(out) + ".csv")
 
 
 def test_run_validation_method(tmp_path, capsys):

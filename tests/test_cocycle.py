@@ -13,12 +13,13 @@ from hyplyap.cocycle import (
     diagonal_representation,
     estimate_regularity,
     evaluate,
+    fuchsian_representation,
     specialize,
     trivial_representation,
     _STANDARD_RELATOR,
 )
 from hyplyap.diffusion import RngStream, dist_field, sample_path
-from hyplyap.hypgeo import DiscPoint
+from hyplyap.hypgeo import DiscPoint, dist_P
 from hyplyap.surface import DeckWord, build_genus2, locate
 
 
@@ -112,6 +113,18 @@ def test_complex_field_rep(group):
     assert rep.exact
     val = cocycle_of_word(rep, DeckWord((1, 1)))
     assert val.log_vector_growth(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fuchsian_rep_is_exact_with_distance_norms(group):
+    # |rho(gamma)| = exp(d(0, gamma 0) / 2): the norm identity behind the
+    # +-1/2 spectrum of the uniformizing representation
+    rep = fuchsian_representation(group)
+    assert rep.field == "complex" and rep.relator_residual <= 1e-12
+    gen = np.random.default_rng(5)
+    for _ in range(20):
+        word = DeckWord(tuple(int(gen.choice([1, 2, 3, 4, -1, -2, -3, -4])) for _ in range(6)))
+        got = cocycle_of_word(rep, word).log_operator_norm()
+        assert got == pytest.approx(0.5 * dist_P(0j, word.evaluate(group)(0j)), abs=1e-9)
 
 
 # ---------------------------------------------------------- word products

@@ -5,8 +5,9 @@ letters, and an algebra layer, cocycle._MatrixAccumulator, which folds them
 into cocycle products; lyapunov walks ensembles on top of both.  The
 reduction kernel must reproduce surface.locate walker by walker, the
 inscribed disc it never tests must lie inside the octagon, the accumulator
-must reproduce cocycle_of_word on each walker's recorded word, and the
-batched Specialization.values must reproduce the scalar specialization.
+must reproduce cocycle_of_word on each walker's recorded word, the lazy
+walk must keep its reduction invariants, and the batched
+Specialization.values must reproduce the scalar specialization.
 """
 
 import cmath
@@ -23,6 +24,7 @@ from hyplyap.cocycle import (
     specialize,
 )
 from hyplyap.diffusion import RngStream
+from hyplyap import lyapunov
 from hyplyap.lyapunov import _brownian_walk
 from hyplyap.surface import DeckWord, _GroupData, _reduce_ensemble, build_genus2, locate
 
@@ -46,15 +48,17 @@ def rep_track(group):
 
 
 class _Recorder:
-    """Accumulator that records each walker's letters in crossing order and
-    forwards every round to the accumulators it wraps."""
+    """Accumulator that records each walker's letters in crossing order,
+    counts them, and forwards every round to the accumulators it wraps."""
 
     def __init__(self, data, n, *accs):
         self.side_letters = data.letters
         self.letters = [[] for _ in range(n)]
         self.accs = accs
+        self.count = 0
 
     def apply(self, first, idx):
+        self.count += len(idx)
         for j, k in zip(first, idx):
             self.letters[k].append(self.side_letters[j])
         for acc in self.accs:
@@ -97,6 +101,43 @@ def test_accumulator_matches_scalar_cocycles(data, rep_track):
         want = value.matrix * math.exp(value.log_scale)
         for got in (plain.m[k], transposed.m[k].T):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), k
+
+
+@pytest.mark.parametrize(
+    "start, t, guard", [(0j, 5.0, None), (0.99 * cmath.exp(0.7j), 5.0, None), (0j, 5.25, 0.9)]
+)
+def test_lazy_walk_invariants(group, data, rep_track, monkeypatch, start, t, guard):
+    # no walker is ever past the guard radius; every walker is in the
+    # closed octagon at each full reduction, the last step included (t =
+    # 5.25 ends between cadence points), and some are not in between; the
+    # product is the cocycle of the letters the walk reported.  A guard
+    # radius of 0.9 (rho 2.9) makes the guard fire on most steps.
+    if guard is not None:
+        monkeypatch.setattr(lyapunov, "_GUARD_R", guard)
+    n, step = 500, 0.05
+    every = round(lyapunov._REDUCE_EVERY / step)
+    acc = _MatrixAccumulator(rep_track, data, n)
+    rec = _Recorder(data, n, acc)
+    full, lazy_outside, guarded, seen = 0, 0, 0, 0
+    gen = np.random.default_rng(11)
+    for i, last, z in lyapunov._brownian_walk(data, rec, gen, n, t, step, start):
+        assert np.max(np.abs(z)) <= lyapunov._GUARD_R, i
+        if i % every == 0 or last:
+            full += 1
+            assert all(group.contains(complex(w)) for w in z), i
+        else:
+            guarded += rec.count - seen
+            if i % every == every // 2:
+                lazy_outside += sum(not group.contains(complex(w)) for w in z)
+        seen = rec.count
+    assert last and full == math.ceil(t / lyapunov._REDUCE_EVERY) and lazy_outside > 0
+    if guard is not None:
+        assert guarded > 0
+    assert sum(len(w) >= 3 for w in rec.letters) > n // 4
+    for k in range(n):
+        value = cocycle_of_word(rep_track, DeckWord(tuple(rec.letters[k])))
+        want = value.matrix * math.exp(value.log_scale)
+        assert np.linalg.norm(acc.m[k] - want) <= 1e-12 * np.linalg.norm(want), k
 
 
 @pytest.mark.parametrize("base_word", [(), (1,)])

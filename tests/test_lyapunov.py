@@ -13,7 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from hyplyap.cocycle import Representation, diagonal_representation, trivial_representation
+from hyplyap.cocycle import (
+    Representation,
+    diagonal_representation,
+    fuchsian_representation,
+    trivial_representation,
+)
 from hyplyap.diffusion import RngStream
 from hyplyap.lyapunov import (
     ExpansionSample,
@@ -47,7 +52,7 @@ def rep22():
 
 @pytest.fixture(scope="module")
 def spectrum30(group, rep22):
-    return benettin_spectrum(rep22, group, 30.0, 0.05, 10, 300, RngStream(50), workers=4)
+    return benettin_spectrum(rep22, group, 30.0, 0.05, 10, 300, RngStream(50))
 
 
 def combined_pass(a, sa, b, sb, rel=0.05):
@@ -78,7 +83,7 @@ def test_benettin_diag22(group, spectrum30):
 
 def test_benettin_diag313(group):
     rep = diagonal_representation([3.0, 1.0, 1.0 / 3.0])
-    sp = benettin_spectrum(rep, group, 30.0, 0.05, 10, 300, RngStream(51), workers=4)
+    sp = benettin_spectrum(rep, group, 30.0, 0.05, 10, 300, RngStream(51))
     assert sp.dim == 3
     raw = sp.raw_exponents
     assert abs(raw[1]) <= sp.raw_ci[1] + 1e-12          # middle exponent ~ 0
@@ -90,8 +95,8 @@ def test_benettin_single_vector_oracle(group):
     # independent long-horizon single-vector oracle per coordinate axis:
     # the top raw exponent must match the norm growth route within error
     rep = diagonal_representation([3.0, 1.0, 1.0 / 3.0])
-    sp = benettin_spectrum(rep, group, 30.0, 0.05, 10, 300, RngStream(52), workers=4)
-    nr, nr_se = brownian_norm_rate(rep, group, 30.0, 600, 0.05, RngStream(53), workers=4)
+    sp = benettin_spectrum(rep, group, 30.0, 0.05, 10, 300, RngStream(52))
+    nr, nr_se = brownian_norm_rate(rep, group, 30.0, 600, 0.05, RngStream(53))
     ok, diff, tol = combined_pass(sp.raw_exponents[0], sp.raw_ci[0] / 1.96, nr, nr_se)
     assert ok, f"benettin top {sp.raw_exponents[0]:.5f} vs norm rate {nr:.5f} (tol {tol:.5f})"
 
@@ -115,24 +120,24 @@ def test_benettin_sum_tracks_determinant_for_nonunit_det(group):
     # the winding has zero drift, so the sum stays within its own ci of 0
     # even when |det rho(g1)| != 1
     rep = diagonal_representation([2.0, 1.0])
-    sp = benettin_spectrum(rep, group, 20.0, 0.05, 10, 300, RngStream(91), workers=2)
+    sp = benettin_spectrum(rep, group, 20.0, 0.05, 10, 300, RngStream(91))
     assert sp.exponent_sum_ci > 0.0
     assert abs(sp.exponent_sum) <= sp.exponent_sum_ci + 1e-12
 
 
-def test_benettin_reproducible_per_worker_count(group, rep22):
-    a = benettin_spectrum(rep22, group, 5.0, 0.05, 10, 40, RngStream(54), workers=2)
-    b = benettin_spectrum(rep22, group, 5.0, 0.05, 10, 40, RngStream(54), workers=2)
+def test_benettin_reproducible_per_stream(group, rep22):
+    a = benettin_spectrum(rep22, group, 5.0, 0.05, 10, 40, RngStream(54))
+    b = benettin_spectrum(rep22, group, 5.0, 0.05, 10, 40, RngStream(54))
     assert a.raw_exponents == b.raw_exponents
-    c = benettin_spectrum(rep22, group, 5.0, 0.05, 10, 40, RngStream(54), workers=3)
-    assert a.raw_exponents != c.raw_exponents  # layout differs, stats agree
+    c = benettin_spectrum(rep22, group, 5.0, 0.05, 10, 40, RngStream(55))
+    assert a.raw_exponents != c.raw_exponents  # another ensemble, same law
 
 
 def test_benettin_horizon_stability(group, rep22):
     # doubling jumps shrink for a fixed seed ensemble: |est(2T) - est(T)|
     # decreases from T = 20 to T = 40
     ests = {
-        T: benettin_spectrum(rep22, group, T, 0.05, 10, 200, RngStream(90), workers=2).exponents[0]
+        T: benettin_spectrum(rep22, group, T, 0.05, 10, 200, RngStream(90)).exponents[0]
         for T in (20.0, 40.0, 80.0)
     }
     assert abs(ests[80.0] - ests[40.0]) < abs(ests[40.0] - ests[20.0])
@@ -160,6 +165,50 @@ def test_spectrum_report_validation():
         )
 
 
+# ------------------------------------------------ nonzero-spectrum oracle
+#
+# The uniformizing representation has spectrum exactly +-1/2, since
+# log |rho(gamma)| = d(0, gamma 0) / 2 and the radial drift is 1.  A path
+# ending at z in tile gamma F has |d(0, gamma 0) - d(0, z)| <= circumradius
+# (2.45), so a rate at horizon t carries a bias of at most 1.23 / t from
+# the tile; every tolerance below is 3 se plus that allowance.
+
+
+@pytest.fixture(scope="module")
+def fuchsian(group):
+    return fuchsian_representation(group)
+
+
+def _allowance(group, t):
+    return 0.5 * group.circumradius / t  # 1.23 / t
+
+
+def test_fuchsian_benettin_spectrum(group, fuchsian):
+    t = 60.0
+    sp = benettin_spectrum(fuchsian, group, t, 0.05, 10, 400, RngStream(75))
+    assert sp.multiplicities == (1, 1)
+    for chi, ci, want in zip(sp.exponents, sp.ci_halfwidths, (0.5, -0.5)):
+        tol = 3.0 * ci / 1.96 + _allowance(group, t)
+        assert abs(chi - want) <= tol, f"{chi:.5f} vs {want} (tol {tol:.5f})"
+
+
+def test_fuchsian_norm_rate(group, fuchsian):
+    t = 60.0
+    rate, se = brownian_norm_rate(fuchsian, group, t, 400, 0.05, RngStream(76))
+    tol = 3.0 * se + _allowance(group, t)
+    assert abs(rate - 0.5) <= tol, f"{rate:.5f} vs 0.5 (tol {tol:.5f})"
+
+
+def test_fuchsian_geodesic_rates(group, fuchsian):
+    # the tile bound holds ray by ray, pseudo-orbit or not: the float ray
+    # still ends at distance R from 0
+    R = 60.0
+    _, rates = geodesic_norm_rates(fuchsian, group, R, 256)
+    assert np.max(np.abs(rates - 0.5)) <= _allowance(group, R)
+    se = float(np.std(rates, ddof=1) / math.sqrt(rates.size))
+    assert abs(float(np.mean(rates)) - 0.5) <= 3.0 * se + _allowance(group, R)
+
+
 # ---------------------------------------------------------- brownian rates
 
 
@@ -179,13 +228,13 @@ def test_brownian_rate_requires_horizon(group, rep22):
 def test_brownian_axis_vector_is_signed_winding(group, rep22):
     # the winding has zero drift (hyperelliptic symmetry), so the signed
     # axis rate straddles 0 while the mixed vector rides the norm growth
-    mean, se = brownian_rate(rep22, group, [1.0, 0.0], 40.0, 1200, 0.05, RngStream(56), workers=4)
+    mean, se = brownian_rate(rep22, group, [1.0, 0.0], 40.0, 1200, 0.05, RngStream(56))
     assert abs(mean) <= 4.0 * se + 0.005
     # samplewise sandwich on shared paths: |A v| <= |A| and, for the mixed
     # vector under diag(2, 1/2), |A v|^2 / |v|^2 >= |A|^2 / 2
     t = 40.0
-    mixed, _ = brownian_rate(rep22, group, [1.0, 1.0], t, 1200, 0.05, RngStream(56), workers=4)
-    norm, _ = brownian_norm_rate(rep22, group, t, 1200, 0.05, RngStream(56), workers=4)
+    mixed, _ = brownian_rate(rep22, group, [1.0, 1.0], t, 1200, 0.05, RngStream(56))
+    norm, _ = brownian_norm_rate(rep22, group, t, 1200, 0.05, RngStream(56))
     assert mixed <= norm + 1e-12
     assert mixed >= norm - 0.5 * math.log(2.0) / t - 1e-12
 
@@ -201,11 +250,11 @@ def test_unipotent_subexponential(group):
     u = np.array([[1.0, 1.0], [0.0, 1.0]])
     rep = diagonal_representation([1.0, 1.0])
     rep = rep.__class__.from_matrices(2, "real", [u, np.eye(2), np.eye(2), np.eye(2)], group)
-    n20, _ = brownian_norm_rate(rep, group, 20.0, 600, 0.05, RngStream(58), workers=2)
-    n40, _ = brownian_norm_rate(rep, group, 40.0, 600, 0.05, RngStream(59), workers=2)
+    n20, _ = brownian_norm_rate(rep, group, 20.0, 600, 0.05, RngStream(58))
+    n40, _ = brownian_norm_rate(rep, group, 40.0, 600, 0.05, RngStream(59))
     assert 0.0 <= n40 <= 0.08
     assert n40 < n20  # log-growth rate decays toward 0
-    sp = benettin_spectrum(rep, group, 40.0, 0.05, 10, 300, RngStream(60), workers=2)
+    sp = benettin_spectrum(rep, group, 40.0, 0.05, 10, 300, RngStream(60))
     assert abs(sp.raw_exponents[0] - n40) <= 0.01
 
 
@@ -248,7 +297,7 @@ def test_geodesic_average_matches_brownian_norm_rate(group, rep22):
     thetas, rates = geodesic_norm_rates(rep22, group, 40.0, 128)
     gm = float(np.mean(rates))
     gse = float(np.std(rates, ddof=1) / math.sqrt(len(rates)))
-    bn, bn_se = brownian_norm_rate(rep22, group, 40.0, 1200, 0.05, RngStream(61), workers=4)
+    bn, bn_se = brownian_norm_rate(rep22, group, 40.0, 1200, 0.05, RngStream(61))
     ok, diff, tol = combined_pass(gm, gse, bn, bn_se)
     assert ok, f"geodesic {gm:.5f} vs brownian {bn:.5f} (diff {diff:.5f}, tol {tol:.5f})"
 
@@ -312,18 +361,18 @@ def test_expectation_dim1_exact_equality(group, rep22):
 
 
 def test_expectation_order_and_bounds(group, rep22):
-    m, M = expectation_functions(rep22, group, np.eye(2), 20, 600, 0.05, RngStream(64), workers=2)
+    m, M = expectation_functions(rep22, group, np.eye(2), 20, 600, 0.05, RngStream(64))
     assert m <= M
-    nr, nr_se = brownian_norm_rate(rep22, group, 20.0, 600, 0.05, RngStream(64), workers=2)
+    nr, nr_se = brownian_norm_rate(rep22, group, 20.0, 600, 0.05, RngStream(64))
     assert M <= nr + 3.0 * nr_se + 0.01
 
 
 def test_expectation_interval_contains_invariant_line_rates(group, rep22):
     # the K^2 interval at n = 20 must cover the single-vector Brownian rate
     # of each invariant axis, up to Monte Carlo tolerance
-    m, M = expectation_functions(rep22, group, np.eye(2), 20, 800, 0.05, RngStream(73), workers=2)
+    m, M = expectation_functions(rep22, group, np.eye(2), 20, 800, 0.05, RngStream(73))
     for axis in ([1.0, 0.0], [0.0, 1.0]):
-        r, se = brownian_rate(rep22, group, axis, 20.0, 800, 0.05, RngStream(74), workers=2)
+        r, se = brownian_rate(rep22, group, axis, 20.0, 800, 0.05, RngStream(74))
         assert m - 3.0 * se - 0.01 <= r <= M + 3.0 * se + 0.01
 
 
@@ -368,7 +417,7 @@ def test_exp_conversion_needs_horizon(group, rep22):
 
 
 def test_shadowing_report(group):
-    rep = shadowing_report(3000, [20.0, 40.0, 80.0], 0.05, RngStream(68), workers=4)
+    rep = shadowing_report(3000, [20.0, 40.0, 80.0], 0.05, RngStream(68))
     assert rep.passed, str(rep)
     assert rep.slope_shadow_95 <= 0.1
     i40 = rep.t_values.index(40.0)
