@@ -83,7 +83,6 @@ class ExperimentConfig:
     step: float = 0.05
     n_paths: int = 400
     n_dirs: int = 256
-    n_vectors: int = 64
     seed: int = 0
     output: str = "run"
     defaulted: tuple = ()   # keys filled by defaults, recorded in the manifest
@@ -103,7 +102,7 @@ class ExperimentConfig:
         for key in ("horizon", "step"):
             if getattr(self, key) <= 0 or not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be positive and finite")
-        for key in ("dim", "n_paths", "n_dirs", "n_vectors"):
+        for key in ("dim", "n_paths", "n_dirs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.rep_field not in ("real", "complex"):
@@ -121,7 +120,6 @@ _SECTION_KEYS = {
         "step",
         "n_paths",
         "n_dirs",
-        "n_vectors",
         "seed",
         "output",
     },
@@ -211,7 +209,6 @@ def _config_from_raw(raw: dict) -> ExperimentConfig:
     take("run", "step", float, "step")
     take("run", "n_paths", int, "n_paths")
     take("run", "n_dirs", int, "n_dirs")
-    take("run", "n_vectors", int, "n_vectors")
     take("run", "seed", int, "seed")
     take("run", "output", str, "output")
     if raw:
@@ -237,8 +234,7 @@ def load_config(path: str) -> ExperimentConfig:
 def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """Flags mirror config keys; a conflicting explicit value is an error,
     never a silent precedence decision."""
-    for attr in ("method", "horizon", "step", "n_paths", "n_dirs", "n_vectors",
-                 "seed", "output"):
+    for attr in ("method", "horizon", "step", "n_paths", "n_dirs", "seed", "output"):
         flag_val = getattr(args, attr, None)
         if flag_val is None:
             continue
@@ -598,7 +594,6 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--step", type=float, default=None)
     run.add_argument("--n-paths", dest="n_paths", type=int, default=None)
     run.add_argument("--n-dirs", dest="n_dirs", type=int, default=None)
-    run.add_argument("--n-vectors", dest="n_vectors", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--workers", action=_RemovedFlag, help=argparse.SUPPRESS)
     run.add_argument("--output", default=None)

@@ -206,26 +206,19 @@ def cocycle_of_word(rep: Representation, word: DeckWord) -> CocycleValue:
 class _MatrixAccumulator:
     """Per-path cocycle products M_p with log-scale spill.
 
-    Letters arrive in crossing order, i.e. as right factors of M_p.  With
-    transpose=True the transposed images multiply on the left instead: M_p
-    is then the transpose of the product, with the same singular values,
-    which is the frame evolution the QR deflation needs.
+    Letters arrive in crossing order, i.e. as right factors of M_p.
     """
 
-    def __init__(self, rep: Representation, data: _GroupData, n: int, transpose: bool = False):
+    def __init__(self, rep: Representation, data: _GroupData, n: int):
         rep.require_exact()
-        imgs = np.stack([rep.image(letter) for letter in data.letters])
-        self.imgs = np.swapaxes(imgs, 1, 2).copy() if transpose else imgs
-        self.transpose = transpose
-        self.m = np.broadcast_to(np.eye(rep.dim, dtype=imgs.dtype), (n, rep.dim, rep.dim)).copy()
+        self.imgs = np.stack([rep.image(letter) for letter in data.letters])
+        eye = np.eye(rep.dim, dtype=self.imgs.dtype)
+        self.m = np.broadcast_to(eye, (n, rep.dim, rep.dim)).copy()
         self.log_scale = np.zeros(n)
 
     def apply(self, first, idx):
         """Fold one reduction round: walker idx[k] crossed side first[k]."""
-        if self.transpose:
-            self.m[idx] = self.imgs[first] @ self.m[idx]
-        else:
-            self.m[idx] = self.m[idx] @ self.imgs[first]
+        self.m[idx] = self.m[idx] @ self.imgs[first]
 
     def rescale(self, threshold=1e100):
         big = np.max(np.abs(self.m), axis=(1, 2))

@@ -75,6 +75,14 @@ def pairwise_sum(values) -> float:
     return float(np.add.reduce(arr))
 
 
+def _mean_se(vals):
+    """(pairwise-summed mean, standard error) of a 1-D sample."""
+    n = vals.size
+    mean = pairwise_sum(vals) / n
+    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(mean), se
+
+
 # ------------------------------------------------------------------ streams
 
 
@@ -346,15 +354,6 @@ class ScalarField:
     def values_disc(self, zs) -> np.ndarray:
         return np.array([self.fn(DiscPoint(z.real, z.imag)) for z in zs], dtype=float)
 
-    def laplacian_value(self, p: DiscPoint, allow_fd: bool = True, h: float = 1e-3) -> float:
-        if self.laplacian is not None:
-            return float(self.laplacian(p))
-        if not allow_fd:
-            raise DiffusionError(
-                f"field {self.name} has no Laplacian and finite differencing is disabled"
-            )
-        return self.fd_laplacian(p, h)
-
     def fd_laplacian(self, p: DiscPoint, h: float = 1e-3) -> float:
         """Intrinsic 5-point stencil with geodesic spacing h."""
         chart = mobius_point_chart(p)
@@ -365,11 +364,7 @@ class ScalarField:
             total += self.value(q)
         return (total - 4.0 * self.value(p)) / (h * h)
 
-    def laplacian_field(self, allow_fd: bool = True) -> "ScalarField":
-        if self.laplacian is None and not allow_fd:
-            raise DiffusionError(
-                f"field {self.name} has no Laplacian and finite differencing is disabled"
-            )
+    def laplacian_field(self) -> "ScalarField":
         if self.laplacian is not None:
             return ScalarField(
                 fn=self.laplacian,
@@ -530,6 +525,13 @@ class CheckReport:
     passed: bool
     detail: dict = field(default_factory=dict)
 
+    @classmethod
+    def compare(cls, name, lhs, lhs_se, rhs, rhs_se, detail, extra_tol=0.0) -> "CheckReport":
+        """Two independent Monte Carlo estimates agree when |lhs - rhs| <=
+        3 hypot(lhs_se, rhs_se) + extra_tol (floored at 1e-12)."""
+        tol = max(3.0 * math.hypot(lhs_se, rhs_se) + extra_tol, 1e-12)
+        return cls(name, lhs, rhs, lhs_se, rhs_se, tol, abs(lhs - rhs) <= tol, detail)
+
     @property
     def difference(self) -> float:
         return abs(self.lhs - self.rhs)
@@ -585,11 +587,7 @@ def diffuse(
         raise DiffusionError("diffuse needs n_samples >= 100")
     if t < 0 or not math.isfinite(t):
         raise DiffusionError(f"diffuse needs finite t >= 0, got {t}")
-    gen = _resolve_rng(rng)
-    vals = _endpoint_values(f, t, n_samples, gen, step, start)
-    mean = pairwise_sum(vals) / n_samples
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return mean, se
+    return _mean_se(_endpoint_values(f, t, n_samples, _resolve_rng(rng), step, start))
 
 
 def circle_average(f: ScalarField, R: float, n_dirs: int) -> float:
@@ -645,20 +643,10 @@ def check_semigroup(
         )
         inner_vals = f.values_disc(z_in).reshape(n, inner_samples)
 
-    per_outer = inner_vals.mean(axis=1)
-    rhs = pairwise_sum(per_outer) / n
-    rhs_se = float(np.std(per_outer, ddof=1) / math.sqrt(n))
-    tol = 3.0 * math.hypot(lhs_se, rhs_se)
-    passed = abs(lhs - rhs) <= max(tol, 1e-12)
-    return CheckReport(
-        name=f"semigroup({f.name}, t={t}, s={s})",
-        lhs=lhs,
-        rhs=rhs,
-        lhs_se=lhs_se,
-        rhs_se=rhs_se,
-        tolerance=max(tol, 1e-12),
-        passed=passed,
-        detail={"n": n, "inner_samples": inner_samples},
+    rhs, rhs_se = _mean_se(inner_vals.mean(axis=1))
+    return CheckReport.compare(
+        f"semigroup({f.name}, t={t}, s={s})", lhs, lhs_se, rhs, rhs_se,
+        {"n": n, "inner_samples": inner_samples},
     )
 
 
@@ -669,7 +657,6 @@ def check_dynkin(
     rng,
     n_nodes: int = 9,
     step: float = 0.01,
-    allow_fd: bool = True,
 ) -> CheckReport:
     """Does (D_t f)(0) - f(0) equal the time integral of (D_s Delta f)(0)?
 
@@ -677,7 +664,7 @@ def check_dynkin(
     the Laplacian; its quadrature error is estimated from second differences
     of the node values and added to the Monte Carlo tolerance.
     """
-    lap = f.laplacian_field(allow_fd=allow_fd)
+    lap = f.laplacian_field()
     if isinstance(rng, np.random.Generator):
         raise DiffusionError("check_dynkin needs an RngStream (it derives substreams)")
     lhs_val, lhs_se = diffuse(f, t, n, rng.child(0).generator(), step=step)
@@ -700,17 +687,9 @@ def check_dynkin(
     rhs_se = float(math.sqrt(np.sum((weights * node_ses) ** 2)))
     second_diffs = np.abs(np.diff(node_vals, 2))
     quad_term = float(h / 12.0 * np.sum(second_diffs)) + 1e-9
-    tol = 3.0 * math.hypot(lhs_se, rhs_se) + quad_term
-    passed = abs(lhs - rhs) <= max(tol, 1e-12)
-    return CheckReport(
-        name=f"dynkin({f.name}, t={t})",
-        lhs=lhs,
-        rhs=rhs,
-        lhs_se=lhs_se,
-        rhs_se=rhs_se,
-        tolerance=max(tol, 1e-12),
-        passed=passed,
-        detail={"n": n, "n_nodes": n_nodes, "quad_term": quad_term},
+    return CheckReport.compare(
+        f"dynkin({f.name}, t={t})", lhs, lhs_se, rhs, rhs_se,
+        {"n": n, "n_nodes": n_nodes, "quad_term": quad_term}, extra_tol=quad_term,
     )
 
 

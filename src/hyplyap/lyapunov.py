@@ -23,10 +23,12 @@ tested, and after the first round only the walkers that moved are) and
 reports the round's (side, walker) arrays once.  `_MatrixAccumulator` is
 the only cocycle accumulator: it folds a round in with one gathered matmul
 against the eight side images stacked as (8, d, d).  A path's matrix takes
-its letters on the right (crossing order); Benettin's QR deflation uses the
-transposed accumulator, whose left products have the same singular-value
-growth and make the limiting frame estimate the flag at the starting
-fiber.
+its letters on the right (crossing order); Benettin's QR deflation reads
+the accumulator transposed, whose left products have the same
+singular-value growth and make the limiting frame estimate the flag at the
+starting fiber.  The SVD routes summarize their products in
+`_svd_spectrum`, the interval routes extremize over a subspace in
+`_rate_range`.
 
 Reduction is lazy: the disc is simply connected, so a lifted path's
 cocycle value depends only on its endpoint tile.  The one Brownian walker,
@@ -47,9 +49,11 @@ from .cocycle import _MatrixAccumulator, cocycle_of_word, specialize
 from .diffusion import (
     CheckReport,
     RngStream,
+    _check_step_params,
     _disc_step,
     _disc_walk_endpoints,
     _increments,
+    _mean_se,
     _time_grid,
     pairwise_sum,
     sample_polar_endpoints,
@@ -115,6 +119,7 @@ def _brownian_walk(data, acc, gen, n, t, step, start=0j):
     """Walk n Brownian paths from `start` with lazy reduction, folding their
     deck letters into acc; yields (i, last, z) after step i.  Between full
     reductions acc holds a partial product, completed at the last step."""
+    _check_step_params(t, step)
     z = np.full(n, complex(start))
     _reduce_ensemble(data, z)  # initial reduction: not part of the word
     steps = len(_time_grid(t, step)) - 1
@@ -138,8 +143,10 @@ def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j):
 def _geodesic_matrices(rep, group, thetas, R, spacing):
     """Cocycle matrices along the rays gamma_{0,theta}, tracked intrinsically
     with direction transport and reduced lazily, as in _brownian_walk."""
-    if spacing > _GEODESIC_SPACING + 1e-12:
-        raise LyapunovError(f"geodesic tracking needs spacing <= {_GEODESIC_SPACING}")
+    if not (math.isfinite(spacing) and 0.0 < spacing <= _GEODESIC_SPACING + 1e-12):
+        raise LyapunovError(f"geodesic tracking needs 0 < spacing <= {_GEODESIC_SPACING}")
+    if not (math.isfinite(R) and R > 0.0):
+        raise LyapunovError(f"geodesic tracking needs a finite R > 0, got {R}")
     data = _GroupData(group)
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.size
@@ -285,35 +292,19 @@ def brownian_norm_rate(rep, group, t, n_paths, step, rng):
     return _mean_se(acc.log_operator_norm() / t)
 
 
-def _mean_se(vals):
-    n = vals.size
-    mean = pairwise_sum(vals) / n
-    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(mean), se
-
-
 # -------------------------------------------------------------- Benettin
 
 
-def benettin_spectrum(
-    rep,
-    group,
-    t_max,
-    step,
-    reorth_every,
-    n_paths,
-    rng,
-    method_tag="brownian",
-) -> SpectrumReport:
+def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> SpectrumReport:
     """Full spectrum by QR deflation along tracked Brownian paths.
 
-    Evolves an orthonormal frame per path through the transposed generator
-    images (letters arrive in crossing order, i.e. on the right of the
-    product; transposing turns them into left factors with identical
-    singular-value growth).  Re-orthonormalizes every `reorth_every` steps
-    and averages accumulated log diagonals across paths.  The QR points
-    need not be reduction points: every partial product is a factor of the
-    final one, whose letters are all folded in by the last step.
+    Letters arrive in crossing order, i.e. as right factors of each path's
+    product M; its transpose M^T takes them as left factors with identical
+    singular-value growth, so the frame is M^T, re-orthonormalized by QR
+    every `reorth_every` steps, and the accumulated log diagonals are
+    averaged across paths.  The QR points need not be
+    reduction points: every partial product is a factor of the final one,
+    whose letters are all folded in by the last step.
 
     Exponents whose estimates differ by less than max(0.02, 3 combined se)
     merge into one block: strict spectral gaps are not resolvable at finite
@@ -323,17 +314,17 @@ def benettin_spectrum(
         raise LyapunovError("need reorth_every >= 1 with reorth_every * step <= 1")
     data = _GroupData(group)
     gen = _ensemble_generator(rng)
-    acc = _MatrixAccumulator(rep, data, n_paths, transpose=True)
+    acc = _MatrixAccumulator(rep, data, n_paths)
     logr = np.zeros((n_paths, rep.dim))
     for i, last, _ in _brownian_walk(data, acc, gen, n_paths, t_max, step):
         if i % reorth_every == 0 or last:
-            q, r = np.linalg.qr(acc.m)
+            q, r = np.linalg.qr(np.swapaxes(acc.m, 1, 2))
             diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
             if np.any(diag < 1e-280):
                 raise LyapunovError("frame degeneracy: QR diagonal underflow during deflation")
             signs = np.sign(np.diagonal(r.real, axis1=1, axis2=2))
             signs = np.where(signs == 0.0, 1.0, signs)
-            acc.m = q * signs[:, None, :]
+            acc.m = np.swapaxes(q * signs[:, None, :], 1, 2)
             logr += np.log(diag)
     # sort per path: for products without generic alignment (commuting
     # images) the QR diagonal order is path-dependent, and the ensemble
@@ -341,8 +332,8 @@ def benettin_spectrum(
     lams = np.sort(logr / t_max, axis=1)[:, ::-1]
     return _spectrum_from_samples(
         lams,
-        acc.m[0].copy(),
-        method_tag,
+        acc.m[0].T.copy(),
+        "brownian",
         {
             "t_max": t_max,
             "step": step,
@@ -379,8 +370,6 @@ def geodesic_rate(rep, group, theta, R, v, spacing=_GEODESIC_SPACING) -> Expansi
     theta of the 256-direction grid by 1e-15 changes 0, 2 and 181 of its
     diag(2, 1/2) rates at R = 20, 30 and 40.
     """
-    if R <= 0:
-        raise LyapunovError("geodesic_rate needs R > 0")
     acc = _geodesic_matrices(rep, group, [theta], R, spacing)
     val = float(acc.log_vector_growth(v)[0]) / R
     return ExpansionSample(theta=float(theta) % 1.0, R=R, value=val, vector=tuple(np.ravel(v)))
@@ -392,8 +381,6 @@ def geodesic_norm_rate(rep, group, theta, R, spacing=_GEODESIC_SPACING) -> Expan
     Past R ~ 37 the float64 ray is a shadowing pseudo-orbit; see
     geodesic_rate.
     """
-    if R <= 0:
-        raise LyapunovError("geodesic_norm_rate needs R > 0")
     acc = _geodesic_matrices(rep, group, [theta], R, spacing)
     val = float(acc.log_operator_norm()[0]) / R
     return ExpansionSample(theta=float(theta) % 1.0, R=R, value=val)
@@ -402,6 +389,8 @@ def geodesic_norm_rate(rep, group, theta, R, spacing=_GEODESIC_SPACING) -> Expan
 def geodesic_norm_rates(rep, group, R, n_dirs, spacing=_GEODESIC_SPACING):
     """Operator-norm rates over the uniform direction grid; the grid average
     estimates the top exponent by the geodesic route."""
+    if n_dirs < 1:
+        raise LyapunovError("geodesic_norm_rates needs n_dirs >= 1")
     thetas = (np.arange(n_dirs) + 0.5) / n_dirs
     acc = _geodesic_matrices(rep, group, thetas, R, spacing)
     return thetas, acc.log_operator_norm() / R
@@ -433,20 +422,29 @@ def _spectrum_from_samples(lams, basis, method, provenance) -> SpectrumReport:
     )
 
 
+def _svd_spectrum(acc, horizon, method, provenance) -> SpectrumReport:
+    """Report of the products in acc: sorted log singular values / horizon
+    per product, the first product's right singular vectors as the basis."""
+    s = np.linalg.svd(acc.m, compute_uv=False)
+    if np.any(s == 0.0):
+        # the SVD of a whole product loses singular values below s_1 * eps
+        raise LyapunovError(
+            "non-finite spectrum estimate: a singular value of the product "
+            "underflowed to 0"
+        )
+    lams = (np.log(s) + acc.log_scale[:, None]) / horizon
+    _, _, vh = np.linalg.svd(acc.m[0])
+    return _spectrum_from_samples(lams, vh.conj().T, method, provenance)
+
+
 def geodesic_spectrum(rep, group, R, n_dirs, spacing=_GEODESIC_SPACING) -> SpectrumReport:
     """Full spectrum by the geodesic route: sorted log singular values of
     the ray cocycles, averaged over the uniform direction grid."""
-    if R <= 0 or n_dirs < 8:
-        raise LyapunovError("geodesic_spectrum needs R > 0 and n_dirs >= 8")
+    if n_dirs < 8:
+        raise LyapunovError("geodesic_spectrum needs n_dirs >= 8")
     thetas = (np.arange(n_dirs) + 0.5) / n_dirs
     acc = _geodesic_matrices(rep, group, thetas, R, spacing)
-    s = np.linalg.svd(acc.m, compute_uv=False)
-    lams = (np.log(s) + acc.log_scale[:, None]) / R
-    _, _, vh = np.linalg.svd(acc.m[0])
-    basis = vh.conj().T
-    return _spectrum_from_samples(
-        lams, basis, "geodesic", {"R": R, "n_dirs": n_dirs, "spacing": spacing}
-    )
+    return _svd_spectrum(acc, R, "geodesic", {"R": R, "n_dirs": n_dirs, "spacing": spacing})
 
 
 def diffusion_spectrum(rep, group, n, n_paths, step, rng) -> SpectrumReport:
@@ -456,13 +454,9 @@ def diffusion_spectrum(rep, group, n, n_paths, step, rng) -> SpectrumReport:
     if n < 1:
         raise LyapunovError("diffusion_spectrum needs an integer horizon n >= 1")
     acc = _brownian_matrices(rep, group, float(int(n)), n_paths, step, rng)
-    s = np.linalg.svd(acc.m, compute_uv=False)
-    lams = (np.log(s) + acc.log_scale[:, None]) / float(int(n))
-    _, _, vh = np.linalg.svd(acc.m[0])
-    basis = vh.conj().T
-    return _spectrum_from_samples(
-        lams,
-        basis,
+    return _svd_spectrum(
+        acc,
+        float(int(n)),
         "diffusion",
         {
             "n": int(n),
@@ -572,6 +566,20 @@ def _real_dim(basis, complex_field):
     return 2 * m if complex_field else m
 
 
+def _rate_range(acc, horizon, basis, complex_field, n_vectors):
+    """(min, max) over unit vectors v in the span of the basis columns of
+    the mean rate log(|M_p v|) / horizon over the products M_p in acc."""
+
+    def objective(vs_real):
+        vecs = _embed(vs_real, basis, complex_field)
+        img = np.einsum("pij,nj->pni", acc.m, vecs)
+        logs = np.log(np.linalg.norm(img, axis=2)) + acc.log_scale[:, None]
+        return logs.mean(axis=0) / horizon
+
+    a, b = _optimize_rate(objective, _real_dim(basis, complex_field), n_vectors)
+    return min(a, b), max(a, b)
+
+
 def expansion_interval(rep, group, R, basis, n_dirs=64, n_vectors=64, spacing=_GEODESIC_SPACING):
     """Smallest interval [a, b] of direction-averaged expansion rates over
     the nonzero vectors of the subspace spanned by the basis columns."""
@@ -582,16 +590,7 @@ def expansion_interval(rep, group, R, basis, n_dirs=64, n_vectors=64, spacing=_G
         raise LyapunovError("expansion_interval needs n_vectors >= 64")
     thetas = (np.arange(n_dirs) + 0.5) / n_dirs
     acc = _geodesic_matrices(rep, group, thetas, R, spacing)
-    complex_field = rep.field == "complex"
-
-    def objective(vs_real):
-        vecs = _embed(vs_real, basis, complex_field)
-        img = np.einsum("tij,nj->tni", acc.m, vecs)
-        logs = np.log(np.linalg.norm(img, axis=2)) + acc.log_scale[:, None]
-        return logs.mean(axis=0) / R
-
-    a, b = _optimize_rate(objective, _real_dim(basis, complex_field), n_vectors)
-    return min(a, b), max(a, b)
+    return _rate_range(acc, R, basis, rep.field == "complex", n_vectors)
 
 
 def _as_basis(rep, basis):
@@ -618,21 +617,7 @@ def expectation_functions(
         raise LyapunovError("expectation horizon n must be >= 1")
     basis = _as_basis(rep, basis)
     acc = _brownian_matrices(rep, group, float(n), n_paths, step, rng)
-    mats, scales = acc.m, acc.log_scale
-    complex_field = rep.field == "complex"
-
-    def objective(vs_real):
-        vecs = _embed(vs_real, basis, complex_field)
-        img = np.einsum("pij,nj->pni", mats, vecs)
-        logs = np.log(np.linalg.norm(img, axis=2)) + scales[:, None]
-        return logs.mean(axis=0) / n
-
-    m_real = _real_dim(basis, complex_field)
-    if m_real == 1:
-        val = float(objective(np.array([[1.0]]))[0])
-        return val, val
-    lo, hi = _optimize_rate(objective, m_real, n_vectors)
-    return min(lo, hi), max(lo, hi)
+    return _rate_range(acc, n, basis, rep.field == "complex", n_vectors)
 
 
 # ------------------------------------------------------ conversion check
@@ -660,17 +645,9 @@ def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckRepo
     zs = _disc_walk_endpoints(n_paths, t, step, gen, z0=eta_pt.z)
     rhs, rhs_se = _mean_se(spec.values(zs) - spec(eta_pt))
 
-    tol = 3.0 * math.hypot(lhs_se, rhs_se)
-    passed = abs(lhs - rhs) <= max(tol, 1e-12)
-    return CheckReport(
-        name=f"exp_conversion(t={t})",
-        lhs=lhs,
-        rhs=rhs,
-        lhs_se=lhs_se,
-        rhs_se=rhs_se,
-        tolerance=max(tol, 1e-12),
-        passed=passed,
-        detail={"eta": (eta_pt.re, eta_pt.im), "n_paths": n_paths},
+    return CheckReport.compare(
+        f"exp_conversion(t={t})", lhs, lhs_se, rhs, rhs_se,
+        {"eta": (eta_pt.re, eta_pt.im), "n_paths": n_paths},
     )
 
 

@@ -106,7 +106,6 @@ def test_flag_conflict_is_error():
         step = None
         n_paths = None
         n_dirs = None
-        n_vectors = None
         seed = 9
         output = None
 
@@ -123,7 +122,6 @@ def test_flag_fills_defaults():
         step = None
         n_paths = None
         n_dirs = None
-        n_vectors = None
         seed = None
         output = None
 
@@ -254,6 +252,24 @@ def test_workers_config_key_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "error: " in err and "workers was removed" in err
     assert not (tmp_path / "w.csv").exists()
+
+
+def test_n_vectors_config_key_exits_1(tmp_path, capsys):
+    cfg = "[run]\nmethod = brownian\nn_vectors = 64\noutput = %s\n" % (tmp_path / "v")
+    rc = run_cli(["run", write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: " in err and "unknown key 'n_vectors'" in err
+    assert not (tmp_path / "v.csv").exists()
+
+
+def test_brownian_step_past_max_exits_1(tmp_path, capsys):
+    cfg = "[run]\nmethod = brownian\nstep = 0.5\noutput = %s\n" % (tmp_path / "s")
+    rc = run_cli(["run", write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: step must lie in (0, 0.05]" in err and "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -393,12 +393,6 @@ def test_dynkin_with_finite_difference_laplacian():
     assert rep.passed, str(rep)
 
 
-def test_dynkin_requires_laplacian_when_fd_disabled():
-    f = ScalarField(fn=lambda p: p.re * p.im)
-    with pytest.raises(DiffusionError):
-        check_dynkin(f, 1.0, 200, RngStream(20), allow_fd=False)
-
-
 def test_fd_laplacian_matches_analytic():
     rng = np.random.default_rng(21)
     fields = [dist_squared_field(), smoothed_dist_field()]

@@ -19,7 +19,7 @@ from hyplyap.cocycle import (
     fuchsian_representation,
     trivial_representation,
 )
-from hyplyap.diffusion import RngStream
+from hyplyap.diffusion import DiffusionError, RngStream
 from hyplyap.lyapunov import (
     ExpansionSample,
     LyapunovError,
@@ -28,12 +28,14 @@ from hyplyap.lyapunov import (
     brownian_norm_rate,
     brownian_rate,
     check_exp_conversion,
+    diffusion_spectrum,
     direction_distribution_check,
     expansion_interval,
     expectation_functions,
     geodesic_norm_rate,
     geodesic_norm_rates,
     geodesic_rate,
+    geodesic_spectrum,
     shadowing_report,
     _geodesic_matrices,
 )
@@ -148,6 +150,22 @@ def test_benettin_preconditions(group, rep22):
         benettin_spectrum(rep22, group, 5.0, 0.05, 21, 40, RngStream(1))
     with pytest.raises(LyapunovError):
         benettin_spectrum(rep22, group, 5.0, 0.05, 10, 40, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("step", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        lambda rep, g, step: benettin_spectrum(rep, g, 5.0, step, 2, 40, RngStream(1)),
+        lambda rep, g, step: brownian_norm_rate(rep, g, 5.0, 40, step, RngStream(1)),
+        lambda rep, g, step: diffusion_spectrum(rep, g, 5, 40, step, RngStream(1)),
+    ],
+    ids=["benettin_spectrum", "brownian_norm_rate", "diffusion_spectrum"],
+)
+def test_brownian_estimators_check_step(group, rep22, estimator, step):
+    # the walker refuses a step outside (0, MAX_STEP] before its first draw
+    with pytest.raises(DiffusionError, match="step must lie in"):
+        estimator(rep22, group, step)
 
 
 def test_spectrum_report_validation():
@@ -305,6 +323,33 @@ def test_geodesic_average_matches_brownian_norm_rate(group, rep22):
 def test_geodesic_requires_positive_R(group, rep22):
     with pytest.raises(LyapunovError):
         geodesic_rate(rep22, group, 0.1, 0.0, [1.0, 0.0])
+
+
+_RAY_ESTIMATORS = {
+    "geodesic_rate": lambda rep, g, R, sp: geodesic_rate(rep, g, 0.1, R, [1.0, 0.0], spacing=sp),
+    "geodesic_norm_rate": lambda rep, g, R, sp: geodesic_norm_rate(rep, g, 0.1, R, spacing=sp),
+    "geodesic_norm_rates": lambda rep, g, R, sp: geodesic_norm_rates(rep, g, R, 8, spacing=sp),
+    "geodesic_spectrum": lambda rep, g, R, sp: geodesic_spectrum(rep, g, R, 8, spacing=sp),
+    "expansion_interval": lambda rep, g, R, sp: expansion_interval(
+        rep, g, R, np.eye(2), spacing=sp
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "R, spacing",
+    [(0.0, 0.05), (-5.0, 0.05), (math.nan, 0.05), (math.inf, 0.05),
+     (2.0, -1.0), (2.0, 0.0), (2.0, math.nan), (2.0, 0.06)],
+)
+@pytest.mark.parametrize("name", sorted(_RAY_ESTIMATORS))
+def test_ray_estimators_validate_R_and_spacing(group, rep22, name, R, spacing):
+    with pytest.raises(LyapunovError, match="geodesic tracking needs"):
+        _RAY_ESTIMATORS[name](rep22, group, R, spacing)
+
+
+def test_geodesic_norm_rates_needs_a_direction(group, rep22):
+    with pytest.raises(LyapunovError, match="n_dirs >= 1"):
+        geodesic_norm_rates(rep22, group, 2.0, 0)
 
 
 def test_expansion_sample_finite():
