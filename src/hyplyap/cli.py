@@ -350,7 +350,7 @@ def run_spectrum(cfg: ExperimentConfig, group, rep):
         reorth = max(1, int(1.0 / cfg.step) // 2)
         report = benettin_spectrum(rep, group, cfg.horizon, cfg.step, reorth, cfg.n_paths, rng)
     elif cfg.method == "geodesic":
-        report = geodesic_spectrum(rep, group, cfg.horizon, cfg.n_dirs, spacing=min(cfg.step, 0.05))
+        report = geodesic_spectrum(rep, group, cfg.horizon, cfg.n_dirs, spacing=cfg.step)
     else:
         report = diffusion_spectrum(rep, group, int(round(cfg.horizon)), cfg.n_paths, cfg.step, rng)
     return report
@@ -576,15 +576,23 @@ def cmd_compare(args) -> int:
 
 
 class _RemovedFlag(argparse.Action):
-    """A flag that no longer exists: a config error (exit 1), not argparse's
-    usage error (exit 2)."""
+    """A flag that no longer exists: a config error that says why."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         raise ConfigError(f"{option_string}: {_WORKERS_REMOVED}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, like config errors; 2 is
+    reserved for a failed validation suite.  Subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hyplyap", description=__doc__)
+    p = _Parser(prog="hyplyap", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment from a config file")

@@ -25,6 +25,7 @@ checkpoints, so it lands on every checkpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -463,52 +464,96 @@ def dist_squared_field() -> ScalarField:
 # ------------------------------------------------------------- heat kernel
 
 
-def heat_kernel(rho: float, t: float) -> float:
-    """Heat kernel of the curvature -1 disc at distance rho, time t, as a
-    density against the hyperbolic area element.
+def _gauss_legendre(edges, order):
+    """Nodes and weights of the composite order-point Gauss-Legendre rule
+    on the panels between consecutive edges, read-only."""
+    # imported here: numpy.polynomial adds 5 ms and 2 MB to every cold start
+    from numpy.polynomial.legendre import leggauss
 
-    Classical integral representation, evaluated with the substitution
-    s = rho + u^2 (removes the square-root singularity) and the identity
-    cosh s - cosh rho = 2 sinh((s+rho)/2) sinh((s-rho)/2) (removes the
-    cancellation), integrated by adaptive Gauss-Kronrod quadrature.
-    """
-    from scipy.integrate import quad
+    x, w = leggauss(order)
+    a, b = edges[:-1, None], edges[1:, None]
+    nodes, weights = (a + 0.5 * (b - a) * (1.0 + x)).ravel(), (0.5 * (b - a) * w).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
+
+@functools.cache
+def _kernel_rule():
+    """The kernel's u-rule, in units of u_max: 12 equal panels, the first
+    split into 11 panels halving toward u = 0, where for small rho the
+    integrand turns over on the scale u ~ sqrt(rho) (rho >= 1e-6 after the
+    collapse)."""
+    return _gauss_legendre(
+        np.concatenate([[0.0], 2.0 ** -np.arange(10.0, 0.0, -1.0) / 12.0, np.arange(1, 13) / 12.0]),
+        12,
+    )
+
+
+@functools.cache
+def _mass_rule():
+    """The mass's rho-rule, in units of the upper limit: 12 equal panels."""
+    return _gauss_legendre(np.linspace(0.0, 1.0, 13), 16)
+
+
+def _require_time(t):
     if not (math.isfinite(t) and t > 0.0):
         raise DiffusionError(f"heat kernel needs t > 0, got {t}")
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise DiffusionError(f"heat kernel needs rho >= 0, got {rho}")
-    if rho < 1e-6:
-        rho = 0.0
 
-    def integrand(u):
-        s = rho + u * u
-        gap = 2.0 * math.sinh(0.5 * (s + rho)) * math.sinh(0.5 * u * u)
-        if gap <= 0.0:
-            return 0.0
-        return 2.0 * u * s * math.exp(-(s * s - rho * rho) / (4.0 * t)) / math.sqrt(gap)
 
-    u_max = math.sqrt(math.sqrt(rho * rho + 400.0 * t + 400.0) - rho)
-    val, _ = quad(integrand, 0.0, u_max, epsabs=1e-14, epsrel=1e-11, limit=200)
-    prefactor = math.sqrt(2.0) * math.exp(-t / 4.0 - rho * rho / (4.0 * t)) / (
+def heat_kernel(rho, t: float):
+    """Heat kernel of the curvature -1 disc at distance rho, time t, as a
+    density against the hyperbolic area element.  rho is a distance or an
+    array of distances; the result has its shape.
+
+    Classical integral representation (McKean; Grigor'yan & Noguchi, Bull.
+    LMS 30 (1998)), evaluated with the substitution s = rho + u^2 (removes
+    the square-root singularity) and the identity
+    cosh s - cosh rho = 2 sinh((s+rho)/2) sinh((s-rho)/2) (removes the
+    cancellation), integrated over u in [0, u_max] by composite
+    Gauss-Legendre panels that halve toward u = 0.  Within 1e-10 relative of
+    a 20-digit evaluation wherever K > 1e-250 (t in [0.01, 100]).
+    """
+    _require_time(t)
+    rho = np.asarray(rho, dtype=float)
+    bad = ~(np.isfinite(rho) & (rho >= 0.0))
+    if bad.any():
+        raise DiffusionError(f"heat kernel needs rho >= 0, got {rho[bad][0]}")
+    rho = np.where(rho < 1e-6, 0.0, rho)
+    u_max = np.sqrt(np.sqrt(rho * rho + 400.0 * t + 400.0) - rho)
+    r = rho[..., None]
+    nodes, weights = _kernel_rule()
+    u = u_max[..., None] * nodes
+    s = r + u * u
+    # the gap overflows only where s > 710, and its node then adds 0: that
+    # node's share of the integral is ~exp(-(s - rho)/2), which only matters
+    # for rho > 600, where K < 1e-250
+    with np.errstate(over="ignore"):
+        gap = 2.0 * np.sinh(0.5 * (s + r)) * np.sinh(0.5 * u * u)
+    integrand = 2.0 * u * s * np.exp(-(s * s - r * r) / (4.0 * t)) / np.sqrt(gap)
+    prefactor = math.sqrt(2.0) * np.exp(-t / 4.0 - rho * rho / (4.0 * t)) / (
         8.0 * math.pi ** 1.5 * t ** 1.5
     )
-    return prefactor * val
+    # a row sum, not a matmul: each row is summed in the order a scalar call uses
+    return (prefactor * u_max * np.sum(integrand * weights, axis=-1))[()]
 
 
 def heat_kernel_mass(t: float, rho_max: Optional[float] = None) -> float:
-    """Radial quadrature of the kernel against the area element; equals 1
-    when mass is conserved."""
-    from scipy.integrate import quad
-
+    """Radial quadrature of the kernel against the area element, one
+    vectorized kernel evaluation on Gauss-Legendre panels in rho; equals 1
+    when mass is conserved.  The integrand, ~exp(-(rho - t)^2 / 4t), is
+    below e^-700 past rho = t + sqrt(2980 t), where the grid stops."""
+    _require_time(t)
     if rho_max is None:
         rho_max = t + 30.0 * math.sqrt(t) + 10.0
-
-    def integrand(rho):
-        return heat_kernel(rho, t) * 2.0 * math.pi * math.sinh(rho)
-
-    val, _ = quad(integrand, 0.0, rho_max, epsabs=1e-10, epsrel=1e-8, limit=200)
-    return val
+    if not (math.isfinite(rho_max) and rho_max > 0.0):
+        raise DiffusionError(f"heat kernel mass needs rho_max > 0, got {rho_max}")
+    hi = min(rho_max, t + math.sqrt(2980.0 * t))
+    if hi > 700.0:
+        raise DiffusionError(f"heat kernel mass needs its grid below rho = 700, where "
+                             f"sinh overflows; got {hi:.6g}")
+    nodes, weights = _mass_rule()
+    rho = hi * nodes
+    return float(2.0 * math.pi * hi * ((heat_kernel(rho, t) * np.sinh(rho)) @ weights))
 
 
 # ------------------------------------------------------- diffusion checks

@@ -486,12 +486,38 @@ def _sphere_sample(m_real: int, n_vectors: int):
         r = np.sqrt(np.maximum(1.0 - zc * zc, 0.0))
         phi = 2.0 * np.pi * i / golden
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), zc])
-    # Halton points pushed through the Gaussian quantile, then normalized
-    from scipy.stats import norm, qmc
+    # Halton points (indices 1..n) pushed through the Gaussian quantile,
+    # then normalized; statistics (with decimal and fractions) costs every
+    # cold start 2 MB, so only this branch imports it
+    from statistics import NormalDist
 
-    h = qmc.Halton(d=m_real, scramble=False).random(n_vectors + 1)[1:]
-    g = norm.ppf(np.clip(h, 1e-12, 1.0 - 1e-12))
+    idx = np.arange(1, n_vectors + 1)
+    h = np.column_stack([_radical_inverse(idx, p) for p in _primes(m_real)])
+    g = np.vectorize(NormalDist().inv_cdf)(np.clip(h, 1e-12, 1.0 - 1e-12))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _primes(m: int):
+    """The first m primes."""
+    primes = []
+    k = 2
+    while len(primes) < m:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _radical_inverse(idx, base: int):
+    """Van der Corput radical inverse of the integers idx in the given base:
+    the digits of idx mirrored about the radix point."""
+    out = np.zeros(idx.shape)
+    scale = 1.0 / base
+    while np.any(idx > 0):
+        idx, digit = np.divmod(idx, base)
+        out += digit * scale
+        scale /= base
+    return out
 
 
 def _embed(vs_real, basis, complex_field):
@@ -700,10 +726,26 @@ def shadowing_report(n_paths, t_list, step, rng, rho_exponent=1.5) -> ShadowingR
     )
 
 
+def _chi2_sf(stat: float, df: int) -> float:
+    """P(X >= stat) for X chi-square with integer df >= 1 degrees of freedom:
+    the regularized upper incomplete gamma Q(df/2, stat/2).  Q(k, x) is the
+    Poisson sum e^-x sum_{j<k} x^j / j!; Q(k + 1/2, x) is erfc(sqrt x) plus
+    sum_{j<k} e^-x x^(j+1/2) / Gamma(j + 3/2).  Each term is formed in log
+    space, so large df cannot overflow."""
+    x = 0.5 * stat
+    if x <= 0.0:
+        return 1.0
+    k, odd = divmod(df, 2)
+    c = 0.5 * odd
+    lx = math.log(x)
+    terms = [math.exp((j + c) * lx - x - math.lgamma(j + c + 1.0)) for j in range(k)]
+    if odd:
+        terms.append(math.erfc(math.sqrt(x)))
+    return math.fsum(terms)
+
+
 def direction_distribution_check(n_paths, t, step, n_bins, rng) -> UniformityReport:
     """Chi-square uniformity of final angular coordinates."""
-    from scipy.stats import chi2
-
     if t < 40.0:
         raise LyapunovError("direction check needs t >= 40 (direction nearly frozen)")
     if n_bins < 1:
@@ -714,7 +756,7 @@ def direction_distribution_check(n_paths, t, step, n_bins, rng) -> UniformityRep
     counts, _ = np.histogram(angles, bins=n_bins, range=(0.0, 2.0 * np.pi))
     expected = n_paths / n_bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
-    p = float(chi2.sf(stat, df=n_bins - 1)) if n_bins > 1 else 1.0
+    p = _chi2_sf(stat, n_bins - 1) if n_bins > 1 else 1.0
     return UniformityReport(
         n_bins=n_bins,
         n_paths=n_paths,

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,6 +272,56 @@ def test_brownian_step_past_max_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "error: step must lie in (0, 0.05]" in err and "Traceback" not in err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["geodesic", "diffusion"])
+def test_step_past_max_exits_1_on_every_route(tmp_path, capsys, method):
+    cfg = "[run]\nmethod = %s\nhorizon = 2\nn_dirs = 8\nstep = 0.5\noutput = %s\n" % (
+        method, tmp_path / "s")
+    rc = run_cli(["run", write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "CFG", "--bogus"], 1),
+    (["run"], 1),
+    (["run", "--help"], 0),
+])
+def test_usage_error_exit_codes(tmp_path, capsys, argv, code):
+    cfg = write_config(tmp_path, GOOD_CONFIG.format(out=tmp_path / "u"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli([cfg if a == "CFG" else a for a in argv])
+    assert exc.value.code == code
+    assert ("error:" in capsys.readouterr().err) == (code == 1)
+    assert not (tmp_path / "u.csv").exists()
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from hyplyap.cli import main
+from hyplyap.lyapunov import _sphere_sample
+
+out = sys.argv[1]
+for suite in ("kernel", "semigroup", "dynkin", "circle", "shadowing", "uniformity"):
+    rc = main(["validate", suite, "--n-paths", "100", "--output", out + "/" + suite])
+    assert rc in (0, 2), (suite, rc)
+_sphere_sample(5, 16)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_diagnostics_import_no_scipy(tmp_path):
+    # a cold start of the diagnostics suites pulls in numpy alone: scipy is a
+    # test dependency, not a runtime one
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -258,7 +258,7 @@ def test_checkpoints_rejected(checkpoints):
 
 def test_kernel_mass_conservation():
     for t in (0.25, 1.0, 4.0):
-        assert 0.999 <= heat_kernel_mass(t) <= 1.001
+        assert abs(heat_kernel_mass(t) - 1.0) <= 1e-9
 
 
 def test_kernel_monotone_in_rho():
@@ -281,6 +281,46 @@ def test_kernel_matches_oracle_fresh():
         )
 
 
+def _kernel_mp(mp, rho, t):
+    """The kernel's integral in u (s = rho + u^2) by mpmath's tanh-sinh rule
+    in 20-digit arithmetic, split at powers of 8 so that every scale from
+    sqrt(1e-6) up is resolved.  The integrand carries a factor exp(rho/2)
+    that keeps it O(1 + rho): mpmath stops on absolute error."""
+    with mp.workdps(20):
+        rho, t = mp.mpf(rho), mp.mpf(t)
+
+        def integrand(u):
+            s = rho + u * u
+            gap = 2 * mp.sinh((s + rho) / 2) * mp.sinh(u * u / 2) * mp.exp(-rho)
+            return 2 * u * s * mp.exp(-(s * s - rho * rho) / (4 * t)) / mp.sqrt(gap)
+
+        val = mp.quad(integrand, [0] + [mp.mpf(8) ** k for k in range(-4, 2)] + [mp.inf])
+        pref = mp.sqrt(2) * mp.exp(-t / 4 - rho * rho / (4 * t) - rho / 2)
+        return pref / (8 * mp.pi ** 1.5 * t ** 1.5) * val
+
+
+@pytest.mark.parametrize("t", [0.01, 0.05, 0.25, 1.0, 4.0, 20.0, 100.0])
+def test_kernel_matches_mpmath(t):
+    mp = pytest.importorskip("mpmath")
+    rhos = [0.0, 2e-6, 1e-4, 0.01, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0]
+    got = heat_kernel(np.array(rhos), t)
+    checked = 0
+    for rho, k in zip(rhos, got):
+        want = _kernel_mp(mp, rho, t)
+        if want > mp.mpf("1e-250"):
+            assert abs(k - want) <= 1e-10 * want, (rho, t)
+            checked += 1
+    assert checked >= 4
+
+
+def test_kernel_array_equals_scalar_calls():
+    rho = np.array([[0.0, 5e-7, 2e-6, 0.1], [1.0, 3.0, 30.0, 800.0]])
+    for t in (0.05, 1.0, 20.0):
+        got = heat_kernel(rho, t)
+        assert got.shape == rho.shape
+        assert np.array_equal(got, [[heat_kernel(r, t) for r in row] for row in rho])
+
+
 def test_kernel_near_diagonal_branch():
     # distances below 1e-6 collapse onto the exact rho = 0 evaluation
     assert heat_kernel(1e-9, 1.0) == heat_kernel(0.0, 1.0)
@@ -293,6 +333,14 @@ def test_kernel_rejects_bad_t():
         heat_kernel(1.0, -1.0)
     with pytest.raises(DiffusionError):
         heat_kernel(-0.5, 1.0)
+    with pytest.raises(DiffusionError):
+        heat_kernel(np.array([1.0, math.nan]), 1.0)
+    with pytest.raises(DiffusionError):
+        heat_kernel_mass(-1.0)
+    with pytest.raises(DiffusionError):
+        heat_kernel_mass(1.0, rho_max=0.0)
+    with pytest.raises(DiffusionError):
+        heat_kernel_mass(300.0)  # the grid would reach rho = 830, where sinh overflows
 
 
 # ---------------------------------------------------------------- diffuse

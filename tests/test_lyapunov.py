@@ -37,7 +37,9 @@ from hyplyap.lyapunov import (
     geodesic_rate,
     geodesic_spectrum,
     shadowing_report,
+    _chi2_sf,
     _geodesic_matrices,
+    _sphere_sample,
 )
 from hyplyap.surface import build_genus2
 
@@ -497,7 +499,6 @@ def test_direction_single_bin_trivial():
 def test_direction_rotation_invariance():
     # rotating every angle by a whole bin permutes counts: same statistic
     from hyplyap.diffusion import sample_polar_endpoints
-    from scipy.stats import chi2
 
     n_bins, n, t = 16, 2000, 40.0
     shift = 2.0 * math.pi / n_bins
@@ -511,6 +512,28 @@ def test_direction_rotation_invariance():
         return float(np.sum((counts - n / n_bins) ** 2) / (n / n_bins))
 
     assert stat(0.0) == pytest.approx(stat(3.0 * shift), abs=1e-9)
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy.stats import chi2
+
+    for df in (1, 2, 3, 4, 7, 8, 31, 32, 99, 100, 999, 1000):
+        for stat in (0.0, 1e-6, 0.5, 1.0, 0.5 * df, df - 1.0, df, df + 3.0 * math.sqrt(2.0 * df),
+                     3.0 * df + 30.0, 6.0 * df + 100.0):
+            want = chi2.sf(stat, df)
+            assert _chi2_sf(stat, df) == pytest.approx(want, rel=1e-12, abs=0.0), (stat, df)
+    # terms in log space: a df whose e^-x and x^k / k! over- and underflow
+    assert 0.49 < _chi2_sf(1e5, 100000) < 0.51
+
+
+@pytest.mark.parametrize("m_real", [4, 5, 8])
+def test_sphere_sample_matches_scipy_halton(m_real):
+    from scipy.stats import norm, qmc
+
+    h = qmc.Halton(d=m_real, scramble=False).random(65)[1:]
+    g = norm.ppf(h)
+    want = g / np.linalg.norm(g, axis=1, keepdims=True)
+    assert np.max(np.abs(_sphere_sample(m_real, 64) - want)) <= 1e-12
 
 
 def test_direction_needs_frozen_horizon():
