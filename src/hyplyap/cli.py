@@ -431,7 +431,7 @@ def run_validation(cfg: ExperimentConfig, group, rep):
     elif name == "kernel":
         for t in (0.25, 1.0, 4.0):
             mass = heat_kernel_mass(t)
-            add(f"kernel_mass(t={t})", mass, 1.0, 1e-3, 0.999 <= mass <= 1.001)
+            add(f"kernel_mass(t={t})", mass, 1.0, 1e-9, abs(mass - 1.0) <= 1e-9)
     elif name == "circle":
         r = check_circle_vs_diffusion(
             smoothed_dist_field(), [4.0, 8.0, 16.0, 32.0], cfg.n_paths, rng

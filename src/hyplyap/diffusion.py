@@ -9,18 +9,20 @@ is a geodesic jump by the polar Gaussian increment
 (sqrt(2 dt) N1, sqrt(2 dt) N2) in normal coordinates at the current point,
 so E[rho^2] = 4 t for small t and the radial drift is asymptotically 1.
 
-Every walker takes one increment per step: one draw
-gen.standard_normal((2, n)) (standard_normal(2) in the scalar sample_path)
-gives the normals (n1, n2); the jump has length sqrt(2 dt) |n| and
-direction n / |n|, and no angle is formed.  The jump is applied in one of
-two coordinate charts.  The raw chart stores points of the disc and is
-limited to horizons t <~ 30, where the double-precision gap to
-the unit circle still resolves the position.  The polar chart stores
-(hyperbolic radius, angle) and updates them by the hyperbolic law of
-cosines, which is stable out to arbitrary horizons; every long-horizon
-statistic uses it.  Both ensemble walkers step on one time grid,
-`_time_grid`; the polar walker lays it over each interval between
-checkpoints, so it lands on every checkpoint.
+Every walker takes one increment per step: the normals (n1, n2) give a
+jump of length sqrt(2 dt) |n| and direction n / |n|, and no angle is
+formed.  The polar walker draws gen.standard_normal((2, n)) per step (the
+scalar sample_path standard_normal(2)); the raw-chart ensemble walkers
+draw a block of k steps with one gen.standard_normal((k, 2, n)), bit for
+bit the same normals, and form the block's jumps at once, so each step is
+one Mobius move.  The jump is applied in one of two coordinate charts.
+The raw chart stores points of the disc and is limited to horizons
+t <~ 30, where the double-precision gap to the unit circle still resolves
+the position.  The polar chart stores (hyperbolic radius, angle) and
+updates them by the hyperbolic law of cosines, which is stable out to
+arbitrary horizons; every long-horizon statistic uses it.  Both ensemble
+walkers step on one time grid, `_time_grid`; the polar walker lays it over
+each interval between checkpoints, so it lands on every checkpoint.
 """
 
 from __future__ import annotations
@@ -199,26 +201,53 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
 # |n| is floored here so that n = 0 gives a zero jump instead of 0/0
 _TINY = np.finfo(float).tiny
 
+# the raw-chart walkers draw a block of steps at once: at most _BLOCK_TIME
+# time units (lyapunov's full-reduction cadence) and at most _BLOCK_NORMALS
+# normals, so a large ensemble takes shorter blocks instead of more memory;
+# a block's temporaries then stay in cache (2**16 normals was slower than
+# one draw per step at n >= 1000 walkers)
+_BLOCK_TIME = 0.5
+_BLOCK_NORMALS = 1 << 13
+
 
 def _increments(gen, n, t_max, step):
     """(n1, n2, scale) for each step of an n-walker ensemble on
-    _time_grid(t_max, step); the jump is scale * (n1, n2)."""
+    _time_grid(t_max, step), one (2, n) draw per step; the jump is
+    scale * (n1, n2)."""
     times = _time_grid(t_max, step)
     for dt in np.diff(times):
         n1, n2 = gen.standard_normal((2, n))
         yield n1, n2, math.sqrt(2.0 * dt)
 
 
-def _disc_step(z, n1, n2, scale):
-    """Raw-chart jump: move the origin's jump xi = tanh(l/2) n/|n|, with
-    l = scale |n|, to z."""
+def _disc_jumps(gen, n, t_max, step):
+    """The raw-chart increment: the origin's jump xi for each step of an
+    n-walker ensemble on _time_grid(t_max, step), drawn a block of k steps
+    at a time.  One gen.standard_normal((k, 2, n)) draw is bit for bit the
+    k successive (2, n) draws of _increments, and xi is formed for the
+    whole block; scale has shape (k, 1), so a short last step is covered."""
+    dts = np.diff(_time_grid(t_max, step))
+    k = max(1, min(round(_BLOCK_TIME / step), _BLOCK_NORMALS // (2 * n)))
+    for s in range(0, dts.size, k):
+        scale = np.sqrt(2.0 * dts[s : s + k, None])
+        draw = gen.standard_normal((scale.shape[0], 2, n))
+        yield from _disc_jump(draw[:, 0], draw[:, 1], scale)
+
+
+def _disc_jump(n1, n2, scale):
+    """The origin's jump xi = tanh(l/2) n/|n| for normals (n1, n2), with
+    l = scale |n|; scale broadcasts against n1 and n2."""
     r = np.maximum(np.sqrt(n1 * n1 + n2 * n2), _TINY)
-    xi = (n1 + 1j * n2) * (np.tanh(0.5 * scale * r) / r)
+    return (n1 + 1j * n2) * (np.tanh(0.5 * scale * r) / r)
+
+
+def _disc_step(z, xi):
+    """Raw-chart step: move the origin's jump xi to z."""
     return (xi + z) / (1.0 + np.conj(z) * xi)
 
 
 def _disc_step_scalar(z, n1, n2, scale):
-    """_disc_step for one walker, in Python scalars."""
+    """_disc_jump and _disc_step for one walker, in Python scalars."""
     r = max(math.sqrt(n1 * n1 + n2 * n2), _TINY)
     k = math.tanh(0.5 * scale * r) / r
     xi = complex(n1 * k, n2 * k)
@@ -317,8 +346,8 @@ def _disc_walk_endpoints(n_paths, t_max, step, gen, z0=0j):
     or a length-n_paths array; small horizons."""
     _check_step_params(t_max, step)
     z = np.full(n_paths, z0, dtype=complex)
-    for n1, n2, scale in _increments(gen, n_paths, t_max, step):
-        z = _disc_step(z, n1, n2, scale)
+    for xi in _disc_jumps(gen, n_paths, t_max, step):
+        z = _disc_step(z, xi)
     if np.max(np.abs(z)) >= 1.0 - 1e-15:
         raise DiffusionError(
             "raw-coordinate walk left the representable disc; use the polar walker"

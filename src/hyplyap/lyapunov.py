@@ -26,16 +26,19 @@ against the eight side images stacked as (8, d, d).  A path's matrix takes
 its letters on the right (crossing order); Benettin's QR deflation reads
 the accumulator transposed, whose left products have the same
 singular-value growth and make the limiting frame estimate the flag at the
-starting fiber.  The SVD routes summarize their products in
-`_svd_spectrum`, the interval routes extremize over a subspace in
-`_rate_range`.
+starting fiber.  Its QR is one batched kernel, `_orthonormal_rows`:
+Gram-Schmidt with one re-orthogonalization pass on the rows of every
+path's frame at once, giving Q^T and |diag R| for any dimension and field.
+The SVD routes summarize their products in `_svd_spectrum`, the interval
+routes extremize over a subspace in `_rate_range`.
 
 Reduction is lazy: the disc is simply connected, so a lifted path's
 cocycle value depends only on its endpoint tile.  The one Brownian walker,
-`_brownian_walk` (stepping with `diffusion._disc_step`), and the ray
-tracker `_geodesic_matrices` reduce every walker only every _REDUCE_EVERY
-time units and at the last step, else only those past _GUARD_R.  Each
-estimator walks one ensemble on `rng.child(0)`.
+`_brownian_walk` (jumps drawn a block at a time by `diffusion._disc_jumps`,
+one Mobius move `diffusion._disc_step` per step), and the ray tracker
+`_geodesic_matrices` reduce every walker only every _REDUCE_EVERY time
+units and at the last step, else only those past _GUARD_R.  Each estimator
+walks one ensemble on `rng.child(0)`.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ from .diffusion import (
     CheckReport,
     RngStream,
     _check_step_params,
+    _disc_jumps,
     _disc_step,
     _disc_walk_endpoints,
-    _increments,
     _mean_se,
     _time_grid,
     pairwise_sum,
@@ -123,8 +126,8 @@ def _brownian_walk(data, acc, gen, n, t, step, start=0j):
     z = np.full(n, complex(start))
     _reduce_ensemble(data, z)  # initial reduction: not part of the word
     steps = len(_time_grid(t, step)) - 1
-    for i, (n1, n2, scale) in enumerate(_increments(gen, n, t, step), start=1):
-        z = _disc_step(z, n1, n2, scale)
+    for i, xi in enumerate(_disc_jumps(gen, n, t, step), start=1):
+        z = _disc_step(z, xi)
         _reduce_ensemble(data, z, acc=acc, skip_r=_lazy_skip(i, steps, step))
         yield i, i == steps, z
 
@@ -304,7 +307,12 @@ def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> Sp
     every `reorth_every` steps, and the accumulated log diagonals are
     averaged across paths.  The QR points need not be
     reduction points: every partial product is a factor of the final one,
-    whose letters are all folded in by the last step.
+    whose letters are all folded in by the last step.  The QR of every
+    path's M^T is one call of `_orthonormal_rows`, Gram-Schmidt twice over
+    the rows of M: the orthonormal rows replace M and their lengths after
+    projection are |diag R|.  Each |diag R| below 1e-280 is refused as a
+    degenerate frame.  A single path is refused: its exponents would have
+    no standard error.
 
     Exponents whose estimates differ by less than max(0.02, 3 combined se)
     merge into one block: strict spectral gaps are not resolvable at finite
@@ -312,20 +320,15 @@ def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> Sp
     """
     if reorth_every < 1 or reorth_every * step > 1.0 + 1e-12:
         raise LyapunovError("need reorth_every >= 1 with reorth_every * step <= 1")
+    _check_ensemble_size(n_paths)
     data = _GroupData(group)
     gen = _ensemble_generator(rng)
     acc = _MatrixAccumulator(rep, data, n_paths)
     logr = np.zeros((n_paths, rep.dim))
     for i, last, _ in _brownian_walk(data, acc, gen, n_paths, t_max, step):
         if i % reorth_every == 0 or last:
-            q, r = np.linalg.qr(np.swapaxes(acc.m, 1, 2))
-            diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-            if np.any(diag < 1e-280):
-                raise LyapunovError("frame degeneracy: QR diagonal underflow during deflation")
-            signs = np.sign(np.diagonal(r.real, axis1=1, axis2=2))
-            signs = np.where(signs == 0.0, 1.0, signs)
-            acc.m = np.swapaxes(q * signs[:, None, :], 1, 2)
-            logr += np.log(diag)
+            acc.m, norms = _orthonormal_rows(acc.m)
+            logr += np.log(norms)
     # sort per path: for products without generic alignment (commuting
     # images) the QR diagonal order is path-dependent, and the ensemble
     # average must estimate the sorted spectrum of A(omega, t)
@@ -343,6 +346,34 @@ def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> Sp
             "stream_index": rng.stream_index,
         },
     )
+
+
+def _orthonormal_rows(m):
+    """Batched QR of the transposes of an (n, d, d) stack, real or complex.
+
+    Gram-Schmidt with one re-orthogonalization pass on the rows of each
+    m[p]: returns (q, norms) with q[p]'s rows orthonormal, rows 0..j of
+    q[p] spanning what rows 0..j of m[p] span, and norms[p, j] > 0 the
+    length of row j after projection.  So q[p] = Q^T and norms[p] =
+    |diag R| for m[p]^T = Q R, the QR with a positive diagonal.  Projecting
+    twice keeps q orthonormal to rounding ("twice is enough": Giraud,
+    Langou, Rozloznik & van den Eshof, Numer. Math. 101 (2005)).  The
+    kernel runs on the (d, d, n) view, so each operation is one numpy call
+    over all n paths.
+    """
+    a = m.transpose(1, 2, 0)  # a[j, :, p] is row j of m[p]
+    q = np.empty(a.shape, m.dtype)
+    norms = np.empty(a.shape[1:])
+    for j in range(a.shape[0]):
+        v = a[j]
+        for _ in range(2 if j else 0):
+            coef = np.einsum("icn,cn->in", q[:j].conj(), v)  # q_i^H v
+            v = v - np.einsum("in,icn->cn", coef, q[:j])
+        nv = np.sqrt(np.einsum("cn,cn->n", v.conj(), v).real, out=norms[j])
+        if nv.min() < 1e-280:
+            raise LyapunovError("frame degeneracy: QR diagonal underflow during deflation")
+        np.divide(v, nv, out=q[j])
+    return q.transpose(2, 0, 1), norms.T
 
 
 def _cluster(raw_sorted, se_sorted):
@@ -394,6 +425,12 @@ def geodesic_norm_rates(rep, group, R, n_dirs, spacing=_GEODESIC_SPACING):
     thetas = (np.arange(n_dirs) + 0.5) / n_dirs
     acc = _geodesic_matrices(rep, group, thetas, R, spacing)
     return thetas, acc.log_operator_norm() / R
+
+
+def _check_ensemble_size(n_paths):
+    """An ensemble spectrum's confidence intervals need two paths."""
+    if n_paths < 2:
+        raise LyapunovError(f"an ensemble spectrum needs n_paths >= 2, got {n_paths}")
 
 
 def _spectrum_from_samples(lams, basis, method, provenance) -> SpectrumReport:
@@ -450,9 +487,11 @@ def geodesic_spectrum(rep, group, R, n_dirs, spacing=_GEODESIC_SPACING) -> Spect
 def diffusion_spectrum(rep, group, n, n_paths, step, rng) -> SpectrumReport:
     """Full spectrum by the expectation route: expected sorted log singular
     values of the cocycle at an integer horizon (no deflation along the
-    path; the whole matrix is decomposed at the end)."""
+    path; the whole matrix is decomposed at the end).  A single path is
+    refused, as in benettin_spectrum."""
     if n < 1:
         raise LyapunovError("diffusion_spectrum needs an integer horizon n >= 1")
+    _check_ensemble_size(n_paths)
     acc = _brownian_matrices(rep, group, float(int(n)), n_paths, step, rng)
     return _svd_spectrum(
         acc,

@@ -285,6 +285,20 @@ def test_step_past_max_exits_1_on_every_route(tmp_path, capsys, method):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["brownian", "diffusion"])
+def test_single_path_ensemble_exits_1(tmp_path, capsys, recwarn, method):
+    # one path has no standard error: both ensemble routes refuse it before
+    # walking, instead of a ddof=1 RuntimeWarning and a nan interval
+    text = GOOD_CONFIG.format(out=tmp_path / "one").replace("method = brownian\n", "")
+    cfg = write_config(tmp_path, text.replace("n_paths = 60\n", ""))
+    rc = run_cli(["run", cfg, "--method", method, "--n-paths", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: an ensemble spectrum needs n_paths >= 2" in err and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "one.csv").exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["run", "CFG", "--bogus"], 1),
     (["run"], 1),

@@ -6,8 +6,9 @@ into cocycle products; lyapunov walks ensembles on top of both.  The
 reduction kernel must reproduce surface.locate walker by walker, the
 inscribed disc it never tests must lie inside the octagon, the accumulator
 must reproduce cocycle_of_word on each walker's recorded word, the lazy
-walk must keep its reduction invariants, and the batched
-Specialization.values must reproduce the scalar specialization.
+walk must keep its reduction invariants, its block draws must reproduce
+one draw per step bit for bit, and the batched Specialization.values must
+reproduce the scalar specialization.
 """
 
 import cmath
@@ -23,8 +24,15 @@ from hyplyap.cocycle import (
     estimate_regularity,
     specialize,
 )
-from hyplyap.diffusion import RngStream
-from hyplyap import lyapunov
+from hyplyap import diffusion, lyapunov
+from hyplyap.diffusion import (
+    RngStream,
+    _disc_jump,
+    _disc_step,
+    _disc_walk_endpoints,
+    _increments,
+    _time_grid,
+)
 from hyplyap.lyapunov import _brownian_walk
 from hyplyap.surface import DeckWord, _GroupData, _reduce_ensemble, build_genus2, locate
 
@@ -136,6 +144,56 @@ def test_lazy_walk_invariants(group, data, rep_track, monkeypatch, start, t, gua
         value = cocycle_of_word(rep_track, DeckWord(tuple(rec.letters[k])))
         want = value.matrix * math.exp(value.log_scale)
         assert np.linalg.norm(acc.m[k] - want) <= 1e-12 * np.linalg.norm(want), k
+
+
+def test_block_draws_match_per_step_draws(data, rep_track, monkeypatch):
+    # the walk draws a block of steps at once; at t = 5.25 the last block
+    # is short (5 of 10 steps).  Its normals, and the positions and products
+    # after every step, equal bit for bit those of one (2, n) draw per step
+    n, t, step = 300, 5.25, 0.05
+    steps = len(_time_grid(t, step)) - 1
+    assert steps % round(diffusion._BLOCK_TIME / step) != 0
+    blocks = []
+
+    def recording_jump(n1, n2, scale):
+        blocks.append((n1.copy(), n2.copy(), scale.copy()))
+        return _disc_jump(n1, n2, scale)
+
+    monkeypatch.setattr(diffusion, "_disc_jump", recording_jump)
+    acc = _MatrixAccumulator(rep_track, data, n)
+    walk = lyapunov._brownian_walk(data, acc, np.random.default_rng(12), n, t, step)
+    ref_acc = _MatrixAccumulator(rep_track, data, n)
+    z_ref = np.zeros(n, complex)
+    _reduce_ensemble(data, z_ref)
+    per_step = _increments(np.random.default_rng(12), n, t, step)
+    for (i, last, z), (n1, n2, scale) in zip(walk, per_step, strict=True):
+        z_ref = _disc_step(z_ref, _disc_jump(n1, n2, scale))
+        _reduce_ensemble(data, z_ref, acc=ref_acc, skip_r=lyapunov._lazy_skip(i, steps, step))
+        assert np.array_equal(z, z_ref), i
+        assert np.array_equal(acc.m, ref_acc.m), i
+        b1, b2, bscale = blocks[-1]
+        row = (i - 1) % len(bscale)
+        assert np.array_equal(b1[row], n1) and np.array_equal(b2[row], n2), i
+        assert bscale[row, 0] == scale, i
+    assert last and i == steps
+    assert [len(b[2]) for b in blocks] == [10] * 10 + [5]
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+@pytest.mark.parametrize("walker", ["brownian_walk", "disc_walk_endpoints"])
+def test_walk_draws_two_normals_per_path_step(data, rep_track, walker, n):
+    # n = 2000 caps the block below the cadence, at 2 steps of 4000 normals
+    t, step = 5.25, 0.05
+    steps = len(_time_grid(t, step)) - 1
+    gen, ref = np.random.default_rng(13), np.random.default_rng(13)
+    if walker == "brownian_walk":
+        acc = _MatrixAccumulator(rep_track, data, n)
+        for _ in _brownian_walk(data, acc, gen, n, t, step):
+            pass
+    else:
+        _disc_walk_endpoints(n, t, step, gen)
+    ref.standard_normal(2 * n * steps)
+    assert np.array_equal(gen.standard_normal(16), ref.standard_normal(16))
 
 
 @pytest.mark.parametrize("base_word", [(), (1,)])

@@ -39,6 +39,7 @@ from hyplyap.lyapunov import (
     shadowing_report,
     _chi2_sf,
     _geodesic_matrices,
+    _orthonormal_rows,
     _sphere_sample,
 )
 from hyplyap.surface import build_genus2
@@ -117,6 +118,130 @@ def test_benettin_complex_field_matches_real_moduli(group, rep22):
     sp_r = benettin_spectrum(rep22, group, 10.0, 0.05, 10, 80, RngStream(92))
     sp_c = benettin_spectrum(rep_c, group, 10.0, 0.05, 10, 80, RngStream(92))
     assert np.allclose(sp_r.raw_exponents, sp_c.raw_exponents, atol=1e-10)
+
+
+# ------------------------------------------------------------ QR kernel
+
+
+def _haar(gen, n, d, complex_field):
+    z = gen.standard_normal((n, d, d))
+    if complex_field:
+        z = z + 1j * gen.standard_normal((n, d, d))
+    return np.linalg.qr(z)[0]
+
+
+def _lapack_rows(m):
+    """Q^T and |diag R| of m[p]^T = Q R by np.linalg.qr, with the diagonal
+    of R made positive (for complex m, LAPACK's diagonal is real)."""
+    q, r = np.linalg.qr(np.swapaxes(m, 1, 2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return np.swapaxes(q * (diag / np.abs(diag))[:, None, :], 1, 2), np.abs(diag)
+
+
+def _orthonormality_error(q):
+    eye = np.eye(q.shape[1])
+    return np.max(np.abs(q @ np.conj(np.swapaxes(q, 1, 2)) - eye))
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_orthonormal_rows_match_lapack_qr(d, complex_field):
+    gen = np.random.default_rng(100 + d)
+    m = gen.standard_normal((300, d, d))
+    if complex_field:
+        m = m + 1j * gen.standard_normal((300, d, d))
+    # graded rows of lengths 1 .. 1e-10: condition number 1e10, and every
+    # |diag R| is still determined to rounding
+    graded = np.geomspace(1.0, 1e-10, d)[:, None] * _haar(gen, 300, d, complex_field)
+    for stack in (m, graded):
+        q, norms = _orthonormal_rows(stack)
+        q_ref, norms_ref = _lapack_rows(stack)
+        assert q.dtype == stack.dtype and norms.shape == (300, d)
+        assert _orthonormality_error(q) <= 1e-13
+        assert np.max(np.abs(norms - norms_ref) / norms_ref) <= 1e-12
+        assert np.max(np.abs(q - q_ref)) <= 1e-12
+    assert np.max(np.linalg.cond(graded)) == pytest.approx(1e10 if d > 1 else 1.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_orthonormal_rows_nearly_parallel_rows(complex_field):
+    # condition number 1e10 from nearly parallel rows: the last |diag R| is
+    # 1e-10 of its row, and any two backward-stable QRs may differ there by
+    # eps * cond relatively, so it is checked against the row length, with
+    # q orthonormal and m = L q for a lower-triangular L with diagonal norms
+    gen = np.random.default_rng(110)
+    d = 4
+    s = np.geomspace(1.0, 1e-10, d)
+    m = _haar(gen, 300, d, complex_field) @ (s[:, None] * _haar(gen, 300, d, complex_field))
+    assert np.max(np.linalg.cond(m)) == pytest.approx(1e10, rel=1e-3)
+    q, norms = _orthonormal_rows(m)
+    _, norms_ref = _lapack_rows(m)
+    assert _orthonormality_error(q) <= 1e-13
+    row_len = np.linalg.norm(m, axis=2)
+    assert np.max(np.abs(norms - norms_ref) / row_len) <= 1e-12
+    lower = m @ np.conj(np.swapaxes(q, 1, 2))
+    assert np.max(np.abs(np.triu(lower, 1))) <= 1e-13
+    assert np.max(np.abs(np.diagonal(lower, axis1=1, axis2=2) - norms)) <= 1e-13
+
+
+@pytest.mark.parametrize("row", [(0.0, 0.0), (1e-300, 0.0)])
+def test_orthonormal_rows_refuse_degenerate_frame(row):
+    # a second row of length below 1e-280 after projection is refused
+    # before it is divided by
+    m = np.array([[[1.0, 2.0], row], [[1.0, 0.0], [0.0, 1.0]]])
+    with pytest.raises(LyapunovError, match="frame degeneracy"):
+        _orthonormal_rows(m)
+
+
+# Benettin at t = 60 over 400 paths of RngStream(0), as computed with
+# np.linalg.qr and a sign fix-up in place of the Gram-Schmidt kernel: the
+# diagonal representations keep every bit (their frames stay diagonal, so
+# both kernels are exact); the others agree to rounding.
+_QR_PINS = {
+    "diag22": dict(
+        raw=(0.03491728922070724, -0.03491728922070724),
+        ci=(0.002509748542950055, 0.002509748542950055),
+        total=(0.0, 0.0),
+    ),
+    "diag313": dict(
+        raw=(0.05534259404165603, 0.0, -0.05534259404165603),
+        ci=(0.0039778573268154, 0.0, 0.0039778573268154),
+        total=(0.0, 0.0),
+    ),
+    "pair": dict(
+        raw=(0.14621022113014578, -0.14621022113014573),
+        basis=[[0.2153313864869011, -0.9765410354888466],
+               [0.9765410354888466, 0.2153313864869011]],
+    ),
+    "fuchsian": dict(
+        raw=(0.5021134115885336, -0.5021134115885338),
+        basis=[[-0.5064975985250766 - 0.49341684475535547j,
+                -0.16988190216735646 - 0.6863964884205048j],
+               [0.16988190216736224 - 0.6863964884205035j,
+                -0.5064975985250808 + 0.49341684475535125j]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QR_PINS))
+def test_benettin_pinned_to_lapack_qr(group, fuchsian, name):
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    b = np.array([[1.0, 0.0], [1.5, 1.0]])
+    rep = {
+        "diag22": lambda: diagonal_representation([2.0, 0.5]),
+        "diag313": lambda: diagonal_representation([3.0, 1.0, 1.0 / 3.0]),
+        "pair": lambda: Representation.from_matrices(2, "real", [a, b, b, a], group),
+        "fuchsian": lambda: fuchsian,
+    }[name]()
+    sp = benettin_spectrum(rep, group, 60.0, 0.05, 10, 400, RngStream(0))
+    pin = _QR_PINS[name]
+    if "ci" in pin:
+        assert sp.raw_exponents == pin["raw"] and sp.raw_ci == pin["ci"]
+        assert (sp.exponent_sum, sp.exponent_sum_ci) == pin["total"]
+        assert np.array_equal(sp.oseledec_basis, np.eye(rep.dim))
+    else:
+        assert np.max(np.abs(np.subtract(sp.raw_exponents, pin["raw"]))) <= 1e-14
+        assert np.max(np.abs(sp.oseledec_basis - np.array(pin["basis"]))) <= 1e-13
 
 
 def test_benettin_sum_tracks_determinant_for_nonunit_det(group):
