@@ -51,8 +51,6 @@ from .lyapunov import (
     shadowing_report,
 )
 
-SEED_ENV_VAR = "HYPLYAP_SEED"
-
 _METHODS = ("brownian", "geodesic", "diffusion")
 _VALIDATIONS = (
     "geometry",
@@ -105,6 +103,8 @@ class ExperimentConfig:
         for key in ("dim", "n_paths", "n_dirs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rep_field not in ("real", "complex"):
             raise ConfigError(f"field must be real or complex, got {self.rep_field!r}")
         if self.matrices and len(self.matrices) != 4:
@@ -313,7 +313,6 @@ def manifest_text(cfg: ExperimentConfig, group, extra=None) -> str:
         f"hyplyap {__version__}",
         f"timestamp {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"relator_residual {group.relator_residual():.17g}",
-        f"seed_env_override {os.environ.get(SEED_ENV_VAR, '(unset)')}",
     ]
     for f in dc_fields(ExperimentConfig):
         if f.name in ("matrices", "defaulted"):
@@ -470,9 +469,6 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         cfg = apply_flag_overrides(cfg, args)
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            cfg.seed = int(env_seed)
         group = build_genus2()
         rep = build_representation(cfg, group)
     except (ConfigError, ValueError) as exc:
@@ -642,7 +638,7 @@ def cmd_validate(args) -> int:
     }[args.name]
     cfg = ExperimentConfig(
         method=f"validate:{args.name}",
-        n_paths=args.n_paths or defaults["n_paths"],
+        n_paths=defaults["n_paths"] if args.n_paths is None else args.n_paths,
         seed=args.seed if args.seed is not None else 0,
         output=args.output or f"validate_{args.name}",
         horizon=5.0 if args.name == "conversion" else 60.0,
@@ -650,9 +646,6 @@ def cmd_validate(args) -> int:
     if args.name in ("cocycle", "conversion"):
         cfg.matrices = (np.diag([2.0, 0.5]), np.eye(2), np.eye(2), np.eye(2))
     cfg.validate()
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        cfg.seed = int(env_seed)
     group = build_genus2()
     try:
         rep = build_representation(cfg, group)

@@ -43,6 +43,8 @@ __all__ = [
 
 _RESCALE_THRESHOLD = 1e300
 _EXACTNESS_TOL = 1e-8
+# separation bins of estimate_regularity's upper envelope
+_REGULARITY_BINS = 12
 
 
 class CocycleError(ValueError):
@@ -319,7 +321,6 @@ def estimate_regularity(
     n_pairs: int,
     radius: float,
     rng,
-    n_bins: int = 12,
 ) -> RegularityReport:
     """Probe the large-separation growth of |f(y) - f(z)|.
 
@@ -346,14 +347,14 @@ def estimate_regularity(
     if isinstance(spec, Specialization):
         vals = spec.values(points)
     else:
-        f = spec if callable(spec) else spec.fn
+        f = spec if callable(spec) else spec.value
         vals = np.array([f(DiscPoint.from_complex(complex(p))) for p in points])
     diffs = np.abs(vals[:n_pairs] - vals[n_pairs:])
 
     if np.max(diffs) == 0.0:
         return RegularityReport(0.0, 0.0, 0.0, n_pairs, radius)
 
-    edges = np.linspace(0.0, radius, n_bins + 1)
+    edges = np.linspace(0.0, radius, _REGULARITY_BINS + 1)
     centers, envelope = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         mask = (seps > a) & (seps <= b)

@@ -11,17 +11,21 @@ so E[rho^2] = 4 t for small t and the radial drift is asymptotically 1.
 
 Every walker takes one increment per step: the normals (n1, n2) give a
 jump of length sqrt(2 dt) |n| and direction n / |n|, and no angle is
-formed.  The polar walker draws gen.standard_normal((2, n)) per step (the
-scalar sample_path standard_normal(2)); the raw-chart ensemble walkers
-draw a block of k steps with one gen.standard_normal((k, 2, n)), bit for
-bit the same normals, and form the block's jumps at once, so each step is
-one Mobius move.  The jump is applied in one of two coordinate charts.
+formed.  All normals are drawn in one place, `_normals`: the steps of an
+n-walker ensemble come in blocks of k, each one
+gen.standard_normal((k, 2, n)) draw, bit for bit the normals of k
+successive (2, n) draws.  A block spans at most 0.5 time units and holds
+at most 2**13 normals, so an ensemble of 4096 walkers or more takes one
+step per block.  The polar walker steps through a block row by row, the
+raw-chart ensemble walkers form a block's jumps at once, so each step is
+one Mobius move, and the scalar sample_path takes blocks of one walker.
+The jump is applied in one of two coordinate charts.
 The raw chart stores points of the disc and is limited to horizons
 t <~ 30, where the double-precision gap to the unit circle still resolves
 the position.  The polar chart stores (hyperbolic radius, angle) and
 updates them by the hyperbolic law of cosines, which is stable out to
-arbitrary horizons; every long-horizon statistic uses it.  Both ensemble
-walkers step on one time grid, `_time_grid`; the polar walker lays it over
+arbitrary horizons; every long-horizon statistic uses it.  Every walker
+steps on one time grid, `_time_grid`; the polar walker lays it over
 each interval between checkpoints, so it lands on every checkpoint.
 """
 
@@ -34,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hypgeo import DiscPoint, dist_P, mobius_point_chart, radius_for_R
+from .hypgeo import DiscPoint, dist_P
 
 __all__ = [
     "DiffusionError",
@@ -184,15 +188,15 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
     times = _time_grid(t_max, step)
     points = [DiscPoint(z0.real, z0.imag)]
     z = z0
-    for i in range(1, len(times)):
-        n1, n2 = gen.standard_normal(2)
-        z = _disc_step_scalar(z, n1, n2, math.sqrt(2.0 * (times[i] - times[i - 1])))
-        if 2.0 * math.atanh(min(abs(z), 1.0 - 1e-16)) > _RAW_RADIUS_LIMIT + 5.0:
-            raise DiffusionError(
-                "path left the raw-coordinate range; use sample_polar_endpoints "
-                "for horizons beyond t ~ 30"
-            )
-        points.append(DiscPoint(z.real, z.imag))
+    for n1, n2, scale in _normals(gen, 1, t_max, step):
+        for a, b, c in zip(n1[:, 0].tolist(), n2[:, 0].tolist(), scale[:, 0].tolist()):
+            z = _disc_step_scalar(z, a, b, c)
+            if 2.0 * math.atanh(min(abs(z), 1.0 - 1e-16)) > _RAW_RADIUS_LIMIT + 5.0:
+                raise DiffusionError(
+                    "path left the raw-coordinate range; use sample_polar_endpoints "
+                    "for horizons beyond t ~ 30"
+                )
+            points.append(DiscPoint(z.real, z.imag))
     return LeafPath(tuple(times), tuple(points), step)
 
 
@@ -201,8 +205,8 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
 # |n| is floored here so that n = 0 gives a zero jump instead of 0/0
 _TINY = np.finfo(float).tiny
 
-# the raw-chart walkers draw a block of steps at once: at most _BLOCK_TIME
-# time units (lyapunov's full-reduction cadence) and at most _BLOCK_NORMALS
+# every walker draws a block of steps at once: at most _BLOCK_TIME time
+# units (lyapunov's full-reduction cadence) and at most _BLOCK_NORMALS
 # normals, so a large ensemble takes shorter blocks instead of more memory;
 # a block's temporaries then stay in cache (2**16 normals was slower than
 # one draw per step at n >= 1000 walkers)
@@ -210,28 +214,27 @@ _BLOCK_TIME = 0.5
 _BLOCK_NORMALS = 1 << 13
 
 
-def _increments(gen, n, t_max, step):
-    """(n1, n2, scale) for each step of an n-walker ensemble on
-    _time_grid(t_max, step), one (2, n) draw per step; the jump is
-    scale * (n1, n2)."""
-    times = _time_grid(t_max, step)
-    for dt in np.diff(times):
-        n1, n2 = gen.standard_normal((2, n))
-        yield n1, n2, math.sqrt(2.0 * dt)
-
-
-def _disc_jumps(gen, n, t_max, step):
-    """The raw-chart increment: the origin's jump xi for each step of an
-    n-walker ensemble on _time_grid(t_max, step), drawn a block of k steps
-    at a time.  One gen.standard_normal((k, 2, n)) draw is bit for bit the
-    k successive (2, n) draws of _increments, and xi is formed for the
-    whole block; scale has shape (k, 1), so a short last step is covered."""
+def _normals(gen, n, t_max, step):
+    """The one draw of every walker: (n1, n2, scale) blocks for the steps
+    of an n-walker ensemble on _time_grid(t_max, step), of shapes (k, n),
+    (k, n) and (k, 1); row j of a block is one step, whose jump is
+    scale[j] * (n1[j], n2[j]).  One gen.standard_normal((k, 2, n)) draw is
+    bit for bit k successive (2, n) draws, and the per-row scale covers a
+    short last step."""
     dts = np.diff(_time_grid(t_max, step))
     k = max(1, min(round(_BLOCK_TIME / step), _BLOCK_NORMALS // (2 * n)))
     for s in range(0, dts.size, k):
         scale = np.sqrt(2.0 * dts[s : s + k, None])
         draw = gen.standard_normal((scale.shape[0], 2, n))
-        yield from _disc_jump(draw[:, 0], draw[:, 1], scale)
+        yield draw[:, 0], draw[:, 1], scale
+
+
+def _disc_jumps(gen, n, t_max, step):
+    """The raw-chart increment: the origin's jump xi for each step of an
+    n-walker ensemble on _time_grid(t_max, step), formed a whole block of
+    _normals at a time."""
+    for n1, n2, scale in _normals(gen, n, t_max, step):
+        yield from _disc_jump(n1, n2, scale)
 
 
 def _disc_jump(n1, n2, scale):
@@ -322,8 +325,9 @@ def sample_polar_endpoints(
     out_psi = np.empty((len(checkpoints), n_paths))
     t = 0.0
     for i, target in enumerate(checkpoints):
-        for n1, n2, scale in _increments(gen, n_paths, target - t, step):
-            rho, psi = _polar_step(rho, psi, n1, n2, scale)
+        for n1, n2, scale in _normals(gen, n_paths, target - t, step):
+            for j in range(scale.shape[0]):
+                rho, psi = _polar_step(rho, psi, n1[j], n2[j], scale[j, 0])
         out_rho[i] = rho
         out_psi[i] = psi
         t = target
@@ -358,56 +362,55 @@ def _disc_walk_endpoints(n_paths, t_max, step, gen, z0=0j):
 # ------------------------------------------------------------ scalar data
 
 
+# geodesic spacing of the 5-point Laplacian stencil
+_FD_SPACING = 1e-3
+
+
+def _polar_coordinates(p: DiscPoint):
+    """(hyperbolic radius, angle) of a disc point; the angle of 0 is 0."""
+    rho = dist_P(DiscPoint.origin(), p)
+    return rho, math.atan2(p.im, p.re) if rho > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class ScalarField:
-    """Real function on the disc with optional analytic structure.
+    """Real function on the disc, in geodesic polar coordinates about 0.
 
-    fn evaluates at a DiscPoint; polar_fn, when present, evaluates
-    vectorized on (rho, psi) arrays and unlocks the long-horizon walker.
-    The Laplacian is with respect to the curvature -1 metric.
+    polar_fn evaluates vectorized on arrays of hyperbolic radius rho and
+    angle psi.  polar_laplacian, when present, is its Laplacian for the
+    curvature -1 metric in the same coordinates; without it the Laplacian
+    is the 5-point stencil fd_laplacian.
     """
 
-    fn: Callable
-    laplacian: Optional[Callable] = None
-    polar_fn: Optional[Callable] = None
+    polar_fn: Callable
     polar_laplacian: Optional[Callable] = None
     name: str = "field"
 
     def value(self, p: DiscPoint) -> float:
-        return float(self.fn(p))
+        return float(self.polar_fn(*_polar_coordinates(p)))
 
     def values_polar(self, rho, psi):
-        if self.polar_fn is None:
-            raise DiffusionError(f"field {self.name} has no polar form")
         return np.asarray(self.polar_fn(rho, psi), dtype=float)
 
-    def values_disc(self, zs) -> np.ndarray:
-        return np.array([self.fn(DiscPoint(z.real, z.imag)) for z in zs], dtype=float)
-
-    def fd_laplacian(self, p: DiscPoint, h: float = 1e-3) -> float:
-        """Intrinsic 5-point stencil with geodesic spacing h."""
-        chart = mobius_point_chart(p)
-        r = math.tanh(0.5 * h)
-        total = 0.0
-        for k in range(4):
-            q = chart(DiscPoint.from_complex(r * complex(math.cos(k * math.pi / 2), math.sin(k * math.pi / 2))))
-            total += self.value(q)
-        return (total - 4.0 * self.value(p)) / (h * h)
+    def fd_laplacian(self, rho, psi):
+        """Intrinsic 5-point stencil with geodesic spacing _FD_SPACING,
+        vectorized on (rho, psi): the four neighbours are polar jumps of
+        that length along and across the outward radial direction."""
+        h = _FD_SPACING
+        total = sum(
+            self.values_polar(*_polar_step(rho, psi, a, b, h))
+            for a, b in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+        )
+        return (total - 4.0 * self.values_polar(rho, psi)) / (h * h)
 
     def laplacian_field(self) -> "ScalarField":
-        if self.laplacian is not None:
-            return ScalarField(
-                fn=self.laplacian,
-                polar_fn=self.polar_laplacian,
-                name=f"lap({self.name})",
-            )
-        return ScalarField(fn=lambda p: self.fd_laplacian(p), name=f"fd_lap({self.name})")
+        if self.polar_laplacian is not None:
+            return ScalarField(self.polar_laplacian, name=f"lap({self.name})")
+        return ScalarField(self.fd_laplacian, name=f"fd_lap({self.name})")
 
 
 def constant_field(c: float) -> ScalarField:
     return ScalarField(
-        fn=lambda p: c,
-        laplacian=lambda p: 0.0,
         polar_fn=lambda rho, psi: np.full_like(np.asarray(rho, dtype=float), c),
         polar_laplacian=lambda rho, psi: np.zeros_like(np.asarray(rho, dtype=float)),
         name=f"const({c})",
@@ -417,8 +420,6 @@ def constant_field(c: float) -> ScalarField:
 def real_part_field() -> ScalarField:
     # harmonic and bounded: Delta Re(z) = 0 for the conformal Laplacian
     return ScalarField(
-        fn=lambda p: p.re,
-        laplacian=lambda p: 0.0,
         polar_fn=lambda rho, psi: np.tanh(0.5 * np.asarray(rho)) * np.cos(psi),
         polar_laplacian=lambda rho, psi: np.zeros_like(np.asarray(rho, dtype=float)),
         name="re(z)",
@@ -427,7 +428,6 @@ def real_part_field() -> ScalarField:
 
 def exp_neg_dist_field() -> ScalarField:
     return ScalarField(
-        fn=lambda p: math.exp(-dist_P(DiscPoint.origin(), p)),
         polar_fn=lambda rho, psi: np.exp(-np.asarray(rho, dtype=float)),
         name="exp(-dist)",
     )
@@ -435,7 +435,6 @@ def exp_neg_dist_field() -> ScalarField:
 
 def dist_field() -> ScalarField:
     return ScalarField(
-        fn=lambda p: dist_P(DiscPoint.origin(), p),
         polar_fn=lambda rho, psi: np.asarray(rho, dtype=float),
         name="dist",
     )
@@ -462,10 +461,6 @@ def _smoothed_dist_laplacian(rho, eps=0.5):
 def smoothed_dist_field(eps: float = 0.5) -> ScalarField:
     """dist_P(0, .) smoothed at the origin; C^2 with bounded Laplacian."""
     return ScalarField(
-        fn=lambda p: float(_smoothed_dist(dist_P(DiscPoint.origin(), p), eps)),
-        laplacian=lambda p: float(
-            _smoothed_dist_laplacian(dist_P(DiscPoint.origin(), p), eps)
-        ),
         polar_fn=lambda rho, psi: _smoothed_dist(rho, eps),
         polar_laplacian=lambda rho, psi: _smoothed_dist_laplacian(rho, eps),
         name="smoothed_dist",
@@ -482,8 +477,6 @@ def dist_squared_field() -> ScalarField:
         return out
 
     return ScalarField(
-        fn=lambda p: dist_P(DiscPoint.origin(), p) ** 2,
-        laplacian=lambda p: float(lap(dist_P(DiscPoint.origin(), p))),
         polar_fn=lambda rho, psi: np.asarray(rho, dtype=float) ** 2,
         polar_laplacian=lambda rho, psi: lap(rho),
         name="dist^2",
@@ -632,16 +625,16 @@ class SlopeReport:
         return f"[{status}] {self.name}: slope={self.slope:.3f} threshold={self.threshold}"
 
 
-def _endpoint_values(f: ScalarField, t, n, gen, step, start):
-    """Field values at n Brownian endpoints started from `start`."""
-    if f.polar_fn is not None:
-        if isinstance(start, DiscPoint):
-            rho0 = dist_P(DiscPoint.origin(), start)
-            start = (rho0, math.atan2(start.im, start.re) if rho0 > 0 else 0.0)
-        rhos, psis = sample_polar_endpoints(n, t, step, gen, start=start)
-        return f.values_polar(rhos[-1], psis[-1])
-    z0 = start.z if isinstance(start, DiscPoint) else complex(start)
-    return f.values_disc(_disc_walk_endpoints(n, t, step, gen, z0))
+# the time step of the semigroup and Dynkin checks, and diffuse's default
+_CHECK_STEP = 0.01
+# inner endpoints per outer endpoint on the nested side of the semigroup check
+_SEMIGROUP_INNER = 32
+# trapezoid nodes in s of the Dynkin check
+_DYNKIN_NODES = 9
+# direction grid, time step and log-log slope bound of the circle check
+_CIRCLE_DIRS = 256
+_CIRCLE_STEP = 0.02
+_CIRCLE_THRESHOLD = 0.75
 
 
 def diffuse(
@@ -650,9 +643,10 @@ def diffuse(
     n_samples: int,
     rng,
     start=DiscPoint.origin(),
-    step: float = 0.01,
+    step: float = _CHECK_STEP,
 ) -> tuple:
-    """Monte Carlo estimate of the heat diffusion (D_t f)(start).
+    """Monte Carlo estimate of the heat diffusion (D_t f)(start), where
+    start is a DiscPoint or polar (rho, psi).
 
     Returns (estimate, std_error); the estimate is the pairwise-summed mean
     of f at sampled Brownian endpoints.
@@ -661,7 +655,10 @@ def diffuse(
         raise DiffusionError("diffuse needs n_samples >= 100")
     if t < 0 or not math.isfinite(t):
         raise DiffusionError(f"diffuse needs finite t >= 0, got {t}")
-    return _mean_se(_endpoint_values(f, t, n_samples, _resolve_rng(rng), step, start))
+    if isinstance(start, DiscPoint):
+        start = _polar_coordinates(start)
+    rhos, psis = sample_polar_endpoints(n_samples, t, step, _resolve_rng(rng), start=start)
+    return _mean_se(f.values_polar(rhos[-1], psis[-1]))
 
 
 def circle_average(f: ScalarField, R: float, n_dirs: int) -> float:
@@ -672,25 +669,12 @@ def circle_average(f: ScalarField, R: float, n_dirs: int) -> float:
     if R < 0 or not math.isfinite(R):
         raise DiffusionError(f"circle_average needs finite R >= 0, got {R}")
     thetas = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
-    if f.polar_fn is not None:
-        vals = f.values_polar(np.full(n_dirs, R), thetas)
-    else:
-        r = radius_for_R(R)
-        vals = f.values_disc(r * np.exp(1j * thetas))
-    return pairwise_sum(vals) / n_dirs
+    return pairwise_sum(f.values_polar(np.full(n_dirs, R), thetas)) / n_dirs
 
 
-def check_semigroup(
-    f: ScalarField,
-    t: float,
-    s: float,
-    n: int,
-    rng,
-    inner_samples: int = 32,
-    step: float = 0.01,
-) -> CheckReport:
+def check_semigroup(f: ScalarField, t: float, s: float, n: int, rng) -> CheckReport:
     """Does D_{t+s} f = D_t (D_s f) hold at the origin within Monte Carlo
-    error?  The nested side subsamples `inner_samples` inner endpoints per
+    error?  The nested side subsamples _SEMIGROUP_INNER inner endpoints per
     outer endpoint."""
     if isinstance(rng, np.random.Generator):
         raise DiffusionError("check_semigroup needs an RngStream (it derives substreams)")
@@ -698,40 +682,27 @@ def check_semigroup(
     gen_outer = rng.child(1).generator()
     gen_inner = rng.child(2).generator()
 
-    lhs, lhs_se = diffuse(f, t + s, n, gen_flat, step=step)
+    lhs, lhs_se = diffuse(f, t + s, n, gen_flat)
 
-    if f.polar_fn is not None:
-        rhos, psis = sample_polar_endpoints(n, t, step, gen_outer)
-        rho_i, psi_i = sample_polar_endpoints(
-            n * inner_samples,
-            s,
-            step,
-            gen_inner,
-            start=(np.repeat(rhos[-1], inner_samples), np.repeat(psis[-1], inner_samples)),
-        )
-        inner_vals = f.values_polar(rho_i[-1], psi_i[-1]).reshape(n, inner_samples)
-    else:
-        z_outer = _disc_walk_endpoints(n, t, step, gen_outer)
-        z_in = _disc_walk_endpoints(
-            n * inner_samples, s, step, gen_inner, np.repeat(z_outer, inner_samples)
-        )
-        inner_vals = f.values_disc(z_in).reshape(n, inner_samples)
+    inner = _SEMIGROUP_INNER
+    rhos, psis = sample_polar_endpoints(n, t, _CHECK_STEP, gen_outer)
+    rho_i, psi_i = sample_polar_endpoints(
+        n * inner,
+        s,
+        _CHECK_STEP,
+        gen_inner,
+        start=(np.repeat(rhos[-1], inner), np.repeat(psis[-1], inner)),
+    )
+    inner_vals = f.values_polar(rho_i[-1], psi_i[-1]).reshape(n, inner)
 
     rhs, rhs_se = _mean_se(inner_vals.mean(axis=1))
     return CheckReport.compare(
         f"semigroup({f.name}, t={t}, s={s})", lhs, lhs_se, rhs, rhs_se,
-        {"n": n, "inner_samples": inner_samples},
+        {"n": n, "inner_samples": inner},
     )
 
 
-def check_dynkin(
-    f: ScalarField,
-    t: float,
-    n: int,
-    rng,
-    n_nodes: int = 9,
-    step: float = 0.01,
-) -> CheckReport:
+def check_dynkin(f: ScalarField, t: float, n: int, rng) -> CheckReport:
     """Does (D_t f)(0) - f(0) equal the time integral of (D_s Delta f)(0)?
 
     The right side is a trapezoid over an s-grid of diffusion estimates of
@@ -741,17 +712,18 @@ def check_dynkin(
     lap = f.laplacian_field()
     if isinstance(rng, np.random.Generator):
         raise DiffusionError("check_dynkin needs an RngStream (it derives substreams)")
-    lhs_val, lhs_se = diffuse(f, t, n, rng.child(0).generator(), step=step)
+    lhs_val, lhs_se = diffuse(f, t, n, rng.child(0).generator())
     f0 = f.value(DiscPoint.origin())
     lhs = lhs_val - f0
 
+    n_nodes = _DYNKIN_NODES
     s_grid = np.linspace(0.0, t, n_nodes)
     node_vals = np.empty(n_nodes)
     node_ses = np.empty(n_nodes)
     node_vals[0] = lap.value(DiscPoint.origin())
     node_ses[0] = 0.0
     for i, s in enumerate(s_grid[1:], start=1):
-        v, se = diffuse(lap, s, n, rng.child(10 + i).generator(), step=step)
+        v, se = diffuse(lap, s, n, rng.child(10 + i).generator())
         node_vals[i] = v
         node_ses[i] = se
     h = s_grid[1] - s_grid[0]
@@ -767,20 +739,12 @@ def check_dynkin(
     )
 
 
-def check_circle_vs_diffusion(
-    f: ScalarField,
-    R_list,
-    n: int,
-    rng,
-    n_dirs: int = 256,
-    step: float = 0.02,
-    threshold: float = 0.75,
-) -> SlopeReport:
+def check_circle_vs_diffusion(f: ScalarField, R_list, n: int, rng) -> SlopeReport:
     """Circle averages against diffusion values at integer-part times.
 
     err(R) = |circle average at radius R - (D_[R] f)(0) estimate| should
     grow no faster than ~ sqrt(R log R); the check fits the log-log slope
-    and passes when it stays below `threshold`.
+    and passes when it stays below _CIRCLE_THRESHOLD.
     """
     R_list = sorted(R_list)
     if len(R_list) < 4:
@@ -789,8 +753,8 @@ def check_circle_vs_diffusion(
         raise DiffusionError("check_circle_vs_diffusion needs an RngStream")
     errs = []
     for i, R in enumerate(R_list):
-        ca = circle_average(f, R, n_dirs)
-        de, _ = diffuse(f, float(int(R)), n, rng.child(i).generator(), step=step)
+        ca = circle_average(f, R, _CIRCLE_DIRS)
+        de, _ = diffuse(f, float(int(R)), n, rng.child(i).generator(), step=_CIRCLE_STEP)
         errs.append(abs(ca - de))
     logs = np.log(np.maximum(errs, 1e-15))
     logR = np.log(np.asarray(R_list, dtype=float))
@@ -800,6 +764,6 @@ def check_circle_vs_diffusion(
         abscissae=tuple(R_list),
         errors=tuple(float(e) for e in errs),
         slope=slope,
-        threshold=threshold,
-        passed=slope <= threshold,
+        threshold=_CIRCLE_THRESHOLD,
+        passed=slope <= _CIRCLE_THRESHOLD,
     )

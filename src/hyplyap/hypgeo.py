@@ -174,9 +174,6 @@ class GeodesicRay:
             raise GeometryError("ray direction must be finite")
         object.__setattr__(self, "direction", self.direction % 1.0)
 
-    def eval(self, R: float) -> DiscPoint:
-        return geodesic_eval(self, R)
-
 
 def geodesic_eval(ray: GeodesicRay, R: float) -> DiscPoint:
     """Point at hyperbolic distance R from the ray base along its direction."""

@@ -244,7 +244,6 @@ class ShadowingReport:
     t_values: tuple
     drift_median: tuple          # median of dist(omega_t, 0)/t
     shadow_quantiles: dict       # q -> tuple over t of normalized shadowing stat
-    drift_quantiles: dict        # q -> tuple over t of normalized |dist - t|
     slope_shadow_95: float
     passed: bool
 
@@ -571,19 +570,23 @@ def _embed(vs_real, basis, complex_field):
     return vecs / norms
 
 
-def _optimize_rate(objective, m_real, n_vectors, refine_iters=40):
+# golden-section evaluation budget of each extremum, shared by the axes
+_REFINE_ITERS = 40
+
+
+def _optimize_rate(objective, m_real, n_vectors):
     """Min and max of a smooth projective function on the unit sphere:
     deterministic grid, then golden-section refinement in the top-scoring
     2-plane coordinates around each incumbent."""
     vs = _sphere_sample(m_real, n_vectors)
     vals = objective(vs)
     lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
-    lo = _refine_extremum(objective, vs, lo_i, minimize=True, iters=refine_iters)
-    hi = _refine_extremum(objective, vs, hi_i, minimize=False, iters=refine_iters)
+    lo = _refine_extremum(objective, vs, lo_i, minimize=True)
+    hi = _refine_extremum(objective, vs, hi_i, minimize=False)
     return lo, hi
 
 
-def _refine_extremum(objective, vs, idx, minimize, iters):
+def _refine_extremum(objective, vs, idx, minimize):
     v = vs[idx].copy()
     best = float(objective(v[None, :])[0])
     m = v.size
@@ -607,7 +610,7 @@ def _refine_extremum(objective, vs, idx, minimize, iters):
         c1 = b - gr * (b - a)
         c2 = a + gr * (b - a)
         f1, f2 = val(c1), val(c2)
-        for _ in range(iters // m + 8):
+        for _ in range(_REFINE_ITERS // m + 8):
             better = (f1 < f2) if minimize else (f1 > f2)
             if better:
                 b, c2, f2 = c2, c1, f1
@@ -719,7 +722,7 @@ def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckRepo
 # ------------------------------------------------------------ diagnostics
 
 
-def shadowing_report(n_paths, t_list, step, rng, rho_exponent=1.5) -> ShadowingReport:
+def shadowing_report(n_paths, t_list, step, rng) -> ShadowingReport:
     """Distance between Brownian paths and their limiting geodesic rays.
 
     The landing direction is approximated by the angular coordinate at the
@@ -736,16 +739,13 @@ def shadowing_report(n_paths, t_list, step, rng, rho_exponent=1.5) -> ShadowingR
     psi_final = psi[-1]
     qs = (50, 90, 95)
     shadow_q = {q: [] for q in qs}
-    drift_q = {q: [] for q in qs}
     drift_median = []
     for i, t in enumerate(t_list):
         # normalizer degenerates below t ~ e; early entries report raw scale
-        norm = max(math.sqrt(t) * math.log(max(t, math.e)) ** rho_exponent, 1e-9)
+        norm = max(math.sqrt(t) * math.log(max(t, math.e)) ** 1.5, 1e-9)
         d = polar_separation(rho[i], psi[i], np.full(rho.shape[1], float(t)), psi_final)
-        radial = np.abs(rho[i] - t)
         for q in qs:
             shadow_q[q].append(float(np.percentile(d, q)) / norm)
-            drift_q[q].append(float(np.percentile(radial, q)) / norm)
         drift_median.append(float(np.median(rho[i]) / t) if t > 0 else 0.0)
 
     fit_ts = [t for t in t_list if t >= 10.0]
@@ -759,7 +759,6 @@ def shadowing_report(n_paths, t_list, step, rng, rho_exponent=1.5) -> ShadowingR
         t_values=tuple(t_list),
         drift_median=tuple(drift_median),
         shadow_quantiles={q: tuple(v) for q, v in shadow_q.items()},
-        drift_quantiles={q: tuple(v) for q, v in drift_q.items()},
         slope_shadow_95=slope,
         passed=slope <= 0.1,
     )

@@ -48,6 +48,8 @@ __all__ = [
 _SIDE_TOL = 1e-12
 
 _MAX_REDUCTION_STEPS = 10**6
+# rounds of _reduce_ensemble before it gives up
+_MAX_ENSEMBLE_ROUNDS = 64
 
 
 class SurfaceError(RuntimeError):
@@ -100,7 +102,6 @@ class FuchsianGroup:
     """Side-pairing data of the genus-2 octagon group."""
 
     generators: list          # 8 MobiusMap, g1..g8 with g_{k+4} = g_k^-1
-    octagon: list             # 8 sides as (DiscPoint, DiscPoint) endpoint pairs
     circumradius: float
     inradius: float = field(repr=False, default=0.0)
     neighbors: tuple = field(repr=False, default=())   # q_j = hat_g_j(0), complex
@@ -207,7 +208,7 @@ class _GroupData:
         self.inner_r = math.tanh(0.5 * group.inradius)
 
 
-def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, skip_r=None, max_rounds=64):
+def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, skip_r=None):
     """Pull every walker with |z| > skip_r into the fundamental octagon, in
     place; skip_r defaults to the inscribed disc's radius, i.e. all walkers.
 
@@ -221,7 +222,7 @@ def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, skip_r=None, max
     idx = np.flatnonzero(np.abs(z) > (data.inner_r if skip_r is None else skip_r))
     if idx.size == 0:
         return
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ENSEMBLE_ROUNDS):
         w = z[idx]
         S = np.abs(w - data.q_col) ** 2 - np.abs(w) ** 2 * data.one_minus_qa_col
         violated = S < -_SIDE_TOL
@@ -300,20 +301,11 @@ def build_genus2() -> FuchsianGroup:
     for k in range(4):
         generators.append(generators[k].inverse())
 
-    rv = math.tanh(0.5 * circumradius)
-    vertices = [rv * cmath.exp(1j * (2 * j + 1) * math.pi / 8.0) for j in range(8)]
-    octagon = []
-    for k in range(1, 9):
-        a = vertices[(k - 2) % 8]
-        b = vertices[(k - 1) % 8]
-        octagon.append((DiscPoint(a.real, a.imag), DiscPoint(b.real, b.imag)))
-
     neighbors = tuple(
         math.tanh(inradius) * cmath.exp(1j * (j - 1) * math.pi / 4.0) for j in range(1, 9)
     )
     group = FuchsianGroup(
         generators=generators,
-        octagon=octagon,
         circumradius=circumradius,
         inradius=inradius,
         neighbors=neighbors,
@@ -321,7 +313,6 @@ def build_genus2() -> FuchsianGroup:
     relator = _derive_relator(group)
     return FuchsianGroup(
         generators=generators,
-        octagon=octagon,
         circumradius=circumradius,
         inradius=inradius,
         neighbors=neighbors,

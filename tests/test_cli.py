@@ -192,15 +192,18 @@ output = %s
     assert "g1..g4" in err and "residual" in err
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    cfg_path = write_config(
-        tmp_path, GOOD_CONFIG.format(out=tmp_path / "env" / "run")
-    )
-    monkeypatch.setenv("HYPLYAP_SEED", "123")
-    assert run_cli(["run", cfg_path]) == 0
-    manifest = (tmp_path / "env" / "run.manifest.txt").read_text()
-    assert "seed_env_override 123" in manifest
-    assert "seed 123" in manifest
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_exits_1(tmp_path, capsys, where):
+    text = GOOD_CONFIG.format(out=tmp_path / "neg")
+    if where == "config":
+        argv = ["run", write_config(tmp_path, text.replace("seed = 7", "seed = -1"))]
+    else:
+        argv = ["run", write_config(tmp_path, text.replace("seed = 7\n", "")), "--seed", "-1"]
+    rc = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert not (tmp_path / "neg.csv").exists()
 
 
 def test_run_geodesic_and_diffusion_methods(tmp_path):
@@ -477,6 +480,20 @@ def test_validate_estimator_error_exits_1(tmp_path, capsys, monkeypatch, name):
     assert "error: " in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["drift", "--seed", "-1"], "seed must be >= 0, got -1"),
+    # 0 is a value, not "unset": it must not fall back to the suite's 800
+    (["semigroup", "--n-paths", "0"], "n_paths must be >= 1"),
+], ids=["negative_seed", "zero_n_paths"])
+def test_validate_bad_seed_or_size_exits_1(tmp_path, capsys, argv, message):
+    rc = run_cli(["validate", *argv, "--output", str(tmp_path / "v")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: {message}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "v.csv").exists()
 
 
 # ------------------------------------------------------------ dump-surface

@@ -284,7 +284,7 @@ def test_regularity_constant_field(group):
 def test_regularity_distance_field():
     # dist is exactly 1-Lipschitz; the envelope ratio cannot exceed 1
     f = dist_field()
-    out = estimate_regularity(f.fn, 2000, 6.0, RngStream(9))
+    out = estimate_regularity(f, 2000, 6.0, RngStream(9))
     assert out.lipschitz_c <= 1.0 + 0.05
     assert out.lipschitz_c >= 0.7
     assert 0.5 <= out.alpha_fit <= 1.5
@@ -303,4 +303,4 @@ def test_regularity_diag_rep_finite_and_stable(group, rep22):
 
 def test_regularity_needs_pairs():
     with pytest.raises(CocycleError):
-        estimate_regularity(dist_field().fn, 50, 4.0, RngStream(1))
+        estimate_regularity(dist_field(), 50, 4.0, RngStream(1))

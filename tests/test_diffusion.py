@@ -151,7 +151,7 @@ def test_polar_and_raw_walkers_agree_in_law():
     from hyplyap.diffusion import _disc_walk_endpoints
 
     zs = _disc_walk_endpoints(4000, 1.0, 0.01, g)
-    raw_vals = f.values_disc(zs)
+    raw_vals = f.values_polar(2.0 * np.arctanh(np.abs(zs)), np.angle(zs))
     se = math.hypot(
         np.std(polar_vals, ddof=1) / 63.2, np.std(raw_vals, ddof=1) / 63.2
     )
@@ -366,14 +366,13 @@ def test_diffuse_needs_samples():
 
 
 def test_diffuse_raw_walker_rejects_zero_step():
-    # a field without a polar form takes the raw-disc walker
     with pytest.raises(DiffusionError):
-        diffuse(ScalarField(fn=lambda p: p.re), 1.0, 100, RngStream(1), step=0.0)
+        diffuse(real_part_field(), 1.0, 100, RngStream(1), step=0.0)
 
 
 def test_diffuse_raw_walker_rejects_coarse_step():
     with pytest.raises(DiffusionError):
-        diffuse(ScalarField(fn=lambda p: p.re), 1.0, 100, RngStream(1), step=0.5)
+        diffuse(real_part_field(), 1.0, 100, RngStream(1), step=0.5)
 
 
 def test_diffuse_from_offset_start():
@@ -406,14 +405,6 @@ def test_semigroup_odd_harmonic():
     assert abs(rep.lhs) <= 3.0 * rep.lhs_se + 1e-12
 
 
-def test_semigroup_without_polar_form():
-    # exercise the raw-coordinate nested walker
-    base = exp_neg_dist_field()
-    raw_only = ScalarField(fn=base.fn, name="exp(-dist)_raw")
-    rep = check_semigroup(raw_only, 0.5, 0.5, 600, RngStream(15))
-    assert rep.passed, str(rep)
-
-
 # ----------------------------------------------------------------- dynkin
 
 
@@ -437,22 +428,22 @@ def test_dynkin_dist_squared_analytic():
 def test_dynkin_with_finite_difference_laplacian():
     # drop the analytic Laplacian: the 5-point stencil must carry the check
     base = dist_squared_field()
-    fd_only = ScalarField(fn=base.fn, polar_fn=base.polar_fn, name="dist^2_fd")
+    fd_only = ScalarField(polar_fn=base.polar_fn, name="dist^2_fd")
     rep = check_dynkin(fd_only, 1.0, 1200, RngStream(19))
     assert rep.passed, str(rep)
 
 
 def test_fd_laplacian_matches_analytic():
+    # the vectorized stencil at the origin and at 99 points out to rho = 2.2
     rng = np.random.default_rng(21)
-    fields = [dist_squared_field(), smoothed_dist_field()]
-    for f in fields:
-        for _ in range(100):
-            r = 0.8 * math.sqrt(rng.random())
-            phi = 2.0 * math.pi * rng.random()
-            p = DiscPoint(r * math.cos(phi), r * math.sin(phi))
-            exact = f.laplacian(p)
-            approx = f.fd_laplacian(p)
-            assert approx == pytest.approx(exact, rel=1e-4, abs=1e-6)
+    rho = np.concatenate([[0.0], 2.2 * np.sqrt(rng.random(99))])
+    psi = 2.0 * math.pi * rng.random(100)
+    for f in [dist_squared_field(), smoothed_dist_field(), real_part_field()]:
+        exact = f.polar_laplacian(rho, psi)
+        approx = f.fd_laplacian(rho, psi)
+        assert approx.shape == rho.shape
+        assert np.allclose(approx, exact, rtol=1e-4, atol=1e-6)
+        assert f.laplacian_field().value(DiscPoint.origin()) == exact[0]
 
 
 # --------------------------------------------------------- circle average

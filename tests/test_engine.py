@@ -6,9 +6,9 @@ into cocycle products; lyapunov walks ensembles on top of both.  The
 reduction kernel must reproduce surface.locate walker by walker, the
 inscribed disc it never tests must lie inside the octagon, the accumulator
 must reproduce cocycle_of_word on each walker's recorded word, the lazy
-walk must keep its reduction invariants, its block draws must reproduce
-one draw per step bit for bit, and the batched Specialization.values must
-reproduce the scalar specialization.
+walk must keep its reduction invariants, every walker's block draws must
+reproduce one draw per step bit for bit, and the batched
+Specialization.values must reproduce the scalar specialization.
 """
 
 import cmath
@@ -29,12 +29,25 @@ from hyplyap.diffusion import (
     RngStream,
     _disc_jump,
     _disc_step,
+    _disc_step_scalar,
     _disc_walk_endpoints,
-    _increments,
+    _polar_step,
     _time_grid,
+    sample_path,
+    sample_polar_endpoints,
 )
+from hyplyap.hypgeo import DiscPoint
 from hyplyap.lyapunov import _brownian_walk
 from hyplyap.surface import DeckWord, _GroupData, _reduce_ensemble, build_genus2, locate
+
+
+def _increments(gen, n, t_max, step):
+    """The per-step reference draw: (n1, n2, scale) for each step of an
+    n-walker ensemble on _time_grid(t_max, step), one (2, n) draw per
+    step; the jump is scale * (n1, n2)."""
+    for dt in np.diff(_time_grid(t_max, step)):
+        n1, n2 = gen.standard_normal((2, n))
+        yield n1, n2, math.sqrt(2.0 * dt)
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +192,11 @@ def test_block_draws_match_per_step_draws(data, rep_track, monkeypatch):
     assert [len(b[2]) for b in blocks] == [10] * 10 + [5]
 
 
-@pytest.mark.parametrize("n", [300, 2000])
-@pytest.mark.parametrize("walker", ["brownian_walk", "disc_walk_endpoints"])
+@pytest.mark.parametrize("walker, n", [
+    pytest.param(walker, n, id=f"{walker}-{n}")
+    for walker in ("brownian_walk", "disc_walk_endpoints", "polar_endpoints")
+    for n in (2000, 300)
+] + [pytest.param("sample_path", 1, id="sample_path-1")])
 def test_walk_draws_two_normals_per_path_step(data, rep_track, walker, n):
     # n = 2000 caps the block below the cadence, at 2 steps of 4000 normals
     t, step = 5.25, 0.05
@@ -190,10 +206,43 @@ def test_walk_draws_two_normals_per_path_step(data, rep_track, walker, n):
         acc = _MatrixAccumulator(rep_track, data, n)
         for _ in _brownian_walk(data, acc, gen, n, t, step):
             pass
-    else:
+    elif walker == "disc_walk_endpoints":
         _disc_walk_endpoints(n, t, step, gen)
+    elif walker == "polar_endpoints":
+        sample_polar_endpoints(n, t, step, gen, checkpoints=[1.0, 5.25])
+    else:
+        sample_path(DiscPoint.origin(), t, step, gen)
     ref.standard_normal(2 * n * steps)
     assert np.array_equal(gen.standard_normal(16), ref.standard_normal(16))
+
+
+@pytest.mark.parametrize("n", [300, 5000])
+def test_polar_walker_blocks_match_per_step_draws(n):
+    # n = 300 takes 10-step blocks, cut short at the checkpoint t = 1.03;
+    # n = 5000 is past the cap, so each block is one step
+    step, checkpoints = 0.05, [1.03, 2.0]
+    rho, psi = sample_polar_endpoints(n, 2.0, step, np.random.default_rng(14),
+                                      start=(0.5, 1.0), checkpoints=checkpoints)
+    gen = np.random.default_rng(14)
+    r, p, t = np.full(n, 0.5), np.full(n, 1.0), 0.0
+    for i, target in enumerate(checkpoints):
+        for n1, n2, scale in _increments(gen, n, target - t, step):
+            r, p = _polar_step(r, p, n1, n2, scale)
+        assert np.array_equal(rho[i], r) and np.array_equal(psi[i], p), i
+        t = target
+
+
+def test_sample_path_blocks_match_per_step_draws():
+    # 25 steps of 0.05 to t = 1.23 and a short last step: 10 + 10 + 5 rows
+    start, t, step = DiscPoint(0.2, -0.1), 1.23, 0.05
+    path = sample_path(start, t, step, np.random.default_rng(15))
+    gen = np.random.default_rng(15)
+    z, want = start.z, [start.z]
+    for n1, n2, scale in _increments(gen, 1, t, step):
+        z = _disc_step_scalar(z, n1[0], n2[0], scale)
+        want.append(z)
+    assert path.times == tuple(_time_grid(t, step))
+    assert [p.z for p in path.points] == want
 
 
 @pytest.mark.parametrize("base_word", [(), (1,)])
