@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import __version__
-from .cocycle import CocycleError, Representation
+from .cocycle import CocycleError, Representation, cocycle_of_word
 from .diffusion import (
     DiffusionError,
     RngStream,
@@ -40,7 +40,7 @@ from .diffusion import (
     smoothed_dist_field,
 )
 from .hypgeo import DiscPoint, GeodesicRay, dist_P, geodesic_eval, radius_for_R
-from .surface import build_genus2
+from .surface import _locate_all, build_genus2
 from .lyapunov import (
     LyapunovError,
     benettin_spectrum,
@@ -394,22 +394,22 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         res = group.relator_residual()
         add("octagon_relator", res, 0.0, 1e-8, res <= 1e-8)
     elif name == "cocycle":
-        from .cocycle import evaluate
-
+        # every path starts at the origin, whose word is empty, so the words
+        # of the whole path and of its head are those of its two points
+        paths = [sample_path(DiscPoint.origin(), 2.0, 0.05, rng.child(i)) for i in range(100)]
+        still = sample_path(DiscPoint.origin(), 0.0, 0.05, rng.child(1000))
+        points = [p.points[len(p.points) // 2] for p in paths] + [p.end for p in paths]
+        _, words = _locate_all(points + [still.end], group)
         worst_split = 0.0
-        for i in range(100):
-            path = sample_path(DiscPoint.origin(), 2.0, 0.05, rng.child(i))
-            mid = len(path.points) // 2
-            full_v = evaluate(rep, path, group)
-            prod = evaluate(rep, path.subpath(mid, len(path.points) - 1), group) @ evaluate(
-                rep, path.subpath(0, mid), group
-            )
+        for head, full in zip(words[:100], words[100:200]):
+            full_v = cocycle_of_word(rep, full)
+            prod = cocycle_of_word(rep, full * head.inverse()) @ cocycle_of_word(rep, head)
             worst_split = max(
                 worst_split,
                 float(np.max(np.abs(full_v.matrix - prod.matrix)))
                 + abs(full_v.log_scale - prod.log_scale),
             )
-        ident = evaluate(rep, sample_path(DiscPoint.origin(), 0.0, 0.05, rng.child(1000)), group)
+        ident = cocycle_of_word(rep, words[200])
         ident_err = float(np.max(np.abs(ident.matrix - np.eye(rep.dim))))
         add("identity_law", ident_err, 0.0, 1e-10, ident_err <= 1e-10)
         add("multiplicative_law", worst_split, 0.0, 1e-10, worst_split <= 1e-10)

@@ -14,7 +14,7 @@ overflow past 1e300.
 `_MatrixAccumulator` is the algebra layer of the vectorized ensemble engine:
 it folds the deck letters that `surface._reduce_ensemble` emits into one
 cocycle product per walker.  `Specialization.values` runs the two on a
-whole array of points.
+whole array of points, and `Specialization.__call__` on one.
 """
 
 from __future__ import annotations
@@ -261,18 +261,14 @@ class Specialization:
     base_word: DeckWord = field(default_factory=DeckWord)
 
     def __call__(self, zeta) -> float:
-        _, w_end = locate(zeta, self.group)
-        word = w_end * self.base_word.inverse()
-        value = cocycle_of_word(self.rep, word)
-        return value.log_vector_growth(self.direction)
+        return float(self.values([zeta.z if isinstance(zeta, DiscPoint) else zeta])[0])
 
     def values(self, zs) -> np.ndarray:
         """f at every point of a complex array in one pass of the ensemble
-        engine; equals [self(z) for z in zs] up to rounding."""
+        engine."""
         z = np.array(zs, dtype=complex)  # a copy: the reduction works in place
-        data = _GroupData(self.group)
-        acc = _MatrixAccumulator(self.rep, data, z.size)
-        _reduce_ensemble(data, z, acc=acc)
+        acc = _MatrixAccumulator(self.rep, self.group._layout, z.size)
+        _reduce_ensemble(self.group._layout, z, acc=acc)
         base_inv = cocycle_of_word(self.rep, self.base_word.inverse())
         acc.m = acc.m @ base_inv.matrix
         return acc.log_vector_growth(self.direction) + base_inv.log_scale

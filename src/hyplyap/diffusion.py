@@ -164,6 +164,8 @@ def _check_step_params(t_max: float, step: float):
         raise DiffusionError(f"t_max must be finite and >= 0, got {t_max}")
     if not (math.isfinite(step) and 0.0 < step <= MAX_STEP):
         raise DiffusionError(f"step must lie in (0, {MAX_STEP}], got {step}")
+    if not math.isfinite(t_max / step):
+        raise DiffusionError(f"t_max / step must be finite, got {t_max} / {step}")
 
 
 def _time_grid(t_max: float, step: float):

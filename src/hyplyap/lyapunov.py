@@ -13,32 +13,35 @@ Three independent routes to the same spectrum:
 Plus the probabilistic diagnostics that justify swapping the routes:
 radial drift, geodesic shadowing, and uniformity of limiting directions.
 
-Every route runs on one vectorized engine in two layers: the geometry
-layer `surface._reduce_ensemble` emits deck letters and the algebra layer
+Every route runs on one vectorized engine in two layers: the geometry layer
+`surface._reduce_ensemble` emits deck letters and the algebra layer
 `cocycle._MatrixAccumulator` consumes them; this module walks ensembles on
-top of both.  `_reduce_ensemble` is the only domain-reduction kernel: each
-round it pulls every walker that violates a side back across its smallest
-violated side in one Mobius update (walkers inside a skip radius are never
-tested, and after the first round only the walkers that moved are) and
-reports the round's (side, walker) arrays once.  `_MatrixAccumulator` is
-the only cocycle accumulator: it folds a round in with one gathered matmul
-against the eight side images stacked as (8, d, d).  A path's matrix takes
-its letters on the right (crossing order); Benettin's QR deflation reads
-the accumulator transposed, whose left products have the same
-singular-value growth and make the limiting frame estimate the flag at the
-starting fiber.  Its QR is one batched kernel, `_orthonormal_rows`:
-Gram-Schmidt with one re-orthogonalization pass on the rows of every
-path's frame at once, giving Q^T and |diag R| for any dimension and field.
-The SVD routes summarize their products in `_svd_spectrum`, the interval
-routes extremize over a subspace in `_rate_range`.
+top of both.  `_reduce_ensemble` is the only domain-reduction kernel
+(`surface.locate` is its one-point case), on a layout built once per group,
+`FuchsianGroup._layout`.  Each round it pulls every walker that violates a
+side back across its smallest violated side in one Mobius update (walkers
+inside a skip radius are never tested, and after the first round only the
+walkers that moved are) and reports the round's (side, walker) arrays once.
+`_MatrixAccumulator` is the only cocycle accumulator: it folds a round in
+with one gathered matmul against the eight side images stacked as
+(8, d, d).  A path's matrix takes its letters on the right (crossing
+order); Benettin's QR deflation reads the accumulator transposed, whose
+left products have the same singular-value growth and make the limiting
+frame estimate the flag at the starting fiber.  Its QR is one batched
+kernel, `_orthonormal_rows`: Gram-Schmidt with one re-orthogonalization
+pass on the rows of every path's frame at once, giving Q^T and |diag R| for
+any dimension and field.  The SVD routes summarize their products in
+`_svd_spectrum`, the interval routes extremize over a subspace in
+`_rate_range`.
 
 Reduction is lazy: the disc is simply connected, so a lifted path's
 cocycle value depends only on its endpoint tile.  The one Brownian walker,
 `_brownian_walk` (jumps drawn a block at a time by `diffusion._disc_jumps`,
 one Mobius move `diffusion._disc_step` per step), and the ray tracker
 `_geodesic_matrices` reduce every walker only every _REDUCE_EVERY time
-units and at the last step, else only those past _GUARD_R.  Each estimator
-walks one ensemble on `rng.child(0)`.
+units and at the last step; in between, the walker reduces those past
+_GUARD_R, which a ray never reaches.  Each estimator walks one ensemble on
+`rng.child(0)`.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .diffusion import (
     polar_separation,
 )
 from .hypgeo import DiscPoint
-from .surface import _GroupData, _reduce_ensemble, locate
+from .surface import _reduce_ensemble, locate
 
 __all__ = [
     "LyapunovError",
@@ -134,7 +137,7 @@ def _brownian_walk(data, acc, gen, n, t, step, start=0j):
 
 def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j):
     """Cocycle matrices along tracked Brownian paths, one ensemble."""
-    data = _GroupData(group)
+    data = group._layout
     acc = _MatrixAccumulator(rep, data, n_paths)
     for i, _, _ in _brownian_walk(data, acc, _ensemble_generator(rng), n_paths, t, step, start):
         if i % 64 == 0:
@@ -148,9 +151,9 @@ def _geodesic_matrices(rep, group, thetas, R, spacing):
     with direction transport and reduced lazily, as in _brownian_walk."""
     if not (math.isfinite(spacing) and 0.0 < spacing <= _GEODESIC_SPACING + 1e-12):
         raise LyapunovError(f"geodesic tracking needs 0 < spacing <= {_GEODESIC_SPACING}")
-    if not (math.isfinite(R) and R > 0.0):
-        raise LyapunovError(f"geodesic tracking needs a finite R > 0, got {R}")
-    data = _GroupData(group)
+    if not (math.isfinite(R / spacing) and R > 0.0):
+        raise LyapunovError(f"geodesic tracking needs R > 0 and a finite R / spacing, got {R}")
+    data = group._layout
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.size
     acc = _MatrixAccumulator(rep, data, n)
@@ -165,7 +168,10 @@ def _geodesic_matrices(rep, group, thetas, R, spacing):
         den = 1.0 + np.conj(w) * xi
         w = (xi + w) / den
         alpha = alpha - 2.0 * np.arctan2(den.imag, den.real)
-        _reduce_ensemble(data, w, alpha, acc, skip_r=_lazy_skip(k, steps, spacing))
+        # a ray starts each cadence in the octagon (radius <= 2.45) and
+        # moves at most 0.53 before the next: it never reaches _GUARD_R
+        if _lazy_skip(k, steps, spacing) is None:
+            _reduce_ensemble(data, w, alpha, acc)
         if k % 64 == 0:
             acc.rescale()
     acc.rescale()
@@ -320,7 +326,7 @@ def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> Sp
     if reorth_every < 1 or reorth_every * step > 1.0 + 1e-12:
         raise LyapunovError("need reorth_every >= 1 with reorth_every * step <= 1")
     _check_ensemble_size(n_paths)
-    data = _GroupData(group)
+    data = group._layout
     gen = _ensemble_generator(rng)
     acc = _MatrixAccumulator(rep, data, n_paths)
     logr = np.zeros((n_paths, rep.dim))

@@ -15,7 +15,7 @@ gamma_1 gamma_0^{-1}, read off the two endpoint tiles by `locate`.
 This module is also the geometry layer of the vectorized ensemble engine:
 `_reduce_ensemble` pulls an array of walkers into the octagon and emits
 each round's deck letters to an accumulator (the algebra layer,
-`cocycle._MatrixAccumulator`).  Scalar `locate` is its reference.
+`cocycle._MatrixAccumulator`).  `locate` is its one-point case.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,6 @@ __all__ = [
 # resolved by the smallest side index
 _SIDE_TOL = 1e-12
 
-_MAX_REDUCTION_STEPS = 10**6
 # rounds of _reduce_ensemble before it gives up
 _MAX_ENSEMBLE_ROUNDS = 64
 
@@ -119,14 +119,10 @@ class FuchsianGroup:
         j = side + 4 if side <= 4 else side - 4
         return j if j <= 4 else -(j - 4)
 
-    def side_violations(self, z: complex):
-        """S_j(z) = |z - q_j|^2 - |z|^2 (1 - |q_j|^2) for the 8 sides;
-        z is inside the closed domain iff all S_j >= 0 (up to the tie slack)."""
-        zz = abs(z) ** 2
-        return [abs(z - q) ** 2 - zz * (1.0 - abs(q) ** 2) for q in self.neighbors]
-
-    def contains(self, z: complex) -> bool:
-        return min(self.side_violations(z)) >= -_SIDE_TOL
+    @cached_property
+    def _layout(self) -> "_GroupData":
+        """The group's constants laid out for `_reduce_ensemble`, built once."""
+        return _GroupData(self)
 
     def relator_residual(self) -> float:
         """Distance of the relator image from +-identity in coefficients."""
@@ -143,12 +139,13 @@ class FuchsianGroup:
         return "\n".join(lines) + "\n"
 
 
-def _first_violated_side(group: FuchsianGroup, z: complex):
-    """Smallest side index whose Dirichlet inequality z violates, or None."""
-    for j, s in enumerate(group.side_violations(z), start=1):
-        if s < -_SIDE_TOL:
-            return j
-    return None
+def _locate_all(points, group: FuchsianGroup):
+    """(representatives, words) of `locate` for every point, in one call of
+    the reduction kernel; the representatives are a complex array."""
+    z = np.array([p.z if isinstance(p, DiscPoint) else complex(p) for p in points])
+    log = _LetterLog(group._layout, z.size)
+    _reduce_ensemble(group._layout, z, acc=log)
+    return z, [DeckWord(tuple(letters)) for letters in log.letters]
 
 
 def locate(z, group: FuchsianGroup):
@@ -158,17 +155,8 @@ def locate(z, group: FuchsianGroup):
     representative inside the closed domain.  Deterministic: violated sides
     are processed in increasing index order.
     """
-    w = z.z if isinstance(z, DiscPoint) else complex(z)
-    letters = []
-    for _ in range(_MAX_REDUCTION_STEPS):
-        j = _first_violated_side(group, w)
-        if j is None:
-            rep = DiscPoint(w.real, w.imag)
-            return rep, DeckWord(tuple(letters))
-        letter = group.neighbor_letter(j)
-        w = group.generator(-letter)(w)
-        letters.append(letter)
-    raise SurfaceError("fundamental-domain reduction did not terminate")
+    reps, words = _locate_all([z], group)
+    return DiscPoint(reps[0].real, reps[0].imag), words[0]
 
 
 def track(path, group: FuchsianGroup) -> DeckWord:
@@ -183,8 +171,7 @@ def track(path, group: FuchsianGroup) -> DeckWord:
     points = path.points
     if not points:
         return DeckWord()
-    _, start_word = locate(points[0], group)
-    _, end_word = locate(points[-1], group)
+    _, (start_word, end_word) = _locate_all([points[0], points[-1]], group)
     return end_word * start_word.inverse()
 
 
@@ -216,8 +203,7 @@ def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, skip_r=None):
     violated side in one vectorized Mobius update, transports the direction
     angles when given, and reports the (side index, walker index) arrays of
     the round to acc.apply.  After the first round only the walkers that
-    moved are tested.  The letters a walker reports, in order, are the word
-    scalar `locate` returns.
+    moved are tested.
     """
     idx = np.flatnonzero(np.abs(z) > (data.inner_r if skip_r is None else skip_r))
     if idx.size == 0:
@@ -242,6 +228,18 @@ def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, skip_r=None):
     raise SurfaceError("fundamental-domain reduction did not settle")
 
 
+class _LetterLog:
+    """Accumulator that records each walker's letters in crossing order."""
+
+    def __init__(self, data: _GroupData, n: int):
+        self.side_letters = data.letters
+        self.letters = [[] for _ in range(n)]
+
+    def apply(self, first, idx):
+        for j, k in zip(first.tolist(), idx.tolist()):
+            self.letters[k].append(self.side_letters[j])
+
+
 def _derive_relator(group: FuchsianGroup) -> DeckWord:
     """Vertex-cycle relator, read off numerically by probing the eight tiles
     around the vertex at angle pi/8."""
@@ -250,13 +248,10 @@ def _derive_relator(group: FuchsianGroup) -> DeckWord:
     chart = mobius_point_chart(DiscPoint(vertex.real, vertex.imag))
     inward = cmath.phase(-vertex)
     eps = math.tanh(0.5 * 0.05)
-    tiles = []
-    for i in range(9):
-        # clockwise probes, one per tile in the vertex star
-        alpha = inward - (i + 0.0) * math.pi / 4.0
-        probe = chart(DiscPoint.from_complex(eps * cmath.exp(1j * alpha)))
-        _, word = locate(probe, group)
-        tiles.append(word.evaluate(group))
+    # clockwise probes, one per tile in the vertex star
+    probes = [chart(eps * cmath.exp(1j * (inward - i * math.pi / 4.0))) for i in range(9)]
+    _, words = _locate_all(probes, group)
+    tiles = [word.evaluate(group) for word in words]
     relator_letters = []
     for i in range(8):
         # gamma_{i+1} = gamma_i o n_i; adjacent tiles share a side, so the

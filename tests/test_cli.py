@@ -288,6 +288,18 @@ def test_step_past_max_exits_1_on_every_route(tmp_path, capsys, method):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["brownian", "geodesic", "diffusion"])
+def test_overflowing_step_count_exits_1(tmp_path, capsys, method):
+    # horizon / step overflows to inf: every route refuses it before it
+    # counts its steps
+    cfg = "[run]\nmethod = %s\nn_dirs = 8\noutput = %s\n" % (method, tmp_path / "h")
+    rc = run_cli(["run", write_config(tmp_path, cfg), "--horizon", "1e308"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error:" in err and "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "h.csv").exists()
+
+
 @pytest.mark.parametrize("method", ["brownian", "diffusion"])
 def test_single_path_ensemble_exits_1(tmp_path, capsys, recwarn, method):
     # one path has no standard error: both ensemble routes refuse it before

@@ -167,6 +167,18 @@ def test_overflow_guard():
     )
 
 
+def test_products_spill_into_log_scale():
+    # 6e149 * 1e150 <= 1e300 passes the operand guard, but the product's
+    # entries, 1.2e300, are past the threshold: rescaled() spills them
+    prod = CocycleValue(np.full((2, 2), 6e149)) @ CocycleValue(np.full((2, 2), 1e150))
+    assert prod.log_scale > 0.0 and np.max(np.abs(prod.matrix)) == 1.0
+    assert prod.log_operator_norm() == pytest.approx(math.log(2.4e300), rel=1e-12)
+    # a 70-letter word of diag(1e5, 1e-5) has norm 1e350
+    rep = Representation.from_matrices(2, "real", [np.diag([1e5, 1e-5])] * 4)
+    value = cocycle_of_word(rep, DeckWord((1,) * 70))
+    assert value.log_operator_norm() == pytest.approx(70.0 * math.log(1e5), rel=1e-12)
+
+
 # ------------------------------------------------------------ path values
 
 

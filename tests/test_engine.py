@@ -3,12 +3,13 @@
 The engine has a geometry layer, surface._reduce_ensemble, which emits deck
 letters, and an algebra layer, cocycle._MatrixAccumulator, which folds them
 into cocycle products; lyapunov walks ensembles on top of both.  The
-reduction kernel must reproduce surface.locate walker by walker, the
-inscribed disc it never tests must lie inside the octagon, the accumulator
-must reproduce cocycle_of_word on each walker's recorded word, the lazy
-walk must keep its reduction invariants, every walker's block draws must
-reproduce one draw per step bit for bit, and the batched
-Specialization.values must reproduce the scalar specialization.
+reduction kernel must reproduce the scalar reduction of scalar_reduction.py
+walker by walker, the inscribed disc it never tests must lie inside the
+octagon, the accumulator must reproduce cocycle_of_word on each walker's
+recorded word, the lazy walk must keep its reduction invariants, every
+walker's block draws must reproduce one draw per step bit for bit, and
+Specialization.values and Specialization.__call__ must reproduce the
+specialization computed from the scalar reduction and cocycle_of_word.
 """
 
 import cmath
@@ -38,7 +39,9 @@ from hyplyap.diffusion import (
 )
 from hyplyap.hypgeo import DiscPoint
 from hyplyap.lyapunov import _brownian_walk
-from hyplyap.surface import DeckWord, _GroupData, _reduce_ensemble, build_genus2, locate
+from hyplyap.surface import DeckWord, _reduce_ensemble, build_genus2
+
+from scalar_reduction import contains, scalar_locate
 
 
 def _increments(gen, n, t_max, step):
@@ -57,7 +60,7 @@ def group():
 
 @pytest.fixture(scope="module")
 def data(group):
-    return _GroupData(group)
+    return group._layout
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +98,7 @@ def test_reduction_matches_scalar_locate(group, data):
     _reduce_ensemble(data, reduced, acc=rec)
     assert max(len(w) for w in rec.letters) >= 4
     for k in range(n):
-        rep, word = locate(complex(z[k]), group)
+        rep, word = scalar_locate(complex(z[k]), group)
         assert DeckWord(tuple(rec.letters[k])) == word, k
         assert abs(rep.z - reduced[k]) <= 1e-12, k
 
@@ -103,10 +106,10 @@ def test_reduction_matches_scalar_locate(group, data):
 def test_inscribed_disc_lies_in_octagon(group, data):
     # the kernel never tests walkers with |z| <= inner_r
     phis = 2.0 * np.pi * np.arange(4001) / 4001
-    assert all(group.contains(data.inner_r * cmath.exp(1j * phi)) for phi in phis)
+    assert all(contains(group, data.inner_r * cmath.exp(1j * phi)) for phi in phis)
     # and the disc is the largest one: it touches every side at its midpoint
     for j in range(8):
-        assert not group.contains(data.inner_r * (1.0 + 1e-6) * cmath.exp(1j * j * math.pi / 4.0))
+        assert not contains(group, data.inner_r * (1.0 + 1e-6) * cmath.exp(1j * j * math.pi / 4.0))
 
 
 def test_accumulator_matches_scalar_cocycles(data, rep_track):
@@ -143,11 +146,11 @@ def test_lazy_walk_invariants(group, data, rep_track, monkeypatch, start, t, gua
         assert np.max(np.abs(z)) <= lyapunov._GUARD_R, i
         if i % every == 0 or last:
             full += 1
-            assert all(group.contains(complex(w)) for w in z), i
+            assert all(contains(group, complex(w)) for w in z), i
         else:
             guarded += rec.count - seen
             if i % every == every // 2:
-                lazy_outside += sum(not group.contains(complex(w)) for w in z)
+                lazy_outside += sum(not contains(group, complex(w)) for w in z)
         seen = rec.count
     assert last and full == math.ceil(t / lyapunov._REDUCE_EVERY) and lazy_outside > 0
     if guard is not None:
@@ -245,6 +248,13 @@ def test_sample_path_blocks_match_per_step_draws():
     assert [p.z for p in path.points] == want
 
 
+def _scalar_specialization(spec, z):
+    """spec at z from the scalar reduction and cocycle_of_word."""
+    _, word = scalar_locate(z, spec.group)
+    value = cocycle_of_word(spec.rep, word * spec.base_word.inverse())
+    return value.log_vector_growth(spec.direction)
+
+
 @pytest.mark.parametrize("base_word", [(), (1,)])
 def test_specialization_values_match_scalar(group, rep_track, base_word):
     base = DeckWord(base_word).evaluate(group)(0j)
@@ -254,15 +264,19 @@ def test_specialization_values_match_scalar(group, rep_track, base_word):
     n = 2000
     z = 0.999 * np.sqrt(gen.random(n)) * np.exp(2j * np.pi * gen.random(n))
     got = spec.values(z)
-    want = np.array([spec(complex(p)) for p in z])
+    want = np.array([_scalar_specialization(spec, complex(p)) for p in z])
     assert np.max(np.abs(want)) > 1.0
     assert np.max(np.abs(got - want)) <= 1e-12
+    one_point = np.array([spec(DiscPoint.from_complex(complex(p))) for p in z[:200]])
+    assert np.max(np.abs(one_point - want[:200])) <= 1e-12
 
 
 def test_regularity_batched_matches_scalar(group, rep_track):
     spec = specialize(rep_track, [1.0, 0.0], group)
     batched = estimate_regularity(spec, 400, 6.0, RngStream(31))
-    scalar = estimate_regularity(lambda p: spec(p), 400, 6.0, RngStream(31))
+    scalar = estimate_regularity(
+        lambda p: _scalar_specialization(spec, p), 400, 6.0, RngStream(31)
+    )
     assert batched.n_pairs == scalar.n_pairs and batched.radius == scalar.radius
     assert batched.alpha_fit == scalar.alpha_fit
     for name in ("c_fit", "lipschitz_c", "bin_centers", "bin_envelope"):

@@ -13,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from hyplyap import lyapunov
 from hyplyap.cocycle import (
     Representation,
+    _MatrixAccumulator,
     diagonal_representation,
     fuchsian_representation,
     trivial_representation,
@@ -365,6 +367,28 @@ def test_brownian_rates_trivial(group):
     assert mean == 0.0 and se == 0.0
 
 
+def test_norm_rate_spills_into_log_scale(group, monkeypatch):
+    # with every image diag(a, 1/a) a product is diag(a^k, a^-k), so on one
+    # stream the norm rate scales by log a exactly; at a = 1e5 some walkers
+    # pass the accumulator's 1e100 threshold (21 net letters) by t = 120 and
+    # their products spill into the log scale
+    rescaled = []
+    rescale = _MatrixAccumulator.rescale
+
+    def spy(acc, threshold=1e100):
+        rescaled.append(int(np.sum(np.max(np.abs(acc.m), axis=(1, 2)) > threshold)))
+        rescale(acc, threshold)
+
+    monkeypatch.setattr(_MatrixAccumulator, "rescale", spy)
+    rates = {}
+    for a in (2.0, 1e5):
+        rep = Representation.from_matrices(2, "real", [np.diag([a, 1.0 / a])] * 4)
+        rates[a], _ = brownian_norm_rate(rep, group, 120.0, 200, 0.05, RngStream(57))
+    assert sum(rescaled) >= 1
+    want = rates[2.0] * math.log(1e5) / math.log(2.0)
+    assert abs(rates[1e5] - want) <= 1e-12 * want
+
+
 def test_brownian_rate_requires_horizon(group, rep22):
     with pytest.raises(LyapunovError):
         brownian_rate(rep22, group, [1.0, 0.0], 0.5, 200, 0.05, RngStream(1))
@@ -447,6 +471,25 @@ def test_geodesic_average_matches_brownian_norm_rate(group, rep22):
     assert ok, f"geodesic {gm:.5f} vs brownian {bn:.5f} (diff {diff:.5f}, tol {tol:.5f})"
 
 
+@pytest.mark.parametrize("spacing", [0.05, 0.0476])
+def test_rays_never_reach_guard_radius(group, rep22, monkeypatch, spacing):
+    # the tracker reduces only at full reductions; there a ray is within
+    # one cadence of the octagon, so past its circumradius by at most 0.53
+    # (spacing 0.0476 gives the longest cadence, 11 steps), and the distance
+    # from 0 is convex along the ray, so no step in between is farther out
+    reduce = lyapunov._reduce_ensemble
+    largest = []
+
+    def spy(data, w, *args, **kwargs):
+        largest.append(float(np.max(np.abs(w))))
+        reduce(data, w, *args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "_reduce_ensemble", spy)
+    _geodesic_matrices(rep22, group, (np.arange(256) + 0.5) / 256, 20.0, spacing)
+    assert len(largest) == math.ceil(20.0 / (round(0.5 / spacing) * spacing))
+    assert max(largest) < math.tanh(0.5 * (group.circumradius + 0.53)) < lyapunov._GUARD_R
+
+
 def test_geodesic_requires_positive_R(group, rep22):
     with pytest.raises(LyapunovError):
         geodesic_rate(rep22, group, 0.1, 0.0, [1.0, 0.0])
@@ -465,7 +508,7 @@ _RAY_ESTIMATORS = {
 
 @pytest.mark.parametrize(
     "R, spacing",
-    [(0.0, 0.05), (-5.0, 0.05), (math.nan, 0.05), (math.inf, 0.05),
+    [(0.0, 0.05), (-5.0, 0.05), (math.nan, 0.05), (math.inf, 0.05), (1e308, 0.05),
      (2.0, -1.0), (2.0, 0.0), (2.0, math.nan), (2.0, 0.06)],
 )
 @pytest.mark.parametrize("name", sorted(_RAY_ESTIMATORS))
@@ -506,6 +549,21 @@ def test_interval_full_space_brackets_axes(group, rep22):
     thetas, rates = geodesic_norm_rates(rep22, group, 30.0, 128)
     assert b <= float(np.mean(rates)) + 0.02
     assert a >= -0.05
+
+
+def test_interval_complex_line_zero_width(group, fuchsian):
+    # a complex phase does not change |M v|, so the complex line span(e1),
+    # a real circle of unit vectors, has one rate
+    a, b = expansion_interval(fuchsian, group, 20.0, np.array([1.0, 0.0]))
+    assert b - a <= 1e-12
+
+
+def test_interval_three_space_contains_axis_rates(group):
+    rep = diagonal_representation([2.0, 1.0, 0.5])
+    a, b = expansion_interval(rep, group, 20.0, np.eye(3))
+    for axis in np.eye(3):
+        rate, same = expansion_interval(rep, group, 20.0, axis)
+        assert rate == same and a - 1e-9 <= rate <= b + 1e-9
 
 
 def test_interval_preconditions(group, rep22):

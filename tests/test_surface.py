@@ -15,6 +15,8 @@ from hyplyap.surface import (
     track,
 )
 
+from scalar_reduction import contains, side_violations
+
 
 @pytest.fixture(scope="module")
 def group():
@@ -180,9 +182,20 @@ def test_tiling_random_points(group):
         r = 0.999 * math.sqrt(rng.random())
         z = r * cmath.exp(2j * math.pi * rng.random())
         rep, word = locate(z, group)
-        assert min(group.side_violations(rep.z)) >= -1e-9
+        assert min(side_violations(group, rep.z)) >= -1e-9
         back = word.evaluate(group)(rep.z)
         assert abs(back - z) <= 1e-9 * max(1.0, 1.0 / (1.0 - abs(z)))
+
+
+def test_locate_at_edge_of_disc(group):
+    # |z| = 1 - 2e-15 (hyperbolic radius 34.5): the point is known only to
+    # about e^34 eps, so its word is not compared with the scalar loop's;
+    # each reduction must settle within the kernel's 64 rounds, one letter
+    # per round, and land in the octagon
+    rng = np.random.default_rng(20151212)
+    for phi in 2.0 * math.pi * rng.random(2000):
+        rep, word = locate((1.0 - 2e-15) * cmath.exp(1j * phi), group)
+        assert contains(group, rep.z) and len(word) <= 64, phi
 
 
 def test_locate_deterministic_near_boundary(group):
