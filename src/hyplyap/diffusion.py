@@ -12,13 +12,17 @@ so E[rho^2] = 4 t for small t and the radial drift is asymptotically 1.
 Every walker takes one increment per step: the normals (n1, n2) give a
 jump of length sqrt(2 dt) |n| and direction n / |n|, and no angle is
 formed.  All normals are drawn in one place, `_normals`: the steps of an
-n-walker ensemble come in blocks of k, each one
-gen.standard_normal((k, 2, n)) draw, bit for bit the normals of k
-successive (2, n) draws.  A block spans at most 0.5 time units and holds
+n-walker ensemble come in blocks of k, cut from gen.standard_normal((K, 2,
+n)) draws of one or more blocks, bit for bit the normals of k successive
+(2, n) draws.  A block spans at most 0.5 time units and holds
 at most 2**13 normals, so an ensemble of 4096 walkers or more takes one
-step per block.  The polar walker steps through a block row by row, the
-raw-chart ensemble walkers form a block's jumps at once, so each step is
-one Mobius move, and the scalar sample_path takes blocks of one walker.
+step per block.  With more than one usable CPU, a long walk has its
+blocks drawn one chunk ahead by a worker thread while it steps through
+the current chunk: drawing and stepping each take about half of a
+path-step at large n, and numpy releases the GIL in both.  The draws are
+the same either way.  The polar walker steps through a block row by row,
+the raw-chart ensemble walkers form a block's jumps at once, so each step
+is one Mobius move, and the scalar sample_path takes blocks of one walker.
 The jump is applied in one of two coordinate charts.
 The raw chart stores points of the disc and is limited to horizons
 t <~ 30, where the double-precision gap to the unit circle still resolves
@@ -31,8 +35,10 @@ each interval between checkpoints, so it lands on every checkpoint.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -66,6 +72,9 @@ __all__ = [
 ]
 
 MAX_STEP = 0.05
+# per-path step counts past this are refused: a walk or ray that long is a
+# mistyped horizon, not a run that ends
+MAX_STEP_COUNT = 10**7
 
 # raw-coordinate positions are rejected past this radius; callers needing
 # longer horizons must use the polar walker
@@ -164,8 +173,9 @@ def _check_step_params(t_max: float, step: float):
         raise DiffusionError(f"t_max must be finite and >= 0, got {t_max}")
     if not (math.isfinite(step) and 0.0 < step <= MAX_STEP):
         raise DiffusionError(f"step must lie in (0, {MAX_STEP}], got {step}")
-    if not math.isfinite(t_max / step):
-        raise DiffusionError(f"t_max / step must be finite, got {t_max} / {step}")
+    if not t_max / step <= MAX_STEP_COUNT:
+        raise DiffusionError(f"t_max / step must be finite and at most {MAX_STEP_COUNT:,}, "
+                             f"got {t_max} / {step}")
 
 
 def _time_grid(t_max: float, step: float):
@@ -214,21 +224,70 @@ _TINY = np.finfo(float).tiny
 # one draw per step at n >= 1000 walkers)
 _BLOCK_TIME = 0.5
 _BLOCK_NORMALS = 1 << 13
+# a walk that draws ahead on a worker draws its blocks in chunks of at most
+# this many normals (or of one block, if a block holds more).  Each chunk
+# costs a thread hand-off, which waits on the GIL when the walk's arrays are
+# too small for numpy to release it: 2**14 and 2**15 slowed a 400-walker
+# polar walk by 10-15%, 2**16 by 2-12%; 2**17 sped that walk up but gained
+# less on short walks, whose first chunk is never drawn ahead
+_CHUNK_NORMALS = 1 << 16
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _normals(gen, n, t_max, step):
     """The one draw of every walker: (n1, n2, scale) blocks for the steps
     of an n-walker ensemble on _time_grid(t_max, step), of shapes (k, n),
     (k, n) and (k, 1); row j of a block is one step, whose jump is
-    scale[j] * (n1[j], n2[j]).  One gen.standard_normal((k, 2, n)) draw is
-    bit for bit k successive (2, n) draws, and the per-row scale covers a
-    short last step."""
+    scale[j] * (n1[j], n2[j]).  The per-row scale covers a short last step.
+
+    Blocks are drawn in chunks of consecutive steps, one
+    gen.standard_normal((K, 2, n)) draw each, which is bit for bit K
+    successive (2, n) draws, so the blocks do not depend on the chunking.
+    Chunk 0 is drawn inline.  While the caller steps through chunk j,
+    chunk j + 1 is drawn: on a one-worker thread pool when the walk has
+    at least two chunks of _CHUNK_NORMALS and more than one CPU is usable
+    (numpy's normal fill and the step's ufunc loops release the GIL), else
+    inline, one block per chunk.  Either way:
+    - only one thread touches gen at any time: the caller never draws
+      while a draw is pending;
+    - no chunk is drawn that the walk does not consume, so after a full
+      walk gen stands where per-step draws would leave it;
+    - on early exit (an exception in the caller, or close()), the pending
+      draw is waited for before the generator returns;
+    - an error in the worker's draw is raised in the caller by result().
+    """
     dts = np.diff(_time_grid(t_max, step))
+    scales = np.sqrt(2.0 * dts)[:, None]
     k = max(1, min(round(_BLOCK_TIME / step), _BLOCK_NORMALS // (2 * n)))
-    for s in range(0, dts.size, k):
-        scale = np.sqrt(2.0 * dts[s : s + k, None])
-        draw = gen.standard_normal((scale.shape[0], 2, n))
-        yield draw[:, 0], draw[:, 1], scale
+    c = k * max(1, _CHUNK_NORMALS // (2 * n * k))
+    pool = None
+    if dts.size > c and _usable_cpus() > 1:
+        # imported here: concurrent.futures adds about 6 ms to every cold start
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1)
+    else:
+        # drawing inline, a chunk bigger than a block only adds cache misses
+        c = k
+
+    def draw(s):
+        return gen.standard_normal((min(c, dts.size - s), 2, n))
+
+    with pool or contextlib.nullcontext():
+        pending = None
+        for s in range(0, dts.size, c):
+            chunk = draw(s) if pending is None else pending.result()
+            if pool and s + c < dts.size:
+                pending = pool.submit(draw, s + c)
+            for b in range(0, chunk.shape[0], k):
+                yield chunk[b : b + k, 0], chunk[b : b + k, 1], scales[s + b : s + b + k]
 
 
 def _disc_jumps(gen, n, t_max, step):

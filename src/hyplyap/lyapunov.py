@@ -53,6 +53,7 @@ import numpy as np
 
 from .cocycle import _MatrixAccumulator, cocycle_of_word, specialize
 from .diffusion import (
+    MAX_STEP_COUNT,
     CheckReport,
     RngStream,
     _check_step_params,
@@ -151,8 +152,9 @@ def _geodesic_matrices(rep, group, thetas, R, spacing):
     with direction transport and reduced lazily, as in _brownian_walk."""
     if not (math.isfinite(spacing) and 0.0 < spacing <= _GEODESIC_SPACING + 1e-12):
         raise LyapunovError(f"geodesic tracking needs 0 < spacing <= {_GEODESIC_SPACING}")
-    if not (math.isfinite(R / spacing) and R > 0.0):
-        raise LyapunovError(f"geodesic tracking needs R > 0 and a finite R / spacing, got {R}")
+    if not (R > 0.0 and R / spacing <= MAX_STEP_COUNT):
+        raise LyapunovError(f"geodesic tracking needs R > 0 and R / spacing finite and at most "
+                            f"{MAX_STEP_COUNT:,}, got {R} / {spacing}")
     data = group._layout
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.size

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -290,14 +291,18 @@ def test_step_past_max_exits_1_on_every_route(tmp_path, capsys, method):
 
 @pytest.mark.parametrize("method", ["brownian", "geodesic", "diffusion"])
 def test_overflowing_step_count_exits_1(tmp_path, capsys, method):
-    # horizon / step overflows to inf: every route refuses it before it
-    # counts its steps
-    cfg = "[run]\nmethod = %s\nn_dirs = 8\noutput = %s\n" % (method, tmp_path / "h")
-    rc = run_cli(["run", write_config(tmp_path, cfg), "--horizon", "1e308"])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "error:" in err and "finite" in err and "Traceback" not in err
-    assert not (tmp_path / "h.csv").exists()
+    # horizon / step overflows to inf, or is finite but past MAX_STEP_COUNT:
+    # every route refuses it before it lays out or takes its steps
+    cfg = write_config(
+        tmp_path, "[run]\nmethod = %s\nn_dirs = 8\noutput = %s\n" % (method, tmp_path / "h"))
+    for horizon in ("1e308", "1e9"):
+        t0 = time.perf_counter()
+        rc = run_cli(["run", cfg, "--horizon", horizon])
+        assert time.perf_counter() - t0 < 10.0, horizon
+        err = capsys.readouterr().err
+        assert rc == 1, horizon
+        assert "error:" in err and "finite and at most" in err and "Traceback" not in err
+        assert not (tmp_path / "h.csv").exists()
 
 
 @pytest.mark.parametrize("method", ["brownian", "diffusion"])
@@ -343,14 +348,34 @@ assert not loaded, loaded
 """
 
 
+_COLD_IMPORT_SCRIPT = """
+import sys
+import hyplyap.cli
+
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")
+assert not loaded, loaded
+"""
+
+
+def _run_fresh(script, *args):
+    """Run script in a fresh interpreter on this checkout's sources."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_diagnostics_import_no_scipy(tmp_path):
     # a cold start of the diagnostics suites pulls in numpy alone: scipy is a
     # test dependency, not a runtime one
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(_NO_SCIPY_SCRIPT, str(tmp_path))
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # the walkers import the thread pool they draw ahead on when they first
+    # start one; a cold start that walks nothing does not pay for it
+    _run_fresh(_COLD_IMPORT_SCRIPT)
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
