@@ -52,7 +52,6 @@ from .diffusion import (
 )
 from .cocycle import (
     CocycleError,
-    CocycleValue,
     Representation,
     Specialization,
     cocycle_of_word,

@@ -394,25 +394,24 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         res = group.relator_residual()
         add("octagon_relator", res, 0.0, 1e-8, res <= 1e-8)
     elif name == "cocycle":
-        # every path starts at the origin, whose word is empty, so the words
-        # of the whole path and of its head are those of its two points
+        # every located point must map back to itself under its word, with a
+        # representative inside the octagon's circumscribed disc; the origin,
+        # a path of length 0, has the empty word
         paths = [sample_path(DiscPoint.origin(), 2.0, 0.05, rng.child(i)) for i in range(100)]
         still = sample_path(DiscPoint.origin(), 0.0, 0.05, rng.child(1000))
         points = [p.points[len(p.points) // 2] for p in paths] + [p.end for p in paths]
-        _, words = _locate_all(points + [still.end], group)
-        worst_split = 0.0
-        for head, full in zip(words[:100], words[100:200]):
-            full_v = cocycle_of_word(rep, full)
-            prod = cocycle_of_word(rep, full * head.inverse()) @ cocycle_of_word(rep, head)
-            worst_split = max(
-                worst_split,
-                float(np.max(np.abs(full_v.matrix - prod.matrix)))
-                + abs(full_v.log_scale - prod.log_scale),
-            )
+        points.append(still.end)
+        reps, words = _locate_all(points, group)
+        roundtrip = max(
+            abs(word.evaluate(group)(complex(r)) - p.z)
+            for r, word, p in zip(reps, words, points)
+        )
+        outside = float(np.max(np.abs(reps))) - math.tanh(0.5 * group.circumradius)
         ident = cocycle_of_word(rep, words[200])
-        ident_err = float(np.max(np.abs(ident.matrix - np.eye(rep.dim))))
+        ident_err = float(np.max(np.abs(ident - np.eye(rep.dim))))
         add("identity_law", ident_err, 0.0, 1e-10, ident_err <= 1e-10)
-        add("multiplicative_law", worst_split, 0.0, 1e-10, worst_split <= 1e-10)
+        add("locate_roundtrip", roundtrip, 0.0, 1e-9,
+            roundtrip <= 1e-9 and outside <= 1e-12)
     elif name == "semigroup":
         for i, (f, t, s) in enumerate(
             (

@@ -7,14 +7,14 @@ system is trivialized over the fundamental octagon), so values depend only
 on the homotopy class and the homotopy law holds exactly for exact
 representations.
 
-All downstream consumers read log-norms through CocycleValue, never raw
-matrix norms: products carry a separate log-scale accumulator that absorbs
-overflow past 1e300.
-
-`_MatrixAccumulator` is the algebra layer of the vectorized ensemble engine:
+A word's product, `cocycle_of_word`, is a plain matrix: the words it
+multiplies are a point's reduction word or a specialization's base word, a
+handful of letters.  `_MatrixAccumulator` is the only product with a
+log-scale spill.  It is the algebra layer of the vectorized ensemble engine:
 it folds the deck letters that `surface._reduce_ensemble` emits into one
-cocycle product per walker.  `Specialization.values` runs the two on a
-whole array of points, and `Specialization.__call__` on one.
+cocycle product per walker, over paths of any length.
+`Specialization.values` runs the two on a whole array of points, and
+`Specialization.__call__` on one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .surface import DeckWord, FuchsianGroup, _GroupData, _reduce_ensemble, loca
 __all__ = [
     "CocycleError",
     "Representation",
-    "CocycleValue",
     "Specialization",
     "RegularityReport",
     "cocycle_of_word",
@@ -41,7 +40,6 @@ __all__ = [
     "estimate_regularity",
 ]
 
-_RESCALE_THRESHOLD = 1e300
 _EXACTNESS_TOL = 1e-8
 # separation bins of estimate_regularity's upper envelope
 _REGULARITY_BINS = 12
@@ -109,10 +107,6 @@ class Representation:
                 f"values would depend on the word, not the homotopy class"
             )
 
-    def identity_value(self) -> "CocycleValue":
-        dtype = np.float64 if self.field == "real" else np.complex128
-        return CocycleValue(np.eye(self.dim, dtype=dtype), 0.0)
-
 
 def _relator_residual(images, inverses, group: Optional[FuchsianGroup]) -> float:
     word = group.relator if group is not None else _STANDARD_RELATOR
@@ -149,64 +143,29 @@ def trivial_representation(dim: int, field: str = "real") -> Representation:
     return Representation.from_matrices(dim, field, [eye, eye, eye, eye])
 
 
-@dataclass(frozen=True)
-class CocycleValue:
-    """Matrix together with a log-scale accumulator (matrix * exp(log_scale))."""
+def cocycle_of_word(rep: Representation, word: DeckWord) -> np.ndarray:
+    """Ordered product of generator images along the word; empty -> identity.
 
-    matrix: np.ndarray
-    log_scale: float = 0.0
-
-    def rescaled(self) -> "CocycleValue":
-        norm = np.max(np.abs(self.matrix))
-        if norm > _RESCALE_THRESHOLD:
-            return CocycleValue(self.matrix / norm, self.log_scale + math.log(norm))
-        return self
-
-    def __matmul__(self, other: "CocycleValue") -> "CocycleValue":
-        a, b = self, other
-        na = float(np.max(np.abs(a.matrix)))
-        nb = float(np.max(np.abs(b.matrix)))
-        if not (na * nb <= _RESCALE_THRESHOLD):
-            # rescale the operands first so the product itself cannot overflow
-            if na > 1.0:
-                a = CocycleValue(a.matrix / na, a.log_scale + math.log(na))
-            if nb > 1.0:
-                b = CocycleValue(b.matrix / nb, b.log_scale + math.log(nb))
-        return CocycleValue(a.matrix @ b.matrix, a.log_scale + b.log_scale).rescaled()
-
-    def log_vector_growth(self, v) -> float:
-        """log(|A v| / |v|), scale-safe."""
-        v = np.asarray(v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise CocycleError("direction vector must be nonzero")
-        return float(
-            math.log(np.linalg.norm(self.matrix @ v) / nv) + self.log_scale
-        )
-
-    def log_operator_norm(self) -> float:
-        return float(math.log(np.linalg.norm(self.matrix, 2)) + self.log_scale)
-
-    def log_abs_det(self) -> float:
-        sign, logdet = np.linalg.slogdet(self.matrix)
-        return float(logdet + self.matrix.shape[0] * self.log_scale)
-
-    def apply(self, v) -> np.ndarray:
-        """A v without the scale factor; use log_vector_growth for sizes."""
-        return self.matrix @ np.asarray(v)
-
-
-def cocycle_of_word(rep: Representation, word: DeckWord) -> CocycleValue:
-    """Ordered product of generator images along the word; empty -> identity."""
+    No log-scale spill: a product that leaves the float range raises, since
+    long products belong to the ensemble accumulator."""
     rep.require_exact()
-    out = rep.identity_value()
-    for letter in word.letters:
-        out = out @ CocycleValue(rep.image(letter))
-    return out
+    m = np.eye(rep.dim, dtype=np.float64 if rep.field == "real" else np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for letter in word.letters:
+            m = m @ rep.image(letter)
+    if not np.all(np.isfinite(m)):
+        raise CocycleError(
+            f"product of a {len(word)}-letter word is not finite; long products "
+            f"belong to the ensemble accumulator (_MatrixAccumulator)"
+        )
+    return m
 
 
 class _MatrixAccumulator:
-    """Per-path cocycle products M_p with log-scale spill.
+    """Per-path cocycle products M_p with log-scale spill, the only product
+    that spills: the true product is m * exp(log_scale), and `rescale`
+    moves any walker's matrix past the threshold into log_scale at points
+    the caller chooses.
 
     Letters arrive in crossing order, i.e. as right factors of M_p.
     """
@@ -240,8 +199,8 @@ class _MatrixAccumulator:
         return np.log(s[:, 0]) + self.log_scale
 
 
-def evaluate(rep: Representation, path, group: FuchsianGroup) -> CocycleValue:
-    """Cocycle value of a discretized leafwise path."""
+def evaluate(rep: Representation, path, group: FuchsianGroup) -> np.ndarray:
+    """Cocycle matrix of a discretized leafwise path."""
     return cocycle_of_word(rep, track(path, group))
 
 
@@ -270,15 +229,15 @@ class Specialization:
         acc = _MatrixAccumulator(self.rep, self.group._layout, z.size)
         _reduce_ensemble(self.group._layout, z, acc=acc)
         base_inv = cocycle_of_word(self.rep, self.base_word.inverse())
-        acc.m = acc.m @ base_inv.matrix
-        return acc.log_vector_growth(self.direction) + base_inv.log_scale
+        acc.m = acc.m @ base_inv
+        return acc.log_vector_growth(self.direction)
 
 
 def convert_direction(rep: Representation, u, eta, group: FuchsianGroup) -> np.ndarray:
     """[A(path 0 -> eta, 1) u]: the direction pairing with specializations
     rebased at the lift eta (the first conversion rule's v)."""
     _, word = locate(eta, group)
-    v = cocycle_of_word(rep, word).apply(np.asarray(u))
+    v = cocycle_of_word(rep, word) @ np.asarray(u)
     return v / np.linalg.norm(v)
 
 

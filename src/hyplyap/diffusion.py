@@ -178,12 +178,18 @@ def _check_step_params(t_max: float, step: float):
                              f"got {t_max} / {step}")
 
 
-def _time_grid(t_max: float, step: float):
+def _step_count(t_max: float, step: float) -> int:
+    """Steps of _time_grid(t_max, step), counted without building it."""
     n_full = int(t_max / step)
-    times = [i * step for i in range(n_full + 1)]
-    if times[-1] < t_max - 1e-12:
-        times.append(t_max)
-    return times
+    return n_full + (n_full * step < t_max - 1e-12)
+
+
+def _time_grid(t_max: float, step: float) -> np.ndarray:
+    """The multiples of step up to t_max, then t_max itself unless the last
+    multiple lies within 1e-12 of it."""
+    n_full = int(t_max / step)
+    grid = np.arange(n_full + 1) * step
+    return np.append(grid, t_max) if _step_count(t_max, step) > n_full else grid
 
 
 def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
@@ -197,7 +203,7 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
     _check_step_params(t_max, step)
     gen = _resolve_rng(rng)
     z0 = start.z if isinstance(start, DiscPoint) else complex(start)
-    times = _time_grid(t_max, step)
+    times = tuple(_time_grid(t_max, step).tolist())
     points = [DiscPoint(z0.real, z0.imag)]
     z = z0
     for n1, n2, scale in _normals(gen, 1, t_max, step):
@@ -209,7 +215,7 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
                     "for horizons beyond t ~ 30"
                 )
             points.append(DiscPoint(z.real, z.imag))
-    return LeafPath(tuple(times), tuple(points), step)
+    return LeafPath(times, tuple(points), step)
 
 
 # ------------------------------------------------------------- increments

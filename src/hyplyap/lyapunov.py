@@ -61,7 +61,7 @@ from .diffusion import (
     _disc_step,
     _disc_walk_endpoints,
     _mean_se,
-    _time_grid,
+    _step_count,
     pairwise_sum,
     sample_polar_endpoints,
     polar_separation,
@@ -129,7 +129,7 @@ def _brownian_walk(data, acc, gen, n, t, step, start=0j):
     _check_step_params(t, step)
     z = np.full(n, complex(start))
     _reduce_ensemble(data, z)  # initial reduction: not part of the word
-    steps = len(_time_grid(t, step)) - 1
+    steps = _step_count(t, step)
     for i, xi in enumerate(_disc_jumps(gen, n, t, step), start=1):
         z = _disc_step(z, xi)
         _reduce_ensemble(data, z, acc=acc, skip_r=_lazy_skip(i, steps, step))
@@ -712,7 +712,7 @@ def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckRepo
     # M_p = rho(delta) while A(eta -> z) = rho(w) rho(delta) rho(w)^-1; with
     # v = [rho(w) u], log |A v| / |v| = log |rho(w) M_p u| - log |rho(w) u|
     acc = _brownian_matrices(rep, group, t, n_paths, step, rng.child(101), start=eta_pt.z)
-    w = cocycle_of_word(rep, locate(eta_pt, group)[1]).matrix
+    w = cocycle_of_word(rep, locate(eta_pt, group)[1])
     acc.m = w @ acc.m
     lhs_vals = acc.log_vector_growth(spec.direction)
     lhs, lhs_se = _mean_se(lhs_vals - math.log(np.linalg.norm(w @ spec.direction)))

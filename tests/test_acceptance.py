@@ -85,7 +85,7 @@ def test_criterion_01_cocycle_laws(group, rep22):
 
         zero = evaluate(rep22, path.subpath(0, 0), group)
         worst_identity = max(
-            worst_identity, float(np.max(np.abs(zero.matrix - np.eye(2))))
+            worst_identity, float(np.max(np.abs(zero - np.eye(2))))
         )
 
         mid = len(path.points) // 2
@@ -95,8 +95,7 @@ def test_criterion_01_cocycle_laws(group, rep22):
         )
         worst_split = max(
             worst_split,
-            float(np.max(np.abs(full_v.matrix - prod.matrix)))
-            + abs(full_v.log_scale - prod.log_scale),
+            float(np.max(np.abs(full_v - prod))),
         )
 
         refined = _insert_geodesic_midpoints(path.points)
@@ -107,7 +106,7 @@ def test_criterion_01_cocycle_laws(group, rep22):
         else:
             v2 = evaluate(rep22, _PathView(refined), group)
             worst_homotopy = max(
-                worst_homotopy, float(np.max(np.abs(full_v.matrix - v2.matrix)))
+                worst_homotopy, float(np.max(np.abs(full_v - v2)))
             )
     passed = max(worst_identity, worst_split, worst_homotopy) <= 1e-10
     line = report(

@@ -12,11 +12,15 @@ import pytest
 from hyplyap.cli import (
     ConfigError,
     ExperimentConfig,
+    _execute,
     apply_flag_overrides,
+    build_representation,
     main,
     parse_config_text,
     read_spectrum_csv,
+    run_validation,
 )
+from hyplyap.surface import build_genus2
 
 GOOD_CONFIG = """
 [surface]
@@ -395,9 +399,9 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 def test_fuchsian_config_matches_generators():
     from hyplyap.cocycle import fuchsian_representation
-    from hyplyap.surface import build_genus2
 
-    cfg = parse_config_text(open(os.path.join(CONFIGS, "fuchsian.cfg")).read())
+    with open(os.path.join(CONFIGS, "fuchsian.cfg")) as fh:
+        cfg = parse_config_text(fh.read())
     rep = fuchsian_representation(build_genus2())
     for got, want in zip(cfg.matrices, rep.images):
         assert np.array_equal(got, want)
@@ -497,7 +501,27 @@ def test_validate_subcommand_cocycle(tmp_path, capsys, monkeypatch):
     rc = run_cli(["validate", "cocycle"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "[pass] multiplicative_law" in out
+    assert "[pass] identity_law" in out
+    assert "[pass] locate_roundtrip" in out
+
+
+def test_validate_cocycle_catches_wrong_letters(tmp_path, capsys):
+    # a letter log that names the wrong generator for two sides leaves the
+    # representatives right but their words wrong: the round trip fails
+    cfg = ExperimentConfig(method="validate:cocycle", n_paths=100, seed=0,
+                           output=str(tmp_path / "c"))
+    cfg.matrices = (np.diag([2.0, 0.5]), np.eye(2), np.eye(2), np.eye(2))
+    group = build_genus2()
+    rep = build_representation(cfg, group)
+    assert _execute(cfg, group, rep) == 0
+    letters = group._layout.letters
+    letters[0], letters[1] = letters[1], letters[0]
+    rows = {c["name"]: c for c in run_validation(cfg, group, rep)}
+    assert rows["identity_law"]["passed"] and not rows["locate_roundtrip"]["passed"]
+    assert rows["locate_roundtrip"]["lhs"] > 1e-3
+    capsys.readouterr()
+    assert _execute(cfg, group, rep) == 2
+    assert "[FAIL] locate_roundtrip" in capsys.readouterr().out
 
 
 def test_validate_writes_summary_equal_to_stdout(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from hyplyap.cocycle import (
     CocycleError,
-    CocycleValue,
     Representation,
     cocycle_of_word,
     diagonal_representation,
@@ -112,7 +111,7 @@ def test_complex_field_rep(group):
     rep = Representation.from_matrices(2, "complex", [u, np.eye(2), np.eye(2), np.eye(2)], group)
     assert rep.exact
     val = cocycle_of_word(rep, DeckWord((1, 1)))
-    assert val.log_vector_growth(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.norm(val @ np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fuchsian_rep_is_exact_with_distance_norms(group):
@@ -123,7 +122,7 @@ def test_fuchsian_rep_is_exact_with_distance_norms(group):
     gen = np.random.default_rng(5)
     for _ in range(20):
         word = DeckWord(tuple(int(gen.choice([1, 2, 3, 4, -1, -2, -3, -4])) for _ in range(6)))
-        got = cocycle_of_word(rep, word).log_operator_norm()
+        got = math.log(np.linalg.norm(cocycle_of_word(rep, word), 2))
         assert got == pytest.approx(0.5 * dist_P(0j, word.evaluate(group)(0j)), abs=1e-9)
 
 
@@ -132,13 +131,12 @@ def test_fuchsian_rep_is_exact_with_distance_norms(group):
 
 def test_empty_word_is_identity(rep22):
     val = cocycle_of_word(rep22, DeckWord())
-    assert np.allclose(val.matrix, np.eye(2))
-    assert val.log_scale == 0.0
+    assert np.array_equal(val, np.eye(2))
 
 
 def test_single_letter(rep22):
     val = cocycle_of_word(rep22, DeckWord((1,)))
-    assert np.allclose(val.matrix, np.diag([2.0, 0.5]))
+    assert np.allclose(val, np.diag([2.0, 0.5]))
 
 
 def test_two_letter_product_matches_direct(group):
@@ -149,34 +147,24 @@ def test_two_letter_product_matches_direct(group):
     rep = Representation.from_matrices(2, "real", [r1, r1 @ r1, np.eye(2), np.eye(2)], group)
     val = cocycle_of_word(rep, DeckWord((2, 1)))
     direct = rep.images[1] @ rep.images[0]
-    assert np.allclose(val.matrix, direct, atol=1e-12)
+    assert np.allclose(val, direct, atol=1e-12)
 
 
 def test_inverse_letters(rep22):
     val = cocycle_of_word(rep22, DeckWord((-1,)))
-    assert np.allclose(val.matrix, np.diag([0.5, 2.0]))
+    assert np.allclose(val, np.diag([0.5, 2.0]))
 
 
-def test_overflow_guard():
-    big = CocycleValue(np.diag([1e200, 1e-200]))
-    prod = big @ big
-    # product norm would be 1e400: absorbed into the log scale
-    assert np.all(np.isfinite(prod.matrix))
-    assert prod.log_vector_growth(np.array([1.0, 0.0])) == pytest.approx(
-        400.0 * math.log(10.0), rel=1e-12
-    )
-
-
-def test_products_spill_into_log_scale():
-    # 6e149 * 1e150 <= 1e300 passes the operand guard, but the product's
-    # entries, 1.2e300, are past the threshold: rescaled() spills them
-    prod = CocycleValue(np.full((2, 2), 6e149)) @ CocycleValue(np.full((2, 2), 1e150))
-    assert prod.log_scale > 0.0 and np.max(np.abs(prod.matrix)) == 1.0
-    assert prod.log_operator_norm() == pytest.approx(math.log(2.4e300), rel=1e-12)
-    # a 70-letter word of diag(1e5, 1e-5) has norm 1e350
+def test_long_word_product_raises():
+    # a 70-letter word of diag(1e5, 1e-5) has norm 1e350: a word's product
+    # has no log-scale spill, so it raises (without a RuntimeWarning)
+    # instead of returning inf
     rep = Representation.from_matrices(2, "real", [np.diag([1e5, 1e-5])] * 4)
-    value = cocycle_of_word(rep, DeckWord((1,) * 70))
-    assert value.log_operator_norm() == pytest.approx(70.0 * math.log(1e5), rel=1e-12)
+    with pytest.raises(CocycleError, match="ensemble accumulator"):
+        cocycle_of_word(rep, DeckWord((1,) * 70))
+    # 61 letters, norm 1e305, are still a finite product
+    value = cocycle_of_word(rep, DeckWord((1,) * 61))
+    assert math.log(np.linalg.norm(value, 2)) == pytest.approx(61.0 * math.log(1e5), rel=1e-12)
 
 
 # ------------------------------------------------------------ path values
@@ -186,8 +174,7 @@ def test_trivial_rep_any_path(group):
     rep = trivial_representation(3)
     path = sample_path(DiscPoint.origin(), 3.0, 0.05, RngStream(77))
     val = evaluate(rep, path, group)
-    assert np.allclose(val.matrix, np.eye(3))
-    assert val.log_scale == 0.0
+    assert np.array_equal(val, np.eye(3))
 
 
 def test_split_path_multiplicative_law(group, rep22):
@@ -198,9 +185,7 @@ def test_split_path_multiplicative_law(group, rep22):
         tail = path.subpath(mid, len(path.points) - 1)
         full_v = evaluate(rep22, path, group)
         prod = evaluate(rep22, tail, group) @ evaluate(rep22, head, group)
-        err = np.max(np.abs(full_v.matrix - prod.matrix)) + abs(
-            full_v.log_scale - prod.log_scale
-        )
+        err = np.max(np.abs(full_v - prod))
         assert err <= 1e-10, f"path {i}: split error {err}"
 
 
@@ -209,8 +194,7 @@ def test_homotopy_law_rediscretization(group, rep22):
     target = word_target(group, (1, -3, 2))
     v1 = evaluate(rep22, sample_geodesic(0j, target, 0.05), group)
     v2 = evaluate(rep22, sample_geodesic(0j, target, 0.02), group)
-    assert np.array_equal(v1.matrix, v2.matrix)
-    assert v1.log_scale == v2.log_scale
+    assert np.array_equal(v1, v2)
 
 
 def test_determinant_additivity(group):
@@ -229,7 +213,7 @@ def test_determinant_additivity(group):
             math.copysign(1.0, l) * math.log(abs(np.linalg.det(rep.images[abs(l) - 1])))
             for l in word.letters
         )
-        assert val.log_abs_det() == pytest.approx(expected, abs=1e-9)
+        assert np.linalg.slogdet(val)[1] == pytest.approx(expected, abs=1e-9)
 
 
 # -------------------------------------------------------- specializations

@@ -32,7 +32,14 @@ from hyplyap.diffusion import (
     sample_polar_endpoints,
     smoothed_dist_field,
 )
-from hyplyap.diffusion import _disc_jump, _disc_step, _disc_step_scalar, _polar_step
+from hyplyap.diffusion import (
+    _disc_jump,
+    _disc_step,
+    _disc_step_scalar,
+    _polar_step,
+    _step_count,
+    _time_grid,
+)
 from hyplyap.hypgeo import DiscPoint, dist_P
 
 
@@ -221,6 +228,28 @@ def test_zero_increment_is_identity():
     assert np.array_equal(_disc_step(z, _disc_jump(zero[:3], zero[:3], 0.3)), z)
     for zk in z:
         assert _disc_step_scalar(complex(zk), 0.0, 0.0, 0.3) == zk
+
+
+def _list_time_grid(t_max, step):
+    """The time grid as a Python list, the reference for _time_grid."""
+    n_full = int(t_max / step)
+    times = [i * step for i in range(n_full + 1)]
+    if times[-1] < t_max - 1e-12:
+        times.append(t_max)
+    return times
+
+
+@pytest.mark.parametrize("t_max, step", [
+    (0.37, 0.03), (123.456, 0.017), (1.0, 0.05), (80.0, 0.05), (0.0, 0.05),
+    (0.3, 0.1), (60.0, 0.01),
+    (1.02, 0.05),  # a short last step of 0.02
+])
+def test_time_grid_matches_list_formula(t_max, step):
+    want = _list_time_grid(t_max, step)
+    grid = _time_grid(t_max, step)
+    assert tuple(grid.tolist()) == tuple(want)
+    assert _step_count(t_max, step) == len(want) - 1
+    assert np.array_equal(np.diff(grid), np.diff(want))
 
 
 def test_checkpoint_walk_draws_one_pair_per_grid_step():
