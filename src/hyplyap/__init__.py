@@ -46,6 +46,7 @@ from .diffusion import (
     heat_kernel,
     heat_kernel_mass,
     real_part_field,
+    sample_heat_endpoints,
     sample_path,
     sample_polar_endpoints,
     smoothed_dist_field,

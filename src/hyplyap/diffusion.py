@@ -3,13 +3,31 @@ Poincare disc, plus the heat kernel and diffusion-operator checks.
 
 Generator convention
 --------------------
-The sampler realizes the diffusion whose generator is Delta, NOT Delta/2
+The samplers realize the diffusion whose generator is Delta, NOT Delta/2
 (probabilist libraries default to the latter).  Concretely a step of size dt
 is a geodesic jump by the polar Gaussian increment
 (sqrt(2 dt) N1, sqrt(2 dt) N2) in normal coordinates at the current point,
 so E[rho^2] = 4 t for small t and the radial drift is asymptotically 1.
 
-Every walker takes one increment per step: the normals (n1, n2) give a
+Two samplers, two draw sites
+----------------------------
+- Step walkers (`sample_polar_endpoints`, the raw-chart walkers of the
+  matrix routes, `sample_path`) take a geodesic random walk at `step` and
+  draw their normals in `_normals`.  The walk's radial drift is
+  1 - dt/3 + O(dt^2), not 1 (Jorgensen, Z. Wahrsch. verw. Geb. 32 (1975)).
+  `validate drift` and `validate uniformity` check this walk, because the
+  matrix routes integrate it.
+- The exact checkpoint sampler (`sample_heat_endpoints`) reads the
+  ensemble only at checkpoints and jumps from one to the next in one
+  step: a length from the radial law 2 pi sinh(rho) K(rho, gap) through a
+  cached inverse-CDF table of `heat_kernel`, and a uniform angle, both from
+  one uniform (2, n) draw per gap.  It carries no step bias.  `diffuse` and
+  so the semigroup, Dynkin and circle checks, and `shadowing_report` use
+  it.  Semigroup then tests Chapman-Kolmogorov of the sampled law composed
+  through `_polar_step`, and Dynkin tests that the kernel's generator is
+  Delta; the mpmath tests of `heat_kernel` anchor both.
+
+Every step walker takes one increment per step: the normals (n1, n2) give a
 jump of length sqrt(2 dt) |n| and direction n / |n|, and no angle is
 formed.  All normals are drawn in one place, `_normals`: the steps of an
 n-walker ensemble come in blocks of k, cut from gen.standard_normal((K, 2,
@@ -55,6 +73,7 @@ __all__ = [
     "SlopeReport",
     "sample_path",
     "sample_polar_endpoints",
+    "sample_heat_endpoints",
     "heat_kernel",
     "heat_kernel_mass",
     "diffuse",
@@ -645,6 +664,150 @@ def heat_kernel_mass(t: float, rho_max: Optional[float] = None) -> float:
     return float(2.0 * math.pi * hi * ((heat_kernel(rho, t) * np.sinh(rho)) @ weights))
 
 
+# ----------------------------------------------------- checkpoint jumps
+
+
+# the radial table covers [0, gap + 30 sqrt(gap) + 10] with _TABLE_PANELS
+# Gauss-Legendre panels of _TABLE_ORDER nodes, graded toward 0 (edges
+# quadratic in the panel index), and resamples each panel at _TABLE_KNOTS
+# knots for the inverse: on gaps 0.01..100 its u-error is below 1e-10 and
+# its rho-error about 1e-10 relative between the 1% and 99% quantiles.
+# heat_kernel takes _TABLE_CHUNK nodes per call, which keeps its (nodes x
+# 144) temporaries small: 1536 nodes in one call raised a diagnostics
+# process's peak memory by 13 MB.
+_TABLE_PANELS = 32
+_TABLE_ORDER = 16
+_TABLE_KNOTS = 128
+_TABLE_CHUNK = 64
+# heat_kernel's validated range of t: shorter gaps are refused, longer ones
+# are cut into equal pieces that lie inside it
+_GAP_MIN = 0.01
+_GAP_MAX = 100.0
+# jumps per walk past this are refused, as MAX_STEP_COUNT steps are
+MAX_JUMP_COUNT = 10**4
+
+
+@functools.cache
+def _knot_maps():
+    """(integral, value): matrices that take a panel's _TABLE_ORDER
+    Gauss-Legendre node values of a function to the integral of its
+    interpolant from the panel's start, and to the interpolant itself, at
+    _TABLE_KNOTS equally spaced knots ending at the panel's end, on the
+    reference panel [-1, 1]."""
+    from numpy.polynomial import legendre
+
+    x, w = legendre.leggauss(_TABLE_ORDER)
+    # the interpolant's Legendre coefficients, by Gauss quadrature of f P_k,
+    # which is exact at the interpolant's degree
+    coef = (np.arange(_TABLE_ORDER)[:, None] + 0.5) * legendre.legvander(x, _TABLE_ORDER - 1).T * w
+    knots = np.linspace(-1.0, 1.0, _TABLE_KNOTS + 1)[1:]
+    integral = legendre.legvander(knots, _TABLE_ORDER) @ legendre.legint(coef, lbnd=-1, axis=0)
+    return integral, legendre.legvander(knots, _TABLE_ORDER - 1) @ coef
+
+
+@functools.lru_cache(maxsize=64)
+def _radial_table(gap: float):
+    """Inverse CDF of the radial law 2 pi sinh(rho) K(rho, gap), the
+    distance Brownian motion travels in time gap, normalized by the table's
+    own mass.
+
+    The CDF F is known at every knot from the Gauss-Legendre interpolant of
+    the density on its panel.  rho is interpolated against s = sqrt(F),
+    which is smooth at rho = 0 where F ~ rho^2, by cubic Hermite pieces
+    with slopes 2 s / density, capped at three secants on either side
+    (Fritsch-Carlson), so every piece is increasing.  Knots past the point
+    where F rounds to 1 are dropped.  Returns the read-only (3, knots)
+    array of rows s, rho and slope.
+    """
+    hi = gap + 30.0 * math.sqrt(gap) + 10.0
+    edges = hi * np.linspace(0.0, 1.0, _TABLE_PANELS + 1) ** 2
+    nodes, _ = _gauss_legendre(edges, _TABLE_ORDER)
+    kernel = np.concatenate([heat_kernel(nodes[i : i + _TABLE_CHUNK], gap)
+                             for i in range(0, nodes.size, _TABLE_CHUNK)])
+    density = (2.0 * math.pi * np.sinh(nodes) * kernel).reshape(_TABLE_PANELS, _TABLE_ORDER)
+    integral, value = _knot_maps()
+    width = np.diff(edges)[:, None]
+    partial = 0.5 * width * (density @ integral.T)
+    cdf = (np.cumsum(partial[:, -1]) - partial[:, -1])[:, None] + partial
+    mass = cdf[-1, -1]
+    s = np.sqrt(np.concatenate([[0.0], cdf.ravel() / mass]))
+    rho = np.concatenate([[0.0], (edges[:-1, None] + width * np.arange(1, _TABLE_KNOTS + 1)
+                                  / _TABLE_KNOTS).ravel()])
+    with np.errstate(divide="ignore"):
+        slope = np.concatenate([[math.sqrt(mass / (math.pi * heat_kernel(0.0, gap)))],
+                                2.0 * mass * s[1:] / np.maximum((density @ value.T).ravel(), 0.0)])
+    keep = np.concatenate([[True], np.diff(s) > 0.0])
+    s, rho, slope = s[keep], rho[keep], slope[keep]
+    secant = np.diff(rho) / np.diff(s)
+    slope = np.minimum(slope, 3.0 * np.minimum(np.append(secant, np.inf), np.insert(secant, 0, np.inf)))
+    table = np.array([s, rho, slope])
+    table.flags.writeable = False
+    return table
+
+
+def _radial_quantile(gap, u):
+    """rho at the quantiles u in [0, 1) of the radial law at time gap: the
+    cubic Hermite piece of _radial_table(gap) at s = sqrt(u), in the
+    variable t = (s - s_i) / h on [s_i, s_i + h)."""
+    s, rho, slope = _radial_table(gap)
+    x = np.sqrt(u)
+    i = np.searchsorted(s, x, side="right") - 1
+    s0 = s[i]
+    h = s[i + 1] - s0
+    t = (x - s0) / h
+    r0 = rho[i]
+    dr = rho[i + 1] - r0
+    m0, m1 = slope[i] * h, slope[i + 1] * h
+    return r0 + t * (m0 + t * ((3.0 * dr - 2.0 * m0 - m1) + t * (m0 + m1 - 2.0 * dr)))
+
+
+def sample_heat_endpoints(n_paths: int, t_max: float, rng, start=(0.0, 0.0), checkpoints=None):
+    """Ensemble endpoints of Brownian motion, sampled exactly: one jump per
+    gap between checkpoints.
+
+    `start`, `checkpoints` and the returned (rho, psi) arrays are those of
+    sample_polar_endpoints.  Brownian motion is Markov and isotropic, so
+    its position at the next checkpoint is one geodesic jump: a length from
+    the radial law at the gap (an inverse-CDF table of heat_kernel) and a
+    uniform direction, both from one gen.random((2, n_paths)) draw, applied
+    by _polar_step.  A zero gap draws nothing; a gap in (0, 0.01) is
+    refused (heat_kernel is validated for t in [0.01, 100]); a gap above 100
+    is cut into ceil(gap / 100) equal pieces.  More than MAX_JUMP_COUNT
+    jumps in all is refused.
+    """
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise DiffusionError(f"t_max must be finite and >= 0, got {t_max}")
+    if n_paths < 1:
+        raise DiffusionError("n_paths must be >= 1")
+    gen = _resolve_rng(rng)
+    checkpoints = _check_checkpoints(checkpoints, t_max)
+    gaps = np.diff(checkpoints, prepend=0.0).tolist()
+    short = [g for g in gaps if 0.0 < g < _GAP_MIN]
+    if short:
+        raise DiffusionError(f"checkpoint gap {short[0]:.3g} is below {_GAP_MIN}: the heat "
+                             f"kernel is validated for t in [{_GAP_MIN}, {_GAP_MAX:g}]")
+    pieces = [math.ceil(g / _GAP_MAX) for g in gaps]
+    if sum(pieces) > MAX_JUMP_COUNT:
+        raise DiffusionError(f"the checkpoints need {sum(pieces):,} jumps of at most "
+                             f"{_GAP_MAX:g}; at most {MAX_JUMP_COUNT:,} are allowed")
+    rho = np.full(n_paths, start[0], dtype=float)
+    psi = np.full(n_paths, start[1], dtype=float)
+    out_rho = np.empty((len(checkpoints), n_paths))
+    out_psi = np.empty((len(checkpoints), n_paths))
+    for i, (gap, k) in enumerate(zip(gaps, pieces)):
+        for _ in range(k):
+            u = gen.random((2, n_paths))
+            ell = _radial_quantile(gap / k, u[0])
+            # (cos, sin) of the angle 2 pi u[1], written over the draw
+            np.multiply(u[1], 2.0 * math.pi, out=u[1])
+            np.cos(u[1], out=u[0])
+            np.sin(u[1], out=u[1])
+            rho, psi = _polar_step(rho, psi, u[0], u[1], ell)
+        out_rho[i] = rho
+        out_psi[i] = psi
+    return out_rho, out_psi
+
+
 # ------------------------------------------------------- diffusion checks
 
 
@@ -692,15 +855,12 @@ class SlopeReport:
         return f"[{status}] {self.name}: slope={self.slope:.3f} threshold={self.threshold}"
 
 
-# the time step of the semigroup and Dynkin checks, and diffuse's default
-_CHECK_STEP = 0.01
 # inner endpoints per outer endpoint on the nested side of the semigroup check
 _SEMIGROUP_INNER = 32
 # trapezoid nodes in s of the Dynkin check
 _DYNKIN_NODES = 9
-# direction grid, time step and log-log slope bound of the circle check
+# direction grid and log-log slope bound of the circle check
 _CIRCLE_DIRS = 256
-_CIRCLE_STEP = 0.02
 _CIRCLE_THRESHOLD = 0.75
 
 
@@ -710,13 +870,13 @@ def diffuse(
     n_samples: int,
     rng,
     start=DiscPoint.origin(),
-    step: float = _CHECK_STEP,
 ) -> tuple:
     """Monte Carlo estimate of the heat diffusion (D_t f)(start), where
     start is a DiscPoint or polar (rho, psi).
 
     Returns (estimate, std_error); the estimate is the pairwise-summed mean
-    of f at sampled Brownian endpoints.
+    of f at Brownian endpoints, each one exact jump of time t
+    (sample_heat_endpoints).
     """
     if n_samples < 100:
         raise DiffusionError("diffuse needs n_samples >= 100")
@@ -724,7 +884,7 @@ def diffuse(
         raise DiffusionError(f"diffuse needs finite t >= 0, got {t}")
     if isinstance(start, DiscPoint):
         start = _polar_coordinates(start)
-    rhos, psis = sample_polar_endpoints(n_samples, t, step, _resolve_rng(rng), start=start)
+    rhos, psis = sample_heat_endpoints(n_samples, t, _resolve_rng(rng), start=start)
     return _mean_se(f.values_polar(rhos[-1], psis[-1]))
 
 
@@ -742,7 +902,9 @@ def circle_average(f: ScalarField, R: float, n_dirs: int) -> float:
 def check_semigroup(f: ScalarField, t: float, s: float, n: int, rng) -> CheckReport:
     """Does D_{t+s} f = D_t (D_s f) hold at the origin within Monte Carlo
     error?  The nested side subsamples _SEMIGROUP_INNER inner endpoints per
-    outer endpoint."""
+    outer endpoint.  Every side jumps exactly, so this is Chapman-Kolmogorov
+    for the sampled law: one jump of t + s against a jump of t composed with
+    jumps of s through _polar_step."""
     if isinstance(rng, np.random.Generator):
         raise DiffusionError("check_semigroup needs an RngStream (it derives substreams)")
     gen_flat = rng.child(0).generator()
@@ -752,13 +914,9 @@ def check_semigroup(f: ScalarField, t: float, s: float, n: int, rng) -> CheckRep
     lhs, lhs_se = diffuse(f, t + s, n, gen_flat)
 
     inner = _SEMIGROUP_INNER
-    rhos, psis = sample_polar_endpoints(n, t, _CHECK_STEP, gen_outer)
-    rho_i, psi_i = sample_polar_endpoints(
-        n * inner,
-        s,
-        _CHECK_STEP,
-        gen_inner,
-        start=(np.repeat(rhos[-1], inner), np.repeat(psis[-1], inner)),
+    rhos, psis = sample_heat_endpoints(n, t, gen_outer)
+    rho_i, psi_i = sample_heat_endpoints(
+        n * inner, s, gen_inner, start=(np.repeat(rhos[-1], inner), np.repeat(psis[-1], inner))
     )
     inner_vals = f.values_polar(rho_i[-1], psi_i[-1]).reshape(n, inner)
 
@@ -821,7 +979,7 @@ def check_circle_vs_diffusion(f: ScalarField, R_list, n: int, rng) -> SlopeRepor
     errs = []
     for i, R in enumerate(R_list):
         ca = circle_average(f, R, _CIRCLE_DIRS)
-        de, _ = diffuse(f, float(int(R)), n, rng.child(i).generator(), step=_CIRCLE_STEP)
+        de, _ = diffuse(f, float(int(R)), n, rng.child(i).generator())
         errs.append(abs(ca - de))
     logs = np.log(np.maximum(errs, 1e-15))
     logR = np.log(np.asarray(R_list, dtype=float))

@@ -12,6 +12,9 @@ Three independent routes to the same spectrum:
 
 Plus the probabilistic diagnostics that justify swapping the routes:
 radial drift, geodesic shadowing, and uniformity of limiting directions.
+Shadowing samples the exact law at its checkpoints
+(`diffusion.sample_heat_endpoints`); the uniformity check steps the polar
+walker, whose drift and isotropy the matrix routes rely on.
 
 Every route runs on one vectorized engine in two layers: the geometry layer
 `surface._reduce_ensemble` emits deck letters and the algebra layer
@@ -63,8 +66,9 @@ from .diffusion import (
     _mean_se,
     _step_count,
     pairwise_sum,
-    sample_polar_endpoints,
     polar_separation,
+    sample_heat_endpoints,
+    sample_polar_endpoints,
 )
 from .hypgeo import DiscPoint
 from .surface import _reduce_ensemble, locate
@@ -730,19 +734,18 @@ def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckRepo
 # ------------------------------------------------------------ diagnostics
 
 
-def shadowing_report(n_paths, t_list, step, rng) -> ShadowingReport:
+def shadowing_report(n_paths, t_list, rng) -> ShadowingReport:
     """Distance between Brownian paths and their limiting geodesic rays.
 
-    The landing direction is approximated by the angular coordinate at the
-    final sampled time; statistics are normalized by t^(1/2) (log t)^1.5
-    and the check passes when the 95th percentile shows no growth trend
-    (fitted log-log slope <= 0.1)."""
+    The paths are sampled exactly at the times in t_list, one jump per gap
+    (sample_heat_endpoints).  The landing direction is approximated by the
+    angular coordinate at the final sampled time; statistics are normalized
+    by t^(1/2) (log t)^1.5 and the check passes when the 95th percentile
+    shows no growth trend (fitted log-log slope <= 0.1)."""
     t_list = sorted(t_list)
     if t_list[-1] < 20.0:
         raise LyapunovError("shadowing needs max(t_list) >= 20")
-    rho, psi = sample_polar_endpoints(
-        n_paths, t_list[-1], step, _ensemble_generator(rng), checkpoints=t_list
-    )
+    rho, psi = sample_heat_endpoints(n_paths, t_list[-1], _ensemble_generator(rng), checkpoints=t_list)
 
     psi_final = psi[-1]
     qs = (50, 90, 95)
@@ -791,7 +794,10 @@ def _chi2_sf(stat: float, df: int) -> float:
 
 
 def direction_distribution_check(n_paths, t, step, n_bins, rng) -> UniformityReport:
-    """Chi-square uniformity of final angular coordinates."""
+    """Chi-square uniformity of final angular coordinates of the polar step
+    walker at `step`, the walk the matrix routes integrate.  (An exact jump
+    from the origin has a uniform angle by construction, so this check
+    would be vacuous on sample_heat_endpoints.)"""
     if t < 40.0:
         raise LyapunovError("direction check needs t >= 40 (direction nearly frozen)")
     if n_bins < 1:

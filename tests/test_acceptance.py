@@ -213,7 +213,7 @@ def test_criterion_03_diffusion_suite():
 
 def test_criterion_04_drift_and_shadowing():
     """Median drift ratio at t=40 and bounded shadowing statistic."""
-    rep = shadowing_report(10000, [20.0, 40.0, 80.0], 0.05, RngStream(400))
+    rep = shadowing_report(10000, [20.0, 40.0, 80.0], RngStream(400))
     i40 = rep.t_values.index(40.0)
     drift_ok = 0.92 <= rep.drift_median[i40] <= 1.08
     passed = drift_ok and rep.slope_shadow_95 <= 0.1

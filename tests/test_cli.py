@@ -441,6 +441,60 @@ def test_run_validate_dynkin_pass_fail_lines(tmp_path, capsys):
     assert body.splitlines()[0] == "name,lhs,rhs,tolerance,passed"
 
 
+@pytest.mark.parametrize("suite", ["semigroup", "dynkin", "circle", "shadowing",
+                                   "kernel", "cocycle", "geometry"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_step_refused_by_suites_that_do_not_walk(tmp_path, capsys, suite, where):
+    # these suites jump exactly or draw nothing: a step would be recorded
+    # without acting, so it is refused, naming the suite
+    cfg = "[run]\nmethod = validate:%s\noutput = %s\n" % (suite, tmp_path / "v")
+    extra = ["--step", "0.02"]
+    if where == "config":
+        cfg += "step = 0.02\n"
+        extra = []
+    rc = run_cli(["run", write_config(tmp_path, cfg), *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: validate:{suite} does not use step" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "v.csv").exists()
+
+
+def test_step_free_suite_manifest_has_no_step(tmp_path, capsys):
+    cfg = "[run]\nmethod = validate:kernel\nseed = 3\noutput = %s\n" % (tmp_path / "k")
+    assert run_cli(["run", write_config(tmp_path, cfg)]) == 0
+    manifest = (tmp_path / "k.manifest.txt").read_text().splitlines()
+    assert not any(line.startswith("step ") for line in manifest)
+    assert "seed 3" in manifest and "horizon 60.0 (default)" in manifest
+
+
+def test_validate_manifest_marks_defaults(tmp_path, capsys):
+    assert run_cli(["validate", "kernel", "--output", str(tmp_path / "k")]) == 0
+    manifest = (tmp_path / "k.manifest.txt").read_text().splitlines()
+    for line in ("horizon 60.0 (default)", "n_paths 100 (default)", "seed 0 (default)",
+                 "method validate:kernel", f"output {tmp_path / 'k'}"):
+        assert line in manifest
+    assert not any(line.startswith("step ") for line in manifest)
+    assert run_cli(["validate", "drift", "--n-paths", "1000", "--seed", "4",
+                    "--output", str(tmp_path / "d")]) == 0
+    manifest = (tmp_path / "d.manifest.txt").read_text().splitlines()
+    for line in ("n_paths 1000", "seed 4", "step 0.05 (default)", "horizon 60.0 (default)"):
+        assert line in manifest
+
+
+def test_drift_suite_walks_at_the_given_step(tmp_path, capsys):
+    # validate:drift checks the step walker that the matrix routes use, so
+    # its step acts
+    cfg = "[run]\nmethod = validate:drift\nn_paths = 200\noutput = %s\n"
+    csvs = []
+    for tag, extra in (("a", []), ("b", ["--step", "0.02"])):
+        path = write_config(tmp_path, cfg % (tmp_path / tag), name=f"{tag}.cfg")
+        assert run_cli(["run", path, *extra]) == 0
+        csvs.append((tmp_path / f"{tag}.csv").read_text())
+    assert csvs[0] != csvs[1]
+    assert "step 0.02" in (tmp_path / "b.manifest.txt").read_text().splitlines()
+
+
 # ---------------------------------------------------------------- compare
 
 
@@ -507,7 +561,8 @@ def test_validate_subcommand_cocycle(tmp_path, capsys, monkeypatch):
 
 def test_validate_cocycle_catches_wrong_letters(tmp_path, capsys):
     # a letter log that names the wrong generator for two sides leaves the
-    # representatives right but their words wrong: the round trip fails
+    # representatives right but their words wrong: the round trip fails, and
+    # the points just across sides 1 and 2 get each other's letter
     cfg = ExperimentConfig(method="validate:cocycle", n_paths=100, seed=0,
                            output=str(tmp_path / "c"))
     cfg.matrices = (np.diag([2.0, 0.5]), np.eye(2), np.eye(2), np.eye(2))
@@ -517,11 +572,13 @@ def test_validate_cocycle_catches_wrong_letters(tmp_path, capsys):
     letters = group._layout.letters
     letters[0], letters[1] = letters[1], letters[0]
     rows = {c["name"]: c for c in run_validation(cfg, group, rep)}
-    assert rows["identity_law"]["passed"] and not rows["locate_roundtrip"]["passed"]
+    assert not rows["identity_law"]["passed"] and not rows["locate_roundtrip"]["passed"]
+    assert rows["identity_law"]["lhs"] == 2.0
     assert rows["locate_roundtrip"]["lhs"] > 1e-3
     capsys.readouterr()
     assert _execute(cfg, group, rep) == 2
-    assert "[FAIL] locate_roundtrip" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL] identity_law" in out and "[FAIL] locate_roundtrip" in out
 
 
 def test_validate_writes_summary_equal_to_stdout(tmp_path, capsys):

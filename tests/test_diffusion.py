@@ -28,6 +28,7 @@ from hyplyap.diffusion import (
     heat_kernel,
     heat_kernel_mass,
     real_part_field,
+    sample_heat_endpoints,
     sample_path,
     sample_polar_endpoints,
     smoothed_dist_field,
@@ -37,6 +38,8 @@ from hyplyap.diffusion import (
     _disc_step,
     _disc_step_scalar,
     _polar_step,
+    _radial_quantile,
+    _radial_table,
     _step_count,
     _time_grid,
 )
@@ -373,6 +376,103 @@ def test_kernel_rejects_bad_t():
         heat_kernel_mass(300.0)  # the grid would reach rho = 830, where sinh overflows
 
 
+# ------------------------------------------------ exact checkpoint sampler
+
+
+@pytest.mark.parametrize("gap", [0.125, 1.0, 4.0, 40.0, 100.0])
+def test_radial_table_round_trip(gap):
+    # heat_kernel_mass is an independent quadrature of the same radial law:
+    # the mass inside the table's q-quantile is q
+    qs = np.array([1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6])
+    for q, rho in zip(qs, _radial_quantile(gap, qs)):
+        assert abs(heat_kernel_mass(gap, rho_max=float(rho)) - q) <= 1e-9, (gap, q)
+
+
+@pytest.mark.parametrize("gap", [0.01, 1.0, 100.0])
+def test_radial_quantile_monotone(gap):
+    u = np.linspace(0.0, 1.0 - 2.0**-53, 100001)
+    rho = _radial_quantile(gap, u)
+    assert rho[0] == 0.0
+    assert np.all(np.diff(rho) >= 0.0) and np.all(np.isfinite(rho))
+
+
+def _exact_cdf(gap, points=200):
+    """The radial CDF at `points` radii by heat_kernel_mass, for np.interp."""
+    grid = np.linspace(0.0, gap + 12.0 * math.sqrt(gap) + 4.0, points + 1)
+    return grid, np.array([0.0] + [heat_kernel_mass(gap, rho_max=float(r)) for r in grid[1:]])
+
+
+def _ks_distance(samples, grid, cdf):
+    x = np.sort(samples)
+    fx = np.interp(x, grid, cdf, right=1.0)
+    i = np.arange(1, x.size + 1)
+    return max(np.max(i / x.size - fx), np.max(fx - (i - 1) / x.size))
+
+
+def test_heat_endpoints_radial_law_ks():
+    # the 1% critical value at n = 1e5 is 1.628 / sqrt(n) = 0.00515; the
+    # linear interpolation of the exact CDF is good to 3e-4
+    n, gap = 100000, 1.0
+    rho, psi = sample_heat_endpoints(n, gap, RngStream(31).generator())
+    assert rho.shape == psi.shape == (1, n)
+    assert _ks_distance(rho[-1], *_exact_cdf(gap)) <= 1.628 / math.sqrt(n)
+
+
+def test_heat_endpoints_chapman_kolmogorov():
+    # from a point off the origin, a jump of 0.5 followed by one of 1.5 has
+    # the law of one jump of 2.0: two-sample KS on radius and angle at the 1%
+    # critical value 1.628 sqrt(2 / n)
+    n = 100000
+    start = (1.0, 0.0)
+    two, psi2 = sample_heat_endpoints(n, 2.0, RngStream(32).generator(), start=start,
+                                      checkpoints=[0.5, 2.0])
+    one, psi1 = sample_heat_endpoints(n, 2.0, RngStream(33).generator(), start=start)
+    crit = 1.628 * math.sqrt(2.0 / n)
+    for a, b in ((two[-1], one[-1]), (np.angle(np.exp(1j * psi2[-1])), np.angle(np.exp(1j * psi1[-1])))):
+        a, b = np.sort(a), np.sort(b)
+        grid = np.concatenate([a, b])
+        d = np.max(np.abs(np.searchsorted(a, grid, side="right") - np.searchsorted(b, grid, side="right"))) / n
+        assert d <= crit
+
+
+def test_heat_endpoints_zero_gap_returns_start():
+    gen = RngStream(34).generator()
+    rho, psi = sample_heat_endpoints(5, 1.0, gen, start=(0.7, 0.3), checkpoints=[0.0, 0.0, 1.0])
+    assert np.all(rho[:2] == 0.7) and np.all(psi[:2] == 0.3)
+    assert np.all(rho[2] != 0.7)
+    gen = RngStream(34).generator()
+    rho, psi = sample_heat_endpoints(5, 0.0, gen, start=(0.7, 0.3))
+    assert np.all(rho == 0.7) and np.all(psi == 0.3)
+    assert gen.random() == RngStream(34).generator().random()   # nothing drawn
+
+
+def test_heat_endpoints_chain_long_gaps():
+    # a gap of 300 is three jumps of 100, the top of heat_kernel's range
+    a = sample_heat_endpoints(50, 300.0, RngStream(35).generator())
+    b = sample_heat_endpoints(50, 300.0, RngStream(35).generator(), checkpoints=[100.0, 200.0, 300.0])
+    assert np.array_equal(a[0][-1], b[0][-1]) and np.array_equal(a[1][-1], b[1][-1])
+    assert np.all(np.isfinite(a[0])) and 250.0 < np.median(a[0]) < 350.0
+
+
+@pytest.mark.parametrize("t_max, checkpoints, match", [
+    (1.005, [1.0, 1.005], "below 0.01"),
+    (0.005, None, "below 0.01"),
+    (1e6 + 1.0, None, "jumps"),
+    (math.inf, None, "finite"),
+])
+def test_heat_endpoints_refusals(t_max, checkpoints, match):
+    with pytest.raises(DiffusionError, match=match):
+        sample_heat_endpoints(10, t_max, RngStream(1).generator(), checkpoints=checkpoints)
+
+
+def test_heat_endpoints_cold_and_warm_tables_agree():
+    _radial_table.cache_clear()
+    cold = sample_heat_endpoints(200, 3.0, RngStream(36).generator(), checkpoints=[1.0, 3.0])
+    assert _radial_table.cache_info().currsize == 2
+    warm = sample_heat_endpoints(200, 3.0, RngStream(36).generator(), checkpoints=[1.0, 3.0])
+    assert all(np.array_equal(c, w) for c, w in zip(cold, warm))
+
+
 # ---------------------------------------------------------------- diffuse
 
 
@@ -394,14 +494,15 @@ def test_diffuse_needs_samples():
         diffuse(constant_field(1.0), 1.0, 50, RngStream(1).generator())
 
 
-def test_diffuse_raw_walker_rejects_zero_step():
-    with pytest.raises(DiffusionError):
-        diffuse(real_part_field(), 1.0, 100, RngStream(1), step=0.0)
+def test_diffuse_rejects_time_below_kernel_range():
+    # one jump of t needs heat_kernel at t, validated from t = 0.01 up
+    with pytest.raises(DiffusionError, match="0.01"):
+        diffuse(real_part_field(), 0.005, 100, RngStream(1))
 
 
-def test_diffuse_raw_walker_rejects_coarse_step():
-    with pytest.raises(DiffusionError):
-        diffuse(real_part_field(), 1.0, 100, RngStream(1), step=0.5)
+def test_diffuse_rejects_horizon_past_jump_limit():
+    with pytest.raises(DiffusionError, match="jumps"):
+        diffuse(real_part_field(), 2e6, 100, RngStream(1))
 
 
 def test_diffuse_from_offset_start():

@@ -647,7 +647,7 @@ def test_exp_conversion_needs_horizon(group, rep22):
 
 
 def test_shadowing_report(group):
-    rep = shadowing_report(3000, [20.0, 40.0, 80.0], 0.05, RngStream(68))
+    rep = shadowing_report(3000, [20.0, 40.0, 80.0], RngStream(68))
     assert rep.passed, str(rep)
     assert rep.slope_shadow_95 <= 0.1
     i40 = rep.t_values.index(40.0)
@@ -655,14 +655,14 @@ def test_shadowing_report(group):
 
 
 def test_shadowing_includes_zero_time():
-    rep = shadowing_report(500, [0.0, 20.0, 40.0], 0.05, RngStream(69))
+    rep = shadowing_report(500, [0.0, 20.0, 40.0], RngStream(69))
     assert rep.shadow_quantiles[95][0] == 0.0
     assert rep.drift_median[0] == 0.0
 
 
 def test_shadowing_needs_horizon():
     with pytest.raises(LyapunovError):
-        shadowing_report(100, [5.0, 10.0], 0.05, RngStream(1))
+        shadowing_report(100, [5.0, 10.0], RngStream(1))
 
 
 # ------------------------------------------------------ direction checks
