@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .cocycle import CocycleError, Representation
 from .diffusion import (
+    MAX_STEP,
     DiffusionError,
     RngStream,
     check_circle_vs_diffusion,
@@ -67,11 +68,25 @@ _VALIDATIONS = (
 # the suites that walk with `step`; every other suite samples exactly or
 # draws nothing, and refuses an explicit step
 _STEP_SUITES = ("drift", "uniformity", "conversion")
+# the suites of a fixed size (geometry's 1000 maps, cocycle's 100 paths) or
+# that draw nothing (kernel); they refuse an explicit n_paths
+_FIXED_SIZE_SUITES = ("geometry", "cocycle", "kernel")
 
 
 def _suite(method: str):
     """The validation suite a method names, or None for a spectrum route."""
     return method.split(":", 1)[1] if method.startswith("validate:") else None
+
+
+def _unread_keys(method: str):
+    """The run keys a method never reads.  Its manifest leaves them out, and
+    a validation suite refuses an explicit one; a spectrum route accepts
+    them, because one [run] section serves every route."""
+    suite = _suite(method)
+    if suite is None:
+        return ("step", "n_paths") if method == "geodesic" else ("n_dirs",)
+    return (("step",) if suite not in _STEP_SUITES else ()) + (
+        ("n_paths",) if suite in _FIXED_SIZE_SUITES else ())
 
 
 class ConfigError(ValueError):
@@ -105,11 +120,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown validation {name!r}; choose from {', '.join(_VALIDATIONS)}"
                 )
-            if name not in _STEP_SUITES and "step" not in self.defaulted:
-                raise ConfigError(f"validate:{name} does not use step; drop it")
-        for key in ("horizon", "step"):
-            if getattr(self, key) <= 0 or not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be positive and finite")
+            for key in _unread_keys(self.method):
+                if key not in self.defaulted:
+                    raise ConfigError(f"validate:{name} does not use {key}; drop it")
+        if self.horizon <= 0 or not math.isfinite(self.horizon):
+            raise ConfigError("horizon must be positive and finite")
+        # one [run] section serves every route: a step that no walker can
+        # take is refused even by the geodesic route, which reads no step
+        if not 0.0 < self.step <= MAX_STEP:
+            raise ConfigError(f"step must lie in (0, {MAX_STEP}], got {self.step}")
         for key in ("dim", "n_paths", "n_dirs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
@@ -324,13 +343,12 @@ def manifest_text(cfg: ExperimentConfig, group, extra=None) -> str:
         f"timestamp {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"relator_residual {group.relator_residual():.17g}",
     ]
-    suite = _suite(cfg.method)
-    for f in dc_fields(ExperimentConfig):
-        if f.name in ("matrices", "defaulted") or (
-                f.name == "step" and suite is not None and suite not in _STEP_SUITES):
+    keys = [f.name for f in dc_fields(ExperimentConfig)]
+    for name in keys:
+        if name in ("matrices", "defaulted") or name in _unread_keys(cfg.method):
             continue
-        mark = " (default)" if f.name in cfg.defaulted else ""
-        lines.append(f"{f.name} {getattr(cfg, f.name)}{mark}")
+        mark = " (default)" if name in cfg.defaulted else ""
+        lines.append(f"{name} {getattr(cfg, name)}{mark}")
     if cfg.matrices:
         for k, m in enumerate(cfg.matrices, start=1):
             flat = " ".join(_fmt(complex(v).real) if cfg.rep_field == "real"
@@ -339,8 +357,10 @@ def manifest_text(cfg: ExperimentConfig, group, extra=None) -> str:
             lines.append(f"g{k} {flat}")
     else:
         lines.append("representation identity (default)")
+    # provenance that repeats a config key is already recorded above
     for k, v in (extra or {}).items():
-        lines.append(f"{k} {v}")
+        if k not in keys:
+            lines.append(f"{k} {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -361,7 +381,7 @@ def run_spectrum(cfg: ExperimentConfig, group, rep):
         reorth = max(1, int(1.0 / cfg.step) // 2)
         report = benettin_spectrum(rep, group, cfg.horizon, cfg.step, reorth, cfg.n_paths, rng)
     elif cfg.method == "geodesic":
-        report = geodesic_spectrum(rep, group, cfg.horizon, cfg.n_dirs, spacing=cfg.step)
+        report = geodesic_spectrum(rep, group, cfg.horizon, cfg.n_dirs)
     else:
         report = diffusion_spectrum(rep, group, int(round(cfg.horizon)), cfg.n_paths, cfg.step, rng)
     return report
@@ -641,22 +661,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    defaults = {
-        "geometry": dict(n_paths=1000),
-        "cocycle": dict(n_paths=100),
-        "semigroup": dict(n_paths=800),
-        "dynkin": dict(n_paths=1200),
-        "kernel": dict(n_paths=100),
-        "circle": dict(n_paths=3000),
-        "drift": dict(n_paths=10000),
-        "shadowing": dict(n_paths=10000),
-        "uniformity": dict(n_paths=10000),
-        "conversion": dict(n_paths=2000),
-    }[args.name]
+    # each sampling suite's default size; the fixed-size suites read none
+    sizes = {"semigroup": 800, "dynkin": 1200, "circle": 3000, "drift": 10000,
+             "shadowing": 10000, "uniformity": 10000, "conversion": 2000}
+    size = sizes.get(args.name, ExperimentConfig.n_paths)
     given = {"method"} | {k for k in ("n_paths", "seed", "output") if getattr(args, k) is not None}
     cfg = ExperimentConfig(
         method=f"validate:{args.name}",
-        n_paths=defaults["n_paths"] if args.n_paths is None else args.n_paths,
+        n_paths=size if args.n_paths is None else args.n_paths,
         seed=args.seed if args.seed is not None else 0,
         output=args.output or f"validate_{args.name}",
         horizon=5.0 if args.name == "conversion" else 60.0,

@@ -40,11 +40,12 @@ any dimension and field.  The SVD routes summarize their products in
 Reduction is lazy: the disc is simply connected, so a lifted path's
 cocycle value depends only on its endpoint tile.  The one Brownian walker,
 `_brownian_walk` (jumps drawn a block at a time by `diffusion._disc_jumps`,
-one Mobius move `diffusion._disc_step` per step), and the ray tracker
-`_geodesic_matrices` reduce every walker only every _REDUCE_EVERY time
-units and at the last step; in between, the walker reduces those past
-_GUARD_R, which a ray never reaches.  Each estimator walks one ensemble on
-`rng.child(0)`.
+one Mobius move `diffusion._disc_step` per step), reduces every walker only
+every _REDUCE_EVERY time units and at the last step; in between, it reduces
+those past _GUARD_R.  The ray tracker `_geodesic_matrices` has no guard:
+its move is exact for any length, so each ray takes one step per
+_REDUCE_EVERY of arc length and is reduced after every step.  Each
+estimator walks one ensemble on `rng.child(0)`.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ __all__ = [
     "direction_distribution_check",
 ]
 
-_GEODESIC_SPACING = 0.05
 CLUSTER_GAP = 0.02
 
 
@@ -104,11 +104,13 @@ class LyapunovError(RuntimeError):
 
 # ------------------------------------------------------- ensemble engine
 
-# full reductions every half time (or arc-length) unit: 10 steps at step
-# 0.05, Benettin's default reorth_every; any cadence gives the same product
+# full reductions every half time (or arc-length) unit: 10 Brownian steps at
+# step 0.05, Benettin's default reorth_every, or one exact ray step; any
+# cadence gives the same product
 _REDUCE_EVERY = 0.5
-# between full reductions, walkers past hyperbolic radius 6 are reduced at
-# once: a raw-chart point there carries at most ~200 eps of position error
+# between the Brownian walker's full reductions, walkers past hyperbolic
+# radius 6 are reduced at once: a raw-chart point there carries at most
+# ~200 eps of position error
 _GUARD_R = math.tanh(3.0)
 
 
@@ -119,10 +121,10 @@ def _ensemble_generator(rng):
     return rng.child(0).generator()
 
 
-def _lazy_skip(k, steps, spacing):
+def _lazy_skip(k, steps, step):
     """skip_r for the reduction after step k of steps (1-based): a full
     reduction at every _REDUCE_EVERY and at the last step, else the guard."""
-    full = k % max(1, round(_REDUCE_EVERY / spacing)) == 0 or k == steps
+    full = k % max(1, round(_REDUCE_EVERY / step)) == 0 or k == steps
     return None if full else _GUARD_R
 
 
@@ -153,9 +155,13 @@ def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j):
 
 def _geodesic_matrices(rep, group, thetas, R, spacing):
     """Cocycle matrices along the rays gamma_{0,theta}, tracked intrinsically
-    with direction transport and reduced lazily, as in _brownian_walk."""
-    if not (math.isfinite(spacing) and 0.0 < spacing <= _GEODESIC_SPACING + 1e-12):
-        raise LyapunovError(f"geodesic tracking needs 0 < spacing <= {_GEODESIC_SPACING}")
+    with direction transport.  The move w <- (xi + w) / (1 + conj(w) xi),
+    xi = tanh(h/2) e^{i alpha}, is exact for any length h, so each ray takes
+    steps of `spacing` (at most _REDUCE_EVERY; the last takes what is left
+    of R) and is fully reduced after every step, with no guard.  The
+    spacing changes only rounding."""
+    if not (math.isfinite(spacing) and 0.0 < spacing <= _REDUCE_EVERY):
+        raise LyapunovError(f"geodesic tracking needs 0 < spacing <= {_REDUCE_EVERY}")
     if not (R > 0.0 and R / spacing <= MAX_STEP_COUNT):
         raise LyapunovError(f"geodesic tracking needs R > 0 and R / spacing finite and at most "
                             f"{MAX_STEP_COUNT:,}, got {R} / {spacing}")
@@ -165,19 +171,15 @@ def _geodesic_matrices(rep, group, thetas, R, spacing):
     acc = _MatrixAccumulator(rep, data, n)
     w = np.zeros(n, complex)
     alpha = 2.0 * np.pi * thetas
-    steps = int(math.ceil(R / spacing))
     done = 0.0
-    for k in range(1, steps + 1):
+    for k in range(1, int(math.ceil(R / spacing)) + 1):
         h = min(spacing, R - done)
         done += h
         xi = math.tanh(0.5 * h) * np.exp(1j * alpha)
         den = 1.0 + np.conj(w) * xi
         w = (xi + w) / den
         alpha = alpha - 2.0 * np.arctan2(den.imag, den.real)
-        # a ray starts each cadence in the octagon (radius <= 2.45) and
-        # moves at most 0.53 before the next: it never reaches _GUARD_R
-        if _lazy_skip(k, steps, spacing) is None:
-            _reduce_ensemble(data, w, alpha, acc)
+        _reduce_ensemble(data, w, alpha, acc)
         if k % 64 == 0:
             acc.rescale()
     acc.rescale()
@@ -404,20 +406,20 @@ def _cluster(raw_sorted, se_sorted):
 # -------------------------------------------------------- geodesic rates
 
 
-def geodesic_rate(rep, group, theta, R, v, spacing=_GEODESIC_SPACING) -> ExpansionSample:
+def geodesic_rate(rep, group, theta, R, v, spacing=_REDUCE_EVERY) -> ExpansionSample:
     """Deterministic expansion rate (1/R) log(|A(gamma_theta, R) v| / |v|).
 
     Deterministic for a fixed operation order, but past R ~ 37 a float64
     ray is a shadowing pseudo-orbit, not the ray of theta: nudging every
-    theta of the 256-direction grid by 1e-15 changes 0, 2 and 181 of its
-    diag(2, 1/2) rates at R = 20, 30 and 40.
+    theta of the 256-direction grid by 1e-15 changes 0, 2 and 196 of its
+    diag(2, 1/2) norm rates at R = 20, 30 and 40.
     """
     acc = _geodesic_matrices(rep, group, [theta], R, spacing)
     val = float(acc.log_vector_growth(v)[0]) / R
     return ExpansionSample(theta=float(theta) % 1.0, R=R, value=val, vector=tuple(np.ravel(v)))
 
 
-def geodesic_norm_rate(rep, group, theta, R, spacing=_GEODESIC_SPACING) -> ExpansionSample:
+def geodesic_norm_rate(rep, group, theta, R, spacing=_REDUCE_EVERY) -> ExpansionSample:
     """Deterministic maximal expansion rate (1/R) log |A(gamma_theta, R)|.
 
     Past R ~ 37 the float64 ray is a shadowing pseudo-orbit; see
@@ -428,7 +430,7 @@ def geodesic_norm_rate(rep, group, theta, R, spacing=_GEODESIC_SPACING) -> Expan
     return ExpansionSample(theta=float(theta) % 1.0, R=R, value=val)
 
 
-def geodesic_norm_rates(rep, group, R, n_dirs, spacing=_GEODESIC_SPACING):
+def geodesic_norm_rates(rep, group, R, n_dirs, spacing=_REDUCE_EVERY):
     """Operator-norm rates over the uniform direction grid; the grid average
     estimates the top exponent by the geodesic route."""
     if n_dirs < 1:
@@ -485,7 +487,7 @@ def _svd_spectrum(acc, horizon, method, provenance) -> SpectrumReport:
     return _spectrum_from_samples(lams, vh.conj().T, method, provenance)
 
 
-def geodesic_spectrum(rep, group, R, n_dirs, spacing=_GEODESIC_SPACING) -> SpectrumReport:
+def geodesic_spectrum(rep, group, R, n_dirs, spacing=_REDUCE_EVERY) -> SpectrumReport:
     """Full spectrum by the geodesic route: sorted log singular values of
     the ray cocycles, averaged over the uniform direction grid."""
     if n_dirs < 8:
@@ -660,7 +662,7 @@ def _rate_range(acc, horizon, basis, complex_field, n_vectors):
     return min(a, b), max(a, b)
 
 
-def expansion_interval(rep, group, R, basis, n_dirs=64, n_vectors=64, spacing=_GEODESIC_SPACING):
+def expansion_interval(rep, group, R, basis, n_dirs=64, n_vectors=64, spacing=_REDUCE_EVERY):
     """Smallest interval [a, b] of direction-averaged expansion rates over
     the nonzero vectors of the subspace spanned by the basis columns."""
     basis = _as_basis(rep, basis)

@@ -284,6 +284,8 @@ def test_brownian_step_past_max_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", ["geodesic", "diffusion"])
 def test_step_past_max_exits_1_on_every_route(tmp_path, capsys, method):
+    # the geodesic route reads no step, but one [run] section serves every
+    # route, so a step no walker can take is refused there too
     cfg = "[run]\nmethod = %s\nhorizon = 2\nn_dirs = 8\nstep = 0.5\noutput = %s\n" % (
         method, tmp_path / "s")
     rc = run_cli(["run", write_config(tmp_path, cfg)])
@@ -343,7 +345,9 @@ from hyplyap.cli import main
 from hyplyap.lyapunov import _sphere_sample
 
 out = sys.argv[1]
-for suite in ("kernel", "semigroup", "dynkin", "circle", "shadowing", "uniformity"):
+rc = main(["validate", "kernel", "--output", out + "/kernel"])
+assert rc in (0, 2), ("kernel", rc)
+for suite in ("semigroup", "dynkin", "circle", "shadowing", "uniformity"):
     rc = main(["validate", suite, "--n-paths", "100", "--output", out + "/" + suite])
     assert rc in (0, 2), (suite, rc)
 _sphere_sample(5, 16)
@@ -471,15 +475,68 @@ def test_step_free_suite_manifest_has_no_step(tmp_path, capsys):
 def test_validate_manifest_marks_defaults(tmp_path, capsys):
     assert run_cli(["validate", "kernel", "--output", str(tmp_path / "k")]) == 0
     manifest = (tmp_path / "k.manifest.txt").read_text().splitlines()
-    for line in ("horizon 60.0 (default)", "n_paths 100 (default)", "seed 0 (default)",
+    for line in ("horizon 60.0 (default)", "seed 0 (default)",
                  "method validate:kernel", f"output {tmp_path / 'k'}"):
         assert line in manifest
-    assert not any(line.startswith("step ") for line in manifest)
+    assert not any(line.startswith(("step ", "n_paths ")) for line in manifest)
     assert run_cli(["validate", "drift", "--n-paths", "1000", "--seed", "4",
                     "--output", str(tmp_path / "d")]) == 0
     manifest = (tmp_path / "d.manifest.txt").read_text().splitlines()
     for line in ("n_paths 1000", "seed 4", "step 0.05 (default)", "horizon 60.0 (default)"):
         assert line in manifest
+
+
+@pytest.mark.parametrize("suite", ["cocycle", "geometry", "kernel"])
+@pytest.mark.parametrize("where", ["config", "flag", "validate"])
+def test_n_paths_refused_by_fixed_size_suites(tmp_path, capsys, suite, where):
+    # cocycle and geometry sample a fixed number of points and kernel draws
+    # nothing: an n_paths would be recorded without acting
+    out = str(tmp_path / "v")
+    cfg = "[run]\nmethod = validate:%s\noutput = %s\n" % (suite, out)
+    if where == "config":
+        argv = ["run", write_config(tmp_path, cfg + "n_paths = 7\n")]
+    elif where == "flag":
+        argv = ["run", write_config(tmp_path, cfg), "--n-paths", "7"]
+    else:
+        argv = ["validate", suite, "--n-paths", "7", "--output", out]
+    rc = run_cli(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: validate:{suite} does not use n_paths" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "v.csv").exists()
+
+
+def _manifest_keys(path):
+    lines = path.read_text().splitlines()
+    return [line.split(" ", 1)[0] for line in lines[3:]]  # after version, time, residual
+
+
+def test_geodesic_route_ignores_step(tmp_path, capsys):
+    # the rays step exactly, so a step, by config key (shared with the other
+    # routes in one [run] section) or flag, is accepted, changes no byte of
+    # the CSV and is not recorded; n_dirs is recorded once
+    text = ROUTE_CONFIG.replace("horizon = 60", "horizon = 10") + "n_dirs = 64\n"
+    csvs = []
+    for tag, step_key, extra in (("a", "", []), ("b", "step = 0.02\n", []),
+                                 ("c", "", ["--step", "0.02"])):
+        cfg = write_config(tmp_path, text + step_key, name=f"{tag}.cfg")
+        out = str(tmp_path / tag)
+        assert run_cli(["run", cfg, "--method", "geodesic", "--output", out, *extra]) == 0
+        csvs.append((tmp_path / f"{tag}.csv").read_bytes())
+        keys = _manifest_keys(tmp_path / f"{tag}.manifest.txt")
+        assert "step" not in keys and "n_paths" not in keys
+        assert keys.count("n_dirs") == 1 and len(keys) == len(set(keys))
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize("method", ["brownian", "diffusion"])
+def test_walker_manifest_lists_each_key_once(tmp_path, capsys, method):
+    text = GOOD_CONFIG.format(out=tmp_path / "w").replace("method = brownian\n", "")
+    assert run_cli(["run", write_config(tmp_path, text), "--method", method]) == 0
+    keys = _manifest_keys(tmp_path / "w.manifest.txt")
+    assert "n_dirs" not in keys and len(keys) == len(set(keys))
+    assert {"step", "n_paths", "master_seed"} <= set(keys)
 
 
 def test_drift_suite_walks_at_the_given_step(tmp_path, capsys):

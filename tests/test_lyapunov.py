@@ -471,12 +471,11 @@ def test_geodesic_average_matches_brownian_norm_rate(group, rep22):
     assert ok, f"geodesic {gm:.5f} vs brownian {bn:.5f} (diff {diff:.5f}, tol {tol:.5f})"
 
 
-@pytest.mark.parametrize("spacing", [0.05, 0.0476])
+@pytest.mark.parametrize("spacing", [0.05, 0.0476, 0.3, 0.5])
 def test_rays_never_reach_guard_radius(group, rep22, monkeypatch, spacing):
-    # the tracker reduces only at full reductions; there a ray is within
-    # one cadence of the octagon, so past its circumradius by at most 0.53
-    # (spacing 0.0476 gives the longest cadence, 11 steps), and the distance
-    # from 0 is convex along the ray, so no step in between is farther out
+    # the tracker reduces after every step, ceil(R / spacing) times; a ray
+    # starts each step in the octagon, so it ends the step past the
+    # circumradius by at most the spacing, well inside the walker's guard
     reduce = lyapunov._reduce_ensemble
     largest = []
 
@@ -486,8 +485,18 @@ def test_rays_never_reach_guard_radius(group, rep22, monkeypatch, spacing):
 
     monkeypatch.setattr(lyapunov, "_reduce_ensemble", spy)
     _geodesic_matrices(rep22, group, (np.arange(256) + 0.5) / 256, 20.0, spacing)
-    assert len(largest) == math.ceil(20.0 / (round(0.5 / spacing) * spacing))
-    assert max(largest) < math.tanh(0.5 * (group.circumradius + 0.53)) < lyapunov._GUARD_R
+    assert len(largest) == math.ceil(20.0 / spacing)
+    assert max(largest) < math.tanh(0.5 * (group.circumradius + spacing)) < lyapunov._GUARD_R
+
+
+@pytest.mark.parametrize("rep_name", ["rep22", "fuchsian"])
+def test_ray_step_changes_only_rounding(group, request, rep_name):
+    # the ray move is exact for any length: at R = 20, before the float ray
+    # turns into a pseudo-orbit, steps of 0.05 and 0.5 give the same rates
+    rep = request.getfixturevalue(rep_name)
+    _, fine = geodesic_norm_rates(rep, group, 20.0, 256, spacing=0.05)
+    _, coarse = geodesic_norm_rates(rep, group, 20.0, 256, spacing=0.5)
+    assert np.max(np.abs(fine - coarse)) <= 1e-12
 
 
 def test_geodesic_requires_positive_R(group, rep22):
@@ -509,7 +518,7 @@ _RAY_ESTIMATORS = {
 @pytest.mark.parametrize(
     "R, spacing",
     [(0.0, 0.05), (-5.0, 0.05), (math.nan, 0.05), (math.inf, 0.05), (1e308, 0.05),
-     (2.0, -1.0), (2.0, 0.0), (2.0, math.nan), (2.0, 0.06)],
+     (2.0, -1.0), (2.0, 0.0), (2.0, math.nan), (2.0, 0.6)],
 )
 @pytest.mark.parametrize("name", sorted(_RAY_ESTIMATORS))
 def test_ray_estimators_validate_R_and_spacing(group, rep22, name, R, spacing):
