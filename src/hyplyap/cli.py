@@ -67,7 +67,7 @@ _VALIDATIONS = (
 )
 # the suites that walk with `step`; every other suite samples exactly or
 # draws nothing, and refuses an explicit step
-_STEP_SUITES = ("drift", "uniformity", "conversion")
+_STEP_SUITES = ("drift", "uniformity")
 # the suites of a fixed size (geometry's 1000 maps, cocycle's 100 paths) or
 # that draw nothing (kernel); they refuse an explicit n_paths
 _FIXED_SIZE_SUITES = ("geometry", "cocycle", "kernel")
@@ -84,7 +84,7 @@ def _unread_keys(method: str):
     them, because one [run] section serves every route."""
     suite = _suite(method)
     if suite is None:
-        return ("step", "n_paths") if method == "geodesic" else ("n_dirs",)
+        return ("step", "n_paths") if method == "geodesic" else ("step", "n_dirs")
     return (("step",) if suite not in _STEP_SUITES else ()) + (
         ("n_paths",) if suite in _FIXED_SIZE_SUITES else ())
 
@@ -125,8 +125,9 @@ class ExperimentConfig:
                     raise ConfigError(f"validate:{name} does not use {key}; drop it")
         if self.horizon <= 0 or not math.isfinite(self.horizon):
             raise ConfigError("horizon must be positive and finite")
-        # one [run] section serves every route: a step that no walker can
-        # take is refused even by the geodesic route, which reads no step
+        # one [run] section serves every route: a step that no step walker
+        # can take is refused even by the spectrum routes, none of which
+        # reads it
         if not 0.0 < self.step <= MAX_STEP:
             raise ConfigError(f"step must lie in (0, {MAX_STEP}], got {self.step}")
         for key in ("dim", "n_paths", "n_dirs"):
@@ -377,9 +378,10 @@ def run_spectrum(cfg: ExperimentConfig, group, rep):
     # one stream per route, so the brownian and diffusion routes walk
     # independent ensembles; brownian keeps stream 0
     rng = RngStream(cfg.seed, _METHODS.index(cfg.method))
+    # the walker routes validate cfg.step but jump exactly, so it changes
+    # no result; Benettin's reorth_every is likewise validated and unread
     if cfg.method == "brownian":
-        reorth = max(1, int(1.0 / cfg.step) // 2)
-        report = benettin_spectrum(rep, group, cfg.horizon, cfg.step, reorth, cfg.n_paths, rng)
+        report = benettin_spectrum(rep, group, cfg.horizon, cfg.step, 1, cfg.n_paths, rng)
     elif cfg.method == "geodesic":
         report = geodesic_spectrum(rep, group, cfg.horizon, cfg.n_dirs)
     else:
@@ -472,8 +474,8 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         )
         add(r.name, r.slope, 0.0, r.threshold, r.passed)
     elif name == "drift":
-        # the step walker's drift at cfg.step, the walk the matrix routes
-        # integrate; shadowing's drift row reads the exact law
+        # the step walker's drift at cfg.step; shadowing's drift row reads
+        # the exact law
         rho, _ = sample_polar_endpoints(cfg.n_paths, 40.0, cfg.step, rng.generator())
         med = float(np.median(rho[-1]) / 40.0)
         add("drift_median(t=40)", med, 1.0, 0.08, 0.92 <= med <= 1.08)
@@ -490,8 +492,8 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         eta = group.generators[0](0j)
         u = np.zeros(rep.dim)
         u[0] = 1.0
-        # the diffused side runs in raw coordinates: keep this check at
-        # moderate horizons regardless of the spectrum-scale default
+        # the diffused side is evaluated in raw coordinates: keep this check
+        # at moderate horizons regardless of the spectrum-scale default
         t = cfg.horizon if "horizon" not in cfg.defaulted else 5.0
         if t > 20.0:
             raise ConfigError("validate:conversion needs horizon <= 20")

@@ -11,21 +11,23 @@ so E[rho^2] = 4 t for small t and the radial drift is asymptotically 1.
 
 Two samplers, two draw sites
 ----------------------------
-- Step walkers (`sample_polar_endpoints`, the raw-chart walkers of the
-  matrix routes, `sample_path`) take a geodesic random walk at `step` and
-  draw their normals in `_normals`.  The walk's radial drift is
-  1 - dt/3 + O(dt^2), not 1 (Jorgensen, Z. Wahrsch. verw. Geb. 32 (1975)).
-  `validate drift` and `validate uniformity` check this walk, because the
-  matrix routes integrate it.
-- The exact checkpoint sampler (`sample_heat_endpoints`) reads the
-  ensemble only at checkpoints and jumps from one to the next in one
-  step: a length from the radial law 2 pi sinh(rho) K(rho, gap) through a
-  cached inverse-CDF table of `heat_kernel`, and a uniform angle, both from
-  one uniform (2, n) draw per gap.  It carries no step bias.  `diffuse` and
-  so the semigroup, Dynkin and circle checks, and `shadowing_report` use
-  it.  Semigroup then tests Chapman-Kolmogorov of the sampled law composed
-  through `_polar_step`, and Dynkin tests that the kernel's generator is
-  Delta; the mpmath tests of `heat_kernel` anchor both.
+- Step walkers (`sample_polar_endpoints`, `sample_path`) take a geodesic
+  random walk at `step` and draw their normals in `_normals`.  The walk's
+  radial drift is 1 - dt/3 + O(dt^2), not 1 (Jorgensen, Z. Wahrsch.
+  verw. Geb. 32 (1975)).  `validate drift` and `validate uniformity`
+  check this walk; no estimator integrates it.
+- Exact jumps (`_heat_jumps`) read an ensemble only at checkpoints and
+  jump from one to the next in one step: a length from the radial law
+  2 pi sinh(rho) K(rho, gap) through a cached inverse-CDF table of
+  `heat_kernel`, and a uniform angle, both from one uniform (2, n) draw
+  per gap.  They carry no step bias.  `sample_heat_endpoints` applies
+  them in the polar chart: `diffuse` and so the semigroup, Dynkin and
+  circle checks, and `shadowing_report` use it.  Semigroup then tests
+  Chapman-Kolmogorov of the sampled law composed through `_polar_step`,
+  and Dynkin tests that the kernel's generator is Delta; the mpmath tests
+  of `heat_kernel` anchor both.  The matrix routes' walk
+  (`lyapunov._brownian_walk`) applies them in the raw chart, one Mobius
+  move `_disc_step` per gap, reducing every walker after each.
 
 Every step walker takes one increment per step: the normals (n1, n2) give a
 jump of length sqrt(2 dt) |n| and direction n / |n|, and no angle is
@@ -39,16 +41,16 @@ blocks drawn one chunk ahead by a worker thread while it steps through
 the current chunk: drawing and stepping each take about half of a
 path-step at large n, and numpy releases the GIL in both.  The draws are
 the same either way.  The polar walker steps through a block row by row,
-the raw-chart ensemble walkers form a block's jumps at once, so each step
-is one Mobius move, and the scalar sample_path takes blocks of one walker.
+and the scalar sample_path takes blocks of one walker.
 The jump is applied in one of two coordinate charts.
-The raw chart stores points of the disc and is limited to horizons
-t <~ 30, where the double-precision gap to the unit circle still resolves
-the position.  The polar chart stores (hyperbolic radius, angle) and
-updates them by the hyperbolic law of cosines, which is stable out to
-arbitrary horizons; every long-horizon statistic uses it.  Every walker
-steps on one time grid, `_time_grid`; the polar walker lays it over
-each interval between checkpoints, so it lands on every checkpoint.
+The raw chart stores points of the disc: a walk that is not reduced into
+the octagon is limited to horizons t <~ 30, where the double-precision gap
+to the unit circle still resolves the position.  The polar chart stores
+(hyperbolic radius, angle) and updates them by the hyperbolic law of
+cosines, which is stable out to arbitrary horizons; every long-horizon
+statistic uses it.  Every step walker steps on one time grid,
+`_time_grid`; the polar walker lays it over each interval between
+checkpoints, so it lands on every checkpoint.
 """
 
 from __future__ import annotations
@@ -315,17 +317,10 @@ def _normals(gen, n, t_max, step):
                 yield chunk[b : b + k, 0], chunk[b : b + k, 1], scales[s + b : s + b + k]
 
 
-def _disc_jumps(gen, n, t_max, step):
-    """The raw-chart increment: the origin's jump xi for each step of an
-    n-walker ensemble on _time_grid(t_max, step), formed a whole block of
-    _normals at a time."""
-    for n1, n2, scale in _normals(gen, n, t_max, step):
-        yield from _disc_jump(n1, n2, scale)
-
-
 def _disc_jump(n1, n2, scale):
     """The origin's jump xi = tanh(l/2) n/|n| for normals (n1, n2), with
-    l = scale |n|; scale broadcasts against n1 and n2."""
+    l = scale |n|; scale broadcasts against n1 and n2.  An exact jump
+    passes its unit direction and its length (see _heat_jumps)."""
     r = np.maximum(np.sqrt(n1 * n1 + n2 * n2), _TINY)
     return (n1 + 1j * n2) * (np.tanh(0.5 * scale * r) / r)
 
@@ -429,20 +424,6 @@ def polar_separation(rho1, psi1, rho2, psi2):
         2.0 * np.sinh(rho1) * np.sinh(rho2) * s * s
     )
     return np.arccosh(np.maximum(arg, 1.0))
-
-
-def _disc_walk_endpoints(n_paths, t_max, step, gen, z0=0j):
-    """Raw-coordinate ensemble endpoints (complex array) from z0, a scalar
-    or a length-n_paths array; small horizons."""
-    _check_step_params(t_max, step)
-    z = np.full(n_paths, z0, dtype=complex)
-    for xi in _disc_jumps(gen, n_paths, t_max, step):
-        z = _disc_step(z, xi)
-    if np.max(np.abs(z)) >= 1.0 - 1e-15:
-        raise DiffusionError(
-            "raw-coordinate walk left the representable disc; use the polar walker"
-        )
-    return z
 
 
 # ------------------------------------------------------------ scalar data
@@ -685,6 +666,14 @@ _GAP_MIN = 0.01
 _GAP_MAX = 100.0
 # jumps per walk past this are refused, as MAX_STEP_COUNT steps are
 MAX_JUMP_COUNT = 10**4
+# _radial_quantile finds a key's knot through a guide table of _GUIDE_SIZE
+# equal buckets of s = sqrt(u): 2-3% of keys land in a bucket holding more
+# than one knot and are searched in full
+_GUIDE_SIZE = 1 << 12
+# _heat_jumps draws the jumps of a walk in blocks of at most this many
+# uniforms, so a small ensemble forms many jumps per numpy call and a large
+# one takes one jump per block
+_JUMP_BLOCK = 1 << 13
 
 
 @functools.cache
@@ -716,8 +705,9 @@ def _radial_table(gap: float):
     which is smooth at rho = 0 where F ~ rho^2, by cubic Hermite pieces
     with slopes 2 s / density, capped at three secants on either side
     (Fritsch-Carlson), so every piece is increasing.  Knots past the point
-    where F rounds to 1 are dropped.  Returns the read-only (3, knots)
-    array of rows s, rho and slope.
+    where F rounds to 1 are dropped.  Returns (table, guide), both
+    read-only: the (3, knots) array of rows s, rho and slope, and
+    _radial_quantile's guide table.
     """
     hi = gap + 30.0 * math.sqrt(gap) + 10.0
     edges = hi * np.linspace(0.0, 1.0, _TABLE_PANELS + 1) ** 2
@@ -741,17 +731,31 @@ def _radial_table(gap: float):
     secant = np.diff(rho) / np.diff(s)
     slope = np.minimum(slope, 3.0 * np.minimum(np.append(secant, np.inf), np.insert(secant, 0, np.inf)))
     table = np.array([s, rho, slope])
-    table.flags.writeable = False
-    return table
+    # guide[j] is the last knot at or below j / _GUIDE_SIZE, or -1 where
+    # the bucket [j, j + 1) / _GUIDE_SIZE holds more than one knot
+    last = np.searchsorted(s, np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE, side="right") - 1
+    guide = np.where(np.diff(last) > 1, -1, last[:-1])
+    table.flags.writeable = guide.flags.writeable = False
+    return table, guide
 
 
 def _radial_quantile(gap, u):
     """rho at the quantiles u in [0, 1) of the radial law at time gap: the
     cubic Hermite piece of _radial_table(gap) at s = sqrt(u), in the
-    variable t = (s - s_i) / h on [s_i, s_i + h)."""
-    s, rho, slope = _radial_table(gap)
+    variable t = (s - s_i) / h on [s_i, s_i + h).
+
+    The piece's knot i is the last with s_i <= s, found from the guide:
+    a bucket's guide knot is at or below every key in it, so one step up
+    past at most one more knot finds i exactly, and the keys of crowded
+    buckets are searched in full.  Every key gets the index a full search
+    would give."""
+    (s, rho, slope), guide = _radial_table(gap)
     x = np.sqrt(u)
-    i = np.searchsorted(s, x, side="right") - 1
+    i = guide[(x * _GUIDE_SIZE).astype(np.intp)]
+    crowded = np.nonzero(i < 0)
+    i += s[i + 1] <= x
+    if crowded[0].size:
+        i[crowded] = np.searchsorted(s, x[crowded], side="right") - 1
     s0 = s[i]
     h = s[i + 1] - s0
     t = (x - s0) / h
@@ -759,6 +763,27 @@ def _radial_quantile(gap, u):
     dr = rho[i + 1] - r0
     m0, m1 = slope[i] * h, slope[i + 1] * h
     return r0 + t * (m0 + t * ((3.0 * dr - 2.0 * m0 - m1) + t * (m0 + m1 - 2.0 * dr)))
+
+
+def _heat_jumps(gen, n, gap, count):
+    """`count` exact Brownian jumps of time gap for each of n walkers, as
+    (cos, sin, length) arrays of shape (n,): a length from the radial law
+    through _radial_quantile and a uniform angle, from one
+    gen.random((2, n)) draw per jump.  The jumps are drawn in blocks of
+    b = max(1, _JUMP_BLOCK // 2n), one gen.random((b, 2, n)) each, which is
+    bit for bit b successive (2, n) draws.  The polar chart applies a jump
+    with _polar_step(rho, psi, cos, sin, length), the raw chart with
+    _disc_step(z, _disc_jump(cos, sin, length))."""
+    b = max(1, _JUMP_BLOCK // (2 * n))
+    for first in range(0, count, b):
+        u = gen.random((min(b, count - first), 2, n))
+        ell = _radial_quantile(gap, u[:, 0])
+        # (cos, sin) of the angle 2 pi u[:, 1], written over the draw
+        np.multiply(u[:, 1], 2.0 * math.pi, out=u[:, 1])
+        np.cos(u[:, 1], out=u[:, 0])
+        np.sin(u[:, 1], out=u[:, 1])
+        for j in range(u.shape[0]):
+            yield u[j, 0], u[j, 1], ell[j]
 
 
 def sample_heat_endpoints(n_paths: int, t_max: float, rng, start=(0.0, 0.0), checkpoints=None):
@@ -795,14 +820,8 @@ def sample_heat_endpoints(n_paths: int, t_max: float, rng, start=(0.0, 0.0), che
     out_rho = np.empty((len(checkpoints), n_paths))
     out_psi = np.empty((len(checkpoints), n_paths))
     for i, (gap, k) in enumerate(zip(gaps, pieces)):
-        for _ in range(k):
-            u = gen.random((2, n_paths))
-            ell = _radial_quantile(gap / k, u[0])
-            # (cos, sin) of the angle 2 pi u[1], written over the draw
-            np.multiply(u[1], 2.0 * math.pi, out=u[1])
-            np.cos(u[1], out=u[0])
-            np.sin(u[1], out=u[1])
-            rho, psi = _polar_step(rho, psi, u[0], u[1], ell)
+        for c, s, ell in _heat_jumps(gen, n_paths, gap / max(k, 1), k):
+            rho, psi = _polar_step(rho, psi, c, s, ell)
         out_rho[i] = rho
         out_psi[i] = psi
     return out_rho, out_psi

@@ -2,7 +2,7 @@
 
 Three independent routes to the same spectrum:
 
-* Brownian: grow the cocycle along tracked Brownian paths and average
+* Brownian: grow the cocycle along Brownian paths and average
   log-norm rates (single-vector, operator-norm, and full QR-deflation
   variants).
 * Geodesic: evaluate expansion rates along unit-speed geodesic rays with
@@ -13,8 +13,8 @@ Three independent routes to the same spectrum:
 Plus the probabilistic diagnostics that justify swapping the routes:
 radial drift, geodesic shadowing, and uniformity of limiting directions.
 Shadowing samples the exact law at its checkpoints
-(`diffusion.sample_heat_endpoints`); the uniformity check steps the polar
-walker, whose drift and isotropy the matrix routes rely on.
+(`diffusion.sample_heat_endpoints`); the uniformity check still steps the
+polar walker.
 
 Every route runs on one vectorized engine in two layers: the geometry layer
 `surface._reduce_ensemble` emits deck letters and the algebra layer
@@ -23,8 +23,8 @@ top of both.  `_reduce_ensemble` is the only domain-reduction kernel
 (`surface.locate` is its one-point case), on a layout built once per group,
 `FuchsianGroup._layout`.  Each round it pulls every walker that violates a
 side back across its smallest violated side in one Mobius update (walkers
-inside a skip radius are never tested, and after the first round only the
-walkers that moved are) and reports the round's (side, walker) arrays once.
+inside the inscribed disc are never tested, and after the first round only
+the walkers that moved are) and reports the round's (side, walker) arrays once.
 `_MatrixAccumulator` is the only cocycle accumulator: it folds a round in
 with one gathered matmul against the eight side images stacked as
 (8, d, d).  A path's matrix takes its letters on the right (crossing
@@ -37,15 +37,21 @@ any dimension and field.  The SVD routes summarize their products in
 `_svd_spectrum`, the interval routes extremize over a subspace in
 `_rate_range`.
 
-Reduction is lazy: the disc is simply connected, so a lifted path's
-cocycle value depends only on its endpoint tile.  The one Brownian walker,
-`_brownian_walk` (jumps drawn a block at a time by `diffusion._disc_jumps`,
-one Mobius move `diffusion._disc_step` per step), reduces every walker only
-every _REDUCE_EVERY time units and at the last step; in between, it reduces
-those past _GUARD_R.  The ray tracker `_geodesic_matrices` has no guard:
-its move is exact for any length, so each ray takes one step per
-_REDUCE_EVERY of arc length and is reduced after every step.  Each
-estimator walks one ensemble on `rng.child(0)`.
+The disc is simply connected, so a lifted path's cocycle value depends
+only on its endpoint tile, and the matrix routes need each walker only at
+the reduction cadence _REDUCE_EVERY.  The one Brownian walker,
+`_brownian_walk`, takes ceil(t / _REDUCE_EVERY) equal gaps; in each it
+moves every walker once by an exact heat-kernel jump
+(`diffusion._heat_jumps`, applied by the Mobius move `diffusion._disc_step`)
+and reduces every walker once.  There is no step, no guard and no partial
+reduction; Benettin runs one QR per gap.  Every Brownian estimator, the
+conversion check's left side included, walks through `_brownian_matrices`,
+which still validates a `step` it does not read: the estimators keep
+`step` (and Benettin `reorth_every`) in their signatures because the
+benchmark's tracer and layer timings pass them.  The ray tracker
+`_geodesic_matrices` moves each ray exactly, one step per _REDUCE_EVERY of
+arc length, and reduces after every step.  Each estimator walks one
+ensemble on `rng.child(0)`.
 """
 
 from __future__ import annotations
@@ -57,15 +63,16 @@ import numpy as np
 
 from .cocycle import _MatrixAccumulator, cocycle_of_word, specialize
 from .diffusion import (
+    _GAP_MIN,
     MAX_STEP_COUNT,
     CheckReport,
     RngStream,
     _check_step_params,
-    _disc_jumps,
+    _disc_jump,
     _disc_step,
-    _disc_walk_endpoints,
+    _heat_jumps,
     _mean_se,
-    _step_count,
+    _polar_coordinates,
     pairwise_sum,
     polar_separation,
     sample_heat_endpoints,
@@ -104,14 +111,14 @@ class LyapunovError(RuntimeError):
 
 # ------------------------------------------------------- ensemble engine
 
-# full reductions every half time (or arc-length) unit: 10 Brownian steps at
-# step 0.05, Benettin's default reorth_every, or one exact ray step; any
-# cadence gives the same product
+# the reduction cadence: a Brownian walk of length t takes ceil(t / 0.5)
+# equal gaps, one exact jump and one full reduction each, and a ray one
+# exact step per 0.5 of arc length; any cadence gives the same product
 _REDUCE_EVERY = 0.5
-# between the Brownian walker's full reductions, walkers past hyperbolic
-# radius 6 are reduced at once: a raw-chart point there carries at most
-# ~200 eps of position error
-_GUARD_R = math.tanh(3.0)
+# the products spill into their log scale every 8 gaps, 4 time units: a
+# product outgrowing the 1e100 threshold by 1e208 in that time would need
+# an exponent past 100
+_RESCALE_GAPS = 8
 
 
 def _ensemble_generator(rng):
@@ -121,33 +128,41 @@ def _ensemble_generator(rng):
     return rng.child(0).generator()
 
 
-def _lazy_skip(k, steps, step):
-    """skip_r for the reduction after step k of steps (1-based): a full
-    reduction at every _REDUCE_EVERY and at the last step, else the guard."""
-    full = k % max(1, round(_REDUCE_EVERY / step)) == 0 or k == steps
-    return None if full else _GUARD_R
+def _brownian_walk(data, acc, gen, n, t, start=0j):
+    """Walk n Brownian paths from `start` for time t, folding their deck
+    letters into acc; yields the reduced positions z after each gap.
 
-
-def _brownian_walk(data, acc, gen, n, t, step, start=0j):
-    """Walk n Brownian paths from `start` with lazy reduction, folding their
-    deck letters into acc; yields (i, last, z) after step i.  Between full
-    reductions acc holds a partial product, completed at the last step."""
-    _check_step_params(t, step)
+    The walk takes k = ceil(t / _REDUCE_EVERY) equal gaps of t / k.  Each
+    gap moves every walker once, by an exact heat-kernel jump
+    (diffusion._heat_jumps), and then reduces every walker into the
+    octagon.  A gap below diffusion's _GAP_MIN, the shortest time its
+    radial table covers, is refused; as t / k >= min(t, 1/4), that is a t
+    below _GAP_MIN."""
+    if not (math.isfinite(t) and t >= _GAP_MIN):
+        raise LyapunovError(f"a Brownian walk needs finite t >= {_GAP_MIN}, got {t}")
+    k = math.ceil(t / _REDUCE_EVERY)
     z = np.full(n, complex(start))
     _reduce_ensemble(data, z)  # initial reduction: not part of the word
-    steps = _step_count(t, step)
-    for i, xi in enumerate(_disc_jumps(gen, n, t, step), start=1):
-        z = _disc_step(z, xi)
-        _reduce_ensemble(data, z, acc=acc, skip_r=_lazy_skip(i, steps, step))
-        yield i, i == steps, z
+    for c, s, ell in _heat_jumps(gen, n, t / k, k):
+        z = _disc_step(z, _disc_jump(c, s, ell))
+        _reduce_ensemble(data, z, acc=acc)
+        yield z
 
 
-def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j):
-    """Cocycle matrices along tracked Brownian paths, one ensemble."""
+def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j, each_gap=None):
+    """Cocycle matrices along Brownian paths from `start`, one ensemble on
+    rng.child(0).  `step` is validated as the step walkers validate it, and
+    not read: the walk jumps exactly.  each_gap(acc), when given, runs
+    after every gap's reduction; otherwise the products are rescaled every
+    _RESCALE_GAPS gaps."""
+    _check_step_params(t, step)
     data = group._layout
     acc = _MatrixAccumulator(rep, data, n_paths)
-    for i, _, _ in _brownian_walk(data, acc, _ensemble_generator(rng), n_paths, t, step, start):
-        if i % 64 == 0:
+    walk = _brownian_walk(data, acc, _ensemble_generator(rng), n_paths, t, start)
+    for i, _ in enumerate(walk, start=1):
+        if each_gap is not None:
+            each_gap(acc)
+        elif i % _RESCALE_GAPS == 0:
             acc.rescale()
     acc.rescale()
     return acc
@@ -158,8 +173,8 @@ def _geodesic_matrices(rep, group, thetas, R, spacing):
     with direction transport.  The move w <- (xi + w) / (1 + conj(w) xi),
     xi = tanh(h/2) e^{i alpha}, is exact for any length h, so each ray takes
     steps of `spacing` (at most _REDUCE_EVERY; the last takes what is left
-    of R) and is fully reduced after every step, with no guard.  The
-    spacing changes only rounding."""
+    of R) and is fully reduced after every step.  The spacing changes only
+    rounding."""
     if not (math.isfinite(spacing) and 0.0 < spacing <= _REDUCE_EVERY):
         raise LyapunovError(f"geodesic tracking needs 0 < spacing <= {_REDUCE_EVERY}")
     if not (R > 0.0 and R / spacing <= MAX_STEP_COUNT):
@@ -293,7 +308,8 @@ class UniformityReport:
 
 def brownian_rate(rep, group, v, t, n_paths, step, rng):
     """Mean single-vector growth rate (1/t) log(|A(omega,t) v| / |v|)
-    over tracked Brownian paths from the origin; returns (mean, std_error)."""
+    over Brownian paths from the origin; returns (mean, std_error).  `step`
+    is validated but not read: the walk jumps exactly."""
     if t < 1.0:
         raise LyapunovError("brownian_rate needs t >= 1")
     acc = _brownian_matrices(rep, group, t, n_paths, step, rng)
@@ -301,7 +317,8 @@ def brownian_rate(rep, group, v, t, n_paths, step, rng):
 
 
 def brownian_norm_rate(rep, group, t, n_paths, step, rng):
-    """Mean operator-norm growth rate (1/t) log |A(omega,t)|."""
+    """Mean operator-norm growth rate (1/t) log |A(omega,t)|; `step` as in
+    brownian_rate."""
     if t < 1.0:
         raise LyapunovError("brownian_norm_rate needs t >= 1")
     acc = _brownian_matrices(rep, group, t, n_paths, step, rng)
@@ -312,20 +329,22 @@ def brownian_norm_rate(rep, group, t, n_paths, step, rng):
 
 
 def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> SpectrumReport:
-    """Full spectrum by QR deflation along tracked Brownian paths.
+    """Full spectrum by QR deflation along Brownian paths.
 
     Letters arrive in crossing order, i.e. as right factors of each path's
     product M; its transpose M^T takes them as left factors with identical
-    singular-value growth, so the frame is M^T, re-orthonormalized by QR
-    every `reorth_every` steps, and the accumulated log diagonals are
-    averaged across paths.  The QR points need not be
-    reduction points: every partial product is a factor of the final one,
-    whose letters are all folded in by the last step.  The QR of every
+    singular-value growth, so the frame is M^T, re-orthonormalized by one
+    QR per gap of the walk (one per _REDUCE_EVERY time units), and the
+    accumulated log diagonals are averaged across paths.  The QR of every
     path's M^T is one call of `_orthonormal_rows`, Gram-Schmidt twice over
     the rows of M: the orthonormal rows replace M and their lengths after
     projection are |diag R|.  Each |diag R| below 1e-280 is refused as a
     degenerate frame.  A single path is refused: its exponents would have
     no standard error.
+
+    `step` and `reorth_every` are validated (0 < step <= 0.05,
+    reorth_every >= 1 with reorth_every * step <= 1) but not read: the walk
+    jumps exactly from gap to gap, and the QR follows the gaps.
 
     Exponents whose estimates differ by less than max(0.02, 3 combined se)
     merge into one block: strict spectral gaps are not resolvable at finite
@@ -334,14 +353,13 @@ def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> Sp
     if reorth_every < 1 or reorth_every * step > 1.0 + 1e-12:
         raise LyapunovError("need reorth_every >= 1 with reorth_every * step <= 1")
     _check_ensemble_size(n_paths)
-    data = group._layout
-    gen = _ensemble_generator(rng)
-    acc = _MatrixAccumulator(rep, data, n_paths)
     logr = np.zeros((n_paths, rep.dim))
-    for i, last, _ in _brownian_walk(data, acc, gen, n_paths, t_max, step):
-        if i % reorth_every == 0 or last:
-            acc.m, norms = _orthonormal_rows(acc.m)
-            logr += np.log(norms)
+
+    def deflate(acc):
+        acc.m, norms = _orthonormal_rows(acc.m)
+        logr[:] += np.log(norms)
+
+    acc = _brownian_matrices(rep, group, t_max, n_paths, step, rng, each_gap=deflate)
     # sort per path: for products without generic alignment (commuting
     # images) the QR diagonal order is path-dependent, and the ensemble
     # average must estimate the sorted spectrum of A(omega, t)
@@ -352,8 +370,6 @@ def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> Sp
         "brownian",
         {
             "t_max": t_max,
-            "step": step,
-            "reorth_every": reorth_every,
             "n_paths": n_paths,
             "master_seed": rng.master_seed,
             "stream_index": rng.stream_index,
@@ -500,8 +516,9 @@ def geodesic_spectrum(rep, group, R, n_dirs, spacing=_REDUCE_EVERY) -> SpectrumR
 def diffusion_spectrum(rep, group, n, n_paths, step, rng) -> SpectrumReport:
     """Full spectrum by the expectation route: expected sorted log singular
     values of the cocycle at an integer horizon (no deflation along the
-    path; the whole matrix is decomposed at the end).  A single path is
-    refused, as in benettin_spectrum."""
+    path; the whole matrix is decomposed at the end).  `step` is validated
+    but not read: the walk jumps exactly.  A single path is refused, as in
+    benettin_spectrum."""
     if n < 1:
         raise LyapunovError("diffusion_spectrum needs an integer horizon n >= 1")
     _check_ensemble_size(n_paths)
@@ -513,7 +530,6 @@ def diffusion_spectrum(rep, group, n, n_paths, step, rng) -> SpectrumReport:
         {
             "n": int(n),
             "n_paths": n_paths,
-            "step": step,
             "master_seed": rng.master_seed,
             "stream_index": rng.stream_index,
         },
@@ -693,7 +709,8 @@ def expectation_functions(
     horizon n, extremized over unit vectors of the subspace.
 
     A single path ensemble is shared by every direction, so a 1-dimensional
-    subspace gives m_n = M_n exactly.
+    subspace gives m_n = M_n exactly.  `step` is validated but not read:
+    the walk jumps exactly.
     """
     if n < 1:
         raise LyapunovError("expectation horizon n must be >= 1")
@@ -708,7 +725,10 @@ def expectation_functions(
 def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckReport:
     """Expected log growth from eta with the converted direction, against
     the diffused specialization minus its value at eta; two independent
-    Monte Carlo pipelines."""
+    Monte Carlo pipelines on one time law.  The left side walks the reduced
+    chain from eta (_brownian_matrices), the right side draws exact
+    endpoints from eta (sample_heat_endpoints) and evaluates the
+    specialization there.  `step` is validated but not read."""
     if t < 0.5:
         raise LyapunovError("check_exp_conversion needs t >= 0.5")
     eta_pt = eta if isinstance(eta, DiscPoint) else DiscPoint.from_complex(complex(eta))
@@ -723,8 +743,12 @@ def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckRepo
     lhs_vals = acc.log_vector_growth(spec.direction)
     lhs, lhs_se = _mean_se(lhs_vals - math.log(np.linalg.norm(w @ spec.direction)))
 
-    gen = rng.child(202).generator()
-    zs = _disc_walk_endpoints(n_paths, t, step, gen, z0=eta_pt.z)
+    rho, psi = sample_heat_endpoints(n_paths, t, rng.child(202).generator(),
+                                     start=_polar_coordinates(eta_pt))
+    zs = np.tanh(0.5 * rho[-1]) * np.exp(1j * psi[-1])
+    if np.max(np.abs(zs)) >= 1.0 - 1e-15:
+        raise LyapunovError("an endpoint of the conversion check left the representable "
+                            "disc; use a shorter horizon")
     rhs, rhs_se = _mean_se(spec.values(zs) - spec(eta_pt))
 
     return CheckReport.compare(
@@ -797,9 +821,8 @@ def _chi2_sf(stat: float, df: int) -> float:
 
 def direction_distribution_check(n_paths, t, step, n_bins, rng) -> UniformityReport:
     """Chi-square uniformity of final angular coordinates of the polar step
-    walker at `step`, the walk the matrix routes integrate.  (An exact jump
-    from the origin has a uniform angle by construction, so this check
-    would be vacuous on sample_heat_endpoints.)"""
+    walker at `step`.  (An exact jump from the origin has a uniform angle by
+    construction, so this check would be vacuous on sample_heat_endpoints.)"""
     if t < 40.0:
         raise LyapunovError("direction check needs t >= 40 (direction nearly frozen)")
     if n_bins < 1:

@@ -195,9 +195,9 @@ class _GroupData:
         self.inner_r = math.tanh(0.5 * group.inradius)
 
 
-def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, skip_r=None):
-    """Pull every walker with |z| > skip_r into the fundamental octagon, in
-    place; skip_r defaults to the inscribed disc's radius, i.e. all walkers.
+def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None):
+    """Pull every walker into the fundamental octagon, in place; walkers in
+    the inscribed disc are never tested.
 
     Each round moves every walker that violates a side across its smallest
     violated side in one vectorized Mobius update, transports the direction
@@ -205,7 +205,7 @@ def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None, skip_r=None):
     the round to acc.apply.  After the first round only the walkers that
     moved are tested.
     """
-    idx = np.flatnonzero(np.abs(z) > (data.inner_r if skip_r is None else skip_r))
+    idx = np.flatnonzero(np.abs(z) > data.inner_r)
     if idx.size == 0:
         return
     for _ in range(_MAX_ENSEMBLE_ROUNDS):

@@ -446,7 +446,7 @@ def test_run_validate_dynkin_pass_fail_lines(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("suite", ["semigroup", "dynkin", "circle", "shadowing",
-                                   "kernel", "cocycle", "geometry"])
+                                   "kernel", "cocycle", "geometry", "conversion"])
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_step_refused_by_suites_that_do_not_walk(tmp_path, capsys, suite, where):
     # these suites jump exactly or draw nothing: a step would be recorded
@@ -531,17 +531,33 @@ def test_geodesic_route_ignores_step(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["brownian", "diffusion"])
+def test_walker_routes_ignore_step(tmp_path, capsys, method):
+    # the walk jumps exactly from gap to gap: a step, by config key or flag,
+    # is validated but changes no byte of the CSV and is not recorded
+    text = ROUTE_CONFIG.replace("horizon = 60", "horizon = 10").replace("400", "100")
+    csvs = []
+    for tag, step_key, extra in (("a", "", []), ("b", "step = 0.02\n", []),
+                                 ("c", "", ["--step", "0.02"])):
+        cfg = write_config(tmp_path, text + step_key, name=f"{tag}.cfg")
+        out = str(tmp_path / tag)
+        assert run_cli(["run", cfg, "--method", method, "--output", out, *extra]) == 0
+        csvs.append((tmp_path / f"{tag}.csv").read_bytes())
+        assert "step" not in _manifest_keys(tmp_path / f"{tag}.manifest.txt")
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize("method", ["brownian", "diffusion"])
 def test_walker_manifest_lists_each_key_once(tmp_path, capsys, method):
+    # the walk jumps exactly, so step is not recorded, like n_dirs
     text = GOOD_CONFIG.format(out=tmp_path / "w").replace("method = brownian\n", "")
     assert run_cli(["run", write_config(tmp_path, text), "--method", method]) == 0
     keys = _manifest_keys(tmp_path / "w.manifest.txt")
-    assert "n_dirs" not in keys and len(keys) == len(set(keys))
-    assert {"step", "n_paths", "master_seed"} <= set(keys)
+    assert "n_dirs" not in keys and "step" not in keys and len(keys) == len(set(keys))
+    assert {"n_paths", "master_seed"} <= set(keys)
 
 
 def test_drift_suite_walks_at_the_given_step(tmp_path, capsys):
-    # validate:drift checks the step walker that the matrix routes use, so
-    # its step acts
+    # validate:drift checks the step walker, so its step acts
     cfg = "[run]\nmethod = validate:drift\nn_paths = 200\noutput = %s\n"
     csvs = []
     for tag, extra in (("a", []), ("b", ["--step", "0.02"])):

@@ -37,6 +37,7 @@ from hyplyap.diffusion import (
     _disc_jump,
     _disc_step,
     _disc_step_scalar,
+    _heat_jumps,
     _polar_step,
     _radial_quantile,
     _radial_table,
@@ -154,13 +155,14 @@ def test_sample_path_agrees_with_polar_walker_in_law():
 
 
 def test_polar_and_raw_walkers_agree_in_law():
+    # the polar step walker against the raw chart's exact jumps, two of 0.5
+    # composed by the Mobius move, as the matrix routes' walk takes them
     f = exp_neg_dist_field()
     rho, psi = sample_polar_endpoints(4000, 1.0, 0.01, RngStream(8).generator())
     polar_vals = f.values_polar(rho[-1], psi[-1])
-    g = RngStream(9).generator()
-    from hyplyap.diffusion import _disc_walk_endpoints
-
-    zs = _disc_walk_endpoints(4000, 1.0, 0.01, g)
+    zs = np.zeros(4000, complex)
+    for c, s, ell in _heat_jumps(RngStream(9).generator(), 4000, 0.5, 2):
+        zs = _disc_step(zs, _disc_jump(c, s, ell))
     raw_vals = f.values_polar(2.0 * np.arctanh(np.abs(zs)), np.angle(zs))
     se = math.hypot(
         np.std(polar_vals, ddof=1) / 63.2, np.std(raw_vals, ddof=1) / 63.2
@@ -394,6 +396,38 @@ def test_radial_quantile_monotone(gap):
     rho = _radial_quantile(gap, u)
     assert rho[0] == 0.0
     assert np.all(np.diff(rho) >= 0.0) and np.all(np.isfinite(rho))
+
+
+def _searched_quantile(gap, u):
+    """_radial_quantile with its knot found by a full np.searchsorted."""
+    (s, rho, slope), _ = _radial_table(gap)
+    x = np.sqrt(u)
+    i = np.searchsorted(s, x, side="right") - 1
+    s0 = s[i]
+    h = s[i + 1] - s0
+    t = (x - s0) / h
+    r0 = rho[i]
+    dr = rho[i + 1] - r0
+    m0, m1 = slope[i] * h, slope[i + 1] * h
+    return r0 + t * (m0 + t * ((3.0 * dr - 2.0 * m0 - m1) + t * (m0 + m1 - 2.0 * dr)))
+
+
+@pytest.mark.parametrize("gap", [0.01, 0.5, 5.25 / 11, 1.0, 100.0])
+def test_guided_quantile_matches_full_search(gap):
+    # random keys, keys on every knot and one ulp to either side of it, and
+    # the ends u = 0 and u just below 1: the guide finds the knot a full
+    # search finds, so every rho is bit for bit the same
+    (s, _, _), guide = _radial_table(gap)
+    assert 0 < np.sum(guide < 0) < guide.size // 10
+    on_knots = s[:-1] ** 2
+    keys = np.concatenate([
+        RngStream(37).generator().random(100000), on_knots,
+        np.nextafter(on_knots, 0.0), np.nextafter(on_knots, 1.0), [0.0, 1.0 - 2.0**-53],
+    ])
+    keys = keys[keys < 1.0]
+    got = _radial_quantile(gap, keys)
+    assert np.array_equal(got, _searched_quantile(gap, keys))
+    assert np.array_equal(_radial_quantile(gap, keys[:1000].reshape(10, 100)), got[:1000].reshape(10, 100))
 
 
 def _exact_cdf(gap, points=200):

@@ -6,10 +6,11 @@ into cocycle products; lyapunov walks ensembles on top of both.  The
 reduction kernel must reproduce the scalar reduction of scalar_reduction.py
 walker by walker, the inscribed disc it never tests must lie inside the
 octagon, the accumulator must reproduce cocycle_of_word on each walker's
-recorded word, the lazy walk must keep its reduction invariants, every
-walker's block draws must reproduce one draw per step bit for bit, whether
-drawn ahead on a worker thread or inline, a walk that stops early must
-leave no worker running, and Specialization.values and
+recorded word, the cadence walk must keep its reduction invariants and
+lift to Brownian motion, its block draws must reproduce one draw per gap
+bit for bit, every step walker's block draws must reproduce one draw per
+step bit for bit, whether drawn ahead on a worker thread or inline, a walk
+that stops early must leave no worker running, and Specialization.values and
 Specialization.__call__ must reproduce the specialization computed from the
 scalar reduction and cocycle_of_word.
 """
@@ -36,10 +37,11 @@ from hyplyap.diffusion import (
     _disc_jump,
     _disc_step,
     _disc_step_scalar,
-    _disc_walk_endpoints,
     _polar_step,
+    _radial_quantile,
     _step_count,
     _time_grid,
+    sample_heat_endpoints,
     sample_path,
     sample_polar_endpoints,
 )
@@ -96,17 +98,15 @@ def rep_track(group):
 
 
 class _Recorder:
-    """Accumulator that records each walker's letters in crossing order,
-    counts them, and forwards every round to the accumulators it wraps."""
+    """Accumulator that records each walker's letters in crossing order and
+    forwards every round to the accumulators it wraps."""
 
     def __init__(self, data, n, *accs):
         self.side_letters = data.letters
         self.letters = [[] for _ in range(n)]
         self.accs = accs
-        self.count = 0
 
     def apply(self, first, idx):
-        self.count += len(idx)
         for j, k in zip(first, idx):
             self.letters[k].append(self.side_letters[j])
         for acc in self.accs:
@@ -140,7 +140,7 @@ def test_accumulator_matches_scalar_cocycles(data, rep_track):
     n = 200
     acc = _MatrixAccumulator(rep_track, data, n)
     rec = _Recorder(data, n, acc)
-    for _ in _brownian_walk(data, rec, np.random.default_rng(7), n, 6.0, 0.05):
+    for _ in _brownian_walk(data, rec, np.random.default_rng(7), n, 6.0):
         pass
     assert sum(len(w) >= 3 for w in rec.letters) > n // 4
     for k in range(n):
@@ -148,84 +148,99 @@ def test_accumulator_matches_scalar_cocycles(data, rep_track):
         assert np.linalg.norm(acc.m[k] - want) <= 1e-12 * np.linalg.norm(want), k
 
 
-@pytest.mark.parametrize(
-    "start, t, guard", [(0j, 5.0, None), (0.99 * cmath.exp(0.7j), 5.0, None), (0j, 5.25, 0.9)]
-)
-def test_lazy_walk_invariants(group, data, rep_track, monkeypatch, start, t, guard):
-    # no walker is ever past the guard radius; every walker is in the
-    # closed octagon at each full reduction, the last step included (t =
-    # 5.25 ends between cadence points), and some are not in between; the
-    # product is the cocycle of the letters the walk reported.  A guard
-    # radius of 0.9 (rho 2.9) makes the guard fire on most steps.
-    if guard is not None:
-        monkeypatch.setattr(lyapunov, "_GUARD_R", guard)
-    n, step = 500, 0.05
-    every = round(lyapunov._REDUCE_EVERY / step)
+@pytest.mark.parametrize("start, t", [(0j, 5.0), (0.99 * cmath.exp(0.7j), 5.0), (0j, 5.25)])
+def test_cadence_walk_invariants(group, data, rep_track, start, t):
+    # the walk takes ceil(t / 0.5) gaps (t = 5.25: 11 gaps of 0.477), and
+    # after each one every walker is in the closed octagon; the product is
+    # the cocycle of the letters the walk reported
+    n = 500
     acc = _MatrixAccumulator(rep_track, data, n)
     rec = _Recorder(data, n, acc)
-    full, lazy_outside, guarded, seen = 0, 0, 0, 0
-    gen = np.random.default_rng(11)
-    for i, last, z in lyapunov._brownian_walk(data, rec, gen, n, t, step, start):
-        assert np.max(np.abs(z)) <= lyapunov._GUARD_R, i
-        if i % every == 0 or last:
-            full += 1
-            assert all(contains(group, complex(w)) for w in z), i
-        else:
-            guarded += rec.count - seen
-            if i % every == every // 2:
-                lazy_outside += sum(not contains(group, complex(w)) for w in z)
-        seen = rec.count
-    assert last and full == math.ceil(t / lyapunov._REDUCE_EVERY) and lazy_outside > 0
-    if guard is not None:
-        assert guarded > 0
+    gaps = 0
+    for z in _brownian_walk(data, rec, np.random.default_rng(11), n, t, start):
+        gaps += 1
+        assert all(contains(group, complex(w)) for w in z), gaps
+    assert gaps == math.ceil(t / lyapunov._REDUCE_EVERY)
     assert sum(len(w) >= 3 for w in rec.letters) > n // 4
     for k in range(n):
         want = cocycle_of_word(rep_track, DeckWord(tuple(rec.letters[k])))
         assert np.linalg.norm(acc.m[k] - want) <= 1e-12 * np.linalg.norm(want), k
 
 
-def test_block_draws_match_per_step_draws(data, rep_track, monkeypatch):
-    # the walk draws a block of steps at once; at t = 5.25 the last block
-    # is short (5 of 10 steps).  Its normals, and the positions and products
-    # after every step, equal bit for bit those of one (2, n) draw per step
-    n, t, step = 300, 5.25, 0.05
-    steps = _step_count(t, step)
-    assert steps % round(diffusion._BLOCK_TIME / step) != 0
-    blocks = []
+@pytest.mark.parametrize("t", [0.0, 0.005, math.nan, math.inf])
+def test_cadence_walk_refuses_gaps_below_kernel_range(data, rep_track, t):
+    acc = _MatrixAccumulator(rep_track, data, 10)
+    with pytest.raises(lyapunov.LyapunovError, match="needs finite t >= 0.01"):
+        next(_brownian_walk(data, acc, np.random.default_rng(1), 10, t))
 
-    def recording_jump(n1, n2, scale):
-        blocks.append((n1.copy(), n2.copy(), scale.copy()))
-        return _disc_jump(n1, n2, scale)
 
-    monkeypatch.setattr(diffusion, "_disc_jump", recording_jump)
+def test_cadence_walk_lifts_to_brownian_motion(group, data):
+    # the reduced chain, lifted back by its word, has Brownian motion's law:
+    # at t = 5 the lifted endpoint's distance from the origin against exact
+    # endpoints on another stream, two-sample KS at the 1% critical value
+    # 1.628 sqrt(2 / n)
+    n, t = 4000, 5.0
+    rec = _Recorder(data, n)
+    for z in _brownian_walk(data, rec, RngStream(38).generator(), n, t):
+        pass
+    lifted = np.array([DeckWord(tuple(w)).evaluate(group)(complex(r))
+                       for w, r in zip(rec.letters, z)])
+    walked = np.sort(2.0 * np.arctanh(np.abs(lifted)))
+    exact = np.sort(sample_heat_endpoints(n, t, RngStream(39).generator())[0][-1])
+    grid = np.concatenate([walked, exact])
+    d = np.max(np.abs(np.searchsorted(walked, grid, side="right")
+                      - np.searchsorted(exact, grid, side="right"))) / n
+    assert d <= 1.628 * math.sqrt(2.0 / n)
+
+
+class _DrawSpy:
+    """A generator that records the shape of each uniform draw."""
+
+    def __init__(self, gen):
+        self.gen, self.shapes = gen, []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.gen.random(shape)
+
+
+def test_block_draws_match_per_step_draws(data, rep_track):
+    # the walk draws a block of gaps at once: at n = 2000, 2 gaps of 8000
+    # uniforms, and t = 5.25 takes 11 gaps, so the last block is short.  Its
+    # uniforms, and the positions and products after every gap, equal bit
+    # for bit those of one (2, n) draw per gap
+    n, t = 2000, 5.25
+    gaps = math.ceil(t / lyapunov._REDUCE_EVERY)
+    spy = _DrawSpy(np.random.default_rng(12))
     acc = _MatrixAccumulator(rep_track, data, n)
-    walk = lyapunov._brownian_walk(data, acc, np.random.default_rng(12), n, t, step)
+    walk = _brownian_walk(data, acc, spy, n, t)
     ref_acc = _MatrixAccumulator(rep_track, data, n)
     z_ref = np.zeros(n, complex)
     _reduce_ensemble(data, z_ref)
-    per_step = _increments(np.random.default_rng(12), n, t, step)
-    for (i, last, z), (n1, n2, scale) in zip(walk, per_step, strict=True):
-        z_ref = _disc_step(z_ref, _disc_jump(n1, n2, scale))
-        _reduce_ensemble(data, z_ref, acc=ref_acc, skip_r=lyapunov._lazy_skip(i, steps, step))
+    ref = np.random.default_rng(12)
+    for i, z in enumerate(walk, start=1):
+        u = ref.random((2, n))
+        angle = 2.0 * math.pi * u[1]
+        xi = _disc_jump(np.cos(angle), np.sin(angle), _radial_quantile(t / gaps, u[0]))
+        z_ref = _disc_step(z_ref, xi)
+        _reduce_ensemble(data, z_ref, acc=ref_acc)
         assert np.array_equal(z, z_ref), i
         assert np.array_equal(acc.m, ref_acc.m), i
-        b1, b2, bscale = blocks[-1]
-        row = (i - 1) % len(bscale)
-        assert np.array_equal(b1[row], n1) and np.array_equal(b2[row], n2), i
-        assert bscale[row, 0] == scale, i
-    assert last and i == steps
-    assert [len(b[2]) for b in blocks] == [10] * 10 + [5]
+    assert i == gaps
+    assert spy.shapes == [(2, 2, n)] * 5 + [(1, 2, n)]
 
 
 @pytest.mark.parametrize("walker, n", [
     pytest.param(walker, n, id=f"{walker}-{n}")
-    for walker in ("brownian_walk", "disc_walk_endpoints", "polar_endpoints")
+    for walker in ("brownian_walk", "polar_endpoints")
     for n in (2000, 300, 5000)
 ] + [pytest.param("sample_path", 1, id="sample_path-1")])
 def test_walk_draws_two_normals_per_path_step(data, rep_track, monkeypatch, walker, n):
-    # n = 2000 caps the block below the cadence, at 2 steps of 4000 normals;
-    # with a worker, n = 300 walks in 2 chunks, n = 2000 in 7 and n = 5000
-    # (one step per block) in 18
+    # the step walkers: n = 2000 caps the block below the cadence, at 2
+    # steps of 4000 normals; with a worker, n = 300 walks in 2 chunks,
+    # n = 2000 in 7 and n = 5000 (one step per block) in 18.  The cadence
+    # walk, whose path-steps are its 11 gaps, draws two uniforms per path
+    # and gap instead, and starts no worker
     t, step = 5.25, 0.05
     steps = _step_count(t, step)
     for cpus in (1, 2):
@@ -233,15 +248,15 @@ def test_walk_draws_two_normals_per_path_step(data, rep_track, monkeypatch, walk
         gen, ref = np.random.default_rng(13), np.random.default_rng(13)
         if walker == "brownian_walk":
             acc = _MatrixAccumulator(rep_track, data, n)
-            for _ in _brownian_walk(data, acc, gen, n, t, step):
+            for _ in _brownian_walk(data, acc, gen, n, t):
                 pass
-        elif walker == "disc_walk_endpoints":
-            _disc_walk_endpoints(n, t, step, gen)
-        elif walker == "polar_endpoints":
-            sample_polar_endpoints(n, t, step, gen, checkpoints=[1.0, 5.25])
+            ref.random(2 * n * math.ceil(t / lyapunov._REDUCE_EVERY))
         else:
-            sample_path(DiscPoint.origin(), t, step, gen)
-        ref.standard_normal(2 * n * steps)
+            if walker == "polar_endpoints":
+                sample_polar_endpoints(n, t, step, gen, checkpoints=[1.0, 5.25])
+            else:
+                sample_path(DiscPoint.origin(), t, step, gen)
+            ref.standard_normal(2 * n * steps)
         assert np.array_equal(gen.standard_normal(16), ref.standard_normal(16)), cpus
 
 
