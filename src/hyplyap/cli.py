@@ -35,14 +35,16 @@ from .diffusion import (
     dist_squared_field,
     exp_neg_dist_field,
     heat_kernel_mass,
+    _heat_jumps,
+    _polar_step,
     real_part_field,
-    sample_path,
-    sample_polar_endpoints,
+    sample_heat_endpoints,
     smoothed_dist_field,
 )
 from .hypgeo import DiscPoint, GeodesicRay, dist_P, geodesic_eval, radius_for_R
 from .surface import _locate_all, build_genus2
 from .lyapunov import (
+    _REDUCE_EVERY,
     LyapunovError,
     benettin_spectrum,
     check_exp_conversion,
@@ -67,10 +69,15 @@ _VALIDATIONS = (
 )
 # the suites that walk with `step`; every other suite samples exactly or
 # draws nothing, and refuses an explicit step
-_STEP_SUITES = ("drift", "uniformity")
+_STEP_SUITES = ("uniformity",)
 # the suites of a fixed size (geometry's 1000 maps, cocycle's 100 paths) or
 # that draw nothing (kernel); they refuse an explicit n_paths
 _FIXED_SIZE_SUITES = ("geometry", "cocycle", "kernel")
+# the suites that read `horizon`; no suite reads `n_dirs`
+_HORIZON_SUITES = ("uniformity", "conversion")
+# the largest horizon validate:conversion accepts: beyond it an endpoint of
+# its exact sampler can leave the representable disc (rho > ~35)
+_CONVERSION_MAX_HORIZON = 12.0
 
 
 def _suite(method: str):
@@ -85,8 +92,9 @@ def _unread_keys(method: str):
     suite = _suite(method)
     if suite is None:
         return ("step", "n_paths") if method == "geodesic" else ("step", "n_dirs")
-    return (("step",) if suite not in _STEP_SUITES else ()) + (
-        ("n_paths",) if suite in _FIXED_SIZE_SUITES else ())
+    reads = {"step": suite in _STEP_SUITES, "n_paths": suite not in _FIXED_SIZE_SUITES,
+             "horizon": suite in _HORIZON_SUITES, "n_dirs": False}
+    return tuple(key for key, read in reads.items() if not read)
 
 
 class ConfigError(ValueError):
@@ -432,9 +440,13 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         # representative inside the octagon's circumscribed disc.  Probes
         # 0.01 inside and outside each side's midpoint, and the origin, are
         # located in the same call: a point of the domain has the empty
-        # word, a point just across side j the one letter of side j
-        paths = [sample_path(DiscPoint.origin(), 2.0, 0.05, rng.child(i)) for i in range(100)]
-        points = [p.points[len(p.points) // 2] for p in paths] + [p.end for p in paths]
+        # word, a point just across side j the one letter of side j.  The
+        # 100 walkers are read exactly at t = 1 (midpoints) and t = 2
+        # (endpoints): a path's word depends only on where it ends
+        rho, psi = sample_heat_endpoints(100, 2.0, rng.child(0).generator(),
+                                         checkpoints=[1.0, 2.0])
+        points = [DiscPoint.from_complex(z)
+                  for z in (np.tanh(0.5 * rho) * np.exp(1j * psi)).ravel()]
         midpoints = np.exp(0.25j * math.pi * np.arange(8))
         for r in (group.inradius - 0.01, group.inradius + 0.01):
             points.extend(DiscPoint.from_complex(z) for z in math.tanh(0.5 * r) * midpoints)
@@ -474,10 +486,14 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         )
         add(r.name, r.slope, 0.0, r.threshold, r.passed)
     elif name == "drift":
-        # the step walker's drift at cfg.step; shadowing's drift row reads
-        # the exact law
-        rho, _ = sample_polar_endpoints(cfg.n_paths, 40.0, cfg.step, rng.generator())
-        med = float(np.median(rho[-1]) / 40.0)
+        # the chain the matrix routes walk: one exact jump per reduction
+        # cadence to t = 40, 80 of 0.5; shadowing's drift row reads one jump
+        # per checkpoint
+        k = math.ceil(40.0 / _REDUCE_EVERY)
+        rho, psi = np.zeros(cfg.n_paths), np.zeros(cfg.n_paths)
+        for c, s, ell in _heat_jumps(rng.generator(), cfg.n_paths, 40.0 / k, k):
+            rho, psi = _polar_step(rho, psi, c, s, ell)
+        med = float(np.median(rho) / 40.0)
         add("drift_median(t=40)", med, 1.0, 0.08, 0.92 <= med <= 1.08)
     elif name == "shadowing":
         r = shadowing_report(cfg.n_paths, [20.0, 40.0, 80.0], rng)
@@ -495,8 +511,11 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         # the diffused side is evaluated in raw coordinates: keep this check
         # at moderate horizons regardless of the spectrum-scale default
         t = cfg.horizon if "horizon" not in cfg.defaulted else 5.0
-        if t > 20.0:
-            raise ConfigError("validate:conversion needs horizon <= 20")
+        if t > _CONVERSION_MAX_HORIZON:
+            raise ConfigError(
+                f"validate:conversion needs horizon <= {_CONVERSION_MAX_HORIZON:g}: an "
+                f"endpoint can leave the representable disc beyond it, and with a "
+                f"larger n_paths even at or below it")
         r = check_exp_conversion(rep, group, u, eta, max(t, 0.5), cfg.n_paths, cfg.step, rng)
         add(r.name, r.lhs, r.rhs, r.tolerance, r.passed)
     else:  # pragma: no cover - guarded by validate()

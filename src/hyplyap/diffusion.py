@@ -14,15 +14,18 @@ Two samplers, two draw sites
 - Step walkers (`sample_polar_endpoints`, `sample_path`) take a geodesic
   random walk at `step` and draw their normals in `_normals`.  The walk's
   radial drift is 1 - dt/3 + O(dt^2), not 1 (Jorgensen, Z. Wahrsch.
-  verw. Geb. 32 (1975)).  `validate drift` and `validate uniformity`
-  check this walk; no estimator integrates it.
+  verw. Geb. 32 (1975)).  Only `validate uniformity` checks this walk
+  (through `sample_polar_endpoints`); no estimator integrates it, and
+  `sample_path` has no caller in the package.
 - Exact jumps (`_heat_jumps`) read an ensemble only at checkpoints and
   jump from one to the next in one step: a length from the radial law
   2 pi sinh(rho) K(rho, gap) through a cached inverse-CDF table of
   `heat_kernel`, and a uniform angle, both from one uniform (2, n) draw
   per gap.  They carry no step bias.  `sample_heat_endpoints` applies
   them in the polar chart: `diffuse` and so the semigroup, Dynkin and
-  circle checks, and `shadowing_report` use it.  Semigroup then tests
+  circle checks, `shadowing_report` and `validate cocycle` (each walker
+  at t = 1 and 2) use it, and `validate drift` chains them at the matrix
+  routes' cadence, 80 jumps of 0.5 to t = 40.  Semigroup then tests
   Chapman-Kolmogorov of the sampled law composed through `_polar_step`,
   and Dynkin tests that the kernel's generator is Delta; the mpmath tests
   of `heat_kernel` anchor both.  The matrix routes' walk

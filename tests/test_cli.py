@@ -446,7 +446,8 @@ def test_run_validate_dynkin_pass_fail_lines(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("suite", ["semigroup", "dynkin", "circle", "shadowing",
-                                   "kernel", "cocycle", "geometry", "conversion"])
+                                   "kernel", "cocycle", "geometry", "conversion",
+                                   "drift"])
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_step_refused_by_suites_that_do_not_walk(tmp_path, capsys, suite, where):
     # these suites jump exactly or draw nothing: a step would be recorded
@@ -468,22 +469,75 @@ def test_step_free_suite_manifest_has_no_step(tmp_path, capsys):
     cfg = "[run]\nmethod = validate:kernel\nseed = 3\noutput = %s\n" % (tmp_path / "k")
     assert run_cli(["run", write_config(tmp_path, cfg)]) == 0
     manifest = (tmp_path / "k.manifest.txt").read_text().splitlines()
-    assert not any(line.startswith("step ") for line in manifest)
-    assert "seed 3" in manifest and "horizon 60.0 (default)" in manifest
+    assert not any(line.startswith(("step ", "horizon ", "n_dirs ")) for line in manifest)
+    assert "seed 3" in manifest
 
 
 def test_validate_manifest_marks_defaults(tmp_path, capsys):
     assert run_cli(["validate", "kernel", "--output", str(tmp_path / "k")]) == 0
     manifest = (tmp_path / "k.manifest.txt").read_text().splitlines()
-    for line in ("horizon 60.0 (default)", "seed 0 (default)",
-                 "method validate:kernel", f"output {tmp_path / 'k'}"):
+    for line in ("seed 0 (default)", "method validate:kernel", f"output {tmp_path / 'k'}"):
         assert line in manifest
-    assert not any(line.startswith(("step ", "n_paths ")) for line in manifest)
+    assert not any(line.startswith(("step ", "n_paths ", "horizon ", "n_dirs "))
+                   for line in manifest)
     assert run_cli(["validate", "drift", "--n-paths", "1000", "--seed", "4",
                     "--output", str(tmp_path / "d")]) == 0
     manifest = (tmp_path / "d.manifest.txt").read_text().splitlines()
-    for line in ("n_paths 1000", "seed 4", "step 0.05 (default)", "horizon 60.0 (default)"):
+    for line in ("n_paths 1000", "seed 4"):
         assert line in manifest
+    assert not any(line.startswith(("step ", "horizon ", "n_dirs ")) for line in manifest)
+    # uniformity walks at step to horizon: both are recorded, marked as defaults
+    assert run_cli(["validate", "uniformity", "--n-paths", "1000",
+                    "--output", str(tmp_path / "u")]) == 0
+    manifest = (tmp_path / "u.manifest.txt").read_text().splitlines()
+    for line in ("n_paths 1000", "step 0.05 (default)", "horizon 60.0 (default)"):
+        assert line in manifest
+    assert not any(line.startswith("n_dirs ") for line in manifest)
+
+
+@pytest.mark.parametrize("suite, key, value", [
+    ("kernel", "horizon", "10"), ("drift", "horizon", "10"), ("cocycle", "horizon", "10"),
+    ("shadowing", "horizon", "10"), ("kernel", "n_dirs", "8"),
+    ("uniformity", "n_dirs", "8"), ("conversion", "n_dirs", "8"),
+])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_horizon_and_n_dirs_refused_by_suites_that_do_not_read_them(
+        tmp_path, capsys, suite, key, value, where):
+    # only uniformity and conversion read horizon, and no suite reads n_dirs:
+    # an explicit value would be recorded without acting
+    cfg = "[run]\nmethod = validate:%s\noutput = %s\n" % (suite, tmp_path / "v")
+    extra = ["--" + key.replace("_", "-"), value]
+    if where == "config":
+        cfg += f"{key} = {value}\n"
+        extra = []
+    rc = run_cli(["run", write_config(tmp_path, cfg), *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"error: validate:{suite} does not use {key}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "v.csv").exists()
+
+
+_CONVERSION_CONFIG = ("[representation]\ng1 = 2 0 0 0.5\ng2 = 1 0 0 1\ng3 = 1 0 0 1\n"
+                      "g4 = 1 0 0 1\n[run]\nmethod = validate:conversion\nseed = 0\n"
+                      "horizon = %s\noutput = %s\n")
+
+
+def test_conversion_runs_at_its_horizon_cap(tmp_path, capsys):
+    path = write_config(tmp_path, _CONVERSION_CONFIG % ("12", tmp_path / "c"))
+    assert run_cli(["run", path]) == 0
+    assert "[pass] exp_conversion(t=12.0)" in capsys.readouterr().out
+    assert "horizon 12.0" in (tmp_path / "c.manifest.txt").read_text().splitlines()
+
+
+def test_conversion_refuses_a_horizon_past_its_cap(tmp_path, capsys):
+    path = write_config(tmp_path, _CONVERSION_CONFIG % ("13", tmp_path / "c"))
+    assert run_cli(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert "error: validate:conversion needs horizon <= 12" in captured.err
+    assert "n_paths" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("suite", ["cocycle", "geometry", "kernel"])
@@ -556,9 +610,9 @@ def test_walker_manifest_lists_each_key_once(tmp_path, capsys, method):
     assert {"n_paths", "master_seed"} <= set(keys)
 
 
-def test_drift_suite_walks_at_the_given_step(tmp_path, capsys):
-    # validate:drift checks the step walker, so its step acts
-    cfg = "[run]\nmethod = validate:drift\nn_paths = 200\noutput = %s\n"
+def test_uniformity_suite_walks_at_the_given_step(tmp_path, capsys):
+    # validate:uniformity checks the step walker, so its step acts
+    cfg = "[run]\nmethod = validate:uniformity\nn_paths = 200\noutput = %s\n"
     csvs = []
     for tag, extra in (("a", []), ("b", ["--step", "0.02"])):
         path = write_config(tmp_path, cfg % (tmp_path / tag), name=f"{tag}.cfg")
@@ -630,6 +684,23 @@ def test_validate_subcommand_cocycle(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert "[pass] identity_law" in out
     assert "[pass] locate_roundtrip" in out
+
+
+@pytest.mark.parametrize("suite", ["cocycle", "drift"])
+def test_exact_suites_take_no_step_walk(tmp_path, capsys, monkeypatch, suite):
+    # cocycle reads each walker at t = 1 and 2, and drift chains the routes'
+    # exact jumps: neither draws a step walker's normals or builds a LeafPath
+    from hyplyap import diffusion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the step walker ran")
+
+    monkeypatch.setattr(diffusion, "_normals", refuse)
+    monkeypatch.setattr(diffusion, "sample_path", refuse)
+    size = ["--n-paths", "1000"] if suite == "drift" else []
+    rc = run_cli(["validate", suite, *size, "--output", str(tmp_path / suite)])
+    assert rc == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_validate_cocycle_catches_wrong_letters(tmp_path, capsys):

@@ -376,8 +376,8 @@ def test_worker_draw_error_reaches_caller(pools, monkeypatch):
 
 
 def test_single_chunk_walks_start_no_thread(pools, monkeypatch, tmp_path):
-    # validate cocycle samples 101 short paths: a thread each would cost
-    # more than the paths
+    # a short path fits in one chunk: a thread would cost more than the
+    # path.  validate cocycle jumps exactly and walks nothing
     _set_cpus(monkeypatch, 2)
     sample_path(DiscPoint.origin(), 2.0, 0.05, np.random.default_rng(19))
     assert cli.main(["validate", "cocycle", "--output", str(tmp_path / "c")]) == 0
