@@ -10,15 +10,11 @@ Dynkin identities, circle-average estimates).
 
 from .hypgeo import (
     DiscPoint,
-    GeodesicRay,
     GeometryError,
     MobiusMap,
     dist_P,
-    geodesic_eval,
     mobius_point_chart,
-    mobius_rotation,
     mobius_translation,
-    radius_for_R,
 )
 from .surface import (
     DeckWord,

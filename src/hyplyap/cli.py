@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage/config error, 2 validation-suite failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import datetime
 import math
 import os
@@ -35,17 +36,17 @@ from .diffusion import (
     dist_squared_field,
     exp_neg_dist_field,
     heat_kernel_mass,
-    _heat_jumps,
-    _polar_step,
+    _polar_step_error,
     real_part_field,
     sample_heat_endpoints,
     smoothed_dist_field,
 )
-from .hypgeo import DiscPoint, GeodesicRay, dist_P, geodesic_eval, radius_for_R
+from .hypgeo import DiscPoint, MobiusMap, dist_P, mobius_translation
 from .surface import _locate_all, build_genus2
 from .lyapunov import (
-    _REDUCE_EVERY,
     LyapunovError,
+    _cadence_chain,
+    _ray_lift_error,
     benettin_spectrum,
     check_exp_conversion,
     diffusion_spectrum,
@@ -67,9 +68,6 @@ _VALIDATIONS = (
     "uniformity",
     "conversion",
 )
-# the suites that walk with `step`; every other suite samples exactly or
-# draws nothing, and refuses an explicit step
-_STEP_SUITES = ("uniformity",)
 # the suites of a fixed size (geometry's 1000 maps, cocycle's 100 paths) or
 # that draw nothing (kernel); they refuse an explicit n_paths
 _FIXED_SIZE_SUITES = ("geometry", "cocycle", "kernel")
@@ -92,7 +90,8 @@ def _unread_keys(method: str):
     suite = _suite(method)
     if suite is None:
         return ("step", "n_paths") if method == "geodesic" else ("step", "n_dirs")
-    reads = {"step": suite in _STEP_SUITES, "n_paths": suite not in _FIXED_SIZE_SUITES,
+    # every suite samples exactly or draws nothing, and none reads step
+    reads = {"step": False, "n_paths": suite not in _FIXED_SIZE_SUITES,
              "horizon": suite in _HORIZON_SUITES, "n_dirs": False}
     return tuple(key for key, read in reads.items() if not read)
 
@@ -411,28 +410,18 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         gen = rng.generator()
         worst = 0.0
         for _ in range(1000):
-            from .hypgeo import mobius_rotation, mobius_translation
-
-            m = mobius_translation(gen.random(), 3.0 * gen.random()) * mobius_rotation(
-                2.0 * math.pi * gen.random()
-            )
+            rotation = MobiusMap(cmath.exp(1j * math.pi * gen.random()), 0j)
+            m = mobius_translation(gen.random(), 3.0 * gen.random()) * rotation
             z = 0.95 * math.sqrt(gen.random()) * np.exp(2j * np.pi * gen.random())
             w = 0.95 * math.sqrt(gen.random()) * np.exp(2j * np.pi * gen.random())
             worst = max(worst, abs(dist_P(m(z), m(w)) - dist_P(z, w)))
         add("isometry_invariance", worst, 0.0, 1e-10, worst <= 1e-10)
-        worst = 0.0
-        for theta in np.linspace(0.0, 0.9, 7):
-            ray = GeodesicRay(DiscPoint.origin(), float(theta))
-            for r1 in (0.5, 2.0, 5.0):
-                for r2 in (1.0, 4.0):
-                    d = dist_P(geodesic_eval(ray, r1), geodesic_eval(ray, r2))
-                    worst = max(worst, abs(d - abs(r1 - r2)))
-        add("ray_unit_speed", worst, 0.0, 1e-10, worst <= 1e-10)
-        worst = max(
-            abs(radius_for_R(dist_P(0j, r + 0j)) - r)
-            for r in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
-        )
-        add("radius_round_trip", worst, 0.0, 1e-12, worst <= 1e-12)
+        # the geodesic route's rays, lifted back by their deck words, and the
+        # polar chart's jump, against the exact ray and the jump's length
+        end, turn = _ray_lift_error(group, gen.random(32), 12.0)
+        add("ray_lift", end, 0.0, 1e-8, end <= 1e-8 and turn <= 1e-12)
+        worst = _polar_step_error(gen, 1000)
+        add("polar_step_length", worst, 0.0, 1e-10, worst <= 1e-10)
         res = group.relator_residual()
         add("octagon_relator", res, 0.0, 1e-8, res <= 1e-8)
     elif name == "cocycle":
@@ -486,13 +475,9 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         )
         add(r.name, r.slope, 0.0, r.threshold, r.passed)
     elif name == "drift":
-        # the chain the matrix routes walk: one exact jump per reduction
-        # cadence to t = 40, 80 of 0.5; shadowing's drift row reads one jump
-        # per checkpoint
-        k = math.ceil(40.0 / _REDUCE_EVERY)
-        rho, psi = np.zeros(cfg.n_paths), np.zeros(cfg.n_paths)
-        for c, s, ell in _heat_jumps(rng.generator(), cfg.n_paths, 40.0 / k, k):
-            rho, psi = _polar_step(rho, psi, c, s, ell)
+        # the chain the matrix routes walk, 80 exact jumps of 0.5 to t = 40;
+        # shadowing's drift row reads one jump per checkpoint
+        rho, _ = _cadence_chain(rng.generator(), cfg.n_paths, 40.0)
         med = float(np.median(rho) / 40.0)
         add("drift_median(t=40)", med, 1.0, 0.08, 0.92 <= med <= 1.08)
     elif name == "shadowing":
@@ -502,7 +487,7 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         add("drift_median(t=40)", r.drift_median[i40], 1.0, 0.08,
             0.92 <= r.drift_median[i40] <= 1.08)
     elif name == "uniformity":
-        r = direction_distribution_check(cfg.n_paths, max(cfg.horizon, 40.0), cfg.step, 32, rng)
+        r = direction_distribution_check(cfg.n_paths, max(cfg.horizon, 40.0), 32, rng)
         add("direction_uniformity_p", r.p_value, 1.0, 0.001, r.passed)
     elif name == "conversion":
         eta = group.generators[0](0j)

@@ -11,12 +11,6 @@ so E[rho^2] = 4 t for small t and the radial drift is asymptotically 1.
 
 Two samplers, two draw sites
 ----------------------------
-- Step walkers (`sample_polar_endpoints`, `sample_path`) take a geodesic
-  random walk at `step` and draw their normals in `_normals`.  The walk's
-  radial drift is 1 - dt/3 + O(dt^2), not 1 (Jorgensen, Z. Wahrsch.
-  verw. Geb. 32 (1975)).  Only `validate uniformity` checks this walk
-  (through `sample_polar_endpoints`); no estimator integrates it, and
-  `sample_path` has no caller in the package.
 - Exact jumps (`_heat_jumps`) read an ensemble only at checkpoints and
   jump from one to the next in one step: a length from the radial law
   2 pi sinh(rho) K(rho, gap) through a cached inverse-CDF table of
@@ -24,44 +18,40 @@ Two samplers, two draw sites
   per gap.  They carry no step bias.  `sample_heat_endpoints` applies
   them in the polar chart: `diffuse` and so the semigroup, Dynkin and
   circle checks, `shadowing_report` and `validate cocycle` (each walker
-  at t = 1 and 2) use it, and `validate drift` chains them at the matrix
-  routes' cadence, 80 jumps of 0.5 to t = 40.  Semigroup then tests
+  at t = 1 and 2) use it.  The matrix routes' walk
+  (`lyapunov._brownian_walk`) applies them in the raw chart, one Mobius
+  move `_disc_step` per gap of 0.5, reducing every walker after each;
+  `lyapunov._cadence_chain` runs the same chain in the polar chart for
+  `validate drift` and `validate uniformity`.  Semigroup tests
   Chapman-Kolmogorov of the sampled law composed through `_polar_step`,
   and Dynkin tests that the kernel's generator is Delta; the mpmath tests
-  of `heat_kernel` anchor both.  The matrix routes' walk
-  (`lyapunov._brownian_walk`) applies them in the raw chart, one Mobius
-  move `_disc_step` per gap, reducing every walker after each.
+  of `heat_kernel` anchor both.
+- Step walkers (`sample_polar_endpoints`, `sample_path`) take a geodesic
+  random walk at `step`.  The walk's radial drift is 1 - dt/3 + O(dt^2),
+  not 1 (Jorgensen, Z. Wahrsch. verw. Geb. 32 (1975)).  Nothing in the
+  package calls them; they stay for the benchmark's layer timings.  Each
+  step takes one increment: the normals (n1, n2) give a jump of length
+  sqrt(2 dt) |n| and direction n / |n|, and no angle is formed.  All
+  normals are drawn in `_normals`, a block of k steps at a time, one
+  gen.standard_normal((k, 2, n)) draw each, bit for bit the normals of k
+  successive (2, n) draws.  A block spans at most 0.5 time units and
+  holds at most 2**13 normals.  Both walkers step on one time grid,
+  `_time_grid`; the polar walker lays it over each interval between
+  checkpoints, so it lands on every checkpoint.
 
-Every step walker takes one increment per step: the normals (n1, n2) give a
-jump of length sqrt(2 dt) |n| and direction n / |n|, and no angle is
-formed.  All normals are drawn in one place, `_normals`: the steps of an
-n-walker ensemble come in blocks of k, cut from gen.standard_normal((K, 2,
-n)) draws of one or more blocks, bit for bit the normals of k successive
-(2, n) draws.  A block spans at most 0.5 time units and holds
-at most 2**13 normals, so an ensemble of 4096 walkers or more takes one
-step per block.  With more than one usable CPU, a long walk has its
-blocks drawn one chunk ahead by a worker thread while it steps through
-the current chunk: drawing and stepping each take about half of a
-path-step at large n, and numpy releases the GIL in both.  The draws are
-the same either way.  The polar walker steps through a block row by row,
-and the scalar sample_path takes blocks of one walker.
 The jump is applied in one of two coordinate charts.
 The raw chart stores points of the disc: a walk that is not reduced into
 the octagon is limited to horizons t <~ 30, where the double-precision gap
 to the unit circle still resolves the position.  The polar chart stores
 (hyperbolic radius, angle) and updates them by the hyperbolic law of
 cosines, which is stable out to arbitrary horizons; every long-horizon
-statistic uses it.  Every step walker steps on one time grid,
-`_time_grid`; the polar walker lays it over each interval between
-checkpoints, so it lands on every checkpoint.
+statistic uses it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -247,77 +237,28 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
 # |n| is floored here so that n = 0 gives a zero jump instead of 0/0
 _TINY = np.finfo(float).tiny
 
-# every walker draws a block of steps at once: at most _BLOCK_TIME time
+# every step walker draws a block of steps at once: at most _BLOCK_TIME time
 # units (lyapunov's full-reduction cadence) and at most _BLOCK_NORMALS
 # normals, so a large ensemble takes shorter blocks instead of more memory;
 # a block's temporaries then stay in cache (2**16 normals was slower than
 # one draw per step at n >= 1000 walkers)
 _BLOCK_TIME = 0.5
 _BLOCK_NORMALS = 1 << 13
-# a walk that draws ahead on a worker draws its blocks in chunks of at most
-# this many normals (or of one block, if a block holds more).  Each chunk
-# costs a thread hand-off, which waits on the GIL when the walk's arrays are
-# too small for numpy to release it: 2**14 and 2**15 slowed a 400-walker
-# polar walk by 10-15%, 2**16 by 2-12%; 2**17 sped that walk up but gained
-# less on short walks, whose first chunk is never drawn ahead
-_CHUNK_NORMALS = 1 << 16
-
-
-def _usable_cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def _normals(gen, n, t_max, step):
-    """The one draw of every walker: (n1, n2, scale) blocks for the steps
-    of an n-walker ensemble on _time_grid(t_max, step), of shapes (k, n),
-    (k, n) and (k, 1); row j of a block is one step, whose jump is
+    """The one draw of every step walker: (n1, n2, scale) blocks for the
+    steps of an n-walker ensemble on _time_grid(t_max, step), of shapes
+    (k, n), (k, n) and (k, 1); row j of a block is one step, whose jump is
     scale[j] * (n1[j], n2[j]).  The per-row scale covers a short last step.
-
-    Blocks are drawn in chunks of consecutive steps, one
-    gen.standard_normal((K, 2, n)) draw each, which is bit for bit K
-    successive (2, n) draws, so the blocks do not depend on the chunking.
-    Chunk 0 is drawn inline.  While the caller steps through chunk j,
-    chunk j + 1 is drawn: on a one-worker thread pool when the walk has
-    at least two chunks of _CHUNK_NORMALS and more than one CPU is usable
-    (numpy's normal fill and the step's ufunc loops release the GIL), else
-    inline, one block per chunk.  Either way:
-    - only one thread touches gen at any time: the caller never draws
-      while a draw is pending;
-    - no chunk is drawn that the walk does not consume, so after a full
-      walk gen stands where per-step draws would leave it;
-    - on early exit (an exception in the caller, or close()), the pending
-      draw is waited for before the generator returns;
-    - an error in the worker's draw is raised in the caller by result().
-    """
+    Each block is one gen.standard_normal((k, 2, n)) draw, which is bit for
+    bit k successive (2, n) draws, so the block size changes no result."""
     dts = np.diff(_time_grid(t_max, step))
     scales = np.sqrt(2.0 * dts)[:, None]
     k = max(1, min(round(_BLOCK_TIME / step), _BLOCK_NORMALS // (2 * n)))
-    c = k * max(1, _CHUNK_NORMALS // (2 * n * k))
-    pool = None
-    if dts.size > c and _usable_cpus() > 1:
-        # imported here: concurrent.futures adds about 6 ms to every cold start
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(1)
-    else:
-        # drawing inline, a chunk bigger than a block only adds cache misses
-        c = k
-
-    def draw(s):
-        return gen.standard_normal((min(c, dts.size - s), 2, n))
-
-    with pool or contextlib.nullcontext():
-        pending = None
-        for s in range(0, dts.size, c):
-            chunk = draw(s) if pending is None else pending.result()
-            if pool and s + c < dts.size:
-                pending = pool.submit(draw, s + c)
-            for b in range(0, chunk.shape[0], k):
-                yield chunk[b : b + k, 0], chunk[b : b + k, 1], scales[s + b : s + b + k]
+    for s in range(0, dts.size, k):
+        block = gen.standard_normal((min(k, dts.size - s), 2, n))
+        yield block[:, 0], block[:, 1], scales[s : s + k]
 
 
 def _disc_jump(n1, n2, scale):
@@ -427,6 +368,18 @@ def polar_separation(rho1, psi1, rho2, psi2):
         2.0 * np.sinh(rho1) * np.sinh(rho2) * s * s
     )
     return np.arccosh(np.maximum(arg, 1.0))
+
+
+def _polar_step_error(gen, n):
+    """Worst |d(start, _polar_step(start, jump)) - length| over n random
+    jumps, the distance by polar_separation: starts at radius below 5 (past
+    about 30 polar_separation's own rounding reaches 1e-3), any angle, unit
+    directions and lengths below 3, all from one gen.random((4, n)).  The
+    arccosh in polar_separation resolves a jump of length l to about
+    1e-16 / l."""
+    rho, psi, angle, ell = gen.random((4, n)) * np.array([[5.0], [2.0 * np.pi], [2.0 * np.pi], [3.0]])
+    end = _polar_step(rho, psi, np.cos(angle), np.sin(angle), ell)
+    return float(np.max(np.abs(polar_separation(rho, psi, *end) - ell)))
 
 
 # ------------------------------------------------------------ scalar data
@@ -707,8 +660,9 @@ def _radial_table(gap: float):
     the density on its panel.  rho is interpolated against s = sqrt(F),
     which is smooth at rho = 0 where F ~ rho^2, by cubic Hermite pieces
     with slopes 2 s / density, capped at three secants on either side
-    (Fritsch-Carlson), so every piece is increasing.  Knots past the point
-    where F rounds to 1 are dropped.  Returns (table, guide), both
+    (Fritsch-Carlson), so every piece is increasing.  A knot whose s does
+    not exceed every earlier knot's (past the point where F rounds to 1)
+    is dropped.  Returns (table, guide), both
     read-only: the (3, knots) array of rows s, rho and slope, and
     _radial_quantile's guide table.
     """
@@ -726,10 +680,14 @@ def _radial_table(gap: float):
     s = np.sqrt(np.concatenate([[0.0], cdf.ravel() / mass]))
     rho = np.concatenate([[0.0], (edges[:-1, None] + width * np.arange(1, _TABLE_KNOTS + 1)
                                   / _TABLE_KNOTS).ravel()])
-    with np.errstate(divide="ignore"):
+    # a zero or subnormal density at a far knot gives an infinite slope,
+    # which the secant cap below replaces
+    with np.errstate(divide="ignore", over="ignore"):
         slope = np.concatenate([[math.sqrt(mass / (math.pi * heat_kernel(0.0, gap)))],
                                 2.0 * mass * s[1:] / np.maximum((density @ value.T).ravel(), 0.0)])
-    keep = np.concatenate([[True], np.diff(s) > 0.0])
+    # each knot is compared with the last kept one: where the rounded CDF
+    # dips and comes back, the knot after the dip would repeat an s
+    keep = np.concatenate([[True], s[1:] > np.maximum.accumulate(s)[:-1]])
     s, rho, slope = s[keep], rho[keep], slope[keep]
     secant = np.diff(rho) / np.diff(s)
     slope = np.minimum(slope, 3.0 * np.minimum(np.append(secant, np.inf), np.insert(secant, 0, np.inf)))

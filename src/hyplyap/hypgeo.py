@@ -1,9 +1,13 @@
-"""Exact curvature -1 geometry on the Poincare disc.
+"""Exact curvature -1 geometry on the Poincare disc: points, distance and
+Mobius maps.
 
 Convention: the metric is ds = 2|dz|/(1-|z|^2), for which the distance from
 the origin to a point at Euclidean radius r is R = log((1+r)/(1-r)) and the
 inverse conversion is r = tanh(R/2).  All operations below are closed-form;
-no iteration, no series.
+no iteration, no series.  The maps build the octagon group and serve the
+scalar checks; the routes move their rays and walkers with vectorized
+kernels of their own (`lyapunov._ray_step`, `diffusion._polar_step` and
+`diffusion._disc_step`).
 """
 
 from __future__ import annotations
@@ -15,13 +19,9 @@ from dataclasses import dataclass
 __all__ = [
     "DiscPoint",
     "MobiusMap",
-    "GeodesicRay",
     "GeometryError",
     "dist_P",
-    "radius_for_R",
-    "geodesic_eval",
     "mobius_identity",
-    "mobius_rotation",
     "mobius_translation",
     "mobius_point_chart",
 ]
@@ -85,13 +85,6 @@ def dist_P(p, q) -> float:
     return 2.0 * math.atanh(num / den)
 
 
-def radius_for_R(R: float) -> float:
-    """Euclidean radius of the hyperbolic circle of radius R about 0."""
-    if not math.isfinite(R) or R < 0.0:
-        raise GeometryError(f"radius parameter must be finite and >= 0, got {R}")
-    return math.tanh(0.5 * R)
-
-
 @dataclass(frozen=True)
 class MobiusMap:
     """Disc automorphism z -> (a z + b) / (conj(b) z + conj(a)).
@@ -139,11 +132,6 @@ def mobius_identity() -> MobiusMap:
     return MobiusMap(1.0 + 0.0j, 0.0j)
 
 
-def mobius_rotation(angle: float) -> MobiusMap:
-    """Rotation of the disc about 0 by `angle` radians."""
-    return MobiusMap(cmath.exp(0.5j * angle), 0.0j)
-
-
 def mobius_translation(direction: float, length: float) -> MobiusMap:
     """Hyperbolic translation moving 0 to distance `length` along the
     geodesic with leaf-direction `direction` (in [0,1) turns)."""
@@ -156,29 +144,8 @@ def mobius_translation(direction: float, length: float) -> MobiusMap:
 
 def mobius_point_chart(base) -> MobiusMap:
     """The unique disc automorphism sending 0 to `base` with positive real
-    derivative at 0; the covering chart used for rays and normal coordinates."""
+    derivative at 0; the covering chart used for normal coordinates."""
     z = _as_complex(base)
     s = 1.0 / math.sqrt(1.0 - abs(z) ** 2)
     return MobiusMap(s + 0.0j, s * z)
 
-
-@dataclass(frozen=True)
-class GeodesicRay:
-    """Unit-speed geodesic ray from `base` with leaf-direction theta in [0,1)."""
-
-    base: DiscPoint
-    direction: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.direction):
-            raise GeometryError("ray direction must be finite")
-        object.__setattr__(self, "direction", self.direction % 1.0)
-
-
-def geodesic_eval(ray: GeodesicRay, R: float) -> DiscPoint:
-    """Point at hyperbolic distance R from the ray base along its direction."""
-    r = radius_for_R(R)
-    zeta = cmath.exp(2.0j * math.pi * ray.direction) * r
-    if ray.base.re == 0.0 and ray.base.im == 0.0:
-        return DiscPoint(zeta.real, zeta.imag)
-    return mobius_point_chart(ray.base)(DiscPoint(zeta.real, zeta.imag))

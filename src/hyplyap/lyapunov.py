@@ -13,8 +13,8 @@ Three independent routes to the same spectrum:
 Plus the probabilistic diagnostics that justify swapping the routes:
 radial drift, geodesic shadowing, and uniformity of limiting directions.
 Shadowing samples the exact law at its checkpoints
-(`diffusion.sample_heat_endpoints`); the uniformity check still steps the
-polar walker.
+(`diffusion.sample_heat_endpoints`); the uniformity check chains the
+matrix routes' exact jumps (`_cadence_chain`).
 
 Every route runs on one vectorized engine in two layers: the geometry layer
 `surface._reduce_ensemble` emits deck letters and the algebra layer
@@ -48,14 +48,18 @@ reduction; Benettin runs one QR per gap.  Every Brownian estimator, the
 conversion check's left side included, walks through `_brownian_matrices`,
 which still validates a `step` it does not read: the estimators keep
 `step` (and Benettin `reorth_every`) in their signatures because the
-benchmark's tracer and layer timings pass them.  The ray tracker
-`_geodesic_matrices` moves each ray exactly, one step per _REDUCE_EVERY of
-arc length, and reduces after every step.  Each estimator walks one
-ensemble on `rng.child(0)`.
+benchmark's tracer and layer timings pass them.  `_cadence_chain` runs the
+same jumps in the polar chart, without reduction, for the drift and
+uniformity checks.  The ray tracker `_ray_walk` moves each ray exactly
+(`_ray_step`), one step per _REDUCE_EVERY of arc length, and reduces after
+every step; `_geodesic_matrices` folds its letters into products, and
+`_ray_lift_error` lifts its rays back by their deck words for `validate
+geometry`.  Each estimator walks one ensemble on `rng.child(0)`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +68,7 @@ import numpy as np
 from .cocycle import _MatrixAccumulator, cocycle_of_word, specialize
 from .diffusion import (
     _GAP_MIN,
+    MAX_JUMP_COUNT,
     MAX_STEP_COUNT,
     CheckReport,
     RngStream,
@@ -73,13 +78,13 @@ from .diffusion import (
     _heat_jumps,
     _mean_se,
     _polar_coordinates,
+    _polar_step,
     pairwise_sum,
     polar_separation,
     sample_heat_endpoints,
-    sample_polar_endpoints,
 )
-from .hypgeo import DiscPoint
-from .surface import _reduce_ensemble, locate
+from .hypgeo import DiscPoint, dist_P
+from .surface import DeckWord, _LetterLog, _reduce_ensemble, locate
 
 __all__ = [
     "LyapunovError",
@@ -168,37 +173,88 @@ def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j, each_gap=Non
     return acc
 
 
-def _geodesic_matrices(rep, group, thetas, R, spacing):
-    """Cocycle matrices along the rays gamma_{0,theta}, tracked intrinsically
-    with direction transport.  The move w <- (xi + w) / (1 + conj(w) xi),
-    xi = tanh(h/2) e^{i alpha}, is exact for any length h, so each ray takes
-    steps of `spacing` (at most _REDUCE_EVERY; the last takes what is left
-    of R) and is fully reduced after every step.  The spacing changes only
-    rounding."""
+def _cadence_chain(gen, n, t):
+    """(rho, psi) of n Brownian paths from the origin at time t, walked as
+    the matrix routes walk them: k = ceil(t / _REDUCE_EVERY) chained exact
+    jumps of t / k (diffusion._heat_jumps), applied in the polar chart by
+    _polar_step.  A t outside [_GAP_MIN, MAX_JUMP_COUNT * _REDUCE_EVERY]
+    is refused."""
+    t_max = MAX_JUMP_COUNT * _REDUCE_EVERY
+    if not (math.isfinite(t) and _GAP_MIN <= t <= t_max):
+        raise LyapunovError(f"a cadence chain takes at most {MAX_JUMP_COUNT:,} jumps of "
+                            f"{_REDUCE_EVERY}: t must be finite, >= {_GAP_MIN} and at most "
+                            f"{t_max:g}, got {t}")
+    k = math.ceil(t / _REDUCE_EVERY)
+    rho, psi = np.zeros(n), np.zeros(n)
+    for c, s, ell in _heat_jumps(gen, n, t / k, k):
+        rho, psi = _polar_step(rho, psi, c, s, ell)
+    return rho, psi
+
+
+def _ray_step(w, alpha, h):
+    """Move rays at w with direction angles alpha by arc length h: the
+    origin's step xi = tanh(h/2) e^{i alpha} moved to w by the Mobius map
+    (xi + w) / (1 + conj(w) xi), which is exact for any h, with alpha
+    transported by the map's derivative."""
+    xi = math.tanh(0.5 * h) * np.exp(1j * alpha)
+    den = 1.0 + np.conj(w) * xi
+    return (xi + w) / den, alpha - 2.0 * np.arctan2(den.imag, den.real)
+
+
+def _ray_walk(data, acc, thetas, R, spacing):
+    """Walk the rays gamma_{0,theta} to arc length R, folding their deck
+    letters into acc; yields the reduced positions w and direction angles
+    alpha after each step.  Each ray takes _ray_steps of `spacing` (at
+    most _REDUCE_EVERY; the last takes what is left of R) and is fully
+    reduced after every step.  The spacing changes only rounding."""
     if not (math.isfinite(spacing) and 0.0 < spacing <= _REDUCE_EVERY):
         raise LyapunovError(f"geodesic tracking needs 0 < spacing <= {_REDUCE_EVERY}")
     if not (R > 0.0 and R / spacing <= MAX_STEP_COUNT):
         raise LyapunovError(f"geodesic tracking needs R > 0 and R / spacing finite and at most "
                             f"{MAX_STEP_COUNT:,}, got {R} / {spacing}")
-    data = group._layout
-    thetas = np.asarray(thetas, dtype=float)
-    n = thetas.size
-    acc = _MatrixAccumulator(rep, data, n)
-    w = np.zeros(n, complex)
-    alpha = 2.0 * np.pi * thetas
+    alpha = 2.0 * np.pi * np.asarray(thetas, dtype=float)
+    w = np.zeros(alpha.size, complex)
     done = 0.0
-    for k in range(1, int(math.ceil(R / spacing)) + 1):
+    for _ in range(int(math.ceil(R / spacing))):
         h = min(spacing, R - done)
         done += h
-        xi = math.tanh(0.5 * h) * np.exp(1j * alpha)
-        den = 1.0 + np.conj(w) * xi
-        w = (xi + w) / den
-        alpha = alpha - 2.0 * np.arctan2(den.imag, den.real)
+        w, alpha = _ray_step(w, alpha, h)
         _reduce_ensemble(data, w, alpha, acc)
+        yield w, alpha
+
+
+def _geodesic_matrices(rep, group, thetas, R, spacing):
+    """Cocycle matrices along the rays gamma_{0,theta} of _ray_walk."""
+    data = group._layout
+    acc = _MatrixAccumulator(rep, data, np.size(thetas))
+    for k, _ in enumerate(_ray_walk(data, acc, thetas, R, spacing), start=1):
         if k % 64 == 0:
             acc.rescale()
     acc.rescale()
     return acc
+
+
+def _ray_lift_error(group, thetas, R):
+    """Worst (position, direction) error of the geodesic route's rays,
+    lifted back to the disc after every step of _ray_walk: the deck word a
+    _LetterLog reads maps the reduced point w to the exact ray point
+    tanh(r/2) e^{2 pi i theta} at arc length r, and carries the direction
+    alpha at w to e^{2 pi i theta}.  The position error is the hyperbolic
+    distance, the direction error Euclidean on the unit circle.  Keep
+    R <= 12: the word's evaluation alone is off by about 2e-7 at R = 20."""
+    thetas = np.asarray(thetas, dtype=float)
+    log = _LetterLog(group._layout, thetas.size)
+    exact = np.exp(2j * np.pi * thetas)
+    worst_z = worst_dir = 0.0
+    walk = _ray_walk(group._layout, log, thetas, R, _REDUCE_EVERY)
+    for k, (w, alpha) in enumerate(walk, start=1):
+        r = min(k * _REDUCE_EVERY, R)
+        for letters, z, a, e in zip(log.letters, w.tolist(), alpha.tolist(), exact.tolist()):
+            m = DeckWord(tuple(letters)).evaluate(group)
+            turn = -2.0 * cmath.phase(m.b.conjugate() * z + m.a.conjugate())
+            worst_z = max(worst_z, dist_P(m(z), math.tanh(0.5 * r) * e))
+            worst_dir = max(worst_dir, abs(cmath.exp(1j * (a + turn)) - e))
+    return worst_z, worst_dir
 
 
 # ----------------------------------------------------------- domain types
@@ -819,17 +875,17 @@ def _chi2_sf(stat: float, df: int) -> float:
     return math.fsum(terms)
 
 
-def direction_distribution_check(n_paths, t, step, n_bins, rng) -> UniformityReport:
-    """Chi-square uniformity of final angular coordinates of the polar step
-    walker at `step`.  (An exact jump from the origin has a uniform angle by
-    construction, so this check would be vacuous on sample_heat_endpoints.)"""
+def direction_distribution_check(n_paths, t, n_bins, rng) -> UniformityReport:
+    """Chi-square uniformity of the final angles of the chain the matrix
+    routes run, _cadence_chain to time t.  (A single exact jump from the
+    origin has a uniform angle by construction, so the check chains.)"""
     if t < 40.0:
         raise LyapunovError("direction check needs t >= 40 (direction nearly frozen)")
     if n_bins < 1:
         raise LyapunovError("need n_bins >= 1")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    _, psis = sample_polar_endpoints(n_paths, t, step, gen)
-    angles = np.mod(psis[-1], 2.0 * np.pi)
+    _, psi = _cadence_chain(gen, n_paths, t)
+    angles = np.mod(psi, 2.0 * np.pi)
     counts, _ = np.histogram(angles, bins=n_bins, range=(0.0, 2.0 * np.pi))
     expected = n_paths / n_bins
     stat = float(np.sum((counts - expected) ** 2) / expected)

@@ -20,6 +20,8 @@ from hyplyap.cli import (
     read_spectrum_csv,
     run_validation,
 )
+from hyplyap import diffusion, lyapunov
+from hyplyap.lyapunov import LyapunovError, _cadence_chain
 from hyplyap.surface import build_genus2
 
 GOOD_CONFIG = """
@@ -381,8 +383,8 @@ def test_diagnostics_import_no_scipy(tmp_path):
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():
-    # the walkers import the thread pool they draw ahead on when they first
-    # start one; a cold start that walks nothing does not pay for it
+    # concurrent.futures adds about 6 ms to a cold start, and nothing in
+    # the package needs it
     _run_fresh(_COLD_IMPORT_SCRIPT)
 
 
@@ -447,10 +449,10 @@ def test_run_validate_dynkin_pass_fail_lines(tmp_path, capsys):
 
 @pytest.mark.parametrize("suite", ["semigroup", "dynkin", "circle", "shadowing",
                                    "kernel", "cocycle", "geometry", "conversion",
-                                   "drift"])
+                                   "drift", "uniformity"])
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_step_refused_by_suites_that_do_not_walk(tmp_path, capsys, suite, where):
-    # these suites jump exactly or draw nothing: a step would be recorded
+    # every suite jumps exactly or draws nothing: a step would be recorded
     # without acting, so it is refused, naming the suite
     cfg = "[run]\nmethod = validate:%s\noutput = %s\n" % (suite, tmp_path / "v")
     extra = ["--step", "0.02"]
@@ -486,13 +488,14 @@ def test_validate_manifest_marks_defaults(tmp_path, capsys):
     for line in ("n_paths 1000", "seed 4"):
         assert line in manifest
     assert not any(line.startswith(("step ", "horizon ", "n_dirs ")) for line in manifest)
-    # uniformity walks at step to horizon: both are recorded, marked as defaults
+    # uniformity chains exact jumps to horizon: horizon is recorded, marked
+    # as a default, and step is not
     assert run_cli(["validate", "uniformity", "--n-paths", "1000",
                     "--output", str(tmp_path / "u")]) == 0
     manifest = (tmp_path / "u.manifest.txt").read_text().splitlines()
-    for line in ("n_paths 1000", "step 0.05 (default)", "horizon 60.0 (default)"):
+    for line in ("n_paths 1000", "horizon 60.0 (default)"):
         assert line in manifest
-    assert not any(line.startswith("n_dirs ") for line in manifest)
+    assert not any(line.startswith(("step ", "n_dirs ")) for line in manifest)
 
 
 @pytest.mark.parametrize("suite, key, value", [
@@ -610,16 +613,22 @@ def test_walker_manifest_lists_each_key_once(tmp_path, capsys, method):
     assert {"n_paths", "master_seed"} <= set(keys)
 
 
-def test_uniformity_suite_walks_at_the_given_step(tmp_path, capsys):
-    # validate:uniformity checks the step walker, so its step acts
-    cfg = "[run]\nmethod = validate:uniformity\nn_paths = 200\noutput = %s\n"
-    csvs = []
-    for tag, extra in (("a", []), ("b", ["--step", "0.02"])):
-        path = write_config(tmp_path, cfg % (tmp_path / tag), name=f"{tag}.cfg")
-        assert run_cli(["run", path, *extra]) == 0
-        csvs.append((tmp_path / f"{tag}.csv").read_text())
-    assert csvs[0] != csvs[1]
-    assert "step 0.02" in (tmp_path / "b.manifest.txt").read_text().splitlines()
+def test_uniformity_refuses_a_runaway_horizon(tmp_path, capsys):
+    # the chain takes one jump per 0.5 and at most MAX_JUMP_COUNT of them:
+    # horizon 5000 is the last it walks, and 1e9 exits 1 before drawing
+    cfg = write_config(tmp_path, "[run]\nmethod = validate:uniformity\noutput = %s\n"
+                       % (tmp_path / "u"))
+    t0 = time.perf_counter()
+    rc = run_cli(["run", cfg, "--horizon", "1e9"])
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: a cadence chain takes at most 10,000 jumps" in err and "Traceback" not in err
+    assert not (tmp_path / "u.csv").exists()
+    with pytest.raises(LyapunovError, match="at most 5000, got 5000.5"):
+        _cadence_chain(np.random.default_rng(0), 1, 5000.5)
+    rho, _ = _cadence_chain(np.random.default_rng(0), 1, 5000.0)
+    assert 4000.0 < rho[0] < 6000.0
 
 
 # ---------------------------------------------------------------- compare
@@ -686,10 +695,11 @@ def test_validate_subcommand_cocycle(tmp_path, capsys, monkeypatch):
     assert "[pass] locate_roundtrip" in out
 
 
-@pytest.mark.parametrize("suite", ["cocycle", "drift"])
+@pytest.mark.parametrize("suite", ["cocycle", "drift", "uniformity"])
 def test_exact_suites_take_no_step_walk(tmp_path, capsys, monkeypatch, suite):
-    # cocycle reads each walker at t = 1 and 2, and drift chains the routes'
-    # exact jumps: neither draws a step walker's normals or builds a LeafPath
+    # cocycle reads each walker at t = 1 and 2, and drift and uniformity
+    # chain the routes' exact jumps: none draws a step walker's normals or
+    # builds a LeafPath
     from hyplyap import diffusion
 
     def refuse(*args, **kwargs):
@@ -697,7 +707,7 @@ def test_exact_suites_take_no_step_walk(tmp_path, capsys, monkeypatch, suite):
 
     monkeypatch.setattr(diffusion, "_normals", refuse)
     monkeypatch.setattr(diffusion, "sample_path", refuse)
-    size = ["--n-paths", "1000"] if suite == "drift" else []
+    size = ["--n-paths", "1000"] if suite in ("drift", "uniformity") else []
     rc = run_cli(["validate", suite, *size, "--output", str(tmp_path / suite)])
     assert rc == 0
     assert "[FAIL]" not in capsys.readouterr().out
@@ -723,6 +733,52 @@ def test_validate_cocycle_catches_wrong_letters(tmp_path, capsys):
     assert _execute(cfg, group, rep) == 2
     out = capsys.readouterr().out
     assert "[FAIL] identity_law" in out and "[FAIL] locate_roundtrip" in out
+
+
+def _suite_rows(suite, **kwargs):
+    """{name: row} of a validation suite run at seed 0, in-process."""
+    cfg = ExperimentConfig(method=f"validate:{suite}", seed=0, output="unused", **kwargs)
+    return {c["name"]: c for c in run_validation(cfg, build_genus2(), None)}
+
+
+def test_validate_geometry_rows_catch_perturbed_kernels(monkeypatch):
+    # each retargeted row goes red when the kernel it checks is perturbed:
+    # the ray move transporting its direction the wrong way, and the polar
+    # jump 0.1% too long
+    rows = _suite_rows("geometry")
+    assert all(r["passed"] for r in rows.values()), rows
+    ray_step, polar_step = lyapunov._ray_step, diffusion._polar_step
+
+    def flipped(w, alpha, h):
+        moved, turned = ray_step(w, alpha, h)
+        return moved, 2.0 * alpha - turned
+
+    monkeypatch.setattr(lyapunov, "_ray_step", flipped)
+    rows = _suite_rows("geometry")
+    assert not rows["ray_lift"]["passed"] and rows["ray_lift"]["lhs"] > 1e-3
+    assert rows["polar_step_length"]["passed"]
+    monkeypatch.undo()
+    monkeypatch.setattr(diffusion, "_polar_step",
+                        lambda rho, psi, n1, n2, scale: polar_step(rho, psi, n1, n2, 1.001 * scale))
+    rows = _suite_rows("geometry")
+    assert not rows["polar_step_length"]["passed"] and rows["polar_step_length"]["lhs"] > 1e-3
+    assert rows["ray_lift"]["passed"]
+
+
+def test_validate_uniformity_catches_half_circle_jumps(monkeypatch):
+    # jump angles folded into [0, pi) always turn the chain the same way:
+    # its final angles pile up and p drops to 0 (0.79 unperturbed)
+    row = _suite_rows("uniformity", n_paths=10000)["direction_uniformity_p"]
+    assert row["passed"] and row["lhs"] > 0.5
+    jumps = lyapunov._heat_jumps
+
+    def half_circle(*args):
+        for c, s, ell in jumps(*args):
+            yield c, np.abs(s), ell
+
+    monkeypatch.setattr(lyapunov, "_heat_jumps", half_circle)
+    row = _suite_rows("uniformity", n_paths=10000)["direction_uniformity_p"]
+    assert not row["passed"] and row["lhs"] < 1e-10
 
 
 def test_validate_writes_summary_equal_to_stdout(tmp_path, capsys):

@@ -6,6 +6,7 @@ this file (different substitution and node placement than the library).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,21 @@ def test_radial_quantile_monotone(gap):
     rho = _radial_quantile(gap, u)
     assert rho[0] == 0.0
     assert np.all(np.diff(rho) >= 0.0) and np.all(np.isfinite(rho))
+
+
+def test_radial_table_builds_without_warnings():
+    # every table across the kernel's range builds warning-free, with s
+    # strictly increasing and every slope finite: a rounded CDF that dips
+    # and returns to 1 (gap 15) keeps one knot per s, and a far knot's
+    # subnormal density (short gaps) overflows nothing.  Built uncached, so
+    # a table cached by an earlier test cannot hide a warning
+    gaps = np.concatenate([np.geomspace(0.01, 100.0, 41), [0.05, 0.5011872336272722, 15.0]])
+    for gap in gaps:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (s, rho, slope), _ = _radial_table.__wrapped__(float(gap))
+        assert np.all(np.diff(s) > 0.0) and np.all(np.diff(rho) > 0.0), gap
+        assert np.all(np.isfinite(slope)) and np.all(slope >= 0.0), gap
 
 
 def _searched_quantile(gap, u):

@@ -9,17 +9,13 @@ octagon, the accumulator must reproduce cocycle_of_word on each walker's
 recorded word, the cadence walk must keep its reduction invariants and
 lift to Brownian motion, its block draws must reproduce one draw per gap
 bit for bit, every step walker's block draws must reproduce one draw per
-step bit for bit, whether drawn ahead on a worker thread or inline, a walk
-that stops early must leave no worker running, and Specialization.values and
-Specialization.__call__ must reproduce the specialization computed from the
-scalar reduction and cocycle_of_word.
+step bit for bit, and Specialization.values and Specialization.__call__
+must reproduce the specialization computed from the scalar reduction and
+cocycle_of_word.
 """
 
 import cmath
-import concurrent.futures
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -31,7 +27,7 @@ from hyplyap.cocycle import (
     estimate_regularity,
     specialize,
 )
-from hyplyap import cli, diffusion, lyapunov
+from hyplyap import diffusion, lyapunov
 from hyplyap.diffusion import (
     RngStream,
     _disc_jump,
@@ -59,24 +55,6 @@ def _increments(gen, n, t_max, step):
     for dt in np.diff(_time_grid(t_max, step)):
         n1, n2 = gen.standard_normal((2, n))
         yield n1, n2, math.sqrt(2.0 * dt)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The ThreadPoolExecutors started while the test runs."""
-    started = []
-
-    class Spy(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-    return started
-
-
-def _set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(diffusion, "_usable_cpus", lambda: cpus)
 
 
 @pytest.fixture(scope="module")
@@ -235,29 +213,26 @@ def test_block_draws_match_per_step_draws(data, rep_track):
     for walker in ("brownian_walk", "polar_endpoints")
     for n in (2000, 300, 5000)
 ] + [pytest.param("sample_path", 1, id="sample_path-1")])
-def test_walk_draws_two_normals_per_path_step(data, rep_track, monkeypatch, walker, n):
+def test_walk_draws_two_normals_per_path_step(data, rep_track, walker, n):
     # the step walkers: n = 2000 caps the block below the cadence, at 2
-    # steps of 4000 normals; with a worker, n = 300 walks in 2 chunks,
-    # n = 2000 in 7 and n = 5000 (one step per block) in 18.  The cadence
-    # walk, whose path-steps are its 11 gaps, draws two uniforms per path
-    # and gap instead, and starts no worker
+    # steps of 4000 normals, and n = 5000 takes one step per block.  The
+    # cadence walk, whose path-steps are its 11 gaps, draws two uniforms per
+    # path and gap instead
     t, step = 5.25, 0.05
     steps = _step_count(t, step)
-    for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
-        gen, ref = np.random.default_rng(13), np.random.default_rng(13)
-        if walker == "brownian_walk":
-            acc = _MatrixAccumulator(rep_track, data, n)
-            for _ in _brownian_walk(data, acc, gen, n, t):
-                pass
-            ref.random(2 * n * math.ceil(t / lyapunov._REDUCE_EVERY))
+    gen, ref = np.random.default_rng(13), np.random.default_rng(13)
+    if walker == "brownian_walk":
+        acc = _MatrixAccumulator(rep_track, data, n)
+        for _ in _brownian_walk(data, acc, gen, n, t):
+            pass
+        ref.random(2 * n * math.ceil(t / lyapunov._REDUCE_EVERY))
+    else:
+        if walker == "polar_endpoints":
+            sample_polar_endpoints(n, t, step, gen, checkpoints=[1.0, 5.25])
         else:
-            if walker == "polar_endpoints":
-                sample_polar_endpoints(n, t, step, gen, checkpoints=[1.0, 5.25])
-            else:
-                sample_path(DiscPoint.origin(), t, step, gen)
-            ref.standard_normal(2 * n * steps)
-        assert np.array_equal(gen.standard_normal(16), ref.standard_normal(16)), cpus
+            sample_path(DiscPoint.origin(), t, step, gen)
+        ref.standard_normal(2 * n * steps)
+    assert np.array_equal(gen.standard_normal(16), ref.standard_normal(16))
 
 
 @pytest.mark.parametrize("n", [300, 5000])
@@ -289,18 +264,15 @@ def test_sample_path_blocks_match_per_step_draws():
     assert [p.z for p in path.points] == want
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("n, t, step, chunks", [
-    (300, 1.23, 0.05, 1),     # 25 steps in blocks of 10, 10, 5; short last step
-    (300, 25.27, 0.05, 6),    # 506 steps, 100 to a chunk; short last step
-    (5000, 0.05, 0.01, 1),    # one step per block, 6 to a chunk
-    (5000, 0.205, 0.01, 4),   # 21 steps; short last step
+@pytest.mark.parametrize("n, t, step", [
+    (300, 1.23, 0.05),     # 25 steps in blocks of 10, 10, 5; short last step
+    (300, 25.27, 0.05),    # 506 steps; short last step
+    (5000, 0.05, 0.01),    # one step per block
+    (5000, 0.205, 0.01),   # 21 steps; short last step
 ])
-def test_normals_match_per_step_draws(pools, monkeypatch, n, t, step, chunks, cpus):
-    _set_cpus(monkeypatch, cpus)
+def test_normals_match_per_step_draws(n, t, step):
     gen, ref = np.random.default_rng(16), np.random.default_rng(16)
     blocks = list(diffusion._normals(gen, n, t, step))
-    assert len(pools) == (cpus > 1 and chunks > 1)
     rows = ((b1[j], b2[j], scale[j, 0]) for b1, b2, scale in blocks for j in range(len(scale)))
     for (n1, n2, scale), (r1, r2, rscale) in zip(rows, _increments(ref, n, t, step), strict=True):
         assert np.array_equal(n1, r1) and np.array_equal(n2, r2) and scale == rscale
@@ -308,80 +280,6 @@ def test_normals_match_per_step_draws(pools, monkeypatch, n, t, step, chunks, cp
     steps = _step_count(t, step)
     assert [len(b[2]) for b in blocks] == [min(k, steps - s) for s in range(0, steps, k)]
     assert gen.bit_generator.state == ref.bit_generator.state
-
-
-def test_closed_walk_leaves_no_worker(pools, monkeypatch):
-    # 6 steps to a chunk: after the first block the worker draws chunk 1
-    _set_cpus(monkeypatch, 2)
-    gen, ref = np.random.default_rng(17), np.random.default_rng(17)
-    threads = threading.active_count()
-    walk = diffusion._normals(gen, 5000, 1.0, 0.01)
-    next(walk)
-    assert len(pools) == 1
-    walk.close()
-    assert threading.active_count() == threads
-    ref.standard_normal((12, 2, 5000))
-    assert gen.bit_generator.state == ref.bit_generator.state
-
-
-def test_walks_drawing_ahead_under_fast_thread_switching(monkeypatch):
-    # three walks at once, each with its worker: six threads on fewer cores,
-    # switching every 10 us; each walk still sees its own stream in order
-    _set_cpus(monkeypatch, 2)
-    results = {}
-
-    def walk(seed):
-        gen = np.random.default_rng(seed)
-        results[seed] = np.concatenate([np.stack([n1, n2], axis=1)
-                                        for n1, n2, _ in diffusion._normals(gen, 5000, 0.3, 0.01)])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=walk, args=(seed,)) for seed in (21, 22, 23)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-            assert not th.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    for seed in (21, 22, 23):
-        ref = [(n1, n2) for n1, n2, _ in _increments(np.random.default_rng(seed), 5000, 0.3, 0.01)]
-        assert np.array_equal(results[seed], np.array(ref)), seed
-
-
-class _DrawFailed(Exception):
-    pass
-
-
-def test_worker_draw_error_reaches_caller(pools, monkeypatch):
-    _set_cpus(monkeypatch, 2)
-
-    class FailingSecondDraw:
-        def __init__(self):
-            self.gen, self.calls = np.random.default_rng(18), 0
-
-        def standard_normal(self, shape):
-            self.calls += 1
-            if self.calls == 2:
-                raise _DrawFailed(threading.current_thread() is threading.main_thread())
-            return self.gen.standard_normal(shape)
-
-    with pytest.raises(_DrawFailed) as exc:
-        for _ in diffusion._normals(FailingSecondDraw(), 5000, 1.0, 0.01):
-            pass
-    assert exc.value.args == (False,)  # raised on the worker, re-raised here
-    assert len(pools) == 1
-
-
-def test_single_chunk_walks_start_no_thread(pools, monkeypatch, tmp_path):
-    # a short path fits in one chunk: a thread would cost more than the
-    # path.  validate cocycle jumps exactly and walks nothing
-    _set_cpus(monkeypatch, 2)
-    sample_path(DiscPoint.origin(), 2.0, 0.05, np.random.default_rng(19))
-    assert cli.main(["validate", "cocycle", "--output", str(tmp_path / "c")]) == 0
-    assert pools == []
 
 
 def _scalar_specialization(spec, z):

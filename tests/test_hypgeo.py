@@ -1,5 +1,9 @@
 """Geometry unit tests: distances, conversions, rays, Mobius group laws.
 
+The radius tanh(R/2) and the geodesic rays are realized by the maps that
+build the octagon group: a ray from a base point is the translation of 0
+carried to the base by its point chart.
+
 Frozen constants were computed with the independent oracles in this file
 (bisection inversion, Mobius reduction) before the library existed.
 """
@@ -14,16 +18,12 @@ from hypothesis import strategies as st
 
 from hyplyap.hypgeo import (
     DiscPoint,
-    GeodesicRay,
     GeometryError,
     MobiusMap,
     dist_P,
-    geodesic_eval,
     mobius_identity,
     mobius_point_chart,
-    mobius_rotation,
     mobius_translation,
-    radius_for_R,
 )
 
 LOG3 = math.log(3.0)
@@ -53,6 +53,16 @@ def oracle_mobius_reduced_dist(z, w):
     return oracle_radial_dist(abs(m))
 
 
+def rotation(angle):
+    """Rotation of the disc about 0 by `angle` radians."""
+    return MobiusMap(cmath.exp(0.5j * angle), 0.0j)
+
+
+def ray_point(base, theta, R):
+    """Point at distance R from base along leaf-direction theta."""
+    return (mobius_point_chart(base) * mobius_translation(theta, R))(DiscPoint.origin())
+
+
 def random_points(rng, n, rmax=0.97):
     r = rmax * np.sqrt(rng.random(n))
     phi = 2.0 * np.pi * rng.random(n)
@@ -65,7 +75,7 @@ def random_maps(rng, n):
         theta = rng.random()
         length = 3.0 * rng.random()
         rot = 2.0 * np.pi * rng.random()
-        maps.append(mobius_translation(theta, length) * mobius_rotation(rot))
+        maps.append(mobius_translation(theta, length) * rotation(rot))
     return maps
 
 
@@ -116,32 +126,36 @@ def test_rejects_points_on_or_outside_circle():
         dist_P(1.2 + 0j, 0j)
 
 
-# ----------------------------------------------------------- radius_for_R
+# ------------------------------------------------ radius r = tanh(R/2)
+# the Euclidean radius of the hyperbolic circle of radius R about 0 is
+# where the translation by R moves 0; the round trips check dist_P against
+# the conversion r = tanh(R/2) the package applies inline
 
 
 def test_radius_degenerate():
-    assert radius_for_R(0.0) == 0.0
+    assert mobius_translation(0.3, 0.0)(0j) == 0j
 
 
 def test_radius_paper_value():
-    assert radius_for_R(LOG3) == pytest.approx(0.5, abs=1e-15)
+    assert abs(mobius_translation(0.3, LOG3)(0j)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_radius_bisection_oracle():
     # frozen from oracle_bisect_radius(2.0)
-    assert radius_for_R(2.0) == pytest.approx(0.7615941559557649, abs=1e-14)
-    assert radius_for_R(2.0) == pytest.approx(oracle_bisect_radius(2.0), abs=1e-13)
+    r = mobius_translation(0.0, 2.0)(0j)
+    assert r == pytest.approx(0.7615941559557649, abs=1e-14)
+    assert r == pytest.approx(oracle_bisect_radius(2.0), abs=1e-13)
 
 
 def test_radius_rejects_bad_input():
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(GeometryError):
-            radius_for_R(bad)
+            mobius_translation(0.0, bad)
 
 
 def test_conversion_round_trip():
     for r in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]:
-        assert radius_for_R(dist_P(0j, r + 0j)) == pytest.approx(r, abs=1e-12)
+        assert math.tanh(0.5 * dist_P(0j, r + 0j)) == pytest.approx(r, abs=1e-12)
 
 
 # beyond R ~ 10.5 the double-precision gap to the unit circle caps the
@@ -149,44 +163,36 @@ def test_conversion_round_trip():
 @given(st.floats(min_value=0.0, max_value=10.0))
 @settings(max_examples=200, deadline=None)
 def test_round_trip_property(R):
-    assert abs(dist_P(0j, radius_for_R(R) + 0j) - R) <= 1e-12
+    assert abs(dist_P(0j, math.tanh(0.5 * R) + 0j) - R) <= 1e-12
 
 
 # ---------------------------------------------------------- geodesic rays
 
 
 def test_ray_origin():
-    ray = GeodesicRay(DiscPoint.origin(), 0.37)
-    p = geodesic_eval(ray, 0.0)
-    assert p.z == 0j
+    assert ray_point(DiscPoint.origin(), 0.37, 0.0).z == 0j
 
 
 def test_ray_paper_value_quarter_turn():
-    ray = GeodesicRay(DiscPoint.origin(), 0.25)
-    p = geodesic_eval(ray, LOG3)
-    assert p.z == pytest.approx(0.5j, abs=1e-14)
+    assert ray_point(DiscPoint.origin(), 0.25, LOG3).z == pytest.approx(0.5j, abs=1e-14)
 
 
 def test_ray_derived_value_half_turn():
-    ray = GeodesicRay(DiscPoint.origin(), 0.5)
-    p = geodesic_eval(ray, 2.0)
+    p = ray_point(DiscPoint.origin(), 0.5, 2.0)
     assert p.z == pytest.approx(-0.7615941559557649, abs=1e-13)
 
 
 def test_ray_unit_speed_grid():
     for theta in [0.0, 0.13, 0.25, 0.5, 0.77]:
         for base in [DiscPoint.origin(), DiscPoint(0.3, -0.2), DiscPoint(-0.6, 0.5)]:
-            ray = GeodesicRay(base, theta)
             for R1, R2 in [(0.0, 1.0), (0.5, 2.5), (1.0, 7.0), (3.0, 3.0)]:
-                d = dist_P(geodesic_eval(ray, R1), geodesic_eval(ray, R2))
+                d = dist_P(ray_point(base, theta, R1), ray_point(base, theta, R2))
                 assert d == pytest.approx(abs(R1 - R2), abs=1e-10)
 
 
 def test_ray_base_recovered_at_zero():
     base = DiscPoint(0.41, -0.33)
-    ray = GeodesicRay(base, 0.8)
-    p = geodesic_eval(ray, 0.0)
-    assert p.z == pytest.approx(base.z, abs=1e-15)
+    assert ray_point(base, 0.8, 0.0).z == pytest.approx(base.z, abs=1e-15)
 
 
 # ------------------------------------------------------------ Mobius maps
@@ -198,7 +204,7 @@ def test_identity_map():
 
 
 def test_quarter_turn_rotation():
-    rot = mobius_rotation(math.pi / 2.0)
+    rot = rotation(math.pi / 2.0)
     assert rot(0.5 + 0j) == pytest.approx(0.5j, abs=1e-15)
 
 
@@ -207,14 +213,6 @@ def test_translation_derived_value():
     t = mobius_translation(0.0, 1.0)
     assert t(0j) == pytest.approx(0.46211715726000974, abs=1e-14)
     assert t(0j) == pytest.approx(oracle_bisect_radius(1.0), abs=1e-13)
-
-
-def test_translation_matches_geodesic_eval():
-    for theta in [0.0, 0.2, 0.65]:
-        for R in [0.3, 1.0, 4.0]:
-            t = mobius_translation(theta, R)
-            ray = GeodesicRay(DiscPoint.origin(), theta)
-            assert t(0j) == pytest.approx(geodesic_eval(ray, R).z, abs=1e-13)
 
 
 def test_point_chart_positive_derivative():
@@ -274,6 +272,6 @@ def test_normalization_after_composition():
     m = mobius_identity()
     for _ in range(50):
         theta = rng.random()
-        m = m * mobius_translation(theta, 0.4 * rng.random()) * mobius_rotation(rng.random())
+        m = m * mobius_translation(theta, 0.4 * rng.random()) * rotation(rng.random())
     det = abs(m.a) ** 2 - abs(m.b) ** 2
     assert det == pytest.approx(1.0, abs=1e-12)

@@ -680,13 +680,13 @@ def test_shadowing_needs_horizon():
 
 
 def test_direction_uniformity(group):
-    rep = direction_distribution_check(4000, 40.0, 0.05, 32, RngStream(70))
+    rep = direction_distribution_check(4000, 40.0, 32, RngStream(70))
     assert rep.passed, str(rep)
     assert rep.p_value > 0.001
 
 
 def test_direction_single_bin_trivial():
-    rep = direction_distribution_check(500, 40.0, 0.05, 1, RngStream(71))
+    rep = direction_distribution_check(500, 40.0, 1, RngStream(71))
     assert rep.p_value == 1.0 and rep.passed
 
 
@@ -732,4 +732,4 @@ def test_sphere_sample_matches_scipy_halton(m_real):
 
 def test_direction_needs_frozen_horizon():
     with pytest.raises(LyapunovError):
-        direction_distribution_check(100, 10.0, 0.05, 8, RngStream(1))
+        direction_distribution_check(100, 10.0, 8, RngStream(1))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hyplyap.hypgeo import DiscPoint, dist_P, geodesic_eval, GeodesicRay, mobius_identity
+from hyplyap.hypgeo import DiscPoint, dist_P, mobius_identity, mobius_translation
 from hyplyap.surface import (
     DeckWord,
     build_genus2,
@@ -298,7 +298,7 @@ def test_track_word_endpoint_consistency(group):
 
 def test_track_long_segment_error(group):
     # a single segment far longer than the step of any sampler tracks fine
-    far = geodesic_eval(GeodesicRay(DiscPoint.origin(), 0.0), 1.0)
+    far = mobius_translation(0.0, 1.0)(DiscPoint.origin())
     path = FakePath([DiscPoint.origin(), far])
     assert track(path, group).letters == ()
 
