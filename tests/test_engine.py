@@ -16,6 +16,8 @@ cocycle_of_word.
 
 import cmath
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -264,22 +266,35 @@ def test_sample_path_blocks_match_per_step_draws():
     assert [p.z for p in path.points] == want
 
 
-@pytest.mark.parametrize("n, t, step", [
-    (300, 1.23, 0.05),     # 25 steps in blocks of 10, 10, 5; short last step
-    (300, 25.27, 0.05),    # 506 steps; short last step
-    (5000, 0.05, 0.01),    # one step per block
-    (5000, 0.205, 0.01),   # 21 steps; short last step
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n, t, step, walks", [
+    (300, 1.23, 0.05, 1),     # 25 steps in blocks of 10, 10, 5; short last step
+    (300, 25.27, 0.05, 6),    # 506 steps; short last step
+    (5000, 0.05, 0.01, 1),    # one step per block
+    (5000, 0.205, 0.01, 4),   # 21 steps; short last step
 ])
-def test_normals_match_per_step_draws(n, t, step):
-    gen, ref = np.random.default_rng(16), np.random.default_rng(16)
-    blocks = list(diffusion._normals(gen, n, t, step))
-    rows = ((b1[j], b2[j], scale[j, 0]) for b1, b2, scale in blocks for j in range(len(scale)))
-    for (n1, n2, scale), (r1, r2, rscale) in zip(rows, _increments(ref, n, t, step), strict=True):
-        assert np.array_equal(n1, r1) and np.array_equal(n2, r2) and scale == rscale
+def test_normals_match_per_step_draws(monkeypatch, n, t, step, walks, cpus):
+    # `walks` walks read in turn, block by block, each from its own
+    # generator, with `cpus` usable CPUs: no walk's draws depend on the
+    # others' or on the CPU count, and no walk starts a thread
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    threads = threading.active_count()
+    gens = [np.random.default_rng(16 + i) for i in range(walks)]
+    blocks = [[] for _ in gens]
+    for turn in zip(*(diffusion._normals(gen, n, t, step) for gen in gens), strict=True):
+        assert threading.active_count() == threads
+        for got, block in zip(blocks, turn):
+            got.append(block)
     k = max(1, min(round(diffusion._BLOCK_TIME / step), diffusion._BLOCK_NORMALS // (2 * n)))
     steps = _step_count(t, step)
-    assert [len(b[2]) for b in blocks] == [min(k, steps - s) for s in range(0, steps, k)]
-    assert gen.bit_generator.state == ref.bit_generator.state
+    for i, (gen, got) in enumerate(zip(gens, blocks)):
+        ref = np.random.default_rng(16 + i)
+        rows = ((b1[j], b2[j], scale[j, 0]) for b1, b2, scale in got for j in range(len(scale)))
+        for (n1, n2, scale), (r1, r2, rscale) in zip(rows, _increments(ref, n, t, step), strict=True):
+            assert np.array_equal(n1, r1) and np.array_equal(n2, r2) and scale == rscale, i
+        assert [len(b[2]) for b in got] == [min(k, steps - s) for s in range(0, steps, k)]
+        assert gen.bit_generator.state == ref.bit_generator.state, i
 
 
 def _scalar_specialization(spec, z):
