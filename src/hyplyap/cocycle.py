@@ -34,7 +34,10 @@ __all__ = [
     "Specialization",
     "RegularityReport",
     "cocycle_of_word",
+    "diagonal_representation",
     "evaluate",
+    "fuchsian_representation",
+    "trivial_representation",
     "specialize",
     "convert_direction",
     "estimate_regularity",

@@ -28,14 +28,16 @@ the walkers that moved are) and reports the round's (side, walker) arrays once.
 `_MatrixAccumulator` is the only cocycle accumulator: it folds a round in
 with one gathered matmul against the eight side images stacked as
 (8, d, d).  A path's matrix takes its letters on the right (crossing
-order); Benettin's QR deflation reads the accumulator transposed, whose
-left products have the same singular-value growth and make the limiting
-frame estimate the flag at the starting fiber.  Its QR is one batched
-kernel, `_orthonormal_rows`: Gram-Schmidt with one re-orthogonalization
-pass on the rows of every path's frame at once, giving Q^T and |diag R| for
-any dimension and field.  The SVD routes summarize their products in
-`_svd_spectrum`, the interval routes extremize over a subspace in
-`_rate_range`.
+order).  The spectrum routes read it through `_deflation_spectrum`,
+Benettin's QR deflation of the accumulator transposed, whose left products
+have the same singular-value growth and make the limiting frame estimate
+the flag at the starting fiber: a QR per gap on the Brownian and diffusion
+routes, per _RAY_REORTH_STEPS ray steps on the geodesic route.  Its QR is
+one batched kernel, `_orthonormal_rows`: Gram-Schmidt with one
+re-orthogonalization pass on the rows of every path's frame at once,
+giving Q^T and |diag R| for any dimension and field.  The rates read whole
+products, spilled into a log scale; the interval routes extremize over a
+subspace in `_rate_range`.
 
 The disc is simply connected, so a lifted path's cocycle value depends
 only on its endpoint tile, and the matrix routes need each walker only at
@@ -44,17 +46,18 @@ the reduction cadence _REDUCE_EVERY.  The one Brownian walker,
 moves every walker once by an exact heat-kernel jump
 (`diffusion._heat_jumps`, applied by the Mobius move `diffusion._disc_step`)
 and reduces every walker once.  There is no step, no guard and no partial
-reduction; Benettin runs one QR per gap.  Every Brownian estimator, the
-conversion check's left side included, walks through `_brownian_matrices`,
-which still validates a `step` it does not read: the estimators keep
-`step` (and Benettin `reorth_every`) in their signatures because the
-benchmark's tracer and layer timings pass them.  `_cadence_chain` runs the
-same jumps in the polar chart, without reduction, for the drift and
-uniformity checks.  The ray tracker `_ray_walk` moves each ray exactly
-(`_ray_step`), one step per _REDUCE_EVERY of arc length, and reduces after
-every step; `_geodesic_matrices` folds its letters into products, and
-`_ray_lift_error` lifts its rays back by their deck words for `validate
-geometry`.  Each estimator walks one ensemble on `rng.child(0)`.
+reduction.  Every Brownian estimator, the conversion check's left side
+included, walks through `_brownian_ensemble` (the whole-product readouts
+through `_brownian_matrices`), which still validates a `step` it does not
+read: the estimators keep `step` (and Benettin `reorth_every`) in their
+signatures because the benchmark's tracer and layer timings pass them.
+`_cadence_chain` runs the same jumps in the polar chart, without
+reduction, for the drift and uniformity checks.  The ray tracker
+`_ray_walk` moves each ray exactly (`_ray_step`), one step per
+_REDUCE_EVERY of arc length, and reduces after every step;
+`_geodesic_matrices` folds its letters into products, and `_ray_lift_error`
+lifts its rays back by their deck words for `validate geometry`.  Each
+estimator walks one ensemble on `rng.child(0)`.
 """
 
 from __future__ import annotations
@@ -124,6 +127,13 @@ _REDUCE_EVERY = 0.5
 # product outgrowing the 1e100 threshold by 1e208 in that time would need
 # an exponent past 100
 _RESCALE_GAPS = 8
+# the geodesic spectrum's QR cadence: rays never cross back, so rounding
+# grows with the net displacement.  On Sym^2 of the uniformizing
+# representation at R = 60 the worst per-ray |log det| error (truth 0) is
+# 7.3e-10 at a QR every 8 steps and 8.5e-12 at every step, which costs the
+# route 29%.  (Brownian walkers cross a side and back: 5.2e-2 at a QR every
+# 8 gaps, 6.3e-10 at every gap, so they take one per gap.)
+_RAY_REORTH_STEPS = 8
 
 
 def _ensemble_generator(rng):
@@ -154,20 +164,23 @@ def _brownian_walk(data, acc, gen, n, t, start=0j):
         yield z
 
 
-def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j, each_gap=None):
-    """Cocycle matrices along Brownian paths from `start`, one ensemble on
-    rng.child(0).  `step` is validated as the step walkers validate it, and
-    not read: the walk jumps exactly.  each_gap(acc), when given, runs
-    after every gap's reduction; otherwise the products are rescaled every
-    _RESCALE_GAPS gaps."""
+def _brownian_ensemble(rep, group, t, n_paths, step, rng, start=0j):
+    """An accumulator of n_paths identities and the Brownian walk from
+    `start` that folds into it, one ensemble on rng.child(0).  `step` is
+    validated as the step walkers validate it, and not read: the walk
+    jumps exactly."""
     _check_step_params(t, step)
     data = group._layout
     acc = _MatrixAccumulator(rep, data, n_paths)
-    walk = _brownian_walk(data, acc, _ensemble_generator(rng), n_paths, t, start)
+    return acc, _brownian_walk(data, acc, _ensemble_generator(rng), n_paths, t, start)
+
+
+def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j):
+    """Cocycle matrices along the Brownian paths of _brownian_ensemble,
+    rescaled every _RESCALE_GAPS gaps."""
+    acc, walk = _brownian_ensemble(rep, group, t, n_paths, step, rng, start)
     for i, _ in enumerate(walk, start=1):
-        if each_gap is not None:
-            each_gap(acc)
-        elif i % _RESCALE_GAPS == 0:
+        if i % _RESCALE_GAPS == 0:
             acc.rescale()
     acc.rescale()
     return acc
@@ -385,18 +398,10 @@ def brownian_norm_rate(rep, group, t, n_paths, step, rng):
 
 
 def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> SpectrumReport:
-    """Full spectrum by QR deflation along Brownian paths.
-
-    Letters arrive in crossing order, i.e. as right factors of each path's
-    product M; its transpose M^T takes them as left factors with identical
-    singular-value growth, so the frame is M^T, re-orthonormalized by one
-    QR per gap of the walk (one per _REDUCE_EVERY time units), and the
-    accumulated log diagonals are averaged across paths.  The QR of every
-    path's M^T is one call of `_orthonormal_rows`, Gram-Schmidt twice over
-    the rows of M: the orthonormal rows replace M and their lengths after
-    projection are |diag R|.  Each |diag R| below 1e-280 is refused as a
-    degenerate frame.  A single path is refused: its exponents would have
-    no standard error.
+    """Full spectrum by QR deflation along Brownian paths: _deflation_spectrum
+    of the Brownian walk to t_max, with one QR per gap of the walk (one per
+    _REDUCE_EVERY time units).  A single path is refused: its exponents
+    would have no standard error.
 
     `step` and `reorth_every` are validated (0 < step <= 0.05,
     reorth_every >= 1 with reorth_every * step <= 1) but not read: the walk
@@ -408,29 +413,49 @@ def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> Sp
     """
     if reorth_every < 1 or reorth_every * step > 1.0 + 1e-12:
         raise LyapunovError("need reorth_every >= 1 with reorth_every * step <= 1")
-    _check_ensemble_size(n_paths)
-    logr = np.zeros((n_paths, rep.dim))
+    return _brownian_spectrum(rep, group, t_max, n_paths, step, rng, "brownian", {"t_max": t_max})
 
-    def deflate(acc):
+
+def _brownian_spectrum(rep, group, t, n_paths, step, rng, method, provenance) -> SpectrumReport:
+    """_deflation_spectrum of an ensemble of Brownian paths to time t, one QR
+    per gap; the provenance gains the ensemble's size and stream."""
+    if n_paths < 2:
+        raise LyapunovError(f"an ensemble spectrum needs n_paths >= 2, got {n_paths}")
+    acc, walk = _brownian_ensemble(rep, group, t, n_paths, step, rng)
+    provenance.update(n_paths=n_paths, master_seed=rng.master_seed, stream_index=rng.stream_index)
+    return _deflation_spectrum(acc, walk, 1, t, method, provenance)
+
+
+def _deflation_spectrum(acc, walk, every, horizon, method, provenance) -> SpectrumReport:
+    """Report of the products acc folds along walk, by the QR deflation of
+    Benettin, Galgani, Giorgilli & Strelcyn (Meccanica 15, 1980).
+
+    Letters arrive in crossing order, i.e. as right factors of each path's
+    product M; its transpose M^T takes them as left factors with identical
+    singular-value growth, so the frame is M^T.  Every `every` steps of the
+    walk, and once at its end, the frame is re-orthonormalized: one call of
+    `_orthonormal_rows` orthonormalizes the rows of every path's M, which
+    replace M, and their lengths after projection, |diag R|, add their logs
+    to the path's log diagonal.  Each |diag R| below 1e-280 is refused as a
+    degenerate frame.  The log diagonals / horizon are averaged across
+    paths, and the first path's frame is the basis."""
+    logr = np.zeros(acc.m.shape[:2])
+
+    def reorthonormalize():
         acc.m, norms = _orthonormal_rows(acc.m)
         logr[:] += np.log(norms)
 
-    acc = _brownian_matrices(rep, group, t_max, n_paths, step, rng, each_gap=deflate)
+    k = 0
+    for k, _ in enumerate(walk, start=1):
+        if k % every == 0:
+            reorthonormalize()
+    if k % every:
+        reorthonormalize()
     # sort per path: for products without generic alignment (commuting
     # images) the QR diagonal order is path-dependent, and the ensemble
     # average must estimate the sorted spectrum of A(omega, t)
-    lams = np.sort(logr / t_max, axis=1)[:, ::-1]
-    return _spectrum_from_samples(
-        lams,
-        acc.m[0].T.copy(),
-        "brownian",
-        {
-            "t_max": t_max,
-            "n_paths": n_paths,
-            "master_seed": rng.master_seed,
-            "stream_index": rng.stream_index,
-        },
-    )
+    lams = np.sort(logr / horizon, axis=1)[:, ::-1]
+    return _spectrum_from_samples(lams, acc.m[0].T.copy(), method, provenance)
 
 
 def _orthonormal_rows(m):
@@ -512,14 +537,8 @@ def geodesic_norm_rates(rep, group, R, n_dirs, spacing=_REDUCE_EVERY):
     return thetas, acc.log_operator_norm() / R
 
 
-def _check_ensemble_size(n_paths):
-    """An ensemble spectrum's confidence intervals need two paths."""
-    if n_paths < 2:
-        raise LyapunovError(f"an ensemble spectrum needs n_paths >= 2, got {n_paths}")
-
-
 def _spectrum_from_samples(lams, basis, method, provenance) -> SpectrumReport:
-    """Build a report from per-sample sorted log singular values / t."""
+    """Build a report from per-sample sorted log diagonals / horizon."""
     d = lams.shape[1]
     raw_sorted = np.array([pairwise_sum(lams[:, i]) / lams.shape[0] for i in range(d)])
     se_sorted = np.std(lams, axis=0, ddof=1) / math.sqrt(lams.shape[0])
@@ -544,52 +563,28 @@ def _spectrum_from_samples(lams, basis, method, provenance) -> SpectrumReport:
     )
 
 
-def _svd_spectrum(acc, horizon, method, provenance) -> SpectrumReport:
-    """Report of the products in acc: sorted log singular values / horizon
-    per product, the first product's right singular vectors as the basis."""
-    s = np.linalg.svd(acc.m, compute_uv=False)
-    if np.any(s == 0.0):
-        # the SVD of a whole product loses singular values below s_1 * eps
-        raise LyapunovError(
-            "non-finite spectrum estimate: a singular value of the product "
-            "underflowed to 0"
-        )
-    lams = (np.log(s) + acc.log_scale[:, None]) / horizon
-    _, _, vh = np.linalg.svd(acc.m[0])
-    return _spectrum_from_samples(lams, vh.conj().T, method, provenance)
-
-
 def geodesic_spectrum(rep, group, R, n_dirs, spacing=_REDUCE_EVERY) -> SpectrumReport:
-    """Full spectrum by the geodesic route: sorted log singular values of
-    the ray cocycles, averaged over the uniform direction grid."""
+    """Full spectrum by the geodesic route: _deflation_spectrum of the rays
+    of _ray_walk over the uniform direction grid, with one QR every
+    _RAY_REORTH_STEPS ray steps."""
     if n_dirs < 8:
         raise LyapunovError("geodesic_spectrum needs n_dirs >= 8")
     thetas = (np.arange(n_dirs) + 0.5) / n_dirs
-    acc = _geodesic_matrices(rep, group, thetas, R, spacing)
-    return _svd_spectrum(acc, R, "geodesic", {"R": R, "n_dirs": n_dirs, "spacing": spacing})
+    acc = _MatrixAccumulator(rep, group._layout, n_dirs)
+    walk = _ray_walk(group._layout, acc, thetas, R, spacing)
+    return _deflation_spectrum(acc, walk, _RAY_REORTH_STEPS, R, "geodesic",
+                               {"R": R, "n_dirs": n_dirs, "spacing": spacing})
 
 
 def diffusion_spectrum(rep, group, n, n_paths, step, rng) -> SpectrumReport:
-    """Full spectrum by the expectation route: expected sorted log singular
-    values of the cocycle at an integer horizon (no deflation along the
-    path; the whole matrix is decomposed at the end).  `step` is validated
-    but not read: the walk jumps exactly.  A single path is refused, as in
-    benettin_spectrum."""
+    """Full spectrum by the expectation route: Benettin's estimator at the
+    integer horizon n, under its own method label and provenance.  `step`
+    is validated but not read: the walk jumps exactly.  A single path is
+    refused, as in benettin_spectrum."""
     if n < 1:
         raise LyapunovError("diffusion_spectrum needs an integer horizon n >= 1")
-    _check_ensemble_size(n_paths)
-    acc = _brownian_matrices(rep, group, float(int(n)), n_paths, step, rng)
-    return _svd_spectrum(
-        acc,
-        float(int(n)),
-        "diffusion",
-        {
-            "n": int(n),
-            "n_paths": n_paths,
-            "master_seed": rng.master_seed,
-            "stream_index": rng.stream_index,
-        },
-    )
+    return _brownian_spectrum(rep, group, float(int(n)), n_paths, step, rng, "diffusion",
+                              {"n": int(n)})
 
 
 # ---------------------------------------------- interval / expectation ops

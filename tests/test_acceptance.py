@@ -11,7 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from hyplyap.cocycle import diagonal_representation, estimate_regularity, evaluate, specialize
+from hyplyap.cocycle import (
+    diagonal_representation,
+    estimate_regularity,
+    evaluate,
+    fuchsian_representation,
+    specialize,
+)
 from hyplyap.diffusion import (
     RngStream,
     check_circle_vs_diffusion,
@@ -303,6 +309,35 @@ def test_criterion_07_interval_convergence(group, rep22, benettin60):
     # multiplicity 2 (drift-free diffusive winding), so the direction-averaged
     # signed rate sits near 0 while the Benettin estimate at finite horizon
     # sits near E|k| log2 / t > 0; the clause cannot hold at any sample size.
+    assert passed, line
+
+
+def test_criterion_07_twin_uniformizing(group):
+    """Criterion 7's clauses on the uniformizing representation, whose
+    spectrum +-1/2 is simple with span(e1) in general position: the
+    midpoint clause has a positive exponent to meet."""
+    fuchsian = fuchsian_representation(group)
+    sp = benettin_spectrum(fuchsian, group, 60.0, 0.05, 10, 400, RngStream(700))
+    chi1, chi2 = sp.exponents[0], sp.exponents[-1]
+
+    a1, b1 = expansion_interval(fuchsian, group, 60.0, np.array([1.0, 0.0]), n_dirs=256,
+                                n_vectors=64)
+    width_ok = (b1 - a1) <= 1e-12
+    midpoint = 0.5 * (a1 + b1)
+    mid_ok = abs(midpoint - chi1) <= 0.05 * chi1
+
+    a2, b2 = expansion_interval(fuchsian, group, 60.0, np.eye(2), n_dirs=256, n_vectors=64)
+    bracket_ok = (a2 >= chi2 - 0.05) and (b2 <= chi1 + 0.05)
+
+    passed = width_ok and mid_ok and bracket_ok
+    line = report(
+        "7 (uniformizing twin)",
+        passed,
+        f"span(e1) width {b1 - a1:.2e} (<=1e-12: {width_ok}); midpoint {midpoint:+.5f} "
+        f"vs benettin chi1 {chi1:.5f} (tol {0.05 * chi1:.5f}: {mid_ok}); "
+        f"K^2 interval [{a2:+.5f}, {b2:+.5f}] within [{chi2 - 0.05:+.5f}, {chi1 + 0.05:+.5f}]: "
+        f"{bracket_ok}",
+    )
     assert passed, line
 
 

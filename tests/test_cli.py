@@ -413,16 +413,34 @@ def test_fuchsian_config_matches_generators():
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("method", ["geodesic", "diffusion"])
-def test_non_finite_spectrum_exits_1(tmp_path, capsys, method):
-    # both routes decompose the whole product at the end, and at horizon 60
-    # the uniformizing representation's smaller singular value underflows
+@pytest.mark.parametrize("method, message", [
+    ("geodesic", "geodesic_spectrum needs n_dirs >= 8"),
+    ("diffusion", "an ensemble spectrum needs n_paths >= 2"),
+], ids=["geodesic", "diffusion"])
+def test_fuchsian_config_runs_on_every_route(tmp_path, capsys, method, message):
+    # at horizon 60 the uniformizing representation's smaller singular
+    # value is below s_1 * eps; both routes deflate their frames as they
+    # go, so they still read its exponent
+    config = os.path.join(CONFIGS, "fuchsian.cfg")
     out = tmp_path / method
-    rc = run_cli(["run", os.path.join(CONFIGS, "fuchsian.cfg"), "--method", method,
-                  "--output", str(out)])
+    rc = run_cli(["run", config, "--method", method, "--output", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    with open(str(out) + ".csv") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    chi = [float(row[3]) for row in rows]
+    tol = float(rows[0][5]) + 0.5 * build_genus2().circumradius / 60.0
+    assert len(chi) == 2 and abs(chi[0] - 0.5) <= tol and abs(chi[0] + chi[1]) <= 1e-12
+
+    # a spectrum route's LyapunovError still exits 1 with no CSV
+    with open(config) as fh:
+        small = fh.read().replace("n_paths = 400", "n_paths = 1").replace("n_dirs = 256",
+                                                                           "n_dirs = 4")
+    out = tmp_path / "small"
+    rc = run_cli(["run", write_config(tmp_path, small), "--method", method, "--output", str(out)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "error: non-finite spectrum estimate" in captured.err
+    assert f"error: {message}" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
     assert not os.path.exists(str(out) + ".csv")
 

@@ -25,3 +25,11 @@ def test_package_names_are_their_modules_objects():
     for name in names:
         obj = getattr(hyplyap, name)
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+def test_package_names_are_in_their_modules_all():
+    # bench/tracer.py spans only the names in a module's __all__
+    missing = [name for name, obj in vars(hyplyap).items()
+               if not name.startswith("_") and not inspect.ismodule(obj)
+               and name not in getattr(importlib.import_module(obj.__module__), "__all__", ())]
+    assert missing == []

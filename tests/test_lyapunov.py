@@ -357,6 +357,59 @@ def test_fuchsian_geodesic_rates(group, fuchsian):
     assert abs(float(np.mean(rates)) - 0.5) <= 3.0 * se + _allowance(group, R)
 
 
+def _sym2(g):
+    """Sym^2 of a 2 x 2 matrix g, its action on the quadratic forms in the
+    basis x^2, xy, y^2: the column of e_i e_j is (g e_i)(g e_j)."""
+    (a, b), (c, d) = g
+    return np.array([[a * a, a * b, b * b],
+                     [2 * a * c, a * d + b * c, 2 * b * d],
+                     [c * c, c * d, d * d]])
+
+
+@pytest.fixture(scope="module")
+def sym2(group, fuchsian):
+    """Sym^2 of the uniformizing representation: spectrum exactly (1, 0, -1)."""
+    rep = Representation.from_matrices(3, "complex", [_sym2(g) for g in fuchsian.images], group)
+    assert rep.relator_residual <= 1e-10
+    return rep
+
+
+# Each route's raw exponents against the exact spectrum, at the CLI's seed
+# and streams, within raw_ci + c / horizon.  c is the octagon's
+# circumradius, 2.45: a path ending at z in tile gamma F has cocycle
+# rho(gamma), with |d(0, gamma 0) - d(0, z)| <= circumradius, so the tile
+# moves the log singular values of Sym^k(rho(gamma)) / horizon by at most
+# k/2 circumradius / horizon (k <= 2 here).  The xy basis vector of Sym^2
+# has length 1, not the 1/sqrt(2) of an isometric basis, and that alone
+# moves the middle exponent by log(sqrt 2) / horizon on every path.
+_ORACLE_ROUTES = {
+    "brownian": lambda rep, g: benettin_spectrum(rep, g, 60.0, 0.05, 1, 400, RngStream(0, 0)),
+    "diffusion": lambda rep, g: diffusion_spectrum(rep, g, 60, 400, 0.05, RngStream(0, 2)),
+    "geodesic": lambda rep, g: geodesic_spectrum(rep, g, 60.0, 256),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ORACLE_ROUTES))
+@pytest.mark.parametrize("rep_name, truth", [("fuchsian", (0.5, -0.5)), ("sym2", (1.0, 0.0, -1.0))],
+                         ids=["fuchsian", "sym2"])
+def test_spectrum_routes_meet_exact_spectrum(group, request, rep_name, truth, route):
+    sp = _ORACLE_ROUTES[route](request.getfixturevalue(rep_name), group)
+    c = group.circumradius
+    horizon = 60.0
+    for i, (chi, ci, want) in enumerate(zip(sp.raw_exponents, sp.raw_ci, truth)):
+        tol = ci + c / horizon
+        assert abs(chi - want) <= tol, f"chi_{i + 1} {chi:.5f} vs {want} (tol {tol:.5f})"
+    assert abs(sp.exponent_sum) <= 1e-10
+
+
+def test_diffusion_spectrum_is_benettin_at_integer_horizon(group, fuchsian):
+    a = diffusion_spectrum(fuchsian, group, 20, 100, 0.05, RngStream(3, 2))
+    b = benettin_spectrum(fuchsian, group, 20.0, 0.05, 1, 100, RngStream(3, 2))
+    assert (a.method, b.method) == ("diffusion", "brownian")
+    assert a.raw_exponents == b.raw_exponents and a.raw_ci == b.raw_ci
+    assert np.array_equal(a.oseledec_basis, b.oseledec_basis)
+
+
 # ---------------------------------------------------------- brownian rates
 
 
@@ -499,6 +552,20 @@ def test_ray_step_changes_only_rounding(group, request, rep_name):
     _, fine = geodesic_norm_rates(rep, group, 20.0, 256, spacing=0.05)
     _, coarse = geodesic_norm_rates(rep, group, 20.0, 256, spacing=0.5)
     assert np.max(np.abs(fine - coarse)) <= 1e-12
+
+
+@pytest.mark.parametrize("R", [20.0, 20.25])
+def test_geodesic_spectrum_reads_whole_rays(group, R):
+    # a diagonal cocycle keeps every frame diagonal, so the deflation's
+    # log |diag R| are the products' log singular values; R = 20.25 takes
+    # 41 ray steps, and the QR at the end reads the one after the last
+    # _RAY_REORTH_STEPS cadence
+    rep = diagonal_representation([3.0, 1.0, 0.5])
+    sp = geodesic_spectrum(rep, group, R, 64)
+    acc = _geodesic_matrices(rep, group, (np.arange(64) + 0.5) / 64, R, 0.5)
+    s = np.sort(np.log(np.abs(np.diagonal(acc.m, axis1=1, axis2=2))), axis=1)[:, ::-1]
+    want = np.mean((s + acc.log_scale[:, None]) / R, axis=0)
+    assert np.max(np.abs(np.subtract(sp.raw_exponents, want))) <= 1e-12
 
 
 def test_geodesic_requires_positive_R(group, rep22):
