@@ -7,6 +7,11 @@ written as (re, im) pairs.  Every run writes a manifest (resolved config,
 code version, relator residual), a result CSV whose body is byte-identical
 across reruns of the same config, and a human-readable summary.
 
+`validate <suite>` is `run --method validate:<suite>` on the default
+config; both take a suite's defaults from one table, _SUITE_DEFAULTS.  A
+run walks the horizon its manifest records or none: one below a suite's
+minimum, or past 10^4 steps of 0.5 on any route or suite, exits 1.
+
 Exit codes: 0 success, 1 usage/config error, 2 validation-suite failure.
 """
 
@@ -56,23 +61,20 @@ from .lyapunov import (
 )
 
 _METHODS = ("brownian", "geodesic", "diffusion")
-_VALIDATIONS = (
-    "geometry",
-    "cocycle",
-    "semigroup",
-    "dynkin",
-    "kernel",
-    "circle",
-    "drift",
-    "shadowing",
-    "uniformity",
-    "conversion",
-)
-# the suites of a fixed size (geometry's 1000 maps, cocycle's 100 paths) or
-# that draw nothing (kernel); they refuse an explicit n_paths
-_FIXED_SIZE_SUITES = ("geometry", "cocycle", "kernel")
-# the suites that read `horizon`; no suite reads `n_dirs`
-_HORIZON_SUITES = ("uniformity", "conversion")
+# every validation suite's defaults for the run keys it reads, filled in for
+# `validate <suite>` and `run --method validate:<suite>` alike.  A key a
+# suite leaves out it does not read, and an explicit value is refused:
+# geometry (1000 maps) and cocycle (100 paths) have a fixed size, kernel
+# draws nothing, and every suite samples exactly, so none reads step or
+# n_dirs
+_SUITE_DEFAULTS = {
+    "geometry": {}, "cocycle": {}, "semigroup": {"n_paths": 800},
+    "dynkin": {"n_paths": 1200}, "kernel": {}, "circle": {"n_paths": 3000},
+    "drift": {"n_paths": 10000}, "shadowing": {"n_paths": 10000},
+    "uniformity": {"n_paths": 10000, "horizon": 60.0},
+    "conversion": {"n_paths": 2000, "horizon": 5.0},
+}
+_VALIDATIONS = tuple(_SUITE_DEFAULTS)
 # the largest horizon validate:conversion accepts: beyond it an endpoint of
 # its exact sampler can leave the representable disc (rho > ~35)
 _CONVERSION_MAX_HORIZON = 12.0
@@ -90,10 +92,8 @@ def _unread_keys(method: str):
     suite = _suite(method)
     if suite is None:
         return ("step", "n_paths") if method == "geodesic" else ("step", "n_dirs")
-    # every suite samples exactly or draws nothing, and none reads step
-    reads = {"step": False, "n_paths": suite not in _FIXED_SIZE_SUITES,
-             "horizon": suite in _HORIZON_SUITES, "n_dirs": False}
-    return tuple(key for key, read in reads.items() if not read)
+    return tuple(key for key in ("step", "n_paths", "horizon", "n_dirs")
+                 if key not in _SUITE_DEFAULTS[suite])
 
 
 class ConfigError(ValueError):
@@ -270,7 +270,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """Flags mirror config keys; a conflicting explicit value is an error,
-    never a silent precedence decision."""
+    never a silent precedence decision.  A validation suite's keys left at
+    their defaults then take the suite's own (_SUITE_DEFAULTS), so the run
+    and its manifest agree."""
     for attr in ("method", "horizon", "step", "n_paths", "n_dirs", "seed", "output"):
         flag_val = getattr(args, attr, None)
         if flag_val is None:
@@ -284,6 +286,9 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
                 f"flag ({flag_val}); remove one"
             )
     cfg.validate()
+    for key, value in _SUITE_DEFAULTS.get(_suite(cfg.method), {}).items():
+        if key in cfg.defaulted:
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -487,21 +492,18 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         add("drift_median(t=40)", r.drift_median[i40], 1.0, 0.08,
             0.92 <= r.drift_median[i40] <= 1.08)
     elif name == "uniformity":
-        r = direction_distribution_check(cfg.n_paths, max(cfg.horizon, 40.0), 32, rng)
+        r = direction_distribution_check(cfg.n_paths, cfg.horizon, 32, rng)
         add("direction_uniformity_p", r.p_value, 1.0, 0.001, r.passed)
     elif name == "conversion":
         eta = group.generators[0](0j)
         u = np.zeros(rep.dim)
         u[0] = 1.0
-        # the diffused side is evaluated in raw coordinates: keep this check
-        # at moderate horizons regardless of the spectrum-scale default
-        t = cfg.horizon if "horizon" not in cfg.defaulted else 5.0
-        if t > _CONVERSION_MAX_HORIZON:
+        if cfg.horizon > _CONVERSION_MAX_HORIZON:
             raise ConfigError(
                 f"validate:conversion needs horizon <= {_CONVERSION_MAX_HORIZON:g}: an "
                 f"endpoint can leave the representable disc beyond it, and with a "
                 f"larger n_paths even at or below it")
-        r = check_exp_conversion(rep, group, u, eta, max(t, 0.5), cfg.n_paths, cfg.step, rng)
+        r = check_exp_conversion(rep, group, u, eta, cfg.horizon, cfg.n_paths, cfg.step, rng)
         add(r.name, r.lhs, r.rhs, r.tolerance, r.passed)
     else:  # pragma: no cover - guarded by validate()
         raise ConfigError(f"unknown validation {name!r}")
@@ -510,8 +512,7 @@ def run_validation(cfg: ExperimentConfig, group, rep):
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        cfg = apply_flag_overrides(cfg, args)
+        cfg = apply_flag_overrides(load_config(args.config), args)
         group = build_genus2()
         rep = build_representation(cfg, group)
     except (ConfigError, ValueError) as exc:
@@ -667,30 +668,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    # each sampling suite's default size; the fixed-size suites read none
-    sizes = {"semigroup": 800, "dynkin": 1200, "circle": 3000, "drift": 10000,
-             "shadowing": 10000, "uniformity": 10000, "conversion": 2000}
-    size = sizes.get(args.name, ExperimentConfig.n_paths)
-    given = {"method"} | {k for k in ("n_paths", "seed", "output") if getattr(args, k) is not None}
-    cfg = ExperimentConfig(
-        method=f"validate:{args.name}",
-        n_paths=size if args.n_paths is None else args.n_paths,
-        seed=args.seed if args.seed is not None else 0,
-        output=args.output or f"validate_{args.name}",
-        horizon=5.0 if args.name == "conversion" else 60.0,
-        defaulted=tuple(f.name for f in dc_fields(ExperimentConfig)
-                        if f.name not in given and f.name != "defaulted"),
-    )
+    """`validate <suite>`: `run --method validate:<suite>` on the default
+    config, written to validate_<suite>.  cocycle and conversion read the
+    representation diag(2, 1/2), I, I, I, which is exact."""
+    cfg = _config_from_raw({})
+    cfg.output = f"validate_{args.name}"
     if args.name in ("cocycle", "conversion"):
         cfg.matrices = (np.diag([2.0, 0.5]), np.eye(2), np.eye(2), np.eye(2))
-    cfg.validate()
+    args.method = f"validate:{args.name}"
+    cfg = apply_flag_overrides(cfg, args)
     group = build_genus2()
-    try:
-        rep = build_representation(cfg, group)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _execute(cfg, group, rep)
+    return _execute(cfg, group, build_representation(cfg, group))
 
 
 def cmd_dump_surface(args) -> int:

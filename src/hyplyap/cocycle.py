@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .diffusion import _resolve_rng
 from .hypgeo import DiscPoint
 from .surface import DeckWord, FuchsianGroup, _GroupData, _reduce_ensemble, locate, track
 
@@ -291,9 +292,7 @@ def estimate_regularity(
     """
     if n_pairs < 100:
         raise CocycleError("estimate_regularity needs n_pairs >= 100")
-    from .diffusion import RngStream
-
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = _resolve_rng(rng)
     # per pair: radius and angle of y, then separation and direction of z
     draws = gen.random((n_pairs, 4))
     rho_y = np.arccosh(1.0 + draws[:, 0] * (math.cosh(radius) - 1.0))

@@ -86,8 +86,8 @@ __all__ = [
 ]
 
 MAX_STEP = 0.05
-# per-path step counts past this are refused: a walk or ray that long is a
-# mistyped horizon, not a run that ends
+# per-path step counts of a step walker (t_max / step) past this are
+# refused: a walk that long is a mistyped horizon, not a run that ends
 MAX_STEP_COUNT = 10**7
 
 # raw-coordinate positions are rejected past this radius; callers needing
@@ -620,7 +620,8 @@ _TABLE_CHUNK = 64
 # are cut into equal pieces that lie inside it
 _GAP_MIN = 0.01
 _GAP_MAX = 100.0
-# jumps per walk past this are refused, as MAX_STEP_COUNT steps are
+# jumps per walk past this are refused, and so are Brownian gaps and ray
+# steps past it on every route (lyapunov._walk_steps): horizon <= 5000
 MAX_JUMP_COUNT = 10**4
 # _radial_quantile finds a key's knot through a guide table of _GUIDE_SIZE
 # equal buckets of s = sqrt(u): 2-3% of keys land in a bucket holding more

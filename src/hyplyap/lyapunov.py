@@ -72,7 +72,6 @@ from .cocycle import _MatrixAccumulator, cocycle_of_word, specialize
 from .diffusion import (
     _GAP_MIN,
     MAX_JUMP_COUNT,
-    MAX_STEP_COUNT,
     CheckReport,
     RngStream,
     _check_step_params,
@@ -82,6 +81,7 @@ from .diffusion import (
     _mean_se,
     _polar_coordinates,
     _polar_step,
+    _resolve_rng,
     pairwise_sum,
     polar_separation,
     sample_heat_endpoints,
@@ -143,6 +143,17 @@ def _ensemble_generator(rng):
     return rng.child(0).generator()
 
 
+def _walk_steps(t, gap, walk, unit="jumps"):
+    """ceil(t / gap), the steps a walk of length t takes; more than
+    MAX_JUMP_COUNT (t > 5000 at _REDUCE_EVERY), or a non-finite t, is a
+    mistyped horizon and is refused before the walk starts."""
+    t_max = MAX_JUMP_COUNT * gap
+    if not t <= t_max:
+        raise LyapunovError(f"{walk} at most {MAX_JUMP_COUNT:,} {unit} of {gap:g}: its length "
+                            f"must be finite and at most {t_max:g}, got {t}")
+    return math.ceil(t / gap)
+
+
 def _brownian_walk(data, acc, gen, n, t, start=0j):
     """Walk n Brownian paths from `start` for time t, folding their deck
     letters into acc; yields the reduced positions z after each gap.
@@ -152,10 +163,10 @@ def _brownian_walk(data, acc, gen, n, t, start=0j):
     (diffusion._heat_jumps), and then reduces every walker into the
     octagon.  A gap below diffusion's _GAP_MIN, the shortest time its
     radial table covers, is refused; as t / k >= min(t, 1/4), that is a t
-    below _GAP_MIN."""
+    below _GAP_MIN.  So is a walk of more than MAX_JUMP_COUNT gaps."""
     if not (math.isfinite(t) and t >= _GAP_MIN):
         raise LyapunovError(f"a Brownian walk needs finite t >= {_GAP_MIN}, got {t}")
-    k = math.ceil(t / _REDUCE_EVERY)
+    k = _walk_steps(t, _REDUCE_EVERY, "a Brownian walk takes")
     z = np.full(n, complex(start))
     _reduce_ensemble(data, z)  # initial reduction: not part of the word
     for c, s, ell in _heat_jumps(gen, n, t / k, k):
@@ -190,14 +201,11 @@ def _cadence_chain(gen, n, t):
     """(rho, psi) of n Brownian paths from the origin at time t, walked as
     the matrix routes walk them: k = ceil(t / _REDUCE_EVERY) chained exact
     jumps of t / k (diffusion._heat_jumps), applied in the polar chart by
-    _polar_step.  A t outside [_GAP_MIN, MAX_JUMP_COUNT * _REDUCE_EVERY]
-    is refused."""
-    t_max = MAX_JUMP_COUNT * _REDUCE_EVERY
-    if not (math.isfinite(t) and _GAP_MIN <= t <= t_max):
-        raise LyapunovError(f"a cadence chain takes at most {MAX_JUMP_COUNT:,} jumps of "
-                            f"{_REDUCE_EVERY}: t must be finite, >= {_GAP_MIN} and at most "
-                            f"{t_max:g}, got {t}")
-    k = math.ceil(t / _REDUCE_EVERY)
+    _polar_step.  A t below _GAP_MIN is refused, as is a chain of more
+    than MAX_JUMP_COUNT jumps (_walk_steps)."""
+    if not t >= _GAP_MIN:
+        raise LyapunovError(f"a cadence chain needs t >= {_GAP_MIN}, got {t}")
+    k = _walk_steps(t, _REDUCE_EVERY, "a cadence chain takes")
     rho, psi = np.zeros(n), np.zeros(n)
     for c, s, ell in _heat_jumps(gen, n, t / k, k):
         rho, psi = _polar_step(rho, psi, c, s, ell)
@@ -219,16 +227,17 @@ def _ray_walk(data, acc, thetas, R, spacing):
     letters into acc; yields the reduced positions w and direction angles
     alpha after each step.  Each ray takes _ray_steps of `spacing` (at
     most _REDUCE_EVERY; the last takes what is left of R) and is fully
-    reduced after every step.  The spacing changes only rounding."""
+    reduced after every step.  The spacing changes only rounding; more
+    than MAX_JUMP_COUNT steps are refused."""
     if not (math.isfinite(spacing) and 0.0 < spacing <= _REDUCE_EVERY):
         raise LyapunovError(f"geodesic tracking needs 0 < spacing <= {_REDUCE_EVERY}")
-    if not (R > 0.0 and R / spacing <= MAX_STEP_COUNT):
-        raise LyapunovError(f"geodesic tracking needs R > 0 and R / spacing finite and at most "
-                            f"{MAX_STEP_COUNT:,}, got {R} / {spacing}")
+    if not R > 0.0:
+        raise LyapunovError(f"geodesic tracking needs R > 0, got {R}")
+    steps = _walk_steps(R, spacing, "geodesic tracking needs", "steps")
     alpha = 2.0 * np.pi * np.asarray(thetas, dtype=float)
     w = np.zeros(alpha.size, complex)
     done = 0.0
-    for _ in range(int(math.ceil(R / spacing))):
+    for _ in range(steps):
         h = min(spacing, R - done)
         done += h
         w, alpha = _ray_step(w, alpha, h)
@@ -878,8 +887,7 @@ def direction_distribution_check(n_paths, t, n_bins, rng) -> UniformityReport:
         raise LyapunovError("direction check needs t >= 40 (direction nearly frozen)")
     if n_bins < 1:
         raise LyapunovError("need n_bins >= 1")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    _, psi = _cadence_chain(gen, n_paths, t)
+    _, psi = _cadence_chain(_resolve_rng(rng), n_paths, t)
     angles = np.mod(psi, 2.0 * np.pi)
     counts, _ = np.histogram(angles, bins=n_bins, range=(0.0, 2.0 * np.pi))
     expected = n_paths / n_bins

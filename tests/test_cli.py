@@ -12,10 +12,12 @@ import pytest
 from hyplyap.cli import (
     ConfigError,
     ExperimentConfig,
+    _SUITE_DEFAULTS,
     _execute,
     apply_flag_overrides,
     build_representation,
     main,
+    manifest_text,
     parse_config_text,
     read_spectrum_csv,
     run_validation,
@@ -299,11 +301,12 @@ def test_step_past_max_exits_1_on_every_route(tmp_path, capsys, method):
 
 @pytest.mark.parametrize("method", ["brownian", "geodesic", "diffusion"])
 def test_overflowing_step_count_exits_1(tmp_path, capsys, method):
-    # horizon / step overflows to inf, or is finite but past MAX_STEP_COUNT:
+    # horizon / step overflows to inf, or is finite but past MAX_STEP_COUNT,
+    # or the walk needs more than MAX_JUMP_COUNT gaps or ray steps of 0.5:
     # every route refuses it before it lays out or takes its steps
     cfg = write_config(
         tmp_path, "[run]\nmethod = %s\nn_dirs = 8\noutput = %s\n" % (method, tmp_path / "h"))
-    for horizon in ("1e308", "1e9"):
+    for horizon in ("1e308", "1e9", "6000"):
         t0 = time.perf_counter()
         rc = run_cli(["run", cfg, "--horizon", horizon])
         assert time.perf_counter() - t0 < 10.0, horizon
@@ -542,6 +545,49 @@ def test_horizon_and_n_dirs_refused_by_suites_that_do_not_read_them(
 _CONVERSION_CONFIG = ("[representation]\ng1 = 2 0 0 0.5\ng2 = 1 0 0 1\ng3 = 1 0 0 1\n"
                       "g4 = 1 0 0 1\n[run]\nmethod = validate:conversion\nseed = 0\n"
                       "horizon = %s\noutput = %s\n")
+
+
+@pytest.mark.parametrize("suite, horizon", [("uniformity", "10"), ("conversion", "0.25")])
+def test_suite_refuses_a_horizon_below_its_minimum(tmp_path, capsys, suite, horizon):
+    # a suite runs at the horizon it records, or not at all: below its
+    # minimum (uniformity 40, conversion 0.5) it exits 1
+    cfg = write_config(tmp_path, _CONVERSION_CONFIG.replace("conversion", suite)
+                       % (horizon, tmp_path / "v"))
+    rc = run_cli(["run", cfg])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "v.csv").exists()
+
+
+def test_run_validate_takes_the_suite_defaults(tmp_path, capsys):
+    # run --method validate:conversion with horizon and n_paths unset runs
+    # what `validate conversion` runs, and records it
+    text = _CONVERSION_CONFIG.replace("horizon = %s\n", "") % (tmp_path / "r")
+    assert run_cli(["run", write_config(tmp_path, text)]) == 0
+    assert run_cli(["validate", "conversion", "--seed", "0",
+                    "--output", str(tmp_path / "v")]) == 0
+    manifest = (tmp_path / "r.manifest.txt").read_text().splitlines()
+    assert "horizon 5.0 (default)" in manifest and "n_paths 2000 (default)" in manifest
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_DEFAULTS))
+def test_manifest_records_the_suite_defaults(tmp_path, suite):
+    # the keys a suite reads are filled from its defaults and recorded;
+    # the keys it does not read are left out
+    cfg = parse_config_text("[run]\noutput = %s\n" % (tmp_path / "m"))
+
+    class Args:
+        method = f"validate:{suite}"
+
+    cfg = apply_flag_overrides(cfg, Args())
+    lines = manifest_text(cfg, build_genus2()).splitlines()
+    defaults = _SUITE_DEFAULTS[suite]
+    for key in ("n_paths", "horizon"):
+        recorded = [line for line in lines if line.startswith(key + " ")]
+        want = [f"{key} {defaults[key]} (default)"] if key in defaults else []
+        assert recorded == want, key
 
 
 def test_conversion_runs_at_its_horizon_cap(tmp_path, capsys):

@@ -282,6 +282,16 @@ def test_benettin_preconditions(group, rep22):
         benettin_spectrum(rep22, group, 5.0, 0.05, 10, 40, np.random.default_rng(1))
 
 
+def test_benettin_refuses_more_than_max_jump_count_gaps(group, rep22, monkeypatch):
+    # t = 5000.5 needs 10001 gaps of 0.5: refused before the first jump
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(lyapunov, "_heat_jumps", refuse)
+    with pytest.raises(LyapunovError, match="at most 10,000 jumps of 0.5"):
+        benettin_spectrum(rep22, group, 5000.5, 0.05, 1, 4, RngStream(1))
+
+
 @pytest.mark.parametrize("step", [0.0, 0.5])
 @pytest.mark.parametrize(
     "estimator",
@@ -587,7 +597,7 @@ _RAY_ESTIMATORS = {
 @pytest.mark.parametrize(
     "R, spacing",
     [(0.0, 0.05), (-5.0, 0.05), (math.nan, 0.05), (math.inf, 0.05), (1e308, 0.05),
-     (2.0, -1.0), (2.0, 0.0), (2.0, math.nan), (2.0, 0.6)],
+     (5000.5, 0.5), (500.5, 0.05), (2.0, -1.0), (2.0, 0.0), (2.0, math.nan), (2.0, 0.6)],
 )
 @pytest.mark.parametrize("name", sorted(_RAY_ESTIMATORS))
 def test_ray_estimators_validate_R_and_spacing(group, rep22, name, R, spacing):
