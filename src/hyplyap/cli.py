@@ -397,7 +397,7 @@ def run_spectrum(cfg: ExperimentConfig, group, rep):
     elif cfg.method == "geodesic":
         report = geodesic_spectrum(rep, group, cfg.horizon, cfg.n_dirs)
     else:
-        report = diffusion_spectrum(rep, group, int(round(cfg.horizon)), cfg.n_paths, cfg.step, rng)
+        report = diffusion_spectrum(rep, group, cfg.horizon, cfg.n_paths, cfg.step, rng)
     return report
 
 

@@ -183,7 +183,7 @@ class _MatrixAccumulator:
 
     def apply(self, first, idx):
         """Fold one reduction round: walker idx[k] crossed side first[k]."""
-        self.m[idx] = self.m[idx] @ self.imgs[first]
+        self.m[idx] = self.m.take(idx, 0) @ self.imgs.take(first, 0)
 
     def rescale(self, threshold=1e100):
         big = np.max(np.abs(self.m), axis=(1, 2))

@@ -11,16 +11,17 @@ so E[rho^2] = 4 t for small t and the radial drift is asymptotically 1.
 
 Two samplers, two draw sites
 ----------------------------
-- Exact jumps (`_heat_jumps`) read an ensemble only at checkpoints and
-  jump from one to the next in one step: a length from the radial law
-  2 pi sinh(rho) K(rho, gap) through a cached inverse-CDF table of
-  `heat_kernel`, and a uniform angle, both from one uniform (2, n) draw
-  per gap.  They carry no step bias.  `sample_heat_endpoints` applies
-  them in the polar chart: `diffuse` and so the semigroup, Dynkin and
-  circle checks, `shadowing_report` and `validate cocycle` (each walker
-  at t = 1 and 2) use it.  The matrix routes' walk
-  (`lyapunov._brownian_walk`) applies them in the raw chart, one Mobius
-  move `_disc_step` per gap of 0.5, reducing every walker after each;
+- Exact jumps (`_heat_jump_blocks`, or one at a time `_heat_jumps`) read
+  an ensemble only at checkpoints and jump from one to the next in one
+  step: a length from the radial law 2 pi sinh(rho) K(rho, gap) through a
+  cached inverse-CDF table of `heat_kernel`, and a uniform angle, both
+  from one uniform (2, n) draw per gap.  They carry no step bias.
+  `sample_heat_endpoints` applies them in the polar chart: `diffuse` and
+  so the semigroup, Dynkin and circle checks, `shadowing_report` and
+  `validate cocycle` (each walker at t = 1 and 2) use it.  The matrix
+  routes' walk (`lyapunov._brownian_walk`) applies them in the raw chart:
+  `_disc_jump` forms a block's disc jumps at once, and one Mobius move
+  `_disc_step` per gap of 0.5 applies them, reducing every walker after each;
   `lyapunov._cadence_chain` runs the same chain in the polar chart for
   `validate drift` and `validate uniformity`.  Semigroup tests
   Chapman-Kolmogorov of the sampled law composed through `_polar_step`,
@@ -264,7 +265,8 @@ def _normals(gen, n, t_max, step):
 def _disc_jump(n1, n2, scale):
     """The origin's jump xi = tanh(l/2) n/|n| for normals (n1, n2), with
     l = scale |n|; scale broadcasts against n1 and n2.  An exact jump
-    passes its unit direction and its length (see _heat_jumps)."""
+    passes its unit direction and its length, a jump or a block of jumps
+    (see _heat_jump_blocks)."""
     r = np.maximum(np.sqrt(n1 * n1 + n2 * n2), _TINY)
     return (n1 + 1j * n2) * (np.tanh(0.5 * scale * r) / r)
 
@@ -627,7 +629,7 @@ MAX_JUMP_COUNT = 10**4
 # equal buckets of s = sqrt(u): 2-3% of keys land in a bucket holding more
 # than one knot and are searched in full
 _GUIDE_SIZE = 1 << 12
-# _heat_jumps draws the jumps of a walk in blocks of at most this many
+# _heat_jump_blocks draws the jumps of a walk in blocks of at most this many
 # uniforms, so a small ensemble forms many jumps per numpy call and a large
 # one takes one jump per block
 _JUMP_BLOCK = 1 << 13
@@ -727,15 +729,15 @@ def _radial_quantile(gap, u):
     return r0 + t * (m0 + t * ((3.0 * dr - 2.0 * m0 - m1) + t * (m0 + m1 - 2.0 * dr)))
 
 
-def _heat_jumps(gen, n, gap, count):
+def _heat_jump_blocks(gen, n, gap, count):
     """`count` exact Brownian jumps of time gap for each of n walkers, as
-    (cos, sin, length) arrays of shape (n,): a length from the radial law
-    through _radial_quantile and a uniform angle, from one
-    gen.random((2, n)) draw per jump.  The jumps are drawn in blocks of
-    b = max(1, _JUMP_BLOCK // 2n), one gen.random((b, 2, n)) each, which is
-    bit for bit b successive (2, n) draws.  The polar chart applies a jump
-    with _polar_step(rho, psi, cos, sin, length), the raw chart with
-    _disc_step(z, _disc_jump(cos, sin, length))."""
+    (cos, sin, length) blocks of shape (b, n), row j one jump: a length from
+    the radial law through _radial_quantile and a uniform angle, from one
+    gen.random((2, n)) draw per jump.  A block is b = max(1, _JUMP_BLOCK //
+    2n) jumps (the last may be shorter), drawn as one gen.random((b, 2, n)),
+    which is bit for bit b successive (2, n) draws.  Every operation on a
+    block is elementwise, so a row of it, and of anything formed from it
+    elementwise, is bit for bit that of one jump formed alone."""
     b = max(1, _JUMP_BLOCK // (2 * n))
     for first in range(0, count, b):
         u = gen.random((min(b, count - first), 2, n))
@@ -744,8 +746,17 @@ def _heat_jumps(gen, n, gap, count):
         np.multiply(u[:, 1], 2.0 * math.pi, out=u[:, 1])
         np.cos(u[:, 1], out=u[:, 0])
         np.sin(u[:, 1], out=u[:, 1])
-        for j in range(u.shape[0]):
-            yield u[j, 0], u[j, 1], ell[j]
+        yield u[:, 0], u[:, 1], ell
+
+
+def _heat_jumps(gen, n, gap, count):
+    """The jumps of _heat_jump_blocks one at a time, as (cos, sin, length)
+    arrays of shape (n,).  The polar chart applies a jump with
+    _polar_step(rho, psi, cos, sin, length); the raw chart applies a block
+    of them with _disc_step(z, xi) for each row xi of
+    _disc_jump(cos, sin, length)."""
+    for c, s, ell in _heat_jump_blocks(gen, n, gap, count):
+        yield from zip(c, s, ell)
 
 
 def sample_heat_endpoints(n_paths: int, t_max: float, rng, start=(0.0, 0.0), checkpoints=None):

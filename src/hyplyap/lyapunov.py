@@ -21,8 +21,9 @@ Every route runs on one vectorized engine in two layers: the geometry layer
 `cocycle._MatrixAccumulator` consumes them; this module walks ensembles on
 top of both.  `_reduce_ensemble` is the only domain-reduction kernel
 (`surface.locate` is its one-point case), on a layout built once per group,
-`FuchsianGroup._layout`.  Each round it pulls every walker that violates a
-side back across its smallest violated side in one Mobius update (walkers
+`FuchsianGroup._layout`.  Each round it tests all eight sides of every
+walker in one real matrix product, pulls every walker that violates a side
+back across its smallest violated side in one Mobius update (walkers
 inside the inscribed disc are never tested, and after the first round only
 the walkers that moved are) and reports the round's (side, walker) arrays once.
 `_MatrixAccumulator` is the only cocycle accumulator: it folds a round in
@@ -43,19 +44,21 @@ The disc is simply connected, so a lifted path's cocycle value depends
 only on its endpoint tile, and the matrix routes need each walker only at
 the reduction cadence _REDUCE_EVERY.  The one Brownian walker,
 `_brownian_walk`, takes ceil(t / _REDUCE_EVERY) equal gaps; in each it
-moves every walker once by an exact heat-kernel jump
-(`diffusion._heat_jumps`, applied by the Mobius move `diffusion._disc_step`)
-and reduces every walker once.  There is no step, no guard and no partial
-reduction.  Every Brownian estimator, the conversion check's left side
-included, walks through `_brownian_ensemble` (the whole-product readouts
-through `_brownian_matrices`), which still validates a `step` it does not
-read: the estimators keep `step` (and Benettin `reorth_every`) in their
-signatures because the benchmark's tracer and layer timings pass them.
-`_cadence_chain` runs the same jumps in the polar chart, without
-reduction, for the drift and uniformity checks.  The ray tracker
-`_ray_walk` moves each ray exactly (`_ray_step`), one step per
-_REDUCE_EVERY of arc length, and reduces after every step;
-`_geodesic_matrices` folds its letters into products, and `_ray_lift_error`
+moves every walker once by an exact heat-kernel jump and reduces every
+walker once.  The jumps come a block of gaps at a time
+(`diffusion._heat_jump_blocks`), `diffusion._disc_jump` forms the disc
+jumps of a whole block in one pass, and the Mobius move
+`diffusion._disc_step` applies them gap by gap.  There is no step, no
+guard and no partial reduction.  Every Brownian estimator, the conversion
+check's left side included, walks through `_brownian_ensemble` (the
+whole-product readouts through `_brownian_matrices`), which still
+validates a `step` it does not read: the estimators keep `step` (and
+Benettin `reorth_every`) in their signatures because the benchmark's
+tracer and layer timings pass them.  `_cadence_chain` runs the same
+jumps in the polar chart, without reduction, for the drift and uniformity
+checks.  The ray tracker `_ray_walk` moves each ray exactly
+(`_ray_step`), one step per _REDUCE_EVERY of arc length, and reduces
+after every step; `_geodesic_matrices` folds its letters into products, and `_ray_lift_error`
 lifts its rays back by their deck words for `validate geometry`.  Each
 estimator walks one ensemble on `rng.child(0)`.
 """
@@ -77,6 +80,7 @@ from .diffusion import (
     _check_step_params,
     _disc_jump,
     _disc_step,
+    _heat_jump_blocks,
     _heat_jumps,
     _mean_se,
     _polar_coordinates,
@@ -159,20 +163,24 @@ def _brownian_walk(data, acc, gen, n, t, start=0j):
     letters into acc; yields the reduced positions z after each gap.
 
     The walk takes k = ceil(t / _REDUCE_EVERY) equal gaps of t / k.  Each
-    gap moves every walker once, by an exact heat-kernel jump
-    (diffusion._heat_jumps), and then reduces every walker into the
-    octagon.  A gap below diffusion's _GAP_MIN, the shortest time its
-    radial table covers, is refused; as t / k >= min(t, 1/4), that is a t
-    below _GAP_MIN.  So is a walk of more than MAX_JUMP_COUNT gaps."""
+    gap moves every walker once, by an exact heat-kernel jump, and then
+    reduces every walker into the octagon.  The jumps are drawn a block of
+    gaps at a time (diffusion._heat_jump_blocks) and turned into disc jumps
+    a block at a time by _disc_jump; both are elementwise, so every gap's
+    jump is bit for bit the one a single gap's draw would give.  A gap
+    below diffusion's _GAP_MIN, the shortest time its radial table covers,
+    is refused; as t / k >= min(t, 1/4), that is a t below _GAP_MIN.  So
+    is a walk of more than MAX_JUMP_COUNT gaps."""
     if not (math.isfinite(t) and t >= _GAP_MIN):
         raise LyapunovError(f"a Brownian walk needs finite t >= {_GAP_MIN}, got {t}")
     k = _walk_steps(t, _REDUCE_EVERY, "a Brownian walk takes")
     z = np.full(n, complex(start))
     _reduce_ensemble(data, z)  # initial reduction: not part of the word
-    for c, s, ell in _heat_jumps(gen, n, t / k, k):
-        z = _disc_step(z, _disc_jump(c, s, ell))
-        _reduce_ensemble(data, z, acc=acc)
-        yield z
+    for c, s, ell in _heat_jump_blocks(gen, n, t / k, k):
+        for xi in _disc_jump(c, s, ell):
+            z = _disc_step(z, xi)
+            _reduce_ensemble(data, z, acc=acc)
+            yield z
 
 
 def _brownian_ensemble(rep, group, t, n_paths, step, rng, start=0j):
@@ -587,12 +595,13 @@ def geodesic_spectrum(rep, group, R, n_dirs, spacing=_REDUCE_EVERY) -> SpectrumR
 
 def diffusion_spectrum(rep, group, n, n_paths, step, rng) -> SpectrumReport:
     """Full spectrum by the expectation route: Benettin's estimator at the
-    integer horizon n, under its own method label and provenance.  `step`
-    is validated but not read: the walk jumps exactly.  A single path is
+    integer horizon n, under its own method label and provenance.  A horizon
+    that is not a whole number >= 1 is refused, not rounded.  `step` is
+    validated but not read: the walk jumps exactly.  A single path is
     refused, as in benettin_spectrum."""
-    if n < 1:
-        raise LyapunovError("diffusion_spectrum needs an integer horizon n >= 1")
-    return _brownian_spectrum(rep, group, float(int(n)), n_paths, step, rng, "diffusion",
+    if not (n >= 1 and float(n).is_integer()):
+        raise LyapunovError(f"diffusion_spectrum needs an integer horizon n >= 1, got {n}")
+    return _brownian_spectrum(rep, group, float(n), n_paths, step, rng, "diffusion",
                               {"n": int(n)})
 
 

@@ -15,7 +15,9 @@ gamma_1 gamma_0^{-1}, read off the two endpoint tiles by `locate`.
 This module is also the geometry layer of the vectorized ensemble engine:
 `_reduce_ensemble` pulls an array of walkers into the octagon and emits
 each round's deck letters to an accumulator (the algebra layer,
-`cocycle._MatrixAccumulator`).  `locate` is its one-point case.
+`cocycle._MatrixAccumulator`).  All eight neighbor centers of the regular
+octagon have one modulus, so a round tests every side of every walker in
+one real matrix product (`_GroupData`).  `locate` is its one-point case.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from .hypgeo import (
     DiscPoint,
     MobiusMap,
+    _as_complex,
     mobius_identity,
     mobius_point_chart,
     mobius_translation,
@@ -141,8 +144,9 @@ class FuchsianGroup:
 
 def _locate_all(points, group: FuchsianGroup):
     """(representatives, words) of `locate` for every point, in one call of
-    the reduction kernel; the representatives are a complex array."""
-    z = np.array([p.z if isinstance(p, DiscPoint) else complex(p) for p in points])
+    the reduction kernel; the representatives are a complex array.  A point
+    outside the representable disc is refused before anything is reduced."""
+    z = np.array([_as_complex(p) for p in points])
     log = _LetterLog(group._layout, z.size)
     _reduce_ensemble(group._layout, z, acc=log)
     return z, [DeckWord(tuple(letters)) for letters in log.letters]
@@ -176,20 +180,29 @@ def track(path, group: FuchsianGroup) -> DeckWord:
 
 
 class _GroupData:
-    """Group constants laid out for vectorized reduction: for each side j,
-    the neighbor center q_j, the signed letter a crossing of side j reports,
-    and the coefficients of the map that pulls a walker back across it."""
+    """Group constants laid out for vectorized reduction.
+
+    Every neighbor center q_j of the regular octagon has one modulus Q, so
+    the Dirichlet inequality of side j, S_j(z) = |z - q_j|^2 - |z|^2 (1 -
+    Q^2) >= 0, is S_j(z) = Q^2 (1 + |z|^2) - 2 Re(z conj(q_j)) >= 0: z = x +
+    iy violates side j when 2 (x, y) . q_j - Q^2 |z|^2 > Q^2 + _SIDE_TOL.
+    `side_test` is the (4, 8) matrix that takes the row (x, y, x^2, y^2) to
+    the left sides of all 8 sides, `side_bound` the right side.  Row j of
+    `coef` holds the coefficients of the map that pulls a walker back
+    across side j, and `letters[j]` the signed letter the crossing reports.
+    """
 
     def __init__(self, group: FuchsianGroup):
         q = np.array(group.neighbors)
-        self.q_col = q[:, None]
-        self.one_minus_qa_col = (1.0 - np.abs(q) ** 2)[:, None]
+        qq = math.tanh(group.inradius) ** 2
+        self.side_test = np.array([2.0 * q.real, 2.0 * q.imag, np.full(8, -qq), np.full(8, -qq)])
+        self.side_bound = qq + _SIDE_TOL
         self.letters = [group.neighbor_letter(j) for j in range(1, 9)]
         maps = [group.generator(-letter) for letter in self.letters]
         a = np.array([m.a for m in maps])
         b = np.array([m.b for m in maps])
-        # rows a, b, conj(b), conj(a) of z -> (a z + b) / (conj(b) z + conj(a))
-        self.coef = np.array([a, b, np.conj(b), np.conj(a)])
+        # columns a, b, conj(b), conj(a) of z -> (a z + b) / (conj(b) z + conj(a))
+        self.coef = np.ascontiguousarray(np.array([a, b, np.conj(b), np.conj(a)]).T)
         # no point of the inscribed disc violates a side: with Q = |q_j|,
         # min_j S_j = Q^2 (1 + r^2) - 2 Q r >= 0 for |z| = r <= tanh(inradius/2)
         self.inner_r = math.tanh(0.5 * group.inradius)
@@ -199,28 +212,34 @@ def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None):
     """Pull every walker into the fundamental octagon, in place; walkers in
     the inscribed disc are never tested.
 
-    Each round moves every walker that violates a side across its smallest
-    violated side in one vectorized Mobius update, transports the direction
-    angles when given, and reports the (side index, walker index) arrays of
-    the round to acc.apply.  After the first round only the walkers that
-    moved are tested.
+    Each round tests the working set's 8 sides at once, with one real
+    (m, 4) @ (4, 8) product on the rows (x, y, x^2, y^2), takes each
+    walker's smallest violated side by argmax along its row (a walker
+    moves when the entry argmax picks is violated), moves the walkers that
+    do in one vectorized Mobius update, transports the direction angles
+    when given, and reports the (side index, walker index) arrays of the
+    round to acc.apply.  After the first round only the walkers that moved
+    are tested, at the positions the round computed.
     """
-    idx = np.flatnonzero(np.abs(z) > data.inner_r)
+    idx = (np.abs(z) > data.inner_r).nonzero()[0]
     if idx.size == 0:
         return
+    w = z[idx]
+    row_start = np.arange(0, 8 * idx.size, 8)  # walker k's row in violated.ravel()
     for _ in range(_MAX_ENSEMBLE_ROUNDS):
-        w = z[idx]
-        S = np.abs(w - data.q_col) ** 2 - np.abs(w) ** 2 * data.one_minus_qa_col
-        violated = S < -_SIDE_TOL
-        moved = violated.any(axis=0)
-        idx = idx[moved]
-        if idx.size == 0:
+        xy = w.view(np.float64).reshape(-1, 2)
+        violated = np.concatenate((xy, xy * xy), axis=1) @ data.side_test > data.side_bound
+        first = violated.argmax(axis=1)
+        moved = violated.ravel()[row_start[: w.size] + first].nonzero()[0]
+        if moved.size == 0:
             return
-        w = w[moved]
-        first = violated[:, moved].argmax(axis=0)
-        a, b, conj_b, conj_a = data.coef[:, first]
+        idx = idx.take(moved)
+        w = w.take(moved)
+        first = first.take(moved)
+        a, b, conj_b, conj_a = data.coef.take(first, 0).T
         den = conj_b * w + conj_a
-        z[idx] = (a * w + b) / den
+        w = (a * w + b) / den
+        z[idx] = w
         if alpha is not None:
             alpha[idx] -= 2.0 * np.arctan2(den.imag, den.real)
         if acc is not None:

@@ -677,6 +677,19 @@ def test_walker_manifest_lists_each_key_once(tmp_path, capsys, method):
     assert {"n_paths", "master_seed"} <= set(keys)
 
 
+def test_diffusion_route_refuses_a_non_integer_horizon(tmp_path, capsys):
+    # the route walks an integer horizon; 2.6 would have walked 3 while the
+    # CSV said 2.6, so it exits 1 with no output instead
+    cfg = write_config(tmp_path, ROUTE_CONFIG.replace("horizon = 60\n", ""))
+    out = tmp_path / "d"
+    rc = run_cli(["run", cfg, "--method", "diffusion", "--horizon", "2.6", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: diffusion_spectrum needs an integer horizon n >= 1, got 2.6" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "d.manifest.txt").exists()
+
+
 def test_uniformity_refuses_a_runaway_horizon(tmp_path, capsys):
     # the chain takes one jump per 0.5 and at most MAX_JUMP_COUNT of them:
     # horizon 5000 is the last it walks, and 1e9 exits 1 before drawing

@@ -45,7 +45,7 @@ from hyplyap.diffusion import (
 )
 from hyplyap.hypgeo import DiscPoint
 from hyplyap.lyapunov import _brownian_walk
-from hyplyap.surface import DeckWord, _reduce_ensemble, build_genus2
+from hyplyap.surface import _SIDE_TOL, DeckWord, _reduce_ensemble, build_genus2
 
 from scalar_reduction import contains, scalar_locate
 
@@ -105,6 +105,54 @@ def test_reduction_matches_scalar_locate(group, data):
         rep, word = scalar_locate(complex(z[k]), group)
         assert DeckWord(tuple(rec.letters[k])) == word, k
         assert abs(rep.z - reduced[k]) <= 1e-12, k
+
+
+def _near_tie_points(group):
+    """Points on, a few ulps off, and up to 2 _SIDE_TOL off each of the 8
+    sides (at 5 places along it) and each of the 8 vertices (in 16
+    directions).  Side k lies on the circle |z - c| = r with c = q_k / Q^2,
+    r = sqrt(1 / Q^2 - 1), the domain outside it, and S_k(c + (r + d) e^{i
+    phi}) = Q^2 (2 r d + d^2), so the offsets d are set to put S_k at the
+    listed multiples of _SIDE_TOL (the threshold itself, -1, is avoided:
+    there rounding alone decides)."""
+    qq = math.tanh(group.inradius) ** 2
+    r = math.sqrt(1.0 / qq - 1.0)
+    rv = math.tanh(0.5 * group.circumradius)
+    vertices = [rv * cmath.exp(1j * (2 * j + 1) * math.pi / 8.0) for j in range(8)]
+    ulp = np.spacing(1.0)
+    offsets = [s * _SIDE_TOL / (2.0 * qq * r) for s in (-2.0, -1.5, -1.25, -0.75, -0.5, 0.5, 2.0)]
+    offsets += [k * ulp for k in range(-3, 4)]
+    points = []
+    for k, q in enumerate(group.neighbors):
+        c = q / qq
+        # the side runs between vertices k - 1 and k (0-based) seen from c
+        half = abs(cmath.phase((vertices[k - 1] - c) / (vertices[k] - c))) / 2.0
+        mid = cmath.phase(-c)
+        for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            e = cmath.exp(1j * (mid + t * half))
+            points += [c + (r + d) * e for d in offsets]
+    for v in vertices:
+        for theta in 2.0 * math.pi * np.arange(16) / 16.0:
+            e = cmath.exp(1j * theta)
+            points += [v + d * e for d in (ulp, 3.0 * ulp, 0.5 * _SIDE_TOL, 2.0 * _SIDE_TOL)]
+        points.append(v)
+    return np.array(points)
+
+
+def test_near_tie_points_match_scalar_locate(group, data):
+    # the kernel's side test rounds differently from the reference's
+    # |z - q_j|^2 form; at points a few ulps and a few _SIDE_TOL from the
+    # sides and vertices it must still make the same decisions
+    z = _near_tie_points(group)
+    reduced = z.copy()
+    rec = _Recorder(data, z.size)
+    _reduce_ensemble(data, reduced, acc=rec)
+    lengths = [len(w) for w in rec.letters]
+    assert min(lengths) == 0 and max(lengths) >= 2
+    for k in range(z.size):
+        rep, word = scalar_locate(complex(z[k]), group)
+        assert DeckWord(tuple(rec.letters[k])) == word, (k, z[k])
+        assert abs(rep.z - reduced[k]) <= 1e-12, (k, z[k])
 
 
 def test_inscribed_disc_lies_in_octagon(group, data):

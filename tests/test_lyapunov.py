@@ -247,6 +247,57 @@ def test_benettin_pinned_to_lapack_qr(group, fuchsian, name):
         assert np.max(np.abs(sp.oseledec_basis - np.array(pin["basis"]))) <= 1e-13
 
 
+# The geodesic route (256 rays to R = 60) and the diffusion route (n = 30
+# over 200 paths of RngStream(7)), pinned like _QR_PINS: every ray step and
+# every Brownian gap runs the reduction kernel, so a kernel change that
+# moves one walker's bit moves these.  The diagonal representation keeps
+# every bit; the non-commuting pair agrees to rounding.
+_ROUTE_PINS = {
+    ("geodesic", "diag22"): dict(
+        raw=(0.030641076536471537, -0.030641076536471537),
+        ci=(0.0029232526420965785, 0.0029232526420965785),
+        total=(0.0, 0.0),
+    ),
+    ("diffusion", "diag22"): dict(
+        raw=(0.04736505733826293, -0.04736505733826293),
+        ci=(0.005011942174531969, 0.005011942174531969),
+        total=(0.0, 0.0),
+    ),
+    ("geodesic", "pair"): dict(
+        raw=(0.13624786324726967, -0.13624786324726967),
+        basis=[[-0.1037551722534657, 0.994602867596235],
+               [-0.994602867596235, -0.1037551722534657]],
+    ),
+    ("diffusion", "pair"): dict(
+        raw=(0.15661177467554613, -0.1566117746755461),
+        basis=[[0.8696859152361966, -0.4936055194583819],
+               [0.49360551945838194, 0.8696859152361965]],
+    ),
+}
+
+
+@pytest.mark.parametrize("route, name", sorted(_ROUTE_PINS), ids="-".join)
+def test_geodesic_and_diffusion_spectra_pinned(group, route, name):
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    b = np.array([[1.0, 0.0], [1.5, 1.0]])
+    rep = {
+        "diag22": lambda: diagonal_representation([2.0, 0.5]),
+        "pair": lambda: Representation.from_matrices(2, "real", [a, b, b, a], group),
+    }[name]()
+    if route == "geodesic":
+        sp = geodesic_spectrum(rep, group, 60.0, 256)
+    else:
+        sp = diffusion_spectrum(rep, group, 30, 200, 0.05, RngStream(7))
+    pin = _ROUTE_PINS[route, name]
+    if "ci" in pin:
+        assert sp.raw_exponents == pin["raw"] and sp.raw_ci == pin["ci"]
+        assert (sp.exponent_sum, sp.exponent_sum_ci) == pin["total"]
+        assert np.array_equal(sp.oseledec_basis, np.eye(rep.dim))
+    else:
+        assert np.max(np.abs(np.subtract(sp.raw_exponents, pin["raw"]))) <= 1e-14
+        assert np.max(np.abs(sp.oseledec_basis - np.array(pin["basis"]))) <= 1e-13
+
+
 def test_benettin_sum_tracks_determinant_for_nonunit_det(group):
     # per-path exponent sums telescope to log|det A(omega, t)| / t exactly;
     # the winding has zero drift, so the sum stays within its own ci of 0
@@ -284,10 +335,11 @@ def test_benettin_preconditions(group, rep22):
 
 def test_benettin_refuses_more_than_max_jump_count_gaps(group, rep22, monkeypatch):
     # t = 5000.5 needs 10001 gaps of 0.5: refused before the first jump
+    # block is drawn
     def refuse(*args):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(lyapunov, "_heat_jumps", refuse)
+    monkeypatch.setattr(lyapunov, "_heat_jump_blocks", refuse)
     with pytest.raises(LyapunovError, match="at most 10,000 jumps of 0.5"):
         benettin_spectrum(rep22, group, 5000.5, 0.05, 1, 4, RngStream(1))
 
@@ -410,6 +462,17 @@ def test_spectrum_routes_meet_exact_spectrum(group, request, rep_name, truth, ro
         tol = ci + c / horizon
         assert abs(chi - want) <= tol, f"chi_{i + 1} {chi:.5f} vs {want} (tol {tol:.5f})"
     assert abs(sp.exponent_sum) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2.6, 60.5, 0.0, float("nan"), float("inf")])
+def test_diffusion_spectrum_refuses_a_horizon_it_would_not_walk(group, rep22, monkeypatch, n):
+    # a non-integer n is refused, not truncated, before the walk starts
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(lyapunov, "_heat_jump_blocks", refuse)
+    with pytest.raises(LyapunovError, match="needs an integer horizon n >= 1"):
+        diffusion_spectrum(rep22, group, n, 40, 0.05, RngStream(1))
 
 
 def test_diffusion_spectrum_is_benettin_at_integer_horizon(group, fuchsian):

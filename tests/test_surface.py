@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from hyplyap.hypgeo import DiscPoint, dist_P, mobius_identity, mobius_translation
+from hyplyap.hypgeo import DiscPoint, GeometryError, dist_P, mobius_identity, mobius_translation
 from hyplyap.surface import (
     DeckWord,
     build_genus2,
@@ -205,6 +207,17 @@ def test_locate_deterministic_near_boundary(group):
     rep2, w2 = locate(z, group)
     assert rep1.z == rep2.z
     assert w1.letters == w2.letters
+
+
+@pytest.mark.parametrize("z", [1 + 0j, -1j, 2 + 0j, complex(1.0 - 1e-16, 0.0)],
+                         ids=["1", "-i", "2", "1-1e-16"])
+def test_locate_refuses_points_off_the_disc(group, z):
+    # refused as given, before the kernel reduces anything: no warning and no
+    # complaint about a point the reduction moved
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=re.escape(f"point {z} lies outside")):
+            locate(z, group)
 
 
 # --------------------------------------------------------------- DeckWord
