@@ -132,9 +132,9 @@ class ExperimentConfig:
                     raise ConfigError(f"validate:{name} does not use {key}; drop it")
         if self.horizon <= 0 or not math.isfinite(self.horizon):
             raise ConfigError("horizon must be positive and finite")
-        # one [run] section serves every route: a step that no step walker
-        # can take is refused even by the spectrum routes, none of which
-        # reads it
+        # one [run] section serves every route: a step that the step
+        # walkers (sample_polar_endpoints, sample_path) refuse is refused
+        # even by the spectrum routes, none of which reads it
         if not 0.0 < self.step <= MAX_STEP:
             raise ConfigError(f"step must lie in (0, {MAX_STEP}], got {self.step}")
         for key in ("dim", "n_paths", "n_dirs"):

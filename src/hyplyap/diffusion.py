@@ -4,41 +4,32 @@ Poincare disc, plus the heat kernel and diffusion-operator checks.
 Generator convention
 --------------------
 The samplers realize the diffusion whose generator is Delta, NOT Delta/2
-(probabilist libraries default to the latter).  Concretely a step of size dt
-is a geodesic jump by the polar Gaussian increment
-(sqrt(2 dt) N1, sqrt(2 dt) N2) in normal coordinates at the current point,
-so E[rho^2] = 4 t for small t and the radial drift is asymptotically 1.
+(probabilist libraries default to the latter).  Concretely a walker moves
+over a time t by one geodesic jump whose length follows the radial law
+2 pi sinh(rho) K(rho, t) of the heat kernel K and whose direction is
+uniform, so E[rho^2] = 4 t for small t and the radial drift is
+asymptotically 1.
 
-Two samplers, two draw sites
-----------------------------
-- Exact jumps (`_heat_jump_blocks`, or one at a time `_heat_jumps`) read
-  an ensemble only at checkpoints and jump from one to the next in one
-  step: a length from the radial law 2 pi sinh(rho) K(rho, gap) through a
-  cached inverse-CDF table of `heat_kernel`, and a uniform angle, both
-  from one uniform (2, n) draw per gap.  They carry no step bias.
-  `sample_heat_endpoints` applies them in the polar chart: `diffuse` and
-  so the semigroup, Dynkin and circle checks, `shadowing_report` and
-  `validate cocycle` (each walker at t = 1 and 2) use it.  The matrix
-  routes' walk (`lyapunov._brownian_walk`) applies them in the raw chart:
-  `_disc_jump` forms a block's disc jumps at once, and one Mobius move
-  `_disc_step` per gap of 0.5 applies them, reducing every walker after each;
-  `lyapunov._cadence_chain` runs the same chain in the polar chart for
-  `validate drift` and `validate uniformity`.  Semigroup tests
-  Chapman-Kolmogorov of the sampled law composed through `_polar_step`,
-  and Dynkin tests that the kernel's generator is Delta; the mpmath tests
-  of `heat_kernel` anchor both.
-- Step walkers (`sample_polar_endpoints`, `sample_path`) take a geodesic
-  random walk at `step`.  The walk's radial drift is 1 - dt/3 + O(dt^2),
-  not 1 (Jorgensen, Z. Wahrsch. verw. Geb. 32 (1975)).  Nothing in the
-  package calls them; they stay for the benchmark's layer timings.  Each
-  step takes one increment: the normals (n1, n2) give a jump of length
-  sqrt(2 dt) |n| and direction n / |n|, and no angle is formed.  All
-  normals are drawn in `_normals`, a block of k steps at a time, one
-  gen.standard_normal((k, 2, n)) draw each, bit for bit the normals of k
-  successive (2, n) draws.  A block spans at most 0.5 time units and
-  holds at most 2**13 normals.  Both walkers step on one time grid,
-  `_time_grid`; the polar walker lays it over each interval between
-  checkpoints, so it lands on every checkpoint.
+One sampler, one draw site
+--------------------------
+Every walker takes exact jumps (`_heat_jump_blocks`, or one at a time
+`_heat_jumps`): a length from the radial law through a cached inverse-CDF
+table of `heat_kernel`, and a uniform angle, both from one uniform (2, n)
+draw per jump.  They carry no step bias.
+- `sample_heat_endpoints` applies them in the polar chart, one jump per
+  gap between checkpoints: `diffuse` and so the semigroup, Dynkin and
+  circle checks, `shadowing_report` and `validate cocycle` (each walker at
+  t = 1 and 2) use it.  Semigroup tests Chapman-Kolmogorov of the sampled
+  law composed through `_polar_step`, and Dynkin tests that the kernel's
+  generator is Delta; the mpmath tests of `heat_kernel` anchor both.
+- The matrix routes' walk (`lyapunov._brownian_walk`) applies them in the
+  raw chart: `_disc_jump` forms a block's disc jumps at once, and one
+  Mobius move `_disc_step` per gap of 0.5 applies them, reducing every
+  walker after each; `lyapunov._cadence_chain` runs the same chain in the
+  polar chart for `validate drift` and `validate uniformity`.
+- `sample_polar_endpoints` and `sample_path` cut every gap into equal
+  jumps of at most `step`, in the polar and the raw chart.  Nothing in the
+  package calls them; they stay for the benchmark's layer timings.
 
 The jump is applied in one of two coordinate charts.
 The raw chart stores points of the disc: a walk that is not reduced into
@@ -87,9 +78,6 @@ __all__ = [
 ]
 
 MAX_STEP = 0.05
-# per-path step counts of a step walker (t_max / step) past this are
-# refused: a walk that long is a mistyped horizon, not a run that ends
-MAX_STEP_COUNT = 10**7
 
 # raw-coordinate positions are rejected past this radius; callers needing
 # longer horizons must use the polar walker
@@ -188,49 +176,28 @@ def _check_step_params(t_max: float, step: float):
         raise DiffusionError(f"t_max must be finite and >= 0, got {t_max}")
     if not (math.isfinite(step) and 0.0 < step <= MAX_STEP):
         raise DiffusionError(f"step must lie in (0, {MAX_STEP}], got {step}")
-    if not t_max / step <= MAX_STEP_COUNT:
-        raise DiffusionError(f"t_max / step must be finite and at most {MAX_STEP_COUNT:,}, "
-                             f"got {t_max} / {step}")
-
-
-def _step_count(t_max: float, step: float) -> int:
-    """Steps of _time_grid(t_max, step), counted without building it."""
-    n_full = int(t_max / step)
-    return n_full + (n_full * step < t_max - 1e-12)
-
-
-def _time_grid(t_max: float, step: float) -> np.ndarray:
-    """The multiples of step up to t_max, then t_max itself unless the last
-    multiple lies within 1e-12 of it."""
-    n_full = int(t_max / step)
-    grid = np.arange(n_full + 1) * step
-    return np.append(grid, t_max) if _step_count(t_max, step) > n_full else grid
 
 
 def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
-    """Sample one Brownian path from `start`, kept in raw disc coordinates.
-
-    Horizons are limited to roughly t ~ 30 by representability of points
-    near the unit circle; long-horizon statistics use the polar ensemble
-    walker instead.  Scalar arithmetic on purpose: numpy on one walker
-    costs more than it saves.
-    """
+    """Sample one Brownian path from `start`, kept in raw disc coordinates:
+    k = ceil(t_max / step) equal exact jumps of t_max / k, formed by
+    _disc_jump and moved by _disc_step, recorded at the times j t_max / k.
+    The refusals are those of _jump_counts.  Horizons are limited to
+    roughly t ~ 30 by representability of points near the unit circle."""
     _check_step_params(t_max, step)
+    (k,) = _jump_counts([t_max], step)
     gen = _resolve_rng(rng)
-    z0 = start.z if isinstance(start, DiscPoint) else complex(start)
-    times = tuple(_time_grid(t_max, step).tolist())
-    points = [DiscPoint(z0.real, z0.imag)]
-    z = z0
-    for n1, n2, scale in _normals(gen, 1, t_max, step):
-        for a, b, c in zip(n1[:, 0].tolist(), n2[:, 0].tolist(), scale[:, 0].tolist()):
-            z = _disc_step_scalar(z, a, b, c)
+    z = start.z if isinstance(start, DiscPoint) else complex(start)
+    points = [DiscPoint(z.real, z.imag)]
+    for c, s, ell in _heat_jump_blocks(gen, 1, t_max / max(k, 1), k):
+        for xi in _disc_jump(c, s, ell)[:, 0].tolist():
+            z = _disc_step(z, xi)
             if 2.0 * math.atanh(min(abs(z), 1.0 - 1e-16)) > _RAW_RADIUS_LIMIT + 5.0:
-                raise DiffusionError(
-                    "path left the raw-coordinate range; use sample_polar_endpoints "
-                    "for horizons beyond t ~ 30"
-                )
+                raise DiffusionError("path left the raw-coordinate range; use "
+                                     "sample_heat_endpoints for horizons beyond t ~ 30")
             points.append(DiscPoint(z.real, z.imag))
-    return LeafPath(times, tuple(points), step)
+    times = [j * t_max / k for j in range(k)] + [t_max]
+    return LeafPath(tuple(times), tuple(points), step)
 
 
 # ------------------------------------------------------------- increments
@@ -238,33 +205,10 @@ def sample_path(start, t_max: float, step: float, rng) -> LeafPath:
 # |n| is floored here so that n = 0 gives a zero jump instead of 0/0
 _TINY = np.finfo(float).tiny
 
-# every step walker draws a block of steps at once: at most _BLOCK_TIME time
-# units (lyapunov's full-reduction cadence) and at most _BLOCK_NORMALS
-# normals, so a large ensemble takes shorter blocks instead of more memory;
-# a block's temporaries then stay in cache (2**16 normals was slower than
-# one draw per step at n >= 1000 walkers)
-_BLOCK_TIME = 0.5
-_BLOCK_NORMALS = 1 << 13
-
-
-def _normals(gen, n, t_max, step):
-    """The one draw of every step walker: (n1, n2, scale) blocks for the
-    steps of an n-walker ensemble on _time_grid(t_max, step), of shapes
-    (k, n), (k, n) and (k, 1); row j of a block is one step, whose jump is
-    scale[j] * (n1[j], n2[j]).  The per-row scale covers a short last step.
-    Each block is one gen.standard_normal((k, 2, n)) draw, which is bit for
-    bit k successive (2, n) draws, so the block size changes no result."""
-    dts = np.diff(_time_grid(t_max, step))
-    scales = np.sqrt(2.0 * dts)[:, None]
-    k = max(1, min(round(_BLOCK_TIME / step), _BLOCK_NORMALS // (2 * n)))
-    for s in range(0, dts.size, k):
-        block = gen.standard_normal((min(k, dts.size - s), 2, n))
-        yield block[:, 0], block[:, 1], scales[s : s + k]
-
 
 def _disc_jump(n1, n2, scale):
-    """The origin's jump xi = tanh(l/2) n/|n| for normals (n1, n2), with
-    l = scale |n|; scale broadcasts against n1 and n2.  An exact jump
+    """The origin's jump xi = tanh(l/2) n/|n| for a direction n = (n1, n2),
+    with l = scale |n|; scale broadcasts against n1 and n2.  An exact jump
     passes its unit direction and its length, a jump or a block of jumps
     (see _heat_jump_blocks)."""
     r = np.maximum(np.sqrt(n1 * n1 + n2 * n2), _TINY)
@@ -272,15 +216,8 @@ def _disc_jump(n1, n2, scale):
 
 
 def _disc_step(z, xi):
-    """Raw-chart step: move the origin's jump xi to z."""
-    return (xi + z) / (1.0 + np.conj(z) * xi)
-
-
-def _disc_step_scalar(z, n1, n2, scale):
-    """_disc_jump and _disc_step for one walker, in Python scalars."""
-    r = max(math.sqrt(n1 * n1 + n2 * n2), _TINY)
-    k = math.tanh(0.5 * scale * r) / r
-    xi = complex(n1 * k, n2 * k)
+    """Raw-chart step: move the origin's jump xi to z, for arrays or, in
+    plain Python arithmetic, for complex scalars."""
     return (xi + z) / (1.0 + z.conjugate() * xi)
 
 
@@ -323,42 +260,6 @@ def _check_checkpoints(checkpoints, t_max):
     if max(cps) > t_max + 1e-12:
         raise DiffusionError("checkpoints must not exceed t_max")
     return sorted(cps)
-
-
-def sample_polar_endpoints(
-    n_paths: int,
-    t_max: float,
-    step: float,
-    rng,
-    start=(0.0, 0.0),
-    checkpoints=None,
-):
-    """Vectorized ensemble walker in (hyperbolic radius, angle) coordinates.
-
-    `start` is (rho, psi); each may be a scalar or a length-n_paths array.
-    Returns (rho, psi) arrays of shape (len(checkpoints), n_paths); the
-    default is a single checkpoint at t_max.  The walk lands on every
-    checkpoint: each interval between checkpoints is cut by _time_grid.
-    Stable at any horizon.
-    """
-    _check_step_params(t_max, step)
-    if n_paths < 1:
-        raise DiffusionError("n_paths must be >= 1")
-    gen = _resolve_rng(rng)
-    checkpoints = _check_checkpoints(checkpoints, t_max)
-    rho = np.full(n_paths, start[0], dtype=float)
-    psi = np.full(n_paths, start[1], dtype=float)
-    out_rho = np.empty((len(checkpoints), n_paths))
-    out_psi = np.empty((len(checkpoints), n_paths))
-    t = 0.0
-    for i, target in enumerate(checkpoints):
-        for n1, n2, scale in _normals(gen, n_paths, target - t, step):
-            for j in range(scale.shape[0]):
-                rho, psi = _polar_step(rho, psi, n1[j], n2[j], scale[j, 0])
-        out_rho[i] = rho
-        out_psi[i] = psi
-        t = target
-    return out_rho, out_psi
 
 
 def polar_separation(rho1, psi1, rho2, psi2):
@@ -759,20 +660,27 @@ def _heat_jumps(gen, n, gap, count):
         yield from zip(c, s, ell)
 
 
-def sample_heat_endpoints(n_paths: int, t_max: float, rng, start=(0.0, 0.0), checkpoints=None):
-    """Ensemble endpoints of Brownian motion, sampled exactly: one jump per
-    gap between checkpoints.
+def _jump_counts(gaps, max_gap):
+    """ceil(gap / max_gap) for each gap: the equal jumps it is cut into.
+    Refused before any draw: more than MAX_JUMP_COUNT jumps in all, which
+    covers a gap / max_gap that overflows, and a jump shorter than _GAP_MIN
+    (heat_kernel is validated for t in [_GAP_MIN, _GAP_MAX])."""
+    counts = [math.ceil(min(g / max_gap, MAX_JUMP_COUNT + 1)) for g in gaps]
+    if sum(counts) > MAX_JUMP_COUNT:
+        raise DiffusionError(f"a walk to t = {sum(gaps):g} needs more than {MAX_JUMP_COUNT:,} "
+                             f"jumps of at most {max_gap:g}, the most allowed")
+    short = [g / k for g, k in zip(gaps, counts) if k and g / k < _GAP_MIN]
+    if short:
+        raise DiffusionError(f"a jump of {short[0]:.3g} is below {_GAP_MIN}: the heat "
+                             f"kernel is validated for t in [{_GAP_MIN}, {_GAP_MAX:g}]")
+    return counts
 
-    `start`, `checkpoints` and the returned (rho, psi) arrays are those of
-    sample_polar_endpoints.  Brownian motion is Markov and isotropic, so
-    its position at the next checkpoint is one geodesic jump: a length from
-    the radial law at the gap (an inverse-CDF table of heat_kernel) and a
-    uniform direction, both from one gen.random((2, n_paths)) draw, applied
-    by _polar_step.  A zero gap draws nothing; a gap in (0, 0.01) is
-    refused (heat_kernel is validated for t in [0.01, 100]); a gap above 100
-    is cut into ceil(gap / 100) equal pieces.  More than MAX_JUMP_COUNT
-    jumps in all is refused.
-    """
+
+def _polar_walk(n_paths, t_max, max_gap, rng, start, checkpoints):
+    """(rho, psi) at each checkpoint of n_paths Brownian paths from `start`,
+    in the polar chart: each gap between checkpoints is cut into
+    ceil(gap / max_gap) equal exact jumps (_jump_counts), applied by
+    _polar_step."""
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise DiffusionError(f"t_max must be finite and >= 0, got {t_max}")
     if n_paths < 1:
@@ -780,24 +688,44 @@ def sample_heat_endpoints(n_paths: int, t_max: float, rng, start=(0.0, 0.0), che
     gen = _resolve_rng(rng)
     checkpoints = _check_checkpoints(checkpoints, t_max)
     gaps = np.diff(checkpoints, prepend=0.0).tolist()
-    short = [g for g in gaps if 0.0 < g < _GAP_MIN]
-    if short:
-        raise DiffusionError(f"checkpoint gap {short[0]:.3g} is below {_GAP_MIN}: the heat "
-                             f"kernel is validated for t in [{_GAP_MIN}, {_GAP_MAX:g}]")
-    pieces = [math.ceil(g / _GAP_MAX) for g in gaps]
-    if sum(pieces) > MAX_JUMP_COUNT:
-        raise DiffusionError(f"the checkpoints need {sum(pieces):,} jumps of at most "
-                             f"{_GAP_MAX:g}; at most {MAX_JUMP_COUNT:,} are allowed")
+    counts = _jump_counts(gaps, max_gap)
     rho = np.full(n_paths, start[0], dtype=float)
     psi = np.full(n_paths, start[1], dtype=float)
     out_rho = np.empty((len(checkpoints), n_paths))
     out_psi = np.empty((len(checkpoints), n_paths))
-    for i, (gap, k) in enumerate(zip(gaps, pieces)):
+    for i, (gap, k) in enumerate(zip(gaps, counts)):
         for c, s, ell in _heat_jumps(gen, n_paths, gap / max(k, 1), k):
             rho, psi = _polar_step(rho, psi, c, s, ell)
         out_rho[i] = rho
         out_psi[i] = psi
     return out_rho, out_psi
+
+
+def sample_heat_endpoints(n_paths: int, t_max: float, rng, start=(0.0, 0.0), checkpoints=None):
+    """Ensemble endpoints of Brownian motion, sampled exactly: one jump per
+    gap between checkpoints.  Stable at any horizon.
+
+    `start` is (rho, psi); each may be a scalar or a length-n_paths array.
+    Returns (rho, psi) arrays of shape (len(checkpoints), n_paths); the
+    default is a single checkpoint at t_max.  Brownian motion is Markov and
+    isotropic, so its position at the next checkpoint is one geodesic jump:
+    a length from the radial law at the gap (an inverse-CDF table of
+    heat_kernel) and a uniform direction, both from one
+    gen.random((2, n_paths)) draw, applied by _polar_step.  A zero gap
+    draws nothing; a gap in (0, 0.01) is refused (heat_kernel is validated
+    for t in [0.01, 100]); a gap above 100 is cut into ceil(gap / 100)
+    equal pieces.  More than MAX_JUMP_COUNT jumps in all is refused.
+    """
+    return _polar_walk(n_paths, t_max, _GAP_MAX, rng, start, checkpoints)
+
+
+def sample_polar_endpoints(n_paths: int, t_max: float, step: float, rng, start=(0.0, 0.0),
+                           checkpoints=None):
+    """sample_heat_endpoints, with each gap between checkpoints cut into
+    ceil(gap / step) equal exact jumps: the same law, at one jump per
+    path-step.  The refusals are those of _jump_counts."""
+    _check_step_params(t_max, step)
+    return _polar_walk(n_paths, t_max, step, rng, start, checkpoints)
 
 
 # ------------------------------------------------------- diffusion checks

@@ -67,7 +67,8 @@ def _as_complex(p) -> complex:
     if isinstance(p, DiscPoint):
         return p.z
     z = complex(p)
-    if abs(z) >= _MAX_ABS:
+    # written so that a nan coordinate fails it too
+    if not abs(z) < _MAX_ABS:
         raise GeometryError(f"point {z} lies outside the representable disc")
     return z
 

@@ -781,8 +781,8 @@ def expectation_functions(
     subspace gives m_n = M_n exactly.  `step` is validated but not read:
     the walk jumps exactly.
     """
-    if n < 1:
-        raise LyapunovError("expectation horizon n must be >= 1")
+    if not (n >= 1 and float(n).is_integer()):
+        raise LyapunovError(f"expectation horizon n must be an integer >= 1, got {n}")
     basis = _as_basis(rep, basis)
     acc = _brownian_matrices(rep, group, float(n), n_paths, step, rng)
     return _rate_range(acc, n, basis, rep.field == "complex", n_vectors)

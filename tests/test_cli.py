@@ -301,9 +301,9 @@ def test_step_past_max_exits_1_on_every_route(tmp_path, capsys, method):
 
 @pytest.mark.parametrize("method", ["brownian", "geodesic", "diffusion"])
 def test_overflowing_step_count_exits_1(tmp_path, capsys, method):
-    # horizon / step overflows to inf, or is finite but past MAX_STEP_COUNT,
-    # or the walk needs more than MAX_JUMP_COUNT gaps or ray steps of 0.5:
-    # every route refuses it before it lays out or takes its steps
+    # a horizon of 1e308, 1e9 or 6000 needs more than MAX_JUMP_COUNT gaps or
+    # ray steps of 0.5: every route refuses it before it lays out or takes
+    # its steps
     cfg = write_config(
         tmp_path, "[run]\nmethod = %s\nn_dirs = 8\noutput = %s\n" % (method, tmp_path / "h"))
     for horizon in ("1e308", "1e9", "6000"):
@@ -775,15 +775,19 @@ def test_validate_subcommand_cocycle(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("suite", ["cocycle", "drift", "uniformity"])
 def test_exact_suites_take_no_step_walk(tmp_path, capsys, monkeypatch, suite):
     # cocycle reads each walker at t = 1 and 2, and drift and uniformity
-    # chain the routes' exact jumps: none draws a step walker's normals or
-    # builds a LeafPath
-    from hyplyap import diffusion
+    # chain the routes' exact jumps: none runs a step walker, which only
+    # the benchmark's layer timings call
+    import hyplyap
+    from hyplyap import cli, cocycle, diffusion, lyapunov, surface
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the step walker ran")
+        raise AssertionError("a step walker ran")
 
-    monkeypatch.setattr(diffusion, "_normals", refuse)
-    monkeypatch.setattr(diffusion, "sample_path", refuse)
+    # every binding of the names, so a module that imported one is caught too
+    for module in (hyplyap, cli, cocycle, diffusion, lyapunov, surface):
+        for name in ("sample_polar_endpoints", "sample_path"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     size = ["--n-paths", "1000"] if suite in ("drift", "uniformity") else []
     rc = run_cli(["validate", suite, *size, "--output", str(tmp_path / suite)])
     assert rc == 0

@@ -9,15 +9,14 @@ octagon, the accumulator must reproduce cocycle_of_word on each walker's
 recorded word, the cadence walk must keep its reduction invariants and
 lift to Brownian motion, its block draws must reproduce one draw per gap
 bit for bit, every step walker's block draws must reproduce one draw per
-step bit for bit, and Specialization.values and Specialization.__call__
+exact jump bit for bit, a step walker must refuse a jump it cannot draw
+before drawing, and Specialization.values and Specialization.__call__
 must reproduce the specialization computed from the scalar reduction and
 cocycle_of_word.
 """
 
 import cmath
 import math
-import os
-import threading
 
 import numpy as np
 import pytest
@@ -31,14 +30,12 @@ from hyplyap.cocycle import (
 )
 from hyplyap import diffusion, lyapunov
 from hyplyap.diffusion import (
+    DiffusionError,
     RngStream,
     _disc_jump,
     _disc_step,
-    _disc_step_scalar,
     _polar_step,
     _radial_quantile,
-    _step_count,
-    _time_grid,
     sample_heat_endpoints,
     sample_path,
     sample_polar_endpoints,
@@ -48,15 +45,6 @@ from hyplyap.lyapunov import _brownian_walk
 from hyplyap.surface import _SIDE_TOL, DeckWord, _reduce_ensemble, build_genus2
 
 from scalar_reduction import contains, scalar_locate
-
-
-def _increments(gen, n, t_max, step):
-    """The per-step reference draw: (n1, n2, scale) for each step of an
-    n-walker ensemble on _time_grid(t_max, step), one (2, n) draw per
-    step; the jump is scale * (n1, n2)."""
-    for dt in np.diff(_time_grid(t_max, step)):
-        n1, n2 = gen.standard_normal((2, n))
-        yield n1, n2, math.sqrt(2.0 * dt)
 
 
 @pytest.fixture(scope="module")
@@ -264,85 +252,82 @@ def test_block_draws_match_per_step_draws(data, rep_track):
     for n in (2000, 300, 5000)
 ] + [pytest.param("sample_path", 1, id="sample_path-1")])
 def test_walk_draws_two_normals_per_path_step(data, rep_track, walker, n):
-    # the step walkers: n = 2000 caps the block below the cadence, at 2
-    # steps of 4000 normals, and n = 5000 takes one step per block.  The
-    # cadence walk, whose path-steps are its 11 gaps, draws two uniforms per
-    # path and gap instead
+    # every walker draws two uniforms per path and jump: the cadence walk
+    # takes its 11 gaps of t / 11, and the step walkers cut each checkpoint
+    # gap into ceil(gap / step) jumps.  n = 300 draws blocks of 13 jumps,
+    # n = 2000 of 2 and n = 5000 of 1
     t, step = 5.25, 0.05
-    steps = _step_count(t, step)
     gen, ref = np.random.default_rng(13), np.random.default_rng(13)
     if walker == "brownian_walk":
         acc = _MatrixAccumulator(rep_track, data, n)
         for _ in _brownian_walk(data, acc, gen, n, t):
             pass
-        ref.random(2 * n * math.ceil(t / lyapunov._REDUCE_EVERY))
+        jumps = math.ceil(t / 0.5)
+    elif walker == "polar_endpoints":
+        sample_polar_endpoints(n, t, step, gen, checkpoints=[1.0, 5.25])
+        jumps = math.ceil(1.0 / step) + math.ceil((5.25 - 1.0) / step)
     else:
-        if walker == "polar_endpoints":
-            sample_polar_endpoints(n, t, step, gen, checkpoints=[1.0, 5.25])
-        else:
-            sample_path(DiscPoint.origin(), t, step, gen)
-        ref.standard_normal(2 * n * steps)
-    assert np.array_equal(gen.standard_normal(16), ref.standard_normal(16))
+        sample_path(DiscPoint.origin(), t, step, gen)
+        jumps = math.ceil(t / step)
+    ref.random(2 * n * jumps)
+    assert np.array_equal(gen.random(16), ref.random(16))
+
+
+def _jumps(gen, n, gap, k):
+    """The per-jump reference draw: (cos, sin, length) for each of k exact
+    jumps of time gap of an n-walker ensemble, one (2, n) draw per jump."""
+    for _ in range(k):
+        u = gen.random((2, n))
+        angle = 2.0 * math.pi * u[1]
+        yield np.cos(angle), np.sin(angle), _radial_quantile(gap, u[0])
 
 
 @pytest.mark.parametrize("n", [300, 5000])
 def test_polar_walker_blocks_match_per_step_draws(n):
-    # n = 300 takes 10-step blocks, cut short at the checkpoint t = 1.03;
-    # n = 5000 is past the cap, so each block is one step
+    # n = 300 takes blocks of 13 jumps, cut short at the checkpoint t = 1.03;
+    # n = 5000 takes one jump per block.  The gaps take 21 jumps of 1.03 / 21
+    # and 20 of 0.97 / 20
     step, checkpoints = 0.05, [1.03, 2.0]
     rho, psi = sample_polar_endpoints(n, 2.0, step, np.random.default_rng(14),
                                       start=(0.5, 1.0), checkpoints=checkpoints)
     gen = np.random.default_rng(14)
     r, p, t = np.full(n, 0.5), np.full(n, 1.0), 0.0
-    for i, target in enumerate(checkpoints):
-        for n1, n2, scale in _increments(gen, n, target - t, step):
-            r, p = _polar_step(r, p, n1, n2, scale)
+    for i, (target, k) in enumerate(zip(checkpoints, (21, 20))):
+        for c, s, ell in _jumps(gen, n, (target - t) / k, k):
+            r, p = _polar_step(r, p, c, s, ell)
         assert np.array_equal(rho[i], r) and np.array_equal(psi[i], p), i
         t = target
 
 
 def test_sample_path_blocks_match_per_step_draws():
-    # 25 steps of 0.05 to t = 1.23 and a short last step: 10 + 10 + 5 rows
+    # 25 equal jumps of 1.23 / 25, recorded at the times j 1.23 / 25
     start, t, step = DiscPoint(0.2, -0.1), 1.23, 0.05
     path = sample_path(start, t, step, np.random.default_rng(15))
-    gen = np.random.default_rng(15)
     z, want = start.z, [start.z]
-    for n1, n2, scale in _increments(gen, 1, t, step):
-        z = _disc_step_scalar(z, n1[0], n2[0], scale)
+    for c, s, ell in _jumps(np.random.default_rng(15), 1, t / 25, 25):
+        z = _disc_step(z, complex(_disc_jump(c, s, ell)[0]))
         want.append(z)
-    assert path.times == tuple(_time_grid(t, step).tolist())
-    assert [p.z for p in path.points] == want
+    assert path.times == tuple(j * t / 25 for j in range(25)) + (t,)
+    assert [q.z for q in path.points] == want
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("n, t, step, walks", [
-    (300, 1.23, 0.05, 1),     # 25 steps in blocks of 10, 10, 5; short last step
-    (300, 25.27, 0.05, 6),    # 506 steps; short last step
-    (5000, 0.05, 0.01, 1),    # one step per block
-    (5000, 0.205, 0.01, 4),   # 21 steps; short last step
+@pytest.mark.parametrize("walk", [
+    pytest.param(lambda gen: sample_polar_endpoints(10, 1.0, 0.005, gen), id="polar-step-0.005"),
+    pytest.param(lambda gen: sample_path(0j, 1.0, 0.005, gen), id="path-step-0.005"),
+    pytest.param(lambda gen: sample_polar_endpoints(10, 0.015, 0.01, gen, checkpoints=[0.015]),
+                 id="polar-checkpoint-0.015"),
+    pytest.param(lambda gen: sample_path(0j, 0.005, 0.05, gen), id="path-t-0.005"),
+    pytest.param(lambda gen: sample_polar_endpoints(10, 1.0, 5e-324, gen), id="polar-step-5e-324"),
+    pytest.param(lambda gen: sample_path(0j, 1.0, 5e-324, gen), id="path-step-5e-324"),
 ])
-def test_normals_match_per_step_draws(monkeypatch, n, t, step, walks, cpus):
-    # `walks` walks read in turn, block by block, each from its own
-    # generator, with `cpus` usable CPUs: no walk's draws depend on the
-    # others' or on the CPU count, and no walk starts a thread
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    threads = threading.active_count()
-    gens = [np.random.default_rng(16 + i) for i in range(walks)]
-    blocks = [[] for _ in gens]
-    for turn in zip(*(diffusion._normals(gen, n, t, step) for gen in gens), strict=True):
-        assert threading.active_count() == threads
-        for got, block in zip(blocks, turn):
-            got.append(block)
-    k = max(1, min(round(diffusion._BLOCK_TIME / step), diffusion._BLOCK_NORMALS // (2 * n)))
-    steps = _step_count(t, step)
-    for i, (gen, got) in enumerate(zip(gens, blocks)):
-        ref = np.random.default_rng(16 + i)
-        rows = ((b1[j], b2[j], scale[j, 0]) for b1, b2, scale in got for j in range(len(scale)))
-        for (n1, n2, scale), (r1, r2, rscale) in zip(rows, _increments(ref, n, t, step), strict=True):
-            assert np.array_equal(n1, r1) and np.array_equal(n2, r2) and scale == rscale, i
-        assert [len(b[2]) for b in got] == [min(k, steps - s) for s in range(0, steps, k)]
-        assert gen.bit_generator.state == ref.bit_generator.state, i
+def test_step_walkers_refuse_before_any_draw(walk):
+    # a jump shorter than the radial table's 0.01, or a count of jumps that
+    # overflows, is refused before the generator is touched
+    gen = np.random.default_rng(17)
+    state = gen.bit_generator.state
+    with pytest.raises(DiffusionError):
+        walk(gen)
+    assert gen.bit_generator.state == state
 
 
 def _scalar_specialization(spec, z):

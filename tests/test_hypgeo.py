@@ -126,6 +126,18 @@ def test_rejects_points_on_or_outside_circle():
         dist_P(1.2 + 0j, 0j)
 
 
+@pytest.mark.parametrize("z", [complex("nan"), complex(0.1, math.nan), complex(math.nan, math.inf)],
+                         ids=["nan", "nan-im", "nan-inf"])
+def test_rejects_nan_points(z):
+    # a nan fails every comparison, so the disc test must not read "abs(z) >= bound"
+    with pytest.raises(GeometryError):
+        dist_P(z, 0j)
+    with pytest.raises(GeometryError):
+        dist_P(0.5 + 0j, z)
+    with pytest.raises(GeometryError):
+        mobius_translation(0.25, 1.0)(z)
+
+
 # ------------------------------------------------ radius r = tanh(R/2)
 # the Euclidean radius of the hyperbolic circle of radius R about 0 is
 # where the translation by R moves 0; the round trips check dist_P against

@@ -762,6 +762,18 @@ def test_expectation_needs_horizon(group, rep22):
         expectation_functions(rep22, group, np.eye(2), 0, 200, 0.05, RngStream(1))
 
 
+@pytest.mark.parametrize("n", [2.5, float("nan"), float("inf")])
+def test_expectation_refuses_a_non_integer_horizon(group, rep22, monkeypatch, n):
+    # the horizon is an integer n, as diffusion_spectrum's: 2.5 is refused,
+    # not walked, before the walk starts
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(lyapunov, "_heat_jump_blocks", refuse)
+    with pytest.raises(LyapunovError, match="must be an integer >= 1"):
+        expectation_functions(rep22, group, np.eye(2), n, 200, 0.05, RngStream(1))
+
+
 # ------------------------------------------------------- conversion checks
 
 

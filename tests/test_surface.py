@@ -209,8 +209,9 @@ def test_locate_deterministic_near_boundary(group):
     assert w1.letters == w2.letters
 
 
-@pytest.mark.parametrize("z", [1 + 0j, -1j, 2 + 0j, complex(1.0 - 1e-16, 0.0)],
-                         ids=["1", "-i", "2", "1-1e-16"])
+@pytest.mark.parametrize("z", [1 + 0j, -1j, 2 + 0j, complex(1.0 - 1e-16, 0.0), complex("nan"),
+                               complex(0.1, float("nan"))],
+                         ids=["1", "-i", "2", "1-1e-16", "nan", "nan-im"])
 def test_locate_refuses_points_off_the_disc(group, z):
     # refused as given, before the kernel reduces anything: no warning and no
     # complaint about a point the reduction moved
