@@ -531,6 +531,10 @@ def _execute(cfg: ExperimentConfig, group, rep) -> int:
     except (ConfigError, CocycleError, DiffusionError, LyapunovError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory: the ensemble is too large; use a smaller n_paths "
+              "or n_dirs", file=sys.stderr)
+        return 1
     if validation:
         csv, manifest = checks_csv(result), manifest_text(cfg, group)
         lines = [

@@ -443,6 +443,13 @@ def _mass_rule():
     return _gauss_legendre(np.linspace(0.0, 1.0, 13), 16)
 
 
+# heat_kernel evaluates at most this many distances at a time, so each of
+# its (distances x 264 nodes) temporaries stays near 135 KB: a radial
+# table's 512 nodes in one pass peak at 6.6 MB of temporaries, against
+# 1.0 MB in blocks
+_KERNEL_BLOCK = 64
+
+
 def _require_time(t):
     if not (math.isfinite(t) and t > 0.0):
         raise DiffusionError(f"heat kernel needs t > 0, got {t}")
@@ -466,23 +473,28 @@ def heat_kernel(rho, t: float):
     bad = ~(np.isfinite(rho) & (rho >= 0.0))
     if bad.any():
         raise DiffusionError(f"heat kernel needs rho >= 0, got {rho[bad][0]}")
-    rho = np.where(rho < 1e-6, 0.0, rho)
+    shape = rho.shape
+    rho = np.where(rho < 1e-6, 0.0, rho).ravel()
     u_max = np.sqrt(np.sqrt(rho * rho + 400.0 * t + 400.0) - rho)
-    r = rho[..., None]
-    nodes, weights = _kernel_rule()
-    u = u_max[..., None] * nodes
-    s = r + u * u
-    # the gap overflows only where s > 710, and its node then adds 0: that
-    # node's share of the integral is ~exp(-(s - rho)/2), which only matters
-    # for rho > 600, where K < 1e-250
-    with np.errstate(over="ignore"):
-        gap = 2.0 * np.sinh(0.5 * (s + r)) * np.sinh(0.5 * u * u)
-    integrand = 2.0 * u * s * np.exp(-(s * s - r * r) / (4.0 * t)) / np.sqrt(gap)
     prefactor = math.sqrt(2.0) * np.exp(-t / 4.0 - rho * rho / (4.0 * t)) / (
         8.0 * math.pi ** 1.5 * t ** 1.5
     )
-    # a row sum, not a matmul: each row is summed in the order a scalar call uses
-    return (prefactor * u_max * np.sum(integrand * weights, axis=-1))[()]
+    nodes, weights = _kernel_rule()
+    sums = np.empty(rho.size)
+    for lo in range(0, rho.size, _KERNEL_BLOCK):
+        r = rho[lo : lo + _KERNEL_BLOCK, None]
+        u = u_max[lo : lo + _KERNEL_BLOCK, None] * nodes
+        s = r + u * u
+        # the gap overflows only where s > 710, and its node then adds 0:
+        # that node's share of the integral is ~exp(-(s - rho)/2), which
+        # only matters for rho > 600, where K < 1e-250
+        with np.errstate(over="ignore"):
+            gap = 2.0 * np.sinh(0.5 * (s + r)) * np.sinh(0.5 * u * u)
+        integrand = 2.0 * u * s * np.exp(-(s * s - r * r) / (4.0 * t)) / np.sqrt(gap)
+        # a row sum, not a matmul: each row is summed in the order a scalar
+        # call uses
+        sums[lo : lo + _KERNEL_BLOCK] = np.sum(integrand * weights, axis=-1)
+    return (prefactor * u_max * sums).reshape(shape)[()]
 
 
 def heat_kernel_mass(t: float, rho_max: Optional[float] = None) -> float:
@@ -512,13 +524,9 @@ def heat_kernel_mass(t: float, rho_max: Optional[float] = None) -> float:
 # quadratic in the panel index), and resamples each panel at _TABLE_KNOTS
 # knots for the inverse: on gaps 0.01..100 its u-error is below 1e-10 and
 # its rho-error about 1e-10 relative between the 1% and 99% quantiles.
-# heat_kernel takes _TABLE_CHUNK nodes per call, which keeps its (nodes x
-# 144) temporaries small: 1536 nodes in one call raised a diagnostics
-# process's peak memory by 13 MB.
 _TABLE_PANELS = 32
 _TABLE_ORDER = 16
 _TABLE_KNOTS = 128
-_TABLE_CHUNK = 64
 # heat_kernel's validated range of t: shorter gaps are refused, longer ones
 # are cut into equal pieces that lie inside it
 _GAP_MIN = 0.01
@@ -566,16 +574,21 @@ def _radial_table(gap: float):
     with slopes 2 s / density, capped at three secants on either side
     (Fritsch-Carlson), so every piece is increasing.  A knot whose s does
     not exceed every earlier knot's (past the point where F rounds to 1)
-    is dropped.  Returns (table, guide), both
-    read-only: the (3, knots) array of rows s, rho and slope, and
-    _radial_quantile's guide table.
+    is dropped.
+
+    Returns (table, guide), both read-only.  table is a (7, knots) array:
+    the knot rows s, rho and slope, then for the piece from knot i to
+    knot i + 1 the rows h = s_{i+1} - s_i, m0 = slope_i h and the Horner
+    coefficients c2 = 3 dr - 2 m0 - m1 and c3 = m0 + m1 - 2 dr, where
+    m1 = slope_{i+1} h and dr = rho_{i+1} - rho_i.  These are the doubles a
+    per-key evaluation forms from the knots; the last column of the piece
+    rows is nan.  guide is _radial_quantile's guide table.
     """
     hi = gap + 30.0 * math.sqrt(gap) + 10.0
     edges = hi * np.linspace(0.0, 1.0, _TABLE_PANELS + 1) ** 2
     nodes, _ = _gauss_legendre(edges, _TABLE_ORDER)
-    kernel = np.concatenate([heat_kernel(nodes[i : i + _TABLE_CHUNK], gap)
-                             for i in range(0, nodes.size, _TABLE_CHUNK)])
-    density = (2.0 * math.pi * np.sinh(nodes) * kernel).reshape(_TABLE_PANELS, _TABLE_ORDER)
+    density = (2.0 * math.pi * np.sinh(nodes) * heat_kernel(nodes, gap)).reshape(
+        _TABLE_PANELS, _TABLE_ORDER)
     integral, value = _knot_maps()
     width = np.diff(edges)[:, None]
     partial = 0.5 * width * (density @ integral.T)
@@ -593,9 +606,13 @@ def _radial_table(gap: float):
     # dips and comes back, the knot after the dip would repeat an s
     keep = np.concatenate([[True], s[1:] > np.maximum.accumulate(s)[:-1]])
     s, rho, slope = s[keep], rho[keep], slope[keep]
-    secant = np.diff(rho) / np.diff(s)
+    h, dr = np.diff(s), np.diff(rho)
+    secant = dr / h
     slope = np.minimum(slope, 3.0 * np.minimum(np.append(secant, np.inf), np.insert(secant, 0, np.inf)))
-    table = np.array([s, rho, slope])
+    m0, m1 = slope[:-1] * h, slope[1:] * h
+    table = np.full((7, s.size), np.nan)
+    table[:3] = s, rho, slope
+    table[3:, :-1] = h, m0, 3.0 * dr - 2.0 * m0 - m1, m0 + m1 - 2.0 * dr
     # guide[j] is the last knot at or below j / _GUIDE_SIZE, or -1 where
     # the bucket [j, j + 1) / _GUIDE_SIZE holds more than one knot
     last = np.searchsorted(s, np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE, side="right") - 1
@@ -607,27 +624,24 @@ def _radial_table(gap: float):
 def _radial_quantile(gap, u):
     """rho at the quantiles u in [0, 1) of the radial law at time gap: the
     cubic Hermite piece of _radial_table(gap) at s = sqrt(u), in the
-    variable t = (s - s_i) / h on [s_i, s_i + h).
+    variable t = (s - s_i) / h on [s_i, s_i + h), evaluated in the Horner
+    form rho_i + t (m0 + t (c2 + t c3)) from the piece's precomputed rows,
+    each gathered alone by the key's knot.
 
     The piece's knot i is the last with s_i <= s, found from the guide:
     a bucket's guide knot is at or below every key in it, so one step up
     past at most one more knot finds i exactly, and the keys of crowded
     buckets are searched in full.  Every key gets the index a full search
     would give."""
-    (s, rho, slope), guide = _radial_table(gap)
+    (s, rho, _, h, m0, c2, c3), guide = _radial_table(gap)
     x = np.sqrt(u)
-    i = guide[(x * _GUIDE_SIZE).astype(np.intp)]
+    i = guide.take((x * _GUIDE_SIZE).astype(np.intp))
     crowded = np.nonzero(i < 0)
-    i += s[i + 1] <= x
+    i += s.take(i + 1) <= x
     if crowded[0].size:
         i[crowded] = np.searchsorted(s, x[crowded], side="right") - 1
-    s0 = s[i]
-    h = s[i + 1] - s0
-    t = (x - s0) / h
-    r0 = rho[i]
-    dr = rho[i + 1] - r0
-    m0, m1 = slope[i] * h, slope[i + 1] * h
-    return r0 + t * (m0 + t * ((3.0 * dr - 2.0 * m0 - m1) + t * (m0 + m1 - 2.0 * dr)))
+    t = (x - s.take(i)) / h.take(i)
+    return rho.take(i) + t * (m0.take(i) + t * (c2.take(i) + t * c3.take(i)))
 
 
 def _heat_jump_blocks(gen, n, gap, count):

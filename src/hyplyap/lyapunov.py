@@ -850,8 +850,9 @@ def shadowing_report(n_paths, t_list, rng) -> ShadowingReport:
         # normalizer degenerates below t ~ e; early entries report raw scale
         norm = max(math.sqrt(t) * math.log(max(t, math.e)) ** 1.5, 1e-9)
         d = polar_separation(rho[i], psi[i], np.full(rho.shape[1], float(t)), psi_final)
-        for q in qs:
-            shadow_q[q].append(float(np.percentile(d, q)) / norm)
+        # one partition serves all three quantiles
+        for q, v in zip(qs, np.percentile(d, qs).tolist()):
+            shadow_q[q].append(v / norm)
         drift_median.append(float(np.median(rho[i]) / t) if t > 0 else 0.0)
 
     fit_ts = [t for t in t_list if t >= 10.0]
@@ -896,6 +897,10 @@ def direction_distribution_check(n_paths, t, n_bins, rng) -> UniformityReport:
         raise LyapunovError("direction check needs t >= 40 (direction nearly frozen)")
     if n_bins < 1:
         raise LyapunovError("need n_bins >= 1")
+    if n_paths < n_bins:
+        raise LyapunovError(f"the direction check needs n_paths >= n_bins = {n_bins}, got "
+                            f"{n_paths}: with fewer, a bin expects under one count, below "
+                            f"Cochran's minimum for the chi-square approximation")
     _, psi = _cadence_chain(_resolve_rng(rng), n_paths, t)
     angles = np.mod(psi, 2.0 * np.pi)
     counts, _ = np.histogram(angles, bins=n_bins, range=(0.0, 2.0 * np.pi))

@@ -708,6 +708,46 @@ def test_uniformity_refuses_a_runaway_horizon(tmp_path, capsys):
     assert 4000.0 < rho[0] < 6000.0
 
 
+def test_validate_uniformity_refuses_fewer_paths_than_bins(tmp_path, capsys):
+    # one path over 32 bins always scores chi-square 31, p = 0.47: a pass
+    # at every seed, so the suite refuses it
+    rc = run_cli(["validate", "uniformity", "--n-paths", "1", "--output", str(tmp_path / "u")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: the direction check needs n_paths >= n_bins = 32, got 1" in err
+    assert "Traceback" not in err and not (tmp_path / "u.csv").exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv, route", [
+    (["--method", "brownian"], "benettin_spectrum"),
+    (["--method", "geodesic"], "geodesic_spectrum"),
+    (["--method", "diffusion"], "diffusion_spectrum"),
+    (["validate", "semigroup"], "check_semigroup"),
+    (["validate", "shadowing"], "shadowing_report"),
+], ids=["brownian", "geodesic", "diffusion", "semigroup", "shadowing"])
+def test_an_ensemble_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch, argv, route):
+    # the route raises MemoryError as numpy does for an n_paths or n_dirs
+    # it cannot allocate; a real allocation that large is not made, since
+    # whether it fails at once depends on the machine's overcommit policy
+    monkeypatch.setattr(f"hyplyap.cli.{route}", _out_of_memory)
+    out = str(tmp_path / "m")
+    if argv[0] == "validate":
+        rc = run_cli([*argv, "--output", out])
+    else:
+        text = GOOD_CONFIG.replace("method = brownian\n", "").format(out=out)
+        rc = run_cli(["run", write_config(tmp_path, text), *argv])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "n_paths" in errors[0] and "n_dirs" in errors[0]
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.glob("m.*"))
+
+
 # ---------------------------------------------------------------- compare
 
 

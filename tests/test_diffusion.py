@@ -328,6 +328,57 @@ def test_kernel_array_equals_scalar_calls():
         assert np.array_equal(got, [[heat_kernel(r, t) for r in row] for row in rho])
 
 
+def _kernel_inputs():
+    """Arrays longer than one of heat_kernel's blocks of 64 distances, with
+    0, 5e-7 and 800 on either side of a block's edge, a 0-d array and
+    empty arrays."""
+    line = np.geomspace(1e-6, 700.0, 210)
+    line[[0, 63, 64, 128, 199]] = 0.0, 5e-7, 800.0, 0.0, 5e-7
+    return [line[:200], line.reshape(3, 70), np.array(1.5), np.array([]), np.empty((3, 0))]
+
+
+@pytest.mark.parametrize("rho", _kernel_inputs(), ids=["200", "3x70", "0d", "empty", "3x0"])
+def test_kernel_blocks_equal_scalar_calls(rho):
+    for t in (0.05, 1.0, 20.0):
+        got = heat_kernel(rho, t)
+        assert np.shape(got) == rho.shape
+        want = [heat_kernel(float(r), t) for r in rho.ravel()]
+        assert np.array_equal(np.ravel(got), want)
+
+
+# heat_kernel_mass at the kernel suite's times, and _radial_quantile at
+# fixed keys, as computed before the kernel was evaluated in blocks and the
+# table stored its Hermite pieces: a change that moves a bit of the
+# kernel layer's law fails here
+_MASS_PINS = {0.25: 1.0000000000000004, 1.0: 1.0, 4.0: 0.9999999999999999}
+_QUANTILE_KEYS = [0.0, 1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0 - 2.0**-53]
+_QUANTILE_PINS = {
+    0.125: [0.0, 7.219319282545228e-07, 0.0007219321084835974, 0.022835194522739063,
+            0.07237440438602276, 0.23432528836376007, 0.38717662561145516,
+            0.6009045373211093, 0.8496135630115824, 1.0946540736313457, 1.8936469950606127,
+            4.284655448405729],
+    0.5: [0.0, 1.5352111706847317e-06, 0.0015352115454651209, 0.04855949789579539,
+          0.15389793606712276, 0.4980147736026932, 0.8220906078757013, 1.2734197523479,
+          1.7952912129913559, 2.305756710973592, 3.9488168501574545, 8.790619714523997],
+    1.0: [0.0, 2.352102018858162e-06, 0.002352102547698183, 0.0743967294195593,
+          0.23574201214536136, 0.7615233661065646, 1.2532653884499965, 1.9305404734903298,
+          2.7026518526351833, 3.4485807153372163, 5.814055442413896, 12.786537170410156],
+    20.0: [0.0, 0.0001517558863494704, 0.15167975341279624, 3.7571278080932036,
+           7.635371251518611, 13.620253150303466, 17.24330293474626, 21.33203887786739,
+           25.463220420395963, 29.205953213824216, 40.441048215595096, 71.88440803556348],
+}
+
+
+@pytest.mark.parametrize("t", sorted(_MASS_PINS))
+def test_kernel_mass_pinned(t):
+    assert heat_kernel_mass(t) == _MASS_PINS[t]
+
+
+@pytest.mark.parametrize("gap", sorted(_QUANTILE_PINS))
+def test_radial_quantile_pinned(gap):
+    assert _radial_quantile(gap, np.array(_QUANTILE_KEYS)).tolist() == _QUANTILE_PINS[gap]
+
+
 def test_kernel_near_diagonal_branch():
     # distances below 1e-6 collapse onto the exact rho = 0 evaluation
     assert heat_kernel(1e-9, 1.0) == heat_kernel(0.0, 1.0)
@@ -380,14 +431,14 @@ def test_radial_table_builds_without_warnings():
     for gap in gaps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (s, rho, slope), _ = _radial_table.__wrapped__(float(gap))
+            (s, rho, slope, *_), _ = _radial_table.__wrapped__(float(gap))
         assert np.all(np.diff(s) > 0.0) and np.all(np.diff(rho) > 0.0), gap
         assert np.all(np.isfinite(slope)) and np.all(slope >= 0.0), gap
 
 
 def _searched_quantile(gap, u):
     """_radial_quantile with its knot found by a full np.searchsorted."""
-    (s, rho, slope), _ = _radial_table(gap)
+    (s, rho, slope, *_), _ = _radial_table(gap)
     x = np.sqrt(u)
     i = np.searchsorted(s, x, side="right") - 1
     s0 = s[i]
@@ -404,7 +455,7 @@ def test_guided_quantile_matches_full_search(gap):
     # random keys, keys on every knot and one ulp to either side of it, and
     # the ends u = 0 and u just below 1: the guide finds the knot a full
     # search finds, so every rho is bit for bit the same
-    (s, _, _), guide = _radial_table(gap)
+    (s, *_), guide = _radial_table(gap)
     assert 0 < np.sum(guide < 0) < guide.size // 10
     on_knots = s[:-1] ** 2
     keys = np.concatenate([

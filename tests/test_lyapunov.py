@@ -842,6 +842,14 @@ def test_direction_single_bin_trivial():
     assert rep.p_value == 1.0 and rep.passed
 
 
+def test_direction_refuses_fewer_paths_than_bins():
+    # below one path per bin some bin expects under one count, Cochran's
+    # minimum for the chi-square law: one path in 32 bins always scores 31
+    with pytest.raises(LyapunovError, match="n_paths >= n_bins = 32, got 1"):
+        direction_distribution_check(1, 40.0, 32, RngStream(1))
+    assert direction_distribution_check(32, 40.0, 32, RngStream(1)).n_paths == 32
+
+
 def test_direction_rotation_invariance():
     # rotating every angle by a whole bin permutes counts: same statistic
     from hyplyap.diffusion import sample_polar_endpoints
