@@ -12,21 +12,27 @@ asymptotically 1.
 
 One sampler, one draw site
 --------------------------
-Every walker takes exact jumps (`_heat_jump_blocks`, or one at a time
-`_heat_jumps`): a length from the radial law through a cached inverse-CDF
-table of `heat_kernel`, and a uniform angle, both from one uniform (2, n)
-draw per jump.  They carry no step bias.
+Every walker takes exact jumps (`_heat_jump_tiles`): a length from the
+radial law through a cached inverse-CDF table of `heat_kernel`, and a
+uniform angle, both from one uniform (2, n) draw per jump.  They carry no
+step bias.  A tile spans many jumps of a small ensemble, or one jump of
+at most 4096 walkers of a larger one; it is formed elementwise, so the
+tile size never changes a result.
 - `sample_heat_endpoints` applies them in the polar chart, one jump per
   gap between checkpoints: `diffuse` and so the semigroup, Dynkin and
   circle checks, `shadowing_report` and `validate cocycle` (each walker at
-  t = 1 and 2) use it.  Semigroup tests Chapman-Kolmogorov of the sampled
-  law composed through `_polar_step`, and Dynkin tests that the kernel's
-  generator is Delta; the mpmath tests of `heat_kernel` anchor both.
+  t = 1 and 2) use it.  A walk from the origin lands its first jump at
+  the drawn polar point (length, psi + angle), which the law of cosines
+  gives up to rounding; other jumps go through `_polar_step`.  Semigroup
+  tests Chapman-Kolmogorov of the sampled law composed through
+  `_polar_step`, and Dynkin tests that the kernel's generator is Delta;
+  the mpmath tests of `heat_kernel` anchor both.
 - The matrix routes' walk (`lyapunov._brownian_walk`) applies them in the
-  raw chart: `_disc_jump` forms a block's disc jumps at once, and one
-  Mobius move `_disc_step` per gap of 0.5 applies them, reducing every
-  walker after each; `lyapunov._cadence_chain` runs the same chain in the
-  polar chart for `validate drift` and `validate uniformity`.
+  raw chart, in whole rows (`_heat_jump_blocks`): `_disc_jump` forms a
+  block's disc jumps at once, and one Mobius move `_disc_step` per gap of
+  0.5 applies them, reducing every walker after each;
+  `lyapunov._cadence_chain` walks them in the polar chart for `validate
+  drift` and `validate uniformity`.
 - `sample_polar_endpoints` and `sample_path` cut every gap into equal
   jumps of at most `step`, in the polar and the raw chart.  Nothing in the
   package calls them; they stay for the benchmark's layer timings.
@@ -538,9 +544,11 @@ MAX_JUMP_COUNT = 10**4
 # equal buckets of s = sqrt(u): 2-3% of keys land in a bucket holding more
 # than one knot and are searched in full
 _GUIDE_SIZE = 1 << 12
-# _heat_jump_blocks draws the jumps of a walk in blocks of at most this many
-# uniforms, so a small ensemble forms many jumps per numpy call and a large
-# one takes one jump per block
+# _heat_jump_tiles forms jumps in tiles of at most this many uniforms: a
+# small ensemble forms many jumps per numpy call, and a large one each
+# jump in tiles of _JUMP_BLOCK // 2 walkers, so the polar step's 20-odd
+# temporaries stay tile-sized (one jump of 100000 walkers peaks at 7
+# doubles per walker, against 19 with whole-ensemble temporaries)
 _JUMP_BLOCK = 1 << 13
 
 
@@ -644,34 +652,44 @@ def _radial_quantile(gap, u):
     return rho.take(i) + t * (m0.take(i) + t * (c2.take(i) + t * c3.take(i)))
 
 
-def _heat_jump_blocks(gen, n, gap, count):
+def _heat_jump_tiles(gen, n, gap, count, width=_JUMP_BLOCK // 2):
     """`count` exact Brownian jumps of time gap for each of n walkers, as
-    (cos, sin, length) blocks of shape (b, n), row j one jump: a length from
-    the radial law through _radial_quantile and a uniform angle, from one
-    gen.random((2, n)) draw per jump.  A block is b = max(1, _JUMP_BLOCK //
-    2n) jumps (the last may be shorter), drawn as one gen.random((b, 2, n)),
-    which is bit for bit b successive (2, n) draws.  Every operation on a
-    block is elementwise, so a row of it, and of anything formed from it
-    elementwise, is bit for bit that of one jump formed alone."""
+    (cols, length, tile) for the walkers cols = slice(lo, lo + w) of b
+    successive jumps: a length from the radial law through
+    _radial_quantile and a uniform angle 2 pi u, from one
+    gen.random((2, n)) draw per jump.  tile is the (b, 2, w) view of the
+    draw with the angles written over tile[:, 1]; _directions writes the
+    cosines over tile[:, 0], the uniforms the lengths used.
+
+    b = max(1, _JUMP_BLOCK // 2n) jumps (the last block may be shorter)
+    are drawn as one gen.random((b, 2, n)), bit for bit b successive
+    (2, n) draws, and cut into column tiles of at most `width` walkers.
+    Every operation on a tile is elementwise, so a row of it, and of
+    anything formed from it elementwise, is bit for bit that of one jump
+    formed alone: neither the block nor the tile size changes a result."""
     b = max(1, _JUMP_BLOCK // (2 * n))
+    w = min(n, width)
     for first in range(0, count, b):
         u = gen.random((min(b, count - first), 2, n))
-        ell = _radial_quantile(gap, u[:, 0])
-        # (cos, sin) of the angle 2 pi u[:, 1], written over the draw
-        np.multiply(u[:, 1], 2.0 * math.pi, out=u[:, 1])
-        np.cos(u[:, 1], out=u[:, 0])
-        np.sin(u[:, 1], out=u[:, 1])
-        yield u[:, 0], u[:, 1], ell
+        for lo in range(0, n, w):
+            tile = u[:, :, lo : lo + w]
+            ell = _radial_quantile(gap, tile[:, 0])
+            np.multiply(tile[:, 1], 2.0 * math.pi, out=tile[:, 1])
+            yield slice(lo, lo + w), ell, tile
 
 
-def _heat_jumps(gen, n, gap, count):
-    """The jumps of _heat_jump_blocks one at a time, as (cos, sin, length)
-    arrays of shape (n,).  The polar chart applies a jump with
-    _polar_step(rho, psi, cos, sin, length); the raw chart applies a block
-    of them with _disc_step(z, xi) for each row xi of
-    _disc_jump(cos, sin, length)."""
-    for c, s, ell in _heat_jump_blocks(gen, n, gap, count):
-        yield from zip(c, s, ell)
+def _directions(tile):
+    """(cos, sin) of the angles of a tile of _heat_jump_tiles, written
+    over the tile."""
+    return np.cos(tile[:, 1], out=tile[:, 0]), np.sin(tile[:, 1], out=tile[:, 1])
+
+
+def _heat_jump_blocks(gen, n, gap, count):
+    """The jumps of _heat_jump_tiles in whole rows, as the raw chart
+    applies them: (cos, sin, length) blocks of shape (b, n), row j one
+    jump, for _disc_jump(cos, sin, length)."""
+    for _, ell, tile in _heat_jump_tiles(gen, n, gap, count, n):
+        yield *_directions(tile), ell
 
 
 def _jump_counts(gaps, max_gap):
@@ -690,26 +708,52 @@ def _jump_counts(gaps, max_gap):
     return counts
 
 
+def _start_coordinates(n_paths, start):
+    """New (n_paths,) arrays of the start (rho, psi), each a scalar or of
+    shape (n_paths,), finite, with rho >= 0; anything else is refused."""
+    rho, psi = (np.asarray(x, dtype=float) for x in start)
+    for name, x in (("radius", rho), ("angle", psi)):
+        if x.shape not in ((), (n_paths,)):
+            raise DiffusionError(f"the start {name} must be a scalar or of shape "
+                                 f"({n_paths},), got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise DiffusionError(f"the start {name} must be finite")
+    if (rho < 0.0).any():
+        raise DiffusionError("the start radius must be >= 0")
+    return np.full(n_paths, rho), np.full(n_paths, psi)
+
+
 def _polar_walk(n_paths, t_max, max_gap, rng, start, checkpoints):
     """(rho, psi) at each checkpoint of n_paths Brownian paths from `start`,
     in the polar chart: each gap between checkpoints is cut into
-    ceil(gap / max_gap) equal exact jumps (_jump_counts), applied by
-    _polar_step."""
+    ceil(gap / max_gap) equal exact jumps (_jump_counts), applied tile by
+    tile by _polar_step.  From the origin (every start radius 0) the first
+    jump lands at the drawn polar point (length, psi + angle) with no
+    cos/sin and no _polar_step: the exact end point, which the law of
+    cosines gives up to rounding (and with an angle in (-pi, pi])."""
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise DiffusionError(f"t_max must be finite and >= 0, got {t_max}")
     if n_paths < 1:
         raise DiffusionError("n_paths must be >= 1")
+    rho, psi = _start_coordinates(n_paths, start)
     gen = _resolve_rng(rng)
     checkpoints = _check_checkpoints(checkpoints, t_max)
     gaps = np.diff(checkpoints, prepend=0.0).tolist()
     counts = _jump_counts(gaps, max_gap)
-    rho = np.full(n_paths, start[0], dtype=float)
-    psi = np.full(n_paths, start[1], dtype=float)
+    origin = not rho.any()
     out_rho = np.empty((len(checkpoints), n_paths))
     out_psi = np.empty((len(checkpoints), n_paths))
     for i, (gap, k) in enumerate(zip(gaps, counts)):
-        for c, s, ell in _heat_jumps(gen, n_paths, gap / max(k, 1), k):
-            rho, psi = _polar_step(rho, psi, c, s, ell)
+        for cols, ell, tile in _heat_jump_tiles(gen, n_paths, gap / max(k, 1), k):
+            r, p = rho[cols], psi[cols]
+            if origin:
+                r, p = ell[0], p + tile[0, 1]
+                ell, tile = ell[1:], tile[1:]
+                # the first jump ends with the tile that ends its row
+                origin = cols.stop < n_paths
+            for c, s, length in zip(*_directions(tile), ell):
+                r, p = _polar_step(r, p, c, s, length)
+            rho[cols], psi[cols] = r, p
         out_rho[i] = rho
         out_psi[i] = psi
     return out_rho, out_psi
@@ -719,13 +763,15 @@ def sample_heat_endpoints(n_paths: int, t_max: float, rng, start=(0.0, 0.0), che
     """Ensemble endpoints of Brownian motion, sampled exactly: one jump per
     gap between checkpoints.  Stable at any horizon.
 
-    `start` is (rho, psi); each may be a scalar or a length-n_paths array.
+    `start` is (rho, psi), each a scalar or a length-n_paths array, finite,
+    with rho >= 0 (else DiffusionError, before any draw).
     Returns (rho, psi) arrays of shape (len(checkpoints), n_paths); the
     default is a single checkpoint at t_max.  Brownian motion is Markov and
     isotropic, so its position at the next checkpoint is one geodesic jump:
     a length from the radial law at the gap (an inverse-CDF table of
     heat_kernel) and a uniform direction, both from one
-    gen.random((2, n_paths)) draw, applied by _polar_step.  A zero gap
+    gen.random((2, n_paths)) draw, applied by _polar_step (from the
+    origin: at the drawn polar point).  A zero gap
     draws nothing; a gap in (0, 0.01) is refused (heat_kernel is validated
     for t in [0.01, 100]); a gap above 100 is cut into ceil(gap / 100)
     equal pieces.  More than MAX_JUMP_COUNT jumps in all is refused.

@@ -81,10 +81,9 @@ from .diffusion import (
     _disc_jump,
     _disc_step,
     _heat_jump_blocks,
-    _heat_jumps,
     _mean_se,
     _polar_coordinates,
-    _polar_step,
+    _polar_walk,
     _resolve_rng,
     pairwise_sum,
     polar_separation,
@@ -208,16 +207,14 @@ def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j):
 def _cadence_chain(gen, n, t):
     """(rho, psi) of n Brownian paths from the origin at time t, walked as
     the matrix routes walk them: k = ceil(t / _REDUCE_EVERY) chained exact
-    jumps of t / k (diffusion._heat_jumps), applied in the polar chart by
-    _polar_step.  A t below _GAP_MIN is refused, as is a chain of more
-    than MAX_JUMP_COUNT jumps (_walk_steps)."""
+    jumps of t / k, applied in the polar chart (diffusion._polar_walk).  A
+    t below _GAP_MIN is refused, as is a chain of more than MAX_JUMP_COUNT
+    jumps (_walk_steps)."""
     if not t >= _GAP_MIN:
         raise LyapunovError(f"a cadence chain needs t >= {_GAP_MIN}, got {t}")
-    k = _walk_steps(t, _REDUCE_EVERY, "a cadence chain takes")
-    rho, psi = np.zeros(n), np.zeros(n)
-    for c, s, ell in _heat_jumps(gen, n, t / k, k):
-        rho, psi = _polar_step(rho, psi, c, s, ell)
-    return rho, psi
+    _walk_steps(t, _REDUCE_EVERY, "a cadence chain takes")
+    rho, psi = _polar_walk(n, t, _REDUCE_EVERY, gen, (0.0, 0.0), None)
+    return rho[0], psi[0]
 
 
 def _ray_step(w, alpha, h):

@@ -887,17 +887,20 @@ def test_validate_geometry_rows_catch_perturbed_kernels(monkeypatch):
 
 
 def test_validate_uniformity_catches_half_circle_jumps(monkeypatch):
-    # jump angles folded into [0, pi) always turn the chain the same way:
-    # its final angles pile up and p drops to 0 (0.79 unperturbed)
+    # jump angles folded into [0, pi] always turn the chain the same way:
+    # its final angles pile up and p drops to 0 (0.79 unperturbed).  The
+    # fold acts on the draw site, so it reaches the first jump from the
+    # origin, which lands at its drawn angle, as well as the later ones
     row = _suite_rows("uniformity", n_paths=10000)["direction_uniformity_p"]
     assert row["passed"] and row["lhs"] > 0.5
-    jumps = lyapunov._heat_jumps
+    tiles = diffusion._heat_jump_tiles
 
     def half_circle(*args):
-        for c, s, ell in jumps(*args):
-            yield c, np.abs(s), ell
+        for cols, ell, tile in tiles(*args):
+            np.subtract(np.pi, np.abs(np.pi - tile[:, 1]), out=tile[:, 1])
+            yield cols, ell, tile
 
-    monkeypatch.setattr(lyapunov, "_heat_jumps", half_circle)
+    monkeypatch.setattr(diffusion, "_heat_jump_tiles", half_circle)
     row = _suite_rows("uniformity", n_paths=10000)["direction_uniformity_p"]
     assert not row["passed"] and row["lhs"] < 1e-10
 

@@ -6,6 +6,7 @@ this file (different substitution and node placement than the library).
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,7 +38,7 @@ from hyplyap.diffusion import (
 from hyplyap.diffusion import (
     _disc_jump,
     _disc_step,
-    _heat_jumps,
+    _heat_jump_blocks,
     _polar_step,
     _radial_quantile,
     _radial_table,
@@ -159,8 +160,9 @@ def test_polar_and_raw_walkers_agree_in_law():
     rho, psi = sample_polar_endpoints(4000, 1.0, 0.01, RngStream(8).generator())
     polar_vals = f.values_polar(rho[-1], psi[-1])
     zs = np.zeros(4000, complex)
-    for c, s, ell in _heat_jumps(RngStream(9).generator(), 4000, 0.5, 2):
-        zs = _disc_step(zs, _disc_jump(c, s, ell))
+    for c, s, ell in _heat_jump_blocks(RngStream(9).generator(), 4000, 0.5, 2):
+        for xi in _disc_jump(c, s, ell):
+            zs = _disc_step(zs, xi)
     raw_vals = f.values_polar(2.0 * np.arctanh(np.abs(zs)), np.angle(zs))
     se = math.hypot(
         np.std(polar_vals, ddof=1) / 63.2, np.std(raw_vals, ddof=1) / 63.2
@@ -535,6 +537,42 @@ def test_heat_endpoints_chain_long_gaps():
 def test_heat_endpoints_refusals(t_max, checkpoints, match):
     with pytest.raises(DiffusionError, match=match):
         sample_heat_endpoints(10, t_max, RngStream(1).generator(), checkpoints=checkpoints)
+
+
+@pytest.mark.parametrize("start, match", [
+    ((np.zeros(5), 0.0), r"radius must be a scalar or of shape \(10,\), got shape \(5,\)"),
+    ((0.0, np.zeros((10, 1))), r"angle must be a scalar or of shape \(10,\)"),
+    ((math.nan, 0.0), "radius must be finite"),
+    ((math.inf, 0.0), "radius must be finite"),
+    ((0.0, np.array([0.0] * 9 + [math.nan])), "angle must be finite"),
+    ((-1.0, 0.0), "radius must be >= 0"),
+    ((np.array([0.5] * 9 + [-1e-300]), 0.0), "radius must be >= 0"),
+])
+def test_heat_endpoints_refuse_a_bad_start(start, match):
+    # refused before anything is drawn
+    gen = RngStream(1).generator()
+    state = gen.bit_generator.state
+    with pytest.raises(DiffusionError, match=match):
+        sample_heat_endpoints(10, 1.0, gen, start=start)
+    assert gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize("array_start", [False, True], ids=["origin", "array"])
+def test_heat_endpoints_jump_memory(array_start):
+    # one jump of 100000 walkers holds its (2, n) draw, the walkers and the
+    # result, and forms its temporaries in tiles of 4096 walkers: about 7n
+    # doubles at peak, where whole-ensemble temporaries peaked at 19n
+    n = 100000
+    gen = RngStream(37).generator()
+    sample_heat_endpoints(10, 1.0, gen)  # the radial table, before tracing
+    start = (np.full(n, 0.5), np.full(n, 1.0)) if array_start else (0.0, 0.0)
+    tracemalloc.start()
+    try:
+        sample_heat_endpoints(n, 1.0, gen, start=start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * n
 
 
 def test_heat_endpoints_cold_and_warm_tables_agree():

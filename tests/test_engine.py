@@ -8,11 +8,12 @@ walker by walker, the inscribed disc it never tests must lie inside the
 octagon, the accumulator must reproduce cocycle_of_word on each walker's
 recorded word, the cadence walk must keep its reduction invariants and
 lift to Brownian motion, its block draws must reproduce one draw per gap
-bit for bit, every step walker's block draws must reproduce one draw per
-exact jump bit for bit, a step walker must refuse a jump it cannot draw
-before drawing, and Specialization.values and Specialization.__call__
-must reproduce the specialization computed from the scalar reduction and
-cocycle_of_word.
+bit for bit, every step walker's block and tile draws must reproduce one
+draw per exact jump bit for bit, a polar walk from the origin must land
+its first jump on the drawn polar point, a step walker must refuse a jump
+it cannot draw before drawing, and Specialization.values and
+Specialization.__call__ must reproduce the specialization computed from
+the scalar reduction and cocycle_of_word.
 """
 
 import cmath
@@ -282,21 +283,63 @@ def _jumps(gen, n, gap, k):
         yield np.cos(angle), np.sin(angle), _radial_quantile(gap, u[0])
 
 
-@pytest.mark.parametrize("n", [300, 5000])
-def test_polar_walker_blocks_match_per_step_draws(n):
+@pytest.mark.parametrize("n, array_start", [
+    pytest.param(300, False, id="300"),
+    pytest.param(5000, False, id="5000"),
+    pytest.param(2 * 4096 + 123, True, id="8315-array-start"),
+])
+def test_polar_walker_blocks_match_per_step_draws(n, array_start):
     # n = 300 takes blocks of 13 jumps, cut short at the checkpoint t = 1.03;
-    # n = 5000 takes one jump per block.  The gaps take 21 jumps of 1.03 / 21
-    # and 20 of 0.97 / 20
+    # the larger ensembles take one jump per block, formed in tiles of 4096
+    # walkers (the last 904 and 123 wide).  The gaps take 21 jumps of
+    # 1.03 / 21 and 20 of 0.97 / 20
     step, checkpoints = 0.05, [1.03, 2.0]
+    if array_start:
+        start = tuple(np.random.default_rng(7).random((2, n)) * [[3.0], [2.0 * math.pi]])
+    else:
+        start = (0.5, 1.0)
     rho, psi = sample_polar_endpoints(n, 2.0, step, np.random.default_rng(14),
-                                      start=(0.5, 1.0), checkpoints=checkpoints)
+                                      start=start, checkpoints=checkpoints)
     gen = np.random.default_rng(14)
-    r, p, t = np.full(n, 0.5), np.full(n, 1.0), 0.0
+    r, p, t = np.full(n, start[0]), np.full(n, start[1]), 0.0
     for i, (target, k) in enumerate(zip(checkpoints, (21, 20))):
         for c, s, ell in _jumps(gen, n, (target - t) / k, k):
             r, p = _polar_step(r, p, c, s, ell)
         assert np.array_equal(rho[i], r) and np.array_equal(psi[i], p), i
         t = target
+
+
+@pytest.mark.parametrize("n", [300, 2 * 4096 + 123])
+def test_polar_walker_first_jump_from_origin_lands_on_its_draw(n):
+    # from the origin the first jump lands at (length, psi0 + 2 pi u) of its
+    # draw, also after a zero gap, and the later jumps are _polar_step's.
+    # The 8 jumps of h = 1/32 to t = 1/4 come in one block of 8 at n = 300
+    # and in tiles at n = 8315; cut at t = h they give the same walk
+    psi0, h = 1.0, 1.0 / 32.0
+    rho, psi = sample_polar_endpoints(n, 8 * h, h, np.random.default_rng(16),
+                                      start=(0.0, psi0), checkpoints=[0.0, h, 8 * h])
+    gen = np.random.default_rng(16)
+    u = gen.random((2, n))
+    ell, angle = _radial_quantile(h, u[0]), 2.0 * math.pi * u[1]
+    assert np.array_equal(rho[0], np.zeros(n)) and np.array_equal(psi[0], np.full(n, psi0))
+    assert np.array_equal(rho[1], ell) and np.array_equal(psi[1], psi0 + angle)
+    r, p = rho[1], psi[1]
+    for c, s, length in _jumps(gen, n, h, 7):
+        r, p = _polar_step(r, p, c, s, length)
+    assert np.array_equal(rho[2], r) and np.array_equal(psi[2], p)
+    whole = sample_polar_endpoints(n, 8 * h, h, np.random.default_rng(16), start=(0.0, psi0))
+    assert np.array_equal(whole[0][0], r) and np.array_equal(whole[1][0], p)
+    # the law of cosines reaches the same point up to rounding: it forms
+    # cosh l + sinh l before its log, so its radius is good to a few ulps
+    # of max(l, 1), and its angle lies in (-pi, pi], not [0, 2 pi)
+    r, p = _polar_step(np.zeros(n), np.full(n, psi0), np.cos(angle), np.sin(angle), ell)
+    assert np.all(np.abs(r - ell) <= 4.0 * np.spacing(np.maximum(ell, 1.0)))
+    assert np.all(np.abs(np.remainder(p - psi[1] + math.pi, 2.0 * math.pi) - math.pi) <= 1e-14)
+    # an all-zero array start is the origin
+    zero = sample_polar_endpoints(n, 8 * h, h, np.random.default_rng(16),
+                                  start=(np.zeros(n), np.full(n, psi0)),
+                                  checkpoints=[0.0, h, 8 * h])
+    assert np.array_equal(zero[0], rho) and np.array_equal(zero[1], psi)
 
 
 def test_sample_path_blocks_match_per_step_draws():
