@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import datetime
+import functools
 import math
 import os
 import re
@@ -557,9 +558,13 @@ def _execute(cfg: ExperimentConfig, group, rep) -> int:
         )
         rc = 0
     summary = "\n".join(lines) + "\n"
-    _write(cfg.output + ".csv", csv)
-    _write(cfg.output + ".manifest.txt", manifest)
-    _write(cfg.output + ".summary.txt", summary)
+    for suffix, text in ((".csv", csv), (".manifest.txt", manifest), (".summary.txt", summary)):
+        path = cfg.output + suffix
+        try:
+            _write(path, text)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            return 1
     print(summary, end="")
     return rc
 
@@ -568,15 +573,24 @@ def _execute(cfg: ExperimentConfig, group, rep) -> int:
 
 
 def read_spectrum_csv(path: str):
+    """The rows of a spectrum CSV.  A file without the header, without a
+    row, or with a row of the wrong number of fields is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [l.strip() for l in fh if l.strip()]
-    header = lines[0].split(",")
     expected = ["method", "horizon", "index", "chi", "multiplicity", "ci_halfwidth", "seed", "n_samples"]
+    if not lines:
+        raise ConfigError(f"{path}: empty file, not a spectrum CSV")
+    header = lines[0].split(",")
     if header != expected:
         raise ConfigError(f"{path}: unexpected CSV header {header}")
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: no spectrum rows after the header")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
+        if len(parts) != len(expected):
+            raise ConfigError(
+                f"{path}: row {lineno} has {len(parts)} fields, expected {len(expected)}")
         rows.append(
             {
                 "method": parts[0],
@@ -635,7 +649,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  It holds no
+    mutable default, so every parse_args call returns a fresh Namespace
+    that no earlier call has touched, and no handler: `main` looks the
+    handler up by subcommand name on every call, so a handler rebound
+    after the parser was built is the one that runs."""
     p = _Parser(prog="hyplyap", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -649,14 +669,12 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--workers", action=_RemovedFlag, help=argparse.SUPPRESS)
     run.add_argument("--output", default=None)
-    run.set_defaults(func=cmd_run)
 
     cmp_ = sub.add_parser("compare", help="compare two spectrum CSVs")
     cmp_.add_argument("report_a")
     cmp_.add_argument("report_b")
     cmp_.add_argument("--sigmas", type=float, default=3.0)
     cmp_.add_argument("--rel", type=float, default=0.05)
-    cmp_.set_defaults(func=cmd_compare)
 
     val = sub.add_parser("validate", help="run a named validation suite")
     val.add_argument("name", choices=_VALIDATIONS)
@@ -664,10 +682,8 @@ def make_parser() -> argparse.ArgumentParser:
     val.add_argument("--seed", type=int, default=None)
     val.add_argument("--workers", action=_RemovedFlag, help=argparse.SUPPRESS)
     val.add_argument("--output", default=None)
-    val.set_defaults(func=cmd_validate)
 
-    dump = sub.add_parser("dump-surface", help="print the generator coefficients")
-    dump.set_defaults(func=cmd_dump_surface)
+    sub.add_parser("dump-surface", help="print the generator coefficients")
     return p
 
 
@@ -695,7 +711,9 @@ def cmd_dump_surface(args) -> int:
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        return args.func(args)
+        handler = {"run": cmd_run, "compare": cmd_compare, "validate": cmd_validate,
+                   "dump-surface": cmd_dump_surface}[args.command]
+        return handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,14 +18,19 @@ each round's deck letters to an accumulator (the algebra layer,
 `cocycle._MatrixAccumulator`).  All eight neighbor centers of the regular
 octagon have one modulus, so a round tests every side of every walker in
 one real matrix product (`_GroupData`).  `locate` is its one-point case.
+
+The group has no inputs, so `build_genus2()` builds it once per process, on
+its first call, and returns that one shared object from then on.  It is
+immutable: its generators are a tuple, and the reduction layout it caches
+(`FuchsianGroup._layout`) holds a tuple of letters and read-only arrays.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -104,7 +109,7 @@ class DeckWord:
 class FuchsianGroup:
     """Side-pairing data of the genus-2 octagon group."""
 
-    generators: list          # 8 MobiusMap, g1..g8 with g_{k+4} = g_k^-1
+    generators: tuple         # 8 MobiusMap, g1..g8 with g_{k+4} = g_k^-1
     circumradius: float
     inradius: float = field(repr=False, default=0.0)
     neighbors: tuple = field(repr=False, default=())   # q_j = hat_g_j(0), complex
@@ -190,6 +195,8 @@ class _GroupData:
     the left sides of all 8 sides, `side_bound` the right side.  Row j of
     `coef` holds the coefficients of the map that pulls a walker back
     across side j, and `letters[j]` the signed letter the crossing reports.
+    The arrays are read-only and `letters` is a tuple, because every user
+    of the shared group shares its layout.
     """
 
     def __init__(self, group: FuchsianGroup):
@@ -197,12 +204,14 @@ class _GroupData:
         qq = math.tanh(group.inradius) ** 2
         self.side_test = np.array([2.0 * q.real, 2.0 * q.imag, np.full(8, -qq), np.full(8, -qq)])
         self.side_bound = qq + _SIDE_TOL
-        self.letters = [group.neighbor_letter(j) for j in range(1, 9)]
+        self.letters = tuple(group.neighbor_letter(j) for j in range(1, 9))
         maps = [group.generator(-letter) for letter in self.letters]
         a = np.array([m.a for m in maps])
         b = np.array([m.b for m in maps])
         # columns a, b, conj(b), conj(a) of z -> (a z + b) / (conj(b) z + conj(a))
         self.coef = np.ascontiguousarray(np.array([a, b, np.conj(b), np.conj(a)]).T)
+        self.side_test.flags.writeable = False
+        self.coef.flags.writeable = False
         # no point of the inscribed disc violates a side: with Q = |q_j|,
         # min_j S_j = Q^2 (1 + r^2) - 2 Q r >= 0 for |z| = r <= tanh(inradius/2)
         self.inner_r = math.tanh(0.5 * group.inradius)
@@ -295,8 +304,10 @@ def _derive_relator(group: FuchsianGroup) -> DeckWord:
     return word
 
 
+@cache
 def build_genus2() -> FuchsianGroup:
-    """Construct the octagon group.
+    """The octagon group, one shared immutable object per process, built on
+    the first call.
 
     The circumradius is the unique root of the vertex-angle condition
     (interior angle pi/4), c = acosh(cot^2(pi/8)); the inradius follows as
@@ -307,13 +318,9 @@ def build_genus2() -> FuchsianGroup:
     circumradius = math.acosh(cot * cot)
     inradius = math.acosh(cot)
 
-    generators = []
-    for k in range(1, 5):
-        # g_k maps side k onto side k+4: translate along the inward axis
-        direction = (k - 1) / 8.0 + 0.5
-        generators.append(mobius_translation(direction, 2.0 * inradius))
-    for k in range(4):
-        generators.append(generators[k].inverse())
+    # g_k maps side k onto side k+4: translate along the inward axis
+    half = tuple(mobius_translation((k - 1) / 8.0 + 0.5, 2.0 * inradius) for k in range(1, 5))
+    generators = half + tuple(g.inverse() for g in half)
 
     neighbors = tuple(
         math.tanh(inradius) * cmath.exp(1j * (j - 1) * math.pi / 4.0) for j in range(1, 9)
@@ -324,11 +331,4 @@ def build_genus2() -> FuchsianGroup:
         inradius=inradius,
         neighbors=neighbors,
     )
-    relator = _derive_relator(group)
-    return FuchsianGroup(
-        generators=generators,
-        circumradius=circumradius,
-        inradius=inradius,
-        neighbors=neighbors,
-        relator=relator,
-    )
+    return replace(group, relator=_derive_relator(group))

@@ -1,5 +1,6 @@
 """Config parsing, run artifacts, determinism, compare, dump-surface."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from hyplyap.cli import (
     apply_flag_overrides,
     build_representation,
     main,
+    make_parser,
     manifest_text,
     parse_config_text,
     read_spectrum_csv,
@@ -403,6 +405,73 @@ def test_workers_flag_exits_1(tmp_path, capsys, command):
     assert not (tmp_path / "w.csv").exists()
 
 
+_LAZY_CONSTANTS_SCRIPT = """
+import hyplyap.cli
+from hyplyap.surface import build_genus2
+
+assert build_genus2.cache_info().currsize == 0
+assert hyplyap.cli.make_parser.cache_info().currsize == 0
+"""
+
+
+def test_import_builds_neither_group_nor_parser():
+    # the shared group and parser are built on first use, never at import
+    _run_fresh(_LAZY_CONSTANTS_SCRIPT)
+
+
+def test_make_parser_returns_one_parser():
+    assert make_parser() is make_parser()
+
+
+_FLAG_CONFIG = "[run]\nhorizon = 5\nn_paths = 60\nn_dirs = 16\n"
+
+
+def _call_artifacts(directory, argv):
+    """(csv, manifest without its timestamp) of one in-process call whose
+    output is the relative path "out" in directory."""
+    directory.mkdir()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        assert main([*argv, "--output", "out"]) in (0, 2)
+    finally:
+        os.chdir(cwd)
+    manifest = (directory / "out.manifest.txt").read_text().splitlines()
+    return ((directory / "out.csv").read_text(),
+            [line for line in manifest if not line.startswith("timestamp ")])
+
+
+@pytest.mark.parametrize("first, second", [
+    (["validate", "semigroup", "--n-paths", "200", "--seed", "3"],
+     ["validate", "semigroup", "--seed", "3"]),
+    (["run", "CFG", "--method", "geodesic", "--seed", "3"],
+     ["run", "CFG", "--method", "brownian"]),
+])
+def test_consecutive_calls_leave_no_state(tmp_path, capsys, first, second):
+    # the shared parser and group carry nothing from one call to the next:
+    # a call made after another writes what it writes when made first
+    cfg = write_config(tmp_path, _FLAG_CONFIG)
+    first, second = ([cfg if a == "CFG" else a for a in argv] for argv in (first, second))
+    alone = _call_artifacts(tmp_path / "alone", second)
+    _call_artifacts(tmp_path / "before", first)
+    after = _call_artifacts(tmp_path / "after", second)
+    assert after == alone
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "x")
+    target = write_config(tmp_path, _FLAG_CONFIG) if command == "run" else "kernel"
+    rc = run_cli([command, target, "--output", out])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {out}.csv: ")
+    assert "Traceback" not in captured.err
+
+
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
@@ -785,6 +854,22 @@ def test_compare_dimension_mismatch(tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("", "empty file"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n", "no spectrum rows"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
+     "brownian,10,1,0.03,1\n", "row 2 has 5 fields, expected 8"),
+])
+def test_compare_refuses_unreadable_report(tmp_path, capsys, text, problem):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = make_report(tmp_path, "a.csv", [0.03, -0.03], [0.002, 0.002])
+    for a, b in ((str(bad), str(bad)), (good, str(bad))):
+        assert run_cli(["compare", a, b]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: {problem}" in err and "Traceback" not in err
+
+
 def test_compare_block_structure_expansion(tmp_path):
     # one merged block vs two split blocks with matching values
     a = make_report(tmp_path, "a.csv", [0.0], [0.004], mults=[2])
@@ -841,11 +926,13 @@ def test_validate_cocycle_catches_wrong_letters(tmp_path, capsys):
     cfg = ExperimentConfig(method="validate:cocycle", n_paths=100, seed=0,
                            output=str(tmp_path / "c"))
     cfg.matrices = (np.diag([2.0, 0.5]), np.eye(2), np.eye(2), np.eye(2))
-    group = build_genus2()
+    # the fault goes into a private copy: build_genus2() is shared by the
+    # whole process
+    group = dataclasses.replace(build_genus2())
     rep = build_representation(cfg, group)
     assert _execute(cfg, group, rep) == 0
     letters = group._layout.letters
-    letters[0], letters[1] = letters[1], letters[0]
+    group._layout.letters = (letters[1], letters[0]) + letters[2:]
     rows = {c["name"]: c for c in run_validation(cfg, group, rep)}
     assert not rows["identity_law"]["passed"] and not rows["locate_roundtrip"]["passed"]
     assert rows["identity_law"]["lhs"] == 2.0

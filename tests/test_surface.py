@@ -87,6 +87,22 @@ def test_generator_count_and_pairing(group):
         assert abs(comp.a - 1.0) + abs(comp.b) <= 1e-10
 
 
+def test_build_genus2_returns_one_shared_group():
+    assert build_genus2() is build_genus2()
+    assert build_genus2()._layout is build_genus2()._layout
+
+
+def test_shared_group_is_immutable(group):
+    assert isinstance(group.generators, tuple)
+    assert hash(group) == hash(build_genus2())
+    data = group._layout
+    assert isinstance(data.letters, tuple)
+    with pytest.raises(ValueError):
+        data.coef[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        data.side_test[0, 0] = 0.0
+
+
 def test_side_pairing_endpoints(group, octagon):
     for k in range(1, 9):
         gk = group.generators[k - 1]
