@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .cocycle import CocycleError, Representation
 from .diffusion import (
+    DIFFUSE_MIN_SAMPLES,
     MAX_STEP,
     DiffusionError,
     RngStream,
@@ -76,6 +77,8 @@ _SUITE_DEFAULTS = {
     "conversion": {"n_paths": 2000, "horizon": 5.0},
 }
 _VALIDATIONS = tuple(_SUITE_DEFAULTS)
+# the suites whose checks average diffusion estimates over n_paths endpoints
+_DIFFUSE_SUITES = ("semigroup", "dynkin", "circle")
 # the largest horizon validate:conversion accepts: beyond it an endpoint of
 # its exact sampler can leave the representable disc (rho > ~35)
 _CONVERSION_MAX_HORIZON = 12.0
@@ -273,7 +276,9 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """Flags mirror config keys; a conflicting explicit value is an error,
     never a silent precedence decision.  A validation suite's keys left at
     their defaults then take the suite's own (_SUITE_DEFAULTS), so the run
-    and its manifest agree."""
+    and its manifest agree.  A suite that diffuses (_DIFFUSE_SUITES) is
+    refused here, before any draw, with fewer than DIFFUSE_MIN_SAMPLES
+    paths."""
     for attr in ("method", "horizon", "step", "n_paths", "n_dirs", "seed", "output"):
         flag_val = getattr(args, attr, None)
         if flag_val is None:
@@ -287,19 +292,18 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
                 f"flag ({flag_val}); remove one"
             )
     cfg.validate()
-    for key, value in _SUITE_DEFAULTS.get(_suite(cfg.method), {}).items():
+    suite = _suite(cfg.method)
+    for key, value in _SUITE_DEFAULTS.get(suite, {}).items():
         if key in cfg.defaulted:
             setattr(cfg, key, value)
+    if suite in _DIFFUSE_SUITES and cfg.n_paths < DIFFUSE_MIN_SAMPLES:
+        raise ConfigError(f"validate:{suite} needs n_paths (--n-paths) >= "
+                          f"{DIFFUSE_MIN_SAMPLES}, got {cfg.n_paths}")
     return cfg
 
 
-def _default_representation(dim: int):
-    eye = np.eye(dim)
-    return (eye, eye, eye, eye)
-
-
 def build_representation(cfg: ExperimentConfig, group):
-    matrices = cfg.matrices if cfg.matrices else _default_representation(cfg.dim)
+    matrices = cfg.matrices if cfg.matrices else (np.eye(cfg.dim),) * 4
     rep = Representation.from_matrices(cfg.dim, cfg.rep_field, matrices, group)
     print(f"representation loaded: relator residual {rep.relator_residual:.3e}", file=sys.stderr)
     if not rep.exact:

@@ -27,7 +27,8 @@ import numpy as np
 
 from .diffusion import _resolve_rng
 from .hypgeo import DiscPoint
-from .surface import DeckWord, FuchsianGroup, _GroupData, _reduce_ensemble, locate, track
+from .surface import (_OCTAGON_RELATOR, DeckWord, FuchsianGroup, _GroupData, _reduce_ensemble,
+                      locate, track)
 
 __all__ = [
     "CocycleError",
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 _EXACTNESS_TOL = 1e-8
+# _MatrixAccumulator.rescale spills a product whose largest entry passes this
+_SPILL_THRESHOLD = 1e100
 # separation bins of estimate_regularity's upper envelope
 _REGULARITY_BINS = 12
 
@@ -113,7 +116,9 @@ class Representation:
 
 
 def _relator_residual(images, inverses, group: Optional[FuchsianGroup]) -> float:
-    word = group.relator if group is not None else _STANDARD_RELATOR
+    """Frobenius distance from the identity of the image of the group's
+    relator, or of the octagon's vertex cycle when no group is given."""
+    word = group.relator if group is not None else _OCTAGON_RELATOR
     d = images[0].shape[0]
     m = np.eye(d, dtype=images[0].dtype)
     for letter in word.letters:
@@ -121,11 +126,7 @@ def _relator_residual(images, inverses, group: Optional[FuchsianGroup]) -> float
     return float(np.linalg.norm(m - np.eye(d), ord="fro"))
 
 
-# relator of build_genus2(); kept in sync by a construction-time test
-_STANDARD_RELATOR = DeckWord((-2, 3, -4, -1, 2, -3, 4, 1))
-
-
-def diagonal_representation(entries, others_identity: bool = True) -> Representation:
+def diagonal_representation(entries) -> Representation:
     """Representation with rho(g_1) = diag(entries) and the other images the
     identity; the workhorse test cocycle."""
     d = len(entries)
@@ -168,7 +169,7 @@ def cocycle_of_word(rep: Representation, word: DeckWord) -> np.ndarray:
 class _MatrixAccumulator:
     """Per-path cocycle products M_p with log-scale spill, the only product
     that spills: the true product is m * exp(log_scale), and `rescale`
-    moves any walker's matrix past the threshold into log_scale at points
+    moves any walker's matrix past _SPILL_THRESHOLD into log_scale at points
     the caller chooses.
 
     Letters arrive in crossing order, i.e. as right factors of M_p.
@@ -185,9 +186,9 @@ class _MatrixAccumulator:
         """Fold one reduction round: walker idx[k] crossed side first[k]."""
         self.m[idx] = self.m.take(idx, 0) @ self.imgs.take(first, 0)
 
-    def rescale(self, threshold=1e100):
+    def rescale(self):
         big = np.max(np.abs(self.m), axis=(1, 2))
-        mask = big > threshold
+        mask = big > _SPILL_THRESHOLD
         if mask.any():
             self.m[mask] /= big[mask, None, None]
             self.log_scale[mask] += np.log(big[mask])

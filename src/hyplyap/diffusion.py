@@ -837,6 +837,9 @@ class SlopeReport:
 
 # inner endpoints per outer endpoint on the nested side of the semigroup check
 _SEMIGROUP_INNER = 32
+# the fewest endpoints diffuse averages, and so the fewest paths of the
+# semigroup, Dynkin and circle checks
+DIFFUSE_MIN_SAMPLES = 100
 # trapezoid nodes in s of the Dynkin check
 _DYNKIN_NODES = 9
 # direction grid and log-log slope bound of the circle check
@@ -858,8 +861,8 @@ def diffuse(
     of f at Brownian endpoints, each one exact jump of time t
     (sample_heat_endpoints).
     """
-    if n_samples < 100:
-        raise DiffusionError("diffuse needs n_samples >= 100")
+    if n_samples < DIFFUSE_MIN_SAMPLES:
+        raise DiffusionError(f"diffuse needs n_samples >= {DIFFUSE_MIN_SAMPLES}")
     if t < 0 or not math.isfinite(t):
         raise DiffusionError(f"diffuse needs finite t >= 0, got {t}")
     if isinstance(start, DiscPoint):

@@ -116,14 +116,11 @@ class MobiusMap:
             return DiscPoint(w.real, w.imag)
         return w
 
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
+    def __mul__(self, other: "MobiusMap") -> "MobiusMap":
         """self after other: (self*other)(z) = self(other(z))."""
         a = self.a * other.a + self.b * other.b.conjugate()
         b = self.a * other.b + self.b * other.a.conjugate()
         return MobiusMap(a, b)
-
-    def __mul__(self, other: "MobiusMap") -> "MobiusMap":
-        return self.compose(other)
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.a.conjugate(), -self.b)

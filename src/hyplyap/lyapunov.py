@@ -37,8 +37,11 @@ routes, per _RAY_REORTH_STEPS ray steps on the geodesic route.  Its QR is
 one batched kernel, `_orthonormal_rows`: Gram-Schmidt with one
 re-orthogonalization pass on the rows of every path's frame at once,
 giving Q^T and |diag R| for any dimension and field.  The rates read whole
-products, spilled into a log scale; the interval routes extremize over a
-subspace in `_rate_range`.
+products, spilled into a log scale every _RESCALE_STEPS steps of the walk,
+Brownian gaps and ray steps alike; the interval routes extremize over a
+subspace in `_rate_range`.  One loop, `_fold`, runs every walk into its
+accumulator and renormalizes it, by a QR or by a spill, at its cadence and
+after the last step.
 
 The disc is simply connected, so a lifted path's cocycle value depends
 only on its endpoint tile, and the matrix routes need each walker only at
@@ -58,8 +61,9 @@ tracer and layer timings pass them.  `_cadence_chain` runs the same
 jumps in the polar chart, without reduction, for the drift and uniformity
 checks.  The ray tracker `_ray_walk` moves each ray exactly
 (`_ray_step`), one step per _REDUCE_EVERY of arc length, and reduces
-after every step; `_geodesic_matrices` folds its letters into products, and `_ray_lift_error`
-lifts its rays back by their deck words for `validate geometry`.  Each
+after every step; `_geodesic_matrices` folds its letters into products
+over the direction grid `_direction_grid`, and `_ray_lift_error` lifts
+its rays back by their deck words for `validate geometry`.  Each
 estimator walks one ensemble on `rng.child(0)`.
 """
 
@@ -126,10 +130,11 @@ class LyapunovError(RuntimeError):
 # equal gaps, one exact jump and one full reduction each, and a ray one
 # exact step per 0.5 of arc length; any cadence gives the same product
 _REDUCE_EVERY = 0.5
-# the products spill into their log scale every 8 gaps, 4 time units: a
-# product outgrowing the 1e100 threshold by 1e208 in that time would need
-# an exponent past 100
-_RESCALE_GAPS = 8
+# the whole-product readouts spill into their log scale every 8 steps of a
+# walk, Brownian gaps and ray steps alike (4 units of time or arc length at
+# _REDUCE_EVERY): a product outgrowing the 1e100 threshold by 1e208 in that
+# time would need an exponent past 100
+_RESCALE_STEPS = 8
 # the geodesic spectrum's QR cadence: rays never cross back, so rounding
 # grows with the net displacement.  On Sym^2 of the uniformizing
 # representation at R = 60 the worst per-ray |log det| error (truth 0) is
@@ -193,14 +198,23 @@ def _brownian_ensemble(rep, group, t, n_paths, step, rng, start=0j):
     return acc, _brownian_walk(data, acc, _ensemble_generator(rng), n_paths, t, start)
 
 
+def _fold(walk, every, renormalize):
+    """Run walk to its end, calling renormalize() after every `every` steps
+    and after the last: the one loop of the spilled products (acc.rescale)
+    and of the QR deflation alike."""
+    k = 0
+    for k, _ in enumerate(walk, start=1):
+        if k % every == 0:
+            renormalize()
+    if k % every:
+        renormalize()
+
+
 def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j):
     """Cocycle matrices along the Brownian paths of _brownian_ensemble,
-    rescaled every _RESCALE_GAPS gaps."""
+    rescaled every _RESCALE_STEPS gaps."""
     acc, walk = _brownian_ensemble(rep, group, t, n_paths, step, rng, start)
-    for i, _ in enumerate(walk, start=1):
-        if i % _RESCALE_GAPS == 0:
-            acc.rescale()
-    acc.rescale()
+    _fold(walk, _RESCALE_STEPS, acc.rescale)
     return acc
 
 
@@ -250,14 +264,17 @@ def _ray_walk(data, acc, thetas, R, spacing):
         yield w, alpha
 
 
+def _direction_grid(n_dirs):
+    """The uniform grid of ray directions, (i + 1/2) / n_dirs in turns."""
+    return (np.arange(n_dirs) + 0.5) / n_dirs
+
+
 def _geodesic_matrices(rep, group, thetas, R, spacing):
-    """Cocycle matrices along the rays gamma_{0,theta} of _ray_walk."""
+    """Cocycle matrices along the rays gamma_{0,theta} of _ray_walk,
+    rescaled every _RESCALE_STEPS steps."""
     data = group._layout
     acc = _MatrixAccumulator(rep, data, np.size(thetas))
-    for k, _ in enumerate(_ray_walk(data, acc, thetas, R, spacing), start=1):
-        if k % 64 == 0:
-            acc.rescale()
-    acc.rescale()
+    _fold(_ray_walk(data, acc, thetas, R, spacing), _RESCALE_STEPS, acc.rescale)
     return acc
 
 
@@ -337,9 +354,6 @@ class SpectrumReport:
     @property
     def dim(self) -> int:
         return len(self.raw_exponents)
-
-    def top(self) -> tuple:
-        return self.exponents[0], self.ci_halfwidths[0]
 
     def rows(self):
         """Per-block rows for CSV emission."""
@@ -447,24 +461,19 @@ def _deflation_spectrum(acc, walk, every, horizon, method, provenance) -> Spectr
     Letters arrive in crossing order, i.e. as right factors of each path's
     product M; its transpose M^T takes them as left factors with identical
     singular-value growth, so the frame is M^T.  Every `every` steps of the
-    walk, and once at its end, the frame is re-orthonormalized: one call of
-    `_orthonormal_rows` orthonormalizes the rows of every path's M, which
-    replace M, and their lengths after projection, |diag R|, add their logs
-    to the path's log diagonal.  Each |diag R| below 1e-280 is refused as a
-    degenerate frame.  The log diagonals / horizon are averaged across
-    paths, and the first path's frame is the basis."""
+    walk, and after its last (_fold), the frame is re-orthonormalized: one
+    call of `_orthonormal_rows` orthonormalizes the rows of every path's M,
+    which replace M, and their lengths after projection, |diag R|, add
+    their logs to the path's log diagonal.  Each |diag R| below 1e-280 is
+    refused as a degenerate frame.  The log diagonals / horizon are
+    averaged across paths, and the first path's frame is the basis."""
     logr = np.zeros(acc.m.shape[:2])
 
     def reorthonormalize():
         acc.m, norms = _orthonormal_rows(acc.m)
         logr[:] += np.log(norms)
 
-    k = 0
-    for k, _ in enumerate(walk, start=1):
-        if k % every == 0:
-            reorthonormalize()
-    if k % every:
-        reorthonormalize()
+    _fold(walk, every, reorthonormalize)
     # sort per path: for products without generic alignment (commuting
     # images) the QR diagonal order is path-dependent, and the ensemble
     # average must estimate the sorted spectrum of A(omega, t)
@@ -546,7 +555,7 @@ def geodesic_norm_rates(rep, group, R, n_dirs, spacing=_REDUCE_EVERY):
     estimates the top exponent by the geodesic route."""
     if n_dirs < 1:
         raise LyapunovError("geodesic_norm_rates needs n_dirs >= 1")
-    thetas = (np.arange(n_dirs) + 0.5) / n_dirs
+    thetas = _direction_grid(n_dirs)
     acc = _geodesic_matrices(rep, group, thetas, R, spacing)
     return thetas, acc.log_operator_norm() / R
 
@@ -583,9 +592,8 @@ def geodesic_spectrum(rep, group, R, n_dirs, spacing=_REDUCE_EVERY) -> SpectrumR
     _RAY_REORTH_STEPS ray steps."""
     if n_dirs < 8:
         raise LyapunovError("geodesic_spectrum needs n_dirs >= 8")
-    thetas = (np.arange(n_dirs) + 0.5) / n_dirs
     acc = _MatrixAccumulator(rep, group._layout, n_dirs)
-    walk = _ray_walk(group._layout, acc, thetas, R, spacing)
+    walk = _ray_walk(group._layout, acc, _direction_grid(n_dirs), R, spacing)
     return _deflation_spectrum(acc, walk, _RAY_REORTH_STEPS, R, "geodesic",
                                {"R": R, "n_dirs": n_dirs, "spacing": spacing})
 
@@ -666,15 +674,17 @@ def _embed(vs_real, basis, complex_field):
     return vecs / norms
 
 
+# the deterministic sphere grid the interval routes start from, in points
+_N_VECTORS = 64
 # golden-section evaluation budget of each extremum, shared by the axes
 _REFINE_ITERS = 40
 
 
-def _optimize_rate(objective, m_real, n_vectors):
+def _optimize_rate(objective, m_real):
     """Min and max of a smooth projective function on the unit sphere:
-    deterministic grid, then golden-section refinement in the top-scoring
-    2-plane coordinates around each incumbent."""
-    vs = _sphere_sample(m_real, n_vectors)
+    deterministic grid of _N_VECTORS points, then golden-section refinement
+    in the top-scoring 2-plane coordinates around each incumbent."""
+    vs = _sphere_sample(m_real, _N_VECTORS)
     vals = objective(vs)
     lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
     lo = _refine_extremum(objective, vs, lo_i, minimize=True)
@@ -730,7 +740,7 @@ def _real_dim(basis, complex_field):
     return 2 * m if complex_field else m
 
 
-def _rate_range(acc, horizon, basis, complex_field, n_vectors):
+def _rate_range(acc, horizon, basis, complex_field):
     """(min, max) over unit vectors v in the span of the basis columns of
     the mean rate log(|M_p v|) / horizon over the products M_p in acc."""
 
@@ -740,21 +750,18 @@ def _rate_range(acc, horizon, basis, complex_field, n_vectors):
         logs = np.log(np.linalg.norm(img, axis=2)) + acc.log_scale[:, None]
         return logs.mean(axis=0) / horizon
 
-    a, b = _optimize_rate(objective, _real_dim(basis, complex_field), n_vectors)
+    a, b = _optimize_rate(objective, _real_dim(basis, complex_field))
     return min(a, b), max(a, b)
 
 
-def expansion_interval(rep, group, R, basis, n_dirs=64, n_vectors=64, spacing=_REDUCE_EVERY):
+def expansion_interval(rep, group, R, basis, n_dirs=64, spacing=_REDUCE_EVERY):
     """Smallest interval [a, b] of direction-averaged expansion rates over
     the nonzero vectors of the subspace spanned by the basis columns."""
     basis = _as_basis(rep, basis)
     if n_dirs < 64:
         raise LyapunovError("expansion_interval needs n_dirs >= 64")
-    if _real_dim(basis, rep.field == "complex") > 1 and n_vectors < 64:
-        raise LyapunovError("expansion_interval needs n_vectors >= 64")
-    thetas = (np.arange(n_dirs) + 0.5) / n_dirs
-    acc = _geodesic_matrices(rep, group, thetas, R, spacing)
-    return _rate_range(acc, R, basis, rep.field == "complex", n_vectors)
+    acc = _geodesic_matrices(rep, group, _direction_grid(n_dirs), R, spacing)
+    return _rate_range(acc, R, basis, rep.field == "complex")
 
 
 def _as_basis(rep, basis):
@@ -768,9 +775,7 @@ def _as_basis(rep, basis):
     return qb
 
 
-def expectation_functions(
-    rep, group, basis, n, n_paths, step, rng, n_vectors=64
-):
+def expectation_functions(rep, group, basis, n, n_paths, step, rng):
     """Endpoints [m_n, M_n] of the expected log-growth rate at integer
     horizon n, extremized over unit vectors of the subspace.
 
@@ -782,7 +787,7 @@ def expectation_functions(
         raise LyapunovError(f"expectation horizon n must be an integer >= 1, got {n}")
     basis = _as_basis(rep, basis)
     acc = _brownian_matrices(rep, group, float(n), n_paths, step, rng)
-    return _rate_range(acc, n, basis, rep.field == "complex", n_vectors)
+    return _rate_range(acc, n, basis, rep.field == "complex")
 
 
 # ------------------------------------------------------ conversion check

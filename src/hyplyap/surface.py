@@ -23,13 +23,17 @@ The group has no inputs, so `build_genus2()` builds it once per process, on
 its first call, and returns that one shared object from then on.  It is
 immutable: its generators are a tuple, and the reduction layout it caches
 (`FuchsianGroup._layout`) holds a tuple of letters and read-only arrays.
+Its relator, the vertex cycle of the octagon, is the constant word
+`_OCTAGON_RELATOR`, which `cocycle` also reads for representations built
+without a group; `FuchsianGroup.relator_residual` checks it against the
+generators.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -39,7 +43,6 @@ from .hypgeo import (
     MobiusMap,
     _as_complex,
     mobius_identity,
-    mobius_point_chart,
     mobius_translation,
 )
 
@@ -103,6 +106,12 @@ class DeckWord:
         for l in self.letters:
             m = m * group.generator(l)
         return m
+
+
+# the vertex-cycle relator: the eight tiles around the octagon's vertex at
+# angle pi/8, taken clockwise, differ in turn by these generators, so every
+# representation of the surface group sends the word to the identity
+_OCTAGON_RELATOR = DeckWord((-2, 3, -4, -1, 2, -3, 4, 1))
 
 
 @dataclass(frozen=True)
@@ -268,42 +277,6 @@ class _LetterLog:
             self.letters[k].append(self.side_letters[j])
 
 
-def _derive_relator(group: FuchsianGroup) -> DeckWord:
-    """Vertex-cycle relator, read off numerically by probing the eight tiles
-    around the vertex at angle pi/8."""
-    c = group.circumradius
-    vertex = math.tanh(0.5 * c) * cmath.exp(1j * math.pi / 8.0)
-    chart = mobius_point_chart(DiscPoint(vertex.real, vertex.imag))
-    inward = cmath.phase(-vertex)
-    eps = math.tanh(0.5 * 0.05)
-    # clockwise probes, one per tile in the vertex star
-    probes = [chart(eps * cmath.exp(1j * (inward - i * math.pi / 4.0))) for i in range(9)]
-    _, words = _locate_all(probes, group)
-    tiles = [word.evaluate(group) for word in words]
-    relator_letters = []
-    for i in range(8):
-        # gamma_{i+1} = gamma_i o n_i; adjacent tiles share a side, so the
-        # step element n_i must be one of the eight generators
-        step = tiles[i].inverse() * tiles[i + 1]
-        letter = None
-        for cand in (1, 2, 3, 4, -1, -2, -3, -4):
-            gc = group.generator(cand)
-            err = min(
-                abs(step.a - gc.a) + abs(step.b - gc.b),
-                abs(step.a + gc.a) + abs(step.b + gc.b),
-            )
-            if err < 1e-9:
-                letter = cand
-                break
-        if letter is None:
-            raise SurfaceError(f"vertex walk step {i} is not a single generator")
-        relator_letters.append(letter)
-    word = DeckWord(tuple(relator_letters))
-    if len(word.letters) != 8:
-        raise SurfaceError(f"vertex cycle reduced unexpectedly: {word.letters}")
-    return word
-
-
 @cache
 def build_genus2() -> FuchsianGroup:
     """The octagon group, one shared immutable object per process, built on
@@ -312,7 +285,7 @@ def build_genus2() -> FuchsianGroup:
     The circumradius is the unique root of the vertex-angle condition
     (interior angle pi/4), c = acosh(cot^2(pi/8)); the inradius follows as
     acosh(cot(pi/8)) and every side pairing is a translation of length twice
-    the inradius.
+    the inradius.  The relator is the vertex cycle `_OCTAGON_RELATOR`.
     """
     cot = 1.0 / math.tan(math.pi / 8.0)
     circumradius = math.acosh(cot * cot)
@@ -325,10 +298,10 @@ def build_genus2() -> FuchsianGroup:
     neighbors = tuple(
         math.tanh(inradius) * cmath.exp(1j * (j - 1) * math.pi / 4.0) for j in range(1, 9)
     )
-    group = FuchsianGroup(
+    return FuchsianGroup(
         generators=generators,
         circumradius=circumradius,
         inradius=inradius,
         neighbors=neighbors,
+        relator=_OCTAGON_RELATOR,
     )
-    return replace(group, relator=_derive_relator(group))

@@ -287,12 +287,12 @@ def test_criterion_07_interval_convergence(group, rep22, benettin60):
     exponent; bracketing of the full-space interval."""
     chi1, chi2 = benettin60.exponents[0], benettin60.exponents[-1]
 
-    a1, b1 = expansion_interval(rep22, group, 60.0, np.array([1.0, 0.0]), n_dirs=256, n_vectors=64)
+    a1, b1 = expansion_interval(rep22, group, 60.0, np.array([1.0, 0.0]), n_dirs=256)
     width_ok = (b1 - a1) <= 1e-12
     midpoint = 0.5 * (a1 + b1)
     mid_ok = abs(midpoint - chi1) <= 0.05 * chi1
 
-    a2, b2 = expansion_interval(rep22, group, 60.0, np.eye(2), n_dirs=256, n_vectors=64)
+    a2, b2 = expansion_interval(rep22, group, 60.0, np.eye(2), n_dirs=256)
     bracket_ok = (a2 >= chi2 - 0.05) and (b2 <= chi1 + 0.05)
 
     passed = width_ok and mid_ok and bracket_ok
@@ -320,13 +320,12 @@ def test_criterion_07_twin_uniformizing(group):
     sp = benettin_spectrum(fuchsian, group, 60.0, 0.05, 10, 400, RngStream(700))
     chi1, chi2 = sp.exponents[0], sp.exponents[-1]
 
-    a1, b1 = expansion_interval(fuchsian, group, 60.0, np.array([1.0, 0.0]), n_dirs=256,
-                                n_vectors=64)
+    a1, b1 = expansion_interval(fuchsian, group, 60.0, np.array([1.0, 0.0]), n_dirs=256)
     width_ok = (b1 - a1) <= 1e-12
     midpoint = 0.5 * (a1 + b1)
     mid_ok = abs(midpoint - chi1) <= 0.05 * chi1
 
-    a2, b2 = expansion_interval(fuchsian, group, 60.0, np.eye(2), n_dirs=256, n_vectors=64)
+    a2, b2 = expansion_interval(fuchsian, group, 60.0, np.eye(2), n_dirs=256)
     bracket_ok = (a2 >= chi2 - 0.05) and (b2 <= chi1 + 0.05)
 
     passed = width_ok and mid_ok and bracket_ok

@@ -787,6 +787,25 @@ def test_validate_uniformity_refuses_fewer_paths_than_bins(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "u.csv").exists()
 
 
+@pytest.mark.parametrize("suite", ["semigroup", "dynkin", "circle"])
+def test_diffusing_suites_refuse_fewer_than_100_paths(tmp_path, capsys, monkeypatch, suite):
+    # their checks average at least 100 diffusion endpoints: 99 paths are
+    # refused by the CLI before any draw, by flag and by config key alike
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(diffusion, "sample_heat_endpoints", refuse)
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(f"[run]\nmethod = validate:{suite}\nn_paths = 99\n")
+    for argv in (["validate", suite, "--n-paths", "99", "--output", str(tmp_path / "v")],
+                 ["run", str(cfg), "--output", str(tmp_path / "v")]):
+        rc = run_cli(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: validate:{suite} needs n_paths (--n-paths) >= 100, got 99" in err
+        assert "Traceback" not in err and not (tmp_path / "v.csv").exists()
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError
 

@@ -15,7 +15,6 @@ from hyplyap.cocycle import (
     fuchsian_representation,
     specialize,
     trivial_representation,
-    _STANDARD_RELATOR,
 )
 from hyplyap.diffusion import RngStream, dist_field, sample_path
 from hyplyap.hypgeo import DiscPoint, dist_P
@@ -67,10 +66,6 @@ def word_target(group, letters):
 # --------------------------------------------------------- representations
 
 
-def test_standard_relator_matches_group(group):
-    assert _STANDARD_RELATOR.letters == group.relator.letters
-
-
 def test_representation_validation(group):
     with pytest.raises(CocycleError):
         Representation.from_matrices(2, "real", [np.eye(2)] * 3, group)
@@ -80,6 +75,20 @@ def test_representation_validation(group):
         Representation.from_matrices(
             2, "real", [np.array([[1.0, 0.0], [0.0, 0.0]])] + [np.eye(2)] * 3, group
         )
+
+
+def test_relator_residual_reads_the_group_relator_without_a_group(group):
+    # a representation built without a group is checked against the
+    # octagon's vertex cycle, the relator build_genus2() carries, so the
+    # residuals agree on projective-only and exact images alike
+    rng = np.random.default_rng(3)
+    generic = [np.eye(2) + 0.3 * rng.standard_normal((2, 2)) for _ in range(4)]
+    uniformizing = fuchsian_representation(group).images
+    for field, mats in (("real", generic), ("complex", uniformizing)):
+        with_group = Representation.from_matrices(2, field, mats, group)
+        without = Representation.from_matrices(2, field, mats)
+        assert with_group.relator_residual == without.relator_residual
+        assert with_group.exact == (field == "complex")
 
 
 def test_diagonal_rep_is_exact(group):

@@ -39,6 +39,7 @@ from hyplyap.lyapunov import (
     geodesic_rate,
     geodesic_spectrum,
     shadowing_report,
+    _RESCALE_STEPS,
     _chi2_sf,
     _geodesic_matrices,
     _orthonormal_rows,
@@ -502,9 +503,9 @@ def test_norm_rate_spills_into_log_scale(group, monkeypatch):
     rescaled = []
     rescale = _MatrixAccumulator.rescale
 
-    def spy(acc, threshold=1e100):
-        rescaled.append(int(np.sum(np.max(np.abs(acc.m), axis=(1, 2)) > threshold)))
-        rescale(acc, threshold)
+    def spy(acc):
+        rescaled.append(int(np.sum(np.max(np.abs(acc.m), axis=(1, 2)) > 1e100)))
+        rescale(acc)
 
     monkeypatch.setattr(_MatrixAccumulator, "rescale", spy)
     rates = {}
@@ -668,6 +669,30 @@ def test_ray_estimators_validate_R_and_spacing(group, rep22, name, R, spacing):
         _RAY_ESTIMATORS[name](rep22, group, R, spacing)
 
 
+def test_ray_norm_rates_spill_into_log_scale(group, monkeypatch):
+    # the ray twin of test_norm_rate_spills_into_log_scale: with every image
+    # diag(a, 1/a) each ray's product is diag(a^k, a^-k), so every norm rate
+    # scales by log a exactly.  At a = 1e5 a ray of the 8-direction grid
+    # passes the 1e100 threshold (21 net letters) by R = 80, and the rays
+    # spill every _RESCALE_STEPS of their 160 steps, as Brownian gaps do
+    rescaled = []
+    rescale = _MatrixAccumulator.rescale
+
+    def spy(acc):
+        rescaled.append(int(np.sum(np.max(np.abs(acc.m), axis=(1, 2)) > 1e100)))
+        rescale(acc)
+
+    monkeypatch.setattr(_MatrixAccumulator, "rescale", spy)
+    rates = {}
+    for a in (2.0, 1e5):
+        rep = Representation.from_matrices(2, "real", [np.diag([a, 1.0 / a])] * 4)
+        _, rates[a] = geodesic_norm_rates(rep, group, 80.0, 8)
+    assert sum(rescaled) >= 1
+    assert len(rescaled) == 2 * 160 // _RESCALE_STEPS
+    want = rates[2.0] * math.log(1e5) / math.log(2.0)
+    assert np.max(np.abs(rates[1e5] - want)) <= 1e-12 * np.max(want)
+
+
 def test_geodesic_norm_rates_needs_a_direction(group, rep22):
     with pytest.raises(LyapunovError, match="n_dirs >= 1"):
         geodesic_norm_rates(rep22, group, 2.0, 0)
@@ -682,19 +707,19 @@ def test_expansion_sample_finite():
 
 
 def test_interval_dim1_zero_width(group, rep22):
-    a, b = expansion_interval(rep22, group, 20.0, np.array([1.0, 0.0]), n_dirs=64, n_vectors=64)
+    a, b = expansion_interval(rep22, group, 20.0, np.array([1.0, 0.0]), n_dirs=64)
     assert b - a <= 1e-12
 
 
 def test_interval_trivial_rep(group):
     a, b = expansion_interval(
-        trivial_representation(2), group, 10.0, np.eye(2), n_dirs=64, n_vectors=64
+        trivial_representation(2), group, 10.0, np.eye(2), n_dirs=64
     )
     assert a == 0.0 and b == 0.0
 
 
 def test_interval_full_space_brackets_axes(group, rep22):
-    a, b = expansion_interval(rep22, group, 30.0, np.eye(2), n_dirs=128, n_vectors=64)
+    a, b = expansion_interval(rep22, group, 30.0, np.eye(2), n_dirs=128)
     assert a <= b
     # the averaged norm-route rate lies inside, the axis rates near the ends
     thetas, rates = geodesic_norm_rates(rep22, group, 30.0, 128)
@@ -719,9 +744,7 @@ def test_interval_three_space_contains_axis_rates(group):
 
 def test_interval_preconditions(group, rep22):
     with pytest.raises(LyapunovError):
-        expansion_interval(rep22, group, 10.0, np.eye(2), n_dirs=32, n_vectors=64)
-    with pytest.raises(LyapunovError):
-        expansion_interval(rep22, group, 10.0, np.eye(2), n_dirs=64, n_vectors=16)
+        expansion_interval(rep22, group, 10.0, np.eye(2), n_dirs=32)
 
 
 # ------------------------------------------------------------- expectation
