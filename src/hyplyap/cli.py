@@ -4,8 +4,9 @@ Config files are flat ``key = value`` text under ``[section]`` headers with
 strict parsing (any unknown section or key aborts before computation).
 Matrices are whitespace-separated row-major decimals; complex entries are
 written as (re, im) pairs.  Every run writes a manifest (resolved config,
-code version, relator residual), a result CSV whose body is byte-identical
-across reruns of the same config, and a human-readable summary.
+code version, relator residual, and the python, numpy and platform it ran
+on), a result CSV whose body is byte-identical across reruns of the same
+config, and a human-readable summary.
 
 `validate <suite>` is `run --method validate:<suite>` on the default
 config; both take a suite's defaults from one table, _SUITE_DEFAULTS.  A
@@ -77,8 +78,13 @@ _SUITE_DEFAULTS = {
     "conversion": {"n_paths": 2000, "horizon": 5.0},
 }
 _VALIDATIONS = tuple(_SUITE_DEFAULTS)
-# the suites whose checks average diffusion estimates over n_paths endpoints
-_DIFFUSE_SUITES = ("semigroup", "dynkin", "circle")
+# the fewest paths a suite's checks can read: the suites that diffuse average
+# each estimate over at least DIFFUSE_MIN_SAMPLES endpoints, and a median
+# drift or a standard error needs two paths
+_SUITE_MIN_PATHS = {
+    "semigroup": DIFFUSE_MIN_SAMPLES, "dynkin": DIFFUSE_MIN_SAMPLES,
+    "circle": DIFFUSE_MIN_SAMPLES, "drift": 2, "shadowing": 2, "conversion": 2,
+}
 # the largest horizon validate:conversion accepts: beyond it an endpoint of
 # its exact sampler can leave the representable disc (rho > ~35)
 _CONVERSION_MAX_HORIZON = 12.0
@@ -276,9 +282,8 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """Flags mirror config keys; a conflicting explicit value is an error,
     never a silent precedence decision.  A validation suite's keys left at
     their defaults then take the suite's own (_SUITE_DEFAULTS), so the run
-    and its manifest agree.  A suite that diffuses (_DIFFUSE_SUITES) is
-    refused here, before any draw, with fewer than DIFFUSE_MIN_SAMPLES
-    paths."""
+    and its manifest agree.  A suite with fewer paths than its minimum
+    (_SUITE_MIN_PATHS) is refused here, before any draw."""
     for attr in ("method", "horizon", "step", "n_paths", "n_dirs", "seed", "output"):
         flag_val = getattr(args, attr, None)
         if flag_val is None:
@@ -296,9 +301,10 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     for key, value in _SUITE_DEFAULTS.get(suite, {}).items():
         if key in cfg.defaulted:
             setattr(cfg, key, value)
-    if suite in _DIFFUSE_SUITES and cfg.n_paths < DIFFUSE_MIN_SAMPLES:
-        raise ConfigError(f"validate:{suite} needs n_paths (--n-paths) >= "
-                          f"{DIFFUSE_MIN_SAMPLES}, got {cfg.n_paths}")
+    least = _SUITE_MIN_PATHS.get(suite, 0)
+    if cfg.n_paths < least:
+        raise ConfigError(f"validate:{suite} needs n_paths (--n-paths) >= {least}, "
+                          f"got {cfg.n_paths}")
     return cfg
 
 
@@ -360,6 +366,9 @@ def manifest_text(cfg: ExperimentConfig, group, extra=None) -> str:
         f"hyplyap {__version__}",
         f"timestamp {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"relator_residual {group.relator_residual():.17g}",
+        f"python {sys.version.split()[0]}",
+        f"numpy {np.__version__}",
+        f"platform {sys.platform}",
     ]
     keys = [f.name for f in dc_fields(ExperimentConfig)]
     for name in keys:

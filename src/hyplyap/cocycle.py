@@ -172,7 +172,12 @@ class _MatrixAccumulator:
     moves any walker's matrix past _SPILL_THRESHOLD into log_scale at points
     the caller chooses.
 
-    Letters arrive in crossing order, i.e. as right factors of M_p.
+    Letters arrive in crossing order, i.e. as right factors of M_p.  A
+    letter whose image is exactly the identity is not folded: a product
+    times I is that product bit for bit, up to the sign of a zero entry
+    (BLAS may form -0.0 * 1 + x * 0 as +0.0, a skip keeps -0.0).  `folded`
+    marks the sides whose images are not the identity, and is None when
+    none is, so such a representation folds every letter.
     """
 
     def __init__(self, rep: Representation, data: _GroupData, n: int):
@@ -181,9 +186,14 @@ class _MatrixAccumulator:
         eye = np.eye(rep.dim, dtype=self.imgs.dtype)
         self.m = np.broadcast_to(eye, (n, rep.dim, rep.dim)).copy()
         self.log_scale = np.zeros(n)
+        identity = (self.imgs == eye).all(axis=(1, 2))
+        self.folded = ~identity if identity.any() else None
 
     def apply(self, first, idx):
         """Fold one reduction round: walker idx[k] crossed side first[k]."""
+        if self.folded is not None:
+            keep = self.folded[first]
+            first, idx = first[keep], idx[keep]
         self.m[idx] = self.m.take(idx, 0) @ self.imgs.take(first, 0)
 
     def rescale(self):

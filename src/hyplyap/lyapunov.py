@@ -7,8 +7,10 @@ Three independent routes to the same spectrum:
   variants).
 * Geodesic: evaluate expansion rates along unit-speed geodesic rays with
   uniformly distributed directions.
-* Diffusion/expectation: extremize expected log growth over directions in
-  a subspace at integer horizons.
+* Diffusion: Benettin's QR deflation along Brownian paths at an integer
+  horizon, on an ensemble of its own (`hyplyap run` keys the stream by
+  route); `expectation_functions` extremizes the expected log growth over
+  the directions of a subspace at such a horizon.
 
 Plus the probabilistic diagnostics that justify swapping the routes:
 radial drift, geodesic shadowing, and uniformity of limiting directions.
@@ -28,20 +30,23 @@ inside the inscribed disc are never tested, and after the first round only
 the walkers that moved are) and reports the round's (side, walker) arrays once.
 `_MatrixAccumulator` is the only cocycle accumulator: it folds a round in
 with one gathered matmul against the eight side images stacked as
-(8, d, d).  A path's matrix takes its letters on the right (crossing
-order).  The spectrum routes read it through `_deflation_spectrum`,
-Benettin's QR deflation of the accumulator transposed, whose left products
-have the same singular-value growth and make the limiting frame estimate
-the flag at the starting fiber: a QR per gap on the Brownian and diffusion
-routes, per _RAY_REORTH_STEPS ray steps on the geodesic route.  Its QR is
-one batched kernel, `_orthonormal_rows`: Gram-Schmidt with one
-re-orthogonalization pass on the rows of every path's frame at once,
-giving Q^T and |diag R| for any dimension and field.  The rates read whole
-products, spilled into a log scale every _RESCALE_STEPS steps of the walk,
-Brownian gaps and ray steps alike; the interval routes extremize over a
-subspace in `_rate_range`.  One loop, `_fold`, runs every walk into its
-accumulator and renormalizes it, by a QR or by a spill, at its cadence and
-after the last step.
+(8, d, d), and drops the letters whose image is exactly the identity
+before it gathers, bit for bit (on diag(2, 1/2) 6 of the 8 sides carry
+one).  A path's matrix takes its letters on the right (crossing order).  The
+spectrum routes read it through `_deflation_spectrum`, Benettin's QR
+deflation of the accumulator transposed, whose left products have the same
+singular-value growth and make the limiting frame estimate the flag at the
+starting fiber: a QR per gap on the Brownian and diffusion routes, per
+_RAY_REORTH_STEPS ray steps on the geodesic route.  Its QR is one batched
+call, `_orthonormal_rows`: Gram-Schmidt with one re-orthogonalization pass
+on the rows of every path's frame at once, giving Q^T and |diag R| for any
+dimension and field; a real 2 x 2 frame takes the same two passes written
+out on its four entry arrays, bit for bit.  The rates read whole products,
+spilled into a log scale every _RESCALE_STEPS steps of the walk, Brownian
+gaps and ray steps alike; the interval routes extremize over a subspace in
+`_rate_range`.  One loop, `_fold`, runs every walk into its accumulator and
+renormalizes it, by a QR or by a spill, at its cadence and after the last
+step.
 
 The disc is simply connected, so a lifted path's cocycle value depends
 only on its endpoint tile, and the matrix routes need each walker only at
@@ -490,10 +495,27 @@ def _orthonormal_rows(m):
     length of row j after projection.  So q[p] = Q^T and norms[p] =
     |diag R| for m[p]^T = Q R, the QR with a positive diagonal.  Projecting
     twice keeps q orthonormal to rounding ("twice is enough": Giraud,
-    Langou, Rozloznik & van den Eshof, Numer. Math. 101 (2005)).  The
-    kernel runs on the (d, d, n) view, so each operation is one numpy call
-    over all n paths.
+    Langou, Rozloznik & van den Eshof, Numer. Math. 101 (2005)).  A real
+    2 x 2 stack takes the written-out kernel `_orthonormal_rows_2x2`, any
+    other the loop `_gram_schmidt_rows`; on a real 2 x 2 stack they give
+    the same q and norms bit for bit, up to the sign of a zero entry of q.
     """
+    if m.dtype == np.float64 and m.shape[1:] == (2, 2):
+        return _orthonormal_rows_2x2(m)
+    return _gram_schmidt_rows(m)
+
+
+def _row_norms(nv):
+    """nv, refused when a projected row is shorter than 1e-280."""
+    if nv.min() < 1e-280:
+        raise LyapunovError("frame degeneracy: QR diagonal underflow during deflation")
+    return nv
+
+
+def _gram_schmidt_rows(m):
+    """_orthonormal_rows for any dimension and field.  The kernel runs on
+    the (d, d, n) view, so each operation is one numpy call over all n
+    paths."""
     a = m.transpose(1, 2, 0)  # a[j, :, p] is row j of m[p]
     q = np.empty(a.shape, m.dtype)
     norms = np.empty(a.shape[1:])
@@ -502,11 +524,32 @@ def _orthonormal_rows(m):
         for _ in range(2 if j else 0):
             coef = np.einsum("icn,cn->in", q[:j].conj(), v)  # q_i^H v
             v = v - np.einsum("in,icn->cn", coef, q[:j])
-        nv = np.sqrt(np.einsum("cn,cn->n", v.conj(), v).real, out=norms[j])
-        if nv.min() < 1e-280:
-            raise LyapunovError("frame degeneracy: QR diagonal underflow during deflation")
+        nv = _row_norms(np.sqrt(np.einsum("cn,cn->n", v.conj(), v).real, out=norms[j]))
         np.divide(v, nv, out=q[j])
     return q.transpose(2, 0, 1), norms.T
+
+
+def _orthonormal_rows_2x2(m):
+    """_orthonormal_rows of a real (n, 2, 2) stack: the loop's two-pass
+    Gram-Schmidt written out on the four entry arrays, in the loop's order
+    of operations, so q and norms match it bit for bit, up to the sign of
+    a zero entry of q (the loop's einsum adds its terms to +0.0).  q comes
+    back C-contiguous."""
+    q = np.empty(m.shape)
+    norms = np.empty(m.shape[:2])
+    a, b = m[:, 0, 0], m[:, 0, 1]
+    c, d = m[:, 1, 0], m[:, 1, 1]
+    n0 = _row_norms(np.sqrt(a * a + b * b, out=norms[:, 0]))
+    q00 = np.divide(a, n0, out=q[:, 0, 0])
+    q01 = np.divide(b, n0, out=q[:, 0, 1])
+    for _ in range(2):
+        coef = q00 * c + q01 * d
+        c = c - coef * q00
+        d = d - coef * q01
+    n1 = _row_norms(np.sqrt(c * c + d * d, out=norms[:, 1]))
+    np.divide(c, n1, out=q[:, 1, 0])
+    np.divide(d, n1, out=q[:, 1, 1])
+    return q, norms
 
 
 def _cluster(raw_sorted, se_sorted):

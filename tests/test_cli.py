@@ -746,6 +746,21 @@ def test_walker_manifest_lists_each_key_once(tmp_path, capsys, method):
     assert {"n_paths", "master_seed"} <= set(keys)
 
 
+def test_manifests_record_python_numpy_and_platform(tmp_path, capsys):
+    # the three provenance lines follow the header, once each, in a run
+    # manifest and a validate manifest alike
+    want = [f"python {sys.version.split()[0]}", f"numpy {np.__version__}",
+            f"platform {sys.platform}"]
+    text = GOOD_CONFIG.format(out=tmp_path / "r").replace("horizon = 10", "horizon = 2")
+    assert run_cli(["run", write_config(tmp_path, text)]) == 0
+    assert run_cli(["validate", "kernel", "--output", str(tmp_path / "v")]) == 0
+    for tag in ("r", "v"):
+        lines = (tmp_path / f"{tag}.manifest.txt").read_text().splitlines()
+        assert lines[3:6] == want
+        keys = _manifest_keys(tmp_path / f"{tag}.manifest.txt")
+        assert all(keys.count(key) == 1 for key in ("python", "numpy", "platform"))
+
+
 def test_diffusion_route_refuses_a_non_integer_horizon(tmp_path, capsys):
     # the route walks an integer horizon; 2.6 would have walked 3 while the
     # CSV said 2.6, so it exits 1 with no output instead
@@ -804,6 +819,28 @@ def test_diffusing_suites_refuse_fewer_than_100_paths(tmp_path, capsys, monkeypa
         assert rc == 1
         assert f"error: validate:{suite} needs n_paths (--n-paths) >= 100, got 99" in err
         assert "Traceback" not in err and not (tmp_path / "v.csv").exists()
+
+
+@pytest.mark.parametrize("suite", ["drift", "shadowing", "conversion"])
+def test_median_and_error_suites_refuse_one_path(tmp_path, capsys, monkeypatch, suite):
+    # one walker's drift is no median and one path has no standard error:
+    # a single path is refused by the CLI before the group is built or any
+    # draw, by flag and by config key alike
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or drew")
+
+    for name in ("sample_heat_endpoints", "_heat_jump_blocks", "_polar_walk"):
+        monkeypatch.setattr(lyapunov, name, refuse)
+    monkeypatch.setattr("hyplyap.cli.build_genus2", refuse)
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(f"[run]\nmethod = validate:{suite}\nn_paths = 1\n")
+    for argv in (["validate", suite, "--n-paths", "1", "--output", str(tmp_path / "v")],
+                 ["run", str(cfg), "--output", str(tmp_path / "v")]):
+        rc = run_cli(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: validate:{suite} needs n_paths (--n-paths) >= 2, got 1\n"
+        assert not (tmp_path / "v.csv").exists()
 
 
 def _out_of_memory(*args, **kwargs):

@@ -6,14 +6,15 @@ into cocycle products; lyapunov walks ensembles on top of both.  The
 reduction kernel must reproduce the scalar reduction of scalar_reduction.py
 walker by walker, the inscribed disc it never tests must lie inside the
 octagon, the accumulator must reproduce cocycle_of_word on each walker's
-recorded word, the cadence walk must keep its reduction invariants and
-lift to Brownian motion, its block draws must reproduce one draw per gap
-bit for bit, every step walker's block and tile draws must reproduce one
-draw per exact jump bit for bit, a polar walk from the origin must land
-its first jump on the drawn polar point, a step walker must refuse a jump
-it cannot draw before drawing, and Specialization.values and
-Specialization.__call__ must reproduce the specialization computed from
-the scalar reduction and cocycle_of_word.
+recorded word and skip exactly the identity letters bit for bit, the
+cadence walk must keep its reduction invariants and lift to Brownian
+motion, its block draws must reproduce one draw per gap bit for bit, every
+step walker's block and tile draws must reproduce one draw per exact jump
+bit for bit, a polar walk from the origin must land its first jump on the
+drawn polar point, a step walker must refuse a jump it cannot draw before
+drawing, and Specialization.values and Specialization.__call__ must
+reproduce the specialization computed from the scalar reduction and
+cocycle_of_word.
 """
 
 import cmath
@@ -26,6 +27,7 @@ from hyplyap.cocycle import (
     Representation,
     _MatrixAccumulator,
     cocycle_of_word,
+    diagonal_representation,
     estimate_regularity,
     specialize,
 )
@@ -163,6 +165,90 @@ def test_accumulator_matches_scalar_cocycles(data, rep_track):
     for k in range(n):
         want = cocycle_of_word(rep_track, DeckWord(tuple(rec.letters[k])))
         assert np.linalg.norm(acc.m[k] - want) <= 1e-12 * np.linalg.norm(want), k
+
+
+class _Rounds:
+    """Accumulator that records every reduction round's (side, walker)
+    arrays."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def apply(self, first, idx):
+        self.rounds.append((first.copy(), idx.copy()))
+
+
+@pytest.fixture(scope="module")
+def walk_rounds(data):
+    """The rounds of one Brownian walk of 400 paths to t = 20."""
+    rec = _Rounds()
+    for _ in _brownian_walk(data, rec, np.random.default_rng(14), 400, 20.0):
+        pass
+    return rec.rounds
+
+
+def _fold_every_letter(imgs, m, rounds):
+    """The products m takes from the recorded rounds, multiplying every
+    letter."""
+    m = m.copy()
+    for first, idx in rounds:
+        m[idx] = m.take(idx, 0) @ imgs.take(first, 0)
+    return m
+
+
+def _identity_mix():
+    """g1 = A and g4 = A^2 commute, g2 = g3 = I: exact, and not diagonal."""
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    return Representation.from_matrices(2, "real", [a, np.eye(2), np.eye(2), a @ a])
+
+
+@pytest.mark.parametrize("name", ["diag22", "diag313", "identity-mix", "pair"])
+def test_accumulator_skips_identity_letters_bit_for_bit(data, rep_track, walk_rounds, name):
+    # a product times I is that product, so skipping the letters whose
+    # image is exactly I leaves every product equal to the fold of every
+    # letter; the pair has no identity image and folds every letter
+    rep = {
+        "diag22": lambda: diagonal_representation([2.0, 0.5]),
+        "diag313": lambda: diagonal_representation([3.0, 1.0, 1.0 / 3.0]),
+        "identity-mix": _identity_mix,
+        "pair": lambda: rep_track,
+    }[name]()
+    acc = _MatrixAccumulator(rep, data, 400)
+    identity = [np.array_equal(img, np.eye(rep.dim)) for img in acc.imgs]
+    if name == "pair":
+        assert acc.folded is None
+    else:
+        assert acc.folded.tolist() == [not i for i in identity] and any(identity)
+        assert any((~acc.folded[first]).any() for first, _ in walk_rounds)
+    want = _fold_every_letter(acc.imgs, acc.m, walk_rounds)
+    for first, idx in walk_rounds:
+        acc.apply(first, idx)
+    assert np.array_equal(acc.m, want)
+
+
+def test_accumulator_folds_an_image_that_is_the_identity_only_to_rounding(data, walk_rounds):
+    a = np.array([[1.1, 0.3], [0.2, 0.9]])
+    near = a @ np.linalg.inv(a)
+    assert np.allclose(near, np.eye(2), rtol=0.0, atol=1e-15) and not np.array_equal(near, np.eye(2))
+    rep = Representation.from_matrices(2, "real", [np.diag([2.0, 0.5]), near, np.eye(2), np.eye(2)])
+    acc = _MatrixAccumulator(rep, data, 400)
+    assert acc.folded.tolist() == [abs(letter) <= 2 for letter in data.letters]
+    want = _fold_every_letter(acc.imgs, acc.m, walk_rounds)
+    for first, idx in walk_rounds:
+        acc.apply(first, idx)
+    assert np.array_equal(acc.m, want)
+
+
+def test_accumulator_skip_keeps_a_negative_zero(data):
+    # BLAS may form -0.0 * 1 + x * 0 as +0.0 when x >= 0, while a skipped
+    # identity letter keeps -0.0; the two compare equal
+    acc = _MatrixAccumulator(diagonal_representation([2.0, 0.5]), data, 2)
+    acc.m[:] = [[1.0, -0.0], [0.0, 1.0]]
+    side = acc.folded.tolist().index(False)
+    rounds = [(np.array([side, side]), np.arange(2))]
+    want = _fold_every_letter(acc.imgs, acc.m, rounds)
+    acc.apply(*rounds[0])
+    assert np.signbit(acc.m[:, 0, 1]).all() and np.array_equal(acc.m, want)
 
 
 @pytest.mark.parametrize("start, t", [(0j, 5.0), (0.99 * cmath.exp(0.7j), 5.0), (0j, 5.25)])

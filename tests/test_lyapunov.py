@@ -42,6 +42,7 @@ from hyplyap.lyapunov import (
     _RESCALE_STEPS,
     _chi2_sf,
     _geodesic_matrices,
+    _gram_schmidt_rows,
     _orthonormal_rows,
     _sphere_sample,
 )
@@ -194,6 +195,39 @@ def test_orthonormal_rows_refuse_degenerate_frame(row):
     m = np.array([[[1.0, 2.0], row], [[1.0, 0.0], [0.0, 1.0]]])
     with pytest.raises(LyapunovError, match="frame degeneracy"):
         _orthonormal_rows(m)
+
+
+def _real_2x2_stacks():
+    """Real (n, 2, 2) stacks for the written-out kernel: random at n = 1,
+    400 and 5000, test_orthonormal_rows_nearly_parallel_rows' construction
+    at d = 2 (condition number 1e10), and rows scaled by 1e150 and 1e-150."""
+    gen = np.random.default_rng(120)
+    stacks = {f"random-{n}": gen.standard_normal((n, 2, 2)) for n in (1, 400, 5000)}
+    s = np.geomspace(1.0, 1e-10, 2)
+    stacks["nearly-parallel"] = _haar(gen, 300, 2, False) @ (s[:, None] * _haar(gen, 300, 2, False))
+    base = gen.standard_normal((400, 2, 2))
+    stacks["rows-1e150"] = base * 1e150
+    stacks["rows-1e-150"] = base * 1e-150
+    return stacks
+
+
+@pytest.mark.parametrize("name", sorted(_real_2x2_stacks()))
+def test_real_2x2_kernel_matches_the_loop_bit_for_bit(name):
+    m = _real_2x2_stacks()[name]
+    q, norms = _orthonormal_rows(m)
+    q_loop, norms_loop = _gram_schmidt_rows(m)
+    assert q.flags.c_contiguous and norms.shape == (m.shape[0], 2)
+    assert np.array_equal(q, q_loop) and np.array_equal(norms, norms_loop)
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_real_2x2_kernel_refuses_a_zero_row_as_the_loop_does(row):
+    m = np.random.default_rng(121).standard_normal((400, 2, 2))
+    m[123, row] = 0.0
+    for kernel in (_orthonormal_rows, _gram_schmidt_rows):
+        with pytest.raises(LyapunovError, match="^frame degeneracy: QR diagonal underflow "
+                                                "during deflation$"):
+            kernel(m)
 
 
 # Benettin at t = 60 over 400 paths of RngStream(0), as computed with
