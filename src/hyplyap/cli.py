@@ -3,10 +3,12 @@
 Config files are flat ``key = value`` text under ``[section]`` headers with
 strict parsing (any unknown section or key aborts before computation).
 Matrices are whitespace-separated row-major decimals; complex entries are
-written as (re, im) pairs.  Every run writes a manifest (resolved config,
-code version, relator residual, and the python, numpy and platform it ran
-on), a result CSV whose body is byte-identical across reruns of the same
-config, and a human-readable summary.
+written as (re, im) pairs.  Each config key, with its section, its
+conversion and (for [run] keys) its flag, is declared once, in _KEYS.
+Every run writes a manifest (resolved config, code version, relator
+residual, and the python, numpy and platform it ran on), a result CSV whose
+body is byte-identical across reruns of the same config, and a
+human-readable summary.
 
 `validate <suite>` is `run --method validate:<suite>` on the default
 config; both take a suite's defaults from one table, _SUITE_DEFAULTS.  A
@@ -158,19 +160,25 @@ class ExperimentConfig:
             raise ConfigError("representation needs exactly g1..g4")
 
 
-_SECTION_KEYS = {
-    "surface": {"model"},
-    "representation": {"dim", "field", "g1", "g2", "g3", "g4"},
-    "run": {
-        "method",
-        "horizon",
-        "step",
-        "n_paths",
-        "n_dirs",
-        "seed",
-        "output",
-    },
+# every config key once: its section, the ExperimentConfig attribute it sets
+# and the conversion of its text.  g1..g4 set no attribute: they are parsed
+# as matrices once dim and field are read.  Each [run] key is also a flag of
+# `run`, and n_paths, seed and output of `validate` (make_parser);
+# apply_flag_overrides reads the same rows
+_KEYS = {
+    "model": ("surface", "surface", str),
+    "dim": ("representation", "dim", int),
+    "field": ("representation", "rep_field", str),
+    **{f"g{k}": ("representation", None, None) for k in range(1, 5)},
+    "method": ("run", "method", str),
+    "horizon": ("run", "horizon", float),
+    "step": ("run", "step", float),
+    "n_paths": ("run", "n_paths", int),
+    "n_dirs": ("run", "n_dirs", int),
+    "seed": ("run", "seed", int),
+    "output": ("run", "output", str),
 }
+_RUN_KEYS = tuple(key for key, (section, _, _) in _KEYS.items() if section == "run")
 
 # a leftover workers setting is refused, never silently ignored
 _WORKERS_REMOVED = "workers was removed: each run is one ensemble on one stream; drop it"
@@ -205,7 +213,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in {row[0] for row in _KEYS.values()}:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in stripped:
@@ -216,51 +224,34 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key == "workers":
             raise ConfigError(f"line {lineno}: {_WORKERS_REMOVED}")
-        if key not in _SECTION_KEYS[section]:
+        if key not in _KEYS or _KEYS[key][0] != section:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        if (section, key) in raw:
+        if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[(section, key)] = value
+        raw[key] = value
     return _config_from_raw(raw)
 
 
 def _config_from_raw(raw: dict) -> ExperimentConfig:
+    """The config of raw's key -> text pairs, each converted as its _KEYS
+    row says."""
     cfg = ExperimentConfig()
     provided = set()
-
-    def take(section, key, conv, attr):
-        if (section, key) in raw:
+    mats = []
+    for key, (_, attr, conv) in _KEYS.items():
+        if key in raw and attr is None:
+            mats.append(_parse_matrix(raw[key], cfg.dim, cfg.rep_field == "complex"))
+        elif key in raw:
             try:
-                setattr(cfg, attr, conv(raw.pop((section, key))))
-            except ConfigError:
-                raise
+                setattr(cfg, attr, conv(raw[key]))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {exc}") from None
             provided.add(attr)
-
-    take("surface", "model", str, "surface")
-    take("representation", "dim", int, "dim")
-    take("representation", "field", str, "rep_field")
-    mats = []
-    for k in range(1, 5):
-        key = ("representation", f"g{k}")
-        if key in raw:
-            mats.append(_parse_matrix(raw.pop(key), cfg.dim, cfg.rep_field == "complex"))
-    if mats:
-        if len(mats) != 4:
+        if key == "g4" and len(mats) not in (0, 4):
             raise ConfigError("representation needs all of g1..g4 (or none)")
+    if mats:
         cfg.matrices = tuple(mats)
         provided.add("matrices")
-    take("run", "method", str, "method")
-    take("run", "horizon", float, "horizon")
-    take("run", "step", float, "step")
-    take("run", "n_paths", int, "n_paths")
-    take("run", "n_dirs", int, "n_dirs")
-    take("run", "seed", int, "seed")
-    take("run", "output", str, "output")
-    if raw:
-        (section, key), _ = raw.popitem()
-        raise ConfigError(f"unknown key {key!r} in [{section}]")
     cfg.defaulted = tuple(
         f.name for f in dc_fields(ExperimentConfig)
         if f.name not in provided and f.name != "defaulted"
@@ -284,7 +275,7 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     their defaults then take the suite's own (_SUITE_DEFAULTS), so the run
     and its manifest agree.  A suite with fewer paths than its minimum
     (_SUITE_MIN_PATHS) is refused here, before any draw."""
-    for attr in ("method", "horizon", "step", "n_paths", "n_dirs", "seed", "output"):
+    for attr in _RUN_KEYS:
         flag_val = getattr(args, attr, None)
         if flag_val is None:
             continue
@@ -309,8 +300,12 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def build_representation(cfg: ExperimentConfig, group):
-    matrices = cfg.matrices if cfg.matrices else (np.eye(cfg.dim),) * 4
-    rep = Representation.from_matrices(cfg.dim, cfg.rep_field, matrices, group)
+    try:
+        matrices = cfg.matrices if cfg.matrices else (np.eye(cfg.dim),) * 4
+        rep = Representation.from_matrices(cfg.dim, cfg.rep_field, matrices, group)
+    except MemoryError:
+        raise ConfigError(f"out of memory: a representation of dim {cfg.dim} is too "
+                          f"large; use a smaller dim") from None
     print(f"representation loaded: relator residual {rep.relator_residual:.3e}", file=sys.stderr)
     if not rep.exact:
         raise ConfigError(
@@ -323,14 +318,15 @@ def build_representation(cfg: ExperimentConfig, group):
 # ------------------------------------------------------------- formatting
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+_SPECTRUM_HEADER = "method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples"
 
 
 def spectrum_csv(report, cfg: ExperimentConfig) -> str:
-    lines = ["method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples"]
+    lines = [_SPECTRUM_HEADER]
     n_samples = cfg.n_dirs if report.method == "geodesic" else cfg.n_paths
     for row in report.rows():
         lines.append(
@@ -587,10 +583,12 @@ def _execute(cfg: ExperimentConfig, group, rep) -> int:
 
 def read_spectrum_csv(path: str):
     """The rows of a spectrum CSV.  A file without the header, without a
-    row, or with a row of the wrong number of fields is refused."""
+    row, or with a row of the wrong number of fields, a multiplicity below
+    1, a non-finite chi or a ci_halfwidth that is not finite and >= 0 is
+    refused."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [l.strip() for l in fh if l.strip()]
-    expected = ["method", "horizon", "index", "chi", "multiplicity", "ci_halfwidth", "seed", "n_samples"]
+    expected = _SPECTRUM_HEADER.split(",")
     if not lines:
         raise ConfigError(f"{path}: empty file, not a spectrum CSV")
     header = lines[0].split(",")
@@ -604,14 +602,12 @@ def read_spectrum_csv(path: str):
         if len(parts) != len(expected):
             raise ConfigError(
                 f"{path}: row {lineno} has {len(parts)} fields, expected {len(expected)}")
-        rows.append(
-            {
-                "method": parts[0],
-                "chi": float(parts[3]),
-                "multiplicity": int(parts[4]),
-                "ci": float(parts[5]),
-            }
-        )
+        chi, mult, ci = float(parts[3]), int(parts[4]), float(parts[5])
+        if mult < 1 or not math.isfinite(chi) or not 0 <= ci < math.inf:
+            raise ConfigError(
+                f"{path}: row {lineno} needs multiplicity >= 1, a finite chi and a "
+                f"finite ci_halfwidth >= 0, got {mult}, {chi}, {ci}")
+        rows.append({"method": parts[0], "chi": chi, "multiplicity": mult, "ci": ci})
     return rows
 
 
@@ -623,6 +619,10 @@ def _expand(rows):
 
 
 def cmd_compare(args) -> int:
+    for flag in ("sigmas", "rel"):
+        value = getattr(args, flag)
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"--{flag} must be finite and >= 0, got {value}")
     try:
         a = _expand(read_spectrum_csv(args.report_a))
         b = _expand(read_spectrum_csv(args.report_b))
@@ -662,6 +662,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_key_flags(parser, keys):
+    """One flag per config key, converted as its _KEYS row says, and the
+    removed --workers."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEYS[key][2])
+    parser.add_argument("--workers", action=_RemovedFlag, help=argparse.SUPPRESS)
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.  It holds no
@@ -674,14 +682,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment from a config file")
     run.add_argument("config")
-    run.add_argument("--method", default=None)
-    run.add_argument("--horizon", type=float, default=None)
-    run.add_argument("--step", type=float, default=None)
-    run.add_argument("--n-paths", dest="n_paths", type=int, default=None)
-    run.add_argument("--n-dirs", dest="n_dirs", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--workers", action=_RemovedFlag, help=argparse.SUPPRESS)
-    run.add_argument("--output", default=None)
+    _add_key_flags(run, _RUN_KEYS)
 
     cmp_ = sub.add_parser("compare", help="compare two spectrum CSVs")
     cmp_.add_argument("report_a")
@@ -691,10 +692,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="run a named validation suite")
     val.add_argument("name", choices=_VALIDATIONS)
-    val.add_argument("--n-paths", dest="n_paths", type=int, default=None)
-    val.add_argument("--seed", type=int, default=None)
-    val.add_argument("--workers", action=_RemovedFlag, help=argparse.SUPPRESS)
-    val.add_argument("--output", default=None)
+    _add_key_flags(val, ("n_paths", "seed", "output"))
 
     sub.add_parser("dump-surface", help="print the generator coefficients")
     return p

@@ -13,6 +13,7 @@ import pytest
 from hyplyap.cli import (
     ConfigError,
     ExperimentConfig,
+    _KEYS,
     _SUITE_DEFAULTS,
     _execute,
     apply_flag_overrides,
@@ -141,6 +142,50 @@ def test_flag_fills_defaults():
     cfg = apply_flag_overrides(cfg, Args())
     assert cfg.horizon == 20.0
     assert "horizon" not in cfg.defaulted
+
+
+def test_each_config_key_is_declared_once():
+    # _KEYS is the one declaration of a key: the run flags are its [run]
+    # rows, and every config attribute is set by exactly one row
+    run_parser = next(action.choices["run"] for action in make_parser()._actions
+                      if isinstance(action.choices, dict))
+    dests = {action.dest for action in run_parser._actions} - {"help", "config"}
+    assert dests == {key for key, row in _KEYS.items() if row[0] == "run"} | {"workers"}
+    attrs = [row[1] for row in _KEYS.values() if row[1] is not None]
+    assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(ExperimentConfig)
+                                   if f.name not in ("matrices", "defaulted"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[surface]\nmodel = torus\n", "surface must be genus2-octagon, got 'torus'"),
+    ("[run]\nhorizon = inf\n", "horizon must be positive and finite"),
+    ("[representation]\nfield = quaternion\n",
+     "field must be real or complex, got 'quaternion'"),
+    ("[representation]\ndim = 1\nfield = complex\n"
+     "g1 = (1, 0) x\ng2 = (1, 0)\ng3 = (1, 0)\ng4 = (1, 0)\n",
+     "complex matrix entries must all be (re, im) pairs; stray text 'x'"),
+    ("[run]\nseed\n", "line 2: expected key = value, got 'seed'"),
+    ("seed = 1\n[run]\n", "line 1: key outside any [section]"),
+    ("[run]\nn_paths = 1e3\n",
+     "bad value for n_paths: invalid literal for int() with base 10: '1e3'"),
+    ("[representation]\ng1 = nan 0 0 1\ng2 = 1 0 0 1\ng3 = 1 0 0 1\ng4 = 1 0 0 1\n",
+     "image of g1 has non-finite entries"),
+    ("method,index,chi\nbrownian,1,0.03\n",
+     "{path}: unexpected CSV header ['method', 'index', 'chi']"),
+], ids=["surface", "horizon", "field", "stray_text", "no_equals", "no_section",
+        "bad_int", "non_finite_image", "compare_header"])
+def test_refused_input_exits_1(tmp_path, capsys, text, message):
+    # the last case is a report for compare, the others configs for run
+    path = write_config(tmp_path, text)
+    if "{path}" in message:
+        rc = run_cli(["compare", path, path])
+    else:
+        rc = run_cli(["run", path, "--output", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert rc == 1 and errors == ["error: " + message.format(path=path)]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # ------------------------------------------------------------------- runs
@@ -873,6 +918,20 @@ def test_an_ensemble_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.glob("m.*"))
 
 
+def test_a_representation_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # as numpy raises for a dim whose matrices it cannot allocate; no real
+    # allocation that large is made
+    monkeypatch.setattr("hyplyap.cli.Representation.from_matrices", _out_of_memory)
+    text = "[representation]\ndim = 20000\n[run]\noutput = %s\n" % (tmp_path / "m")
+    rc = run_cli(["run", write_config(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "out of memory" in errors[0] and "dim 20000" in errors[0]
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.glob("m.*"))
+
+
 # ---------------------------------------------------------------- compare
 
 
@@ -910,11 +969,25 @@ def test_compare_dimension_mismatch(tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
+_ROW_NEEDS = "needs multiplicity >= 1, a finite chi and a finite ci_halfwidth >= 0"
+
+
 @pytest.mark.parametrize("text, problem", [
     ("", "empty file"),
     ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n", "no spectrum rows"),
     ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
      "brownian,10,1,0.03,1\n", "row 2 has 5 fields, expected 8"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
+     "brownian,10,1,0.03,1,0.002,0,100\nbrownian,10,2,-0.03,0,0.002,0,100\n",
+     f"row 3 {_ROW_NEEDS}, got 0, -0.03, 0.002"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
+     "brownian,10,1,0.03,-3,0.002,0,100\n", f"row 2 {_ROW_NEEDS}, got -3, 0.03, 0.002"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
+     "brownian,10,1,nan,1,0.002,0,100\n", f"row 2 {_ROW_NEEDS}, got 1, nan, 0.002"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
+     "brownian,10,1,0.03,1,inf,0,100\n", f"row 2 {_ROW_NEEDS}, got 1, 0.03, inf"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
+     "brownian,10,1,0.03,1,-0.002,0,100\n", f"row 2 {_ROW_NEEDS}, got 1, 0.03, -0.002"),
 ])
 def test_compare_refuses_unreadable_report(tmp_path, capsys, text, problem):
     bad = tmp_path / "bad.csv"
@@ -924,6 +997,19 @@ def test_compare_refuses_unreadable_report(tmp_path, capsys, text, problem):
         assert run_cli(["compare", a, b]) == 1
         err = capsys.readouterr().err
         assert f"error: {bad}: {problem}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--sigmas", "nan"), ("--sigmas", "-1"), ("--sigmas", "inf"),
+    ("--rel", "nan"), ("--rel", "-1"), ("--rel", "inf"),
+])
+def test_compare_refuses_a_bad_tolerance(tmp_path, capsys, flag, value):
+    # a nan or negative tolerance would call every row a disagreement
+    a = make_report(tmp_path, "a.csv", [0.03, -0.03], [0.002, 0.002])
+    assert run_cli(["compare", a, a, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be finite and >= 0, got {float(value)}\n"
+    assert captured.out == ""
 
 
 def test_compare_block_structure_expansion(tmp_path):
