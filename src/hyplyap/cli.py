@@ -301,8 +301,7 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def build_representation(cfg: ExperimentConfig, group):
     try:
-        matrices = cfg.matrices if cfg.matrices else (np.eye(cfg.dim),) * 4
-        rep = Representation.from_matrices(cfg.dim, cfg.rep_field, matrices, group)
+        rep = Representation.from_matrices(cfg.dim, cfg.rep_field, cfg.matrices or None, group)
     except MemoryError:
         raise ConfigError(f"out of memory: a representation of dim {cfg.dim} is too "
                           f"large; use a smaller dim") from None
@@ -602,7 +601,10 @@ def read_spectrum_csv(path: str):
         if len(parts) != len(expected):
             raise ConfigError(
                 f"{path}: row {lineno} has {len(parts)} fields, expected {len(expected)}")
-        chi, mult, ci = float(parts[3]), int(parts[4]), float(parts[5])
+        try:
+            chi, mult, ci = float(parts[3]), int(parts[4]), float(parts[5])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {lineno}: {exc}") from None
         if mult < 1 or not math.isfinite(chi) or not 0 <= ci < math.inf:
             raise ConfigError(
                 f"{path}: row {lineno} needs multiplicity >= 1, a finite chi and a "
@@ -677,7 +679,12 @@ def make_parser() -> argparse.ArgumentParser:
     that no earlier call has touched, and no handler: `main` looks the
     handler up by subcommand name on every call, so a handler rebound
     after the parser was built is the one that runs."""
-    p = _Parser(prog="hyplyap", description=__doc__)
+    p = _Parser(
+        prog="hyplyap",
+        description="Estimate the Lyapunov spectrum of a cocycle over the genus-2 surface "
+                    "by three routes (Brownian paths, geodesic rays, diffusion), run the "
+                    "validation suites that justify them, and compare two spectrum reports.",
+        epilog="exit codes: 0 success, 1 usage or config error, 2 validation-suite failure")
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment from a config file")

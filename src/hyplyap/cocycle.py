@@ -48,8 +48,10 @@ __all__ = [
 _EXACTNESS_TOL = 1e-8
 # _MatrixAccumulator.rescale spills a product whose largest entry passes this
 _SPILL_THRESHOLD = 1e100
-# separation bins of estimate_regularity's upper envelope
+# separation bins of estimate_regularity's upper envelope, and the exponents
+# its fit tries
 _REGULARITY_BINS = 12
+_REGULARITY_ALPHAS = np.linspace(0.0, 2.0, 81)
 
 
 class CocycleError(ValueError):
@@ -67,9 +69,14 @@ class Representation:
     relator_residual: float = math.nan
 
     @staticmethod
-    def from_matrices(dim: int, field: str, matrices, group: Optional[FuchsianGroup] = None):
+    def from_matrices(dim: int, field: str, matrices=None, group: Optional[FuchsianGroup] = None):
+        """The representation with the given images; with none, every image
+        is the identity, formed here, so a dim too large to allocate raises
+        MemoryError from this call."""
         if field not in ("real", "complex"):
             raise CocycleError(f"field must be 'real' or 'complex', got {field!r}")
+        if matrices is None:
+            matrices = (np.eye(dim),) * 4
         dtype = np.float64 if field == "real" else np.complex128
         if len(matrices) != 4:
             raise CocycleError(f"need 4 generator images, got {len(matrices)}")
@@ -144,8 +151,7 @@ def fuchsian_representation(group: FuchsianGroup) -> Representation:
 
 
 def trivial_representation(dim: int, field: str = "real") -> Representation:
-    eye = np.eye(dim)
-    return Representation.from_matrices(dim, field, [eye, eye, eye, eye])
+    return Representation.from_matrices(dim, field)
 
 
 def cocycle_of_word(rep: Representation, word: DeckWord) -> np.ndarray:
@@ -286,6 +292,29 @@ class RegularityReport:
         )
 
 
+def _fit_envelope(fit_x, fit_y):
+    """(alpha, c) of estimate_regularity's fit of fit_y on the columns
+    (fit_x^alpha, 1), all of _REGULARITY_ALPHAS at once in closed form.
+    Where fit_x^alpha is flat (alpha = 0, or one bin) the columns are
+    parallel and, as in lstsq, the minimum-norm solution is taken,
+    (c, c0) = mean(y) (x, 1) / (x^2 + 1).  argmin keeps the first of equal
+    residuals, as a strict < scan does."""
+    x = fit_x ** _REGULARITY_ALPHAS[:, None]
+    x_mean = x.mean(axis=1)
+    y_mean = fit_y.mean()
+    dx = x - x_mean[:, None]
+    sxx = np.sum(dx * dx, axis=1)
+    flat = sxx == 0.0
+    slope = dx @ (fit_y - y_mean) / np.where(flat, 1.0, sxx)
+    c0 = y_mean - slope * x_mean
+    slope[flat] = y_mean * x_mean[flat] / (x_mean[flat] ** 2 + 1.0)
+    c0[flat] = y_mean / (x_mean[flat] ** 2 + 1.0)
+    c = np.maximum(slope, 0.0)
+    resid = np.sum((x * c[:, None] + c0[:, None] - fit_y) ** 2, axis=1)
+    best = int(np.argmin(resid))
+    return float(_REGULARITY_ALPHAS[best]), float(c[best])
+
+
 def estimate_regularity(
     spec,
     n_pairs: int,
@@ -296,10 +325,16 @@ def estimate_regularity(
 
     Pairs are sampled with controlled separation: y area-uniform in the ball
     of the given radius, z at distance drawn uniformly in (0, radius] along
-    a uniform direction from y.  The binned upper envelope is fitted against
-    c * dist^alpha + c0; the Lipschitz constant is the largest envelope
-    ratio at separations >= 1 (the growth classes concern large distances,
-    so the small-scale jumps of locally constant fields are ignored).
+    a uniform direction from y.  The upper envelope is the largest |f(y) -
+    f(z)| in each of _REGULARITY_BINS separation bins (empty bins are
+    skipped), fitted against c * dist^alpha + c0 by least squares at each
+    alpha of _REGULARITY_ALPHAS; the smallest residual wins, the first on a
+    tie.  At alpha = 0 the two columns coincide and the fit takes the
+    minimum-norm split c = c0 = mean / 2; a negative c is clipped to 0
+    with c0 kept, and the residual is that of the clipped pair.  The
+    Lipschitz constant is the largest ratio |f(y) - f(z)| / dist at
+    separations >= 1 (the growth classes concern large distances, so the
+    small-scale jumps of locally constant fields are ignored).
     """
     if n_pairs < 100:
         raise CocycleError("estimate_regularity needs n_pairs >= 100")
@@ -322,29 +357,24 @@ def estimate_regularity(
     if np.max(diffs) == 0.0:
         return RegularityReport(0.0, 0.0, 0.0, n_pairs, radius)
 
+    # bin i holds the separations in (edges[i], edges[i+1]]; a separation of
+    # exactly 0 is in none.  Each occupied bin's maximum is one reduceat
+    # over its run in the sorted order
     edges = np.linspace(0.0, radius, _REGULARITY_BINS + 1)
-    centers, envelope = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mask = (seps > a) & (seps <= b)
-        if np.any(mask):
-            centers.append(0.5 * (a + b))
-            envelope.append(float(np.max(diffs[mask])))
-    centers = np.asarray(centers)
-    envelope = np.asarray(envelope)
+    bins = np.searchsorted(edges, seps, side="left") - 1
+    keep = bins >= 0
+    order = np.argsort(bins[keep])
+    bins, binned = bins[keep][order], diffs[keep][order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(bins)) + 1))
+    occupied = bins[starts]
+    centers = 0.5 * (edges[occupied] + edges[occupied + 1])
+    envelope = np.maximum.reduceat(binned, starts)
 
     large = centers >= 1.0
     fit_x = centers[large] if np.sum(large) >= 3 else centers
     fit_y = envelope[large] if np.sum(large) >= 3 else envelope
 
-    best = (math.inf, 0.0, 0.0)
-    for alpha in np.linspace(0.0, 2.0, 81):
-        basis = np.column_stack([fit_x ** alpha, np.ones_like(fit_x)])
-        coef, *_ = np.linalg.lstsq(basis, fit_y, rcond=None)
-        c = max(coef[0], 0.0)
-        resid = float(np.sum((basis @ [c, coef[1]] - fit_y) ** 2))
-        if resid < best[0]:
-            best = (resid, float(alpha), c)
-    _, alpha_fit, c_fit = best
+    alpha_fit, c_fit = _fit_envelope(fit_x, fit_y)
 
     big = seps >= 1.0
     lipschitz_c = float(np.max(diffs[big] / seps[big])) if np.any(big) else float(

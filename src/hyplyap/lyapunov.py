@@ -24,10 +24,12 @@ Every route runs on one vectorized engine in two layers: the geometry layer
 top of both.  `_reduce_ensemble` is the only domain-reduction kernel
 (`surface.locate` is its one-point case), on a layout built once per group,
 `FuchsianGroup._layout`.  Each round it tests all eight sides of every
-walker in one real matrix product, pulls every walker that violates a side
-back across its smallest violated side in one Mobius update (walkers
-inside the inscribed disc are never tested, and after the first round only
-the walkers that moved are) and reports the round's (side, walker) arrays once.
+walker in one real matrix product, finds the walkers that violate a side
+by reading each walker's eight side booleans as one 64-bit word, and pulls
+only those back across their smallest violated side in one in-place
+Mobius update (walkers inside the inscribed disc are never tested, and
+after the first round only the walkers that moved are) and reports the
+round's (side, walker) arrays once.
 `_MatrixAccumulator` is the only cocycle accumulator: it folds a round in
 with one gathered matmul against the eight side images stacked as
 (8, d, d), and drops the letters whose image is exactly the identity

@@ -17,7 +17,9 @@ This module is also the geometry layer of the vectorized ensemble engine:
 each round's deck letters to an accumulator (the algebra layer,
 `cocycle._MatrixAccumulator`).  All eight neighbor centers of the regular
 octagon have one modulus, so a round tests every side of every walker in
-one real matrix product (`_GroupData`).  `locate` is its one-point case.
+one real matrix product (`_GroupData`), finds the walkers that violate a
+side by reading each walker's 8 side booleans as one 64-bit word, and
+moves only those, in place.  `locate` is its one-point case.
 
 The group has no inputs, so `build_genus2()` builds it once per process, on
 its first call, and returns that one shared object from then on.  It is
@@ -201,9 +203,12 @@ class _GroupData:
     Q^2) >= 0, is S_j(z) = Q^2 (1 + |z|^2) - 2 Re(z conj(q_j)) >= 0: z = x +
     iy violates side j when 2 (x, y) . q_j - Q^2 |z|^2 > Q^2 + _SIDE_TOL.
     `side_test` is the (4, 8) matrix that takes the row (x, y, x^2, y^2) to
-    the left sides of all 8 sides, `side_bound` the right side.  Row j of
-    `coef` holds the coefficients of the map that pulls a walker back
-    across side j, and `letters[j]` the signed letter the crossing reports.
+    the left sides of all 8 sides, `side_bound` the right side.  `coef` is
+    (4, 8): its rows hold a, b, conj(b), conj(a) of the maps
+    z -> (a z + b) / (conj(b) z + conj(a)), and column j is the map that
+    pulls a walker back across side j, so one `take` along axis 1 gives a
+    round its four coefficient rows; `letters[j]` is the signed letter the
+    crossing reports.
     The arrays are read-only and `letters` is a tuple, because every user
     of the shared group shares its layout.
     """
@@ -217,8 +222,7 @@ class _GroupData:
         maps = [group.generator(-letter) for letter in self.letters]
         a = np.array([m.a for m in maps])
         b = np.array([m.b for m in maps])
-        # columns a, b, conj(b), conj(a) of z -> (a z + b) / (conj(b) z + conj(a))
-        self.coef = np.ascontiguousarray(np.array([a, b, np.conj(b), np.conj(a)]).T)
+        self.coef = np.array([a, b, np.conj(b), np.conj(a)])
         self.side_test.flags.writeable = False
         self.coef.flags.writeable = False
         # no point of the inscribed disc violates a side: with Q = |q_j|,
@@ -230,33 +234,41 @@ def _reduce_ensemble(data: _GroupData, z, alpha=None, acc=None):
     """Pull every walker into the fundamental octagon, in place; walkers in
     the inscribed disc are never tested.
 
-    Each round tests the working set's 8 sides at once, with one real
-    (m, 4) @ (4, 8) product on the rows (x, y, x^2, y^2), takes each
-    walker's smallest violated side by argmax along its row (a walker
-    moves when the entry argmax picks is violated), moves the walkers that
-    do in one vectorized Mobius update, transports the direction angles
-    when given, and reports the (side index, walker index) arrays of the
-    round to acc.apply.  After the first round only the walkers that moved
-    are tested, at the positions the round computed.
+    Each round writes the working set's rows (x, y, x^2, y^2) into one
+    buffer and tests all 8 sides of every walker with one real
+    (m, 4) @ (4, 8) product.  A walker's 8 side booleans are 8 bytes, so
+    read as one uint64 they are nonzero exactly when it violates a side:
+    those walkers move.  Only their rows are searched for the smallest
+    violated side (argmax of a bool row), and they move across it in one
+    in-place Mobius update, whose coefficients are four rows taken from
+    `coef`.  The round transports the direction angles when given and
+    reports its (side index, walker index) arrays to acc.apply.  After the
+    first round only the walkers that moved are tested, at the positions
+    the round computed.
     """
     idx = (np.abs(z) > data.inner_r).nonzero()[0]
     if idx.size == 0:
         return
     w = z[idx]
-    row_start = np.arange(0, 8 * idx.size, 8)  # walker k's row in violated.ravel()
+    rows = np.empty((idx.size, 4))
     for _ in range(_MAX_ENSEMBLE_ROUNDS):
         xy = w.view(np.float64).reshape(-1, 2)
-        violated = np.concatenate((xy, xy * xy), axis=1) @ data.side_test > data.side_bound
-        first = violated.argmax(axis=1)
-        moved = violated.ravel()[row_start[: w.size] + first].nonzero()[0]
+        r = rows[: w.size]
+        r[:, :2] = xy
+        np.multiply(xy, xy, out=r[:, 2:])
+        violated = r @ data.side_test > data.side_bound
+        moved = violated.view(np.uint64).ravel().nonzero()[0]
         if moved.size == 0:
             return
+        first = violated.take(moved, 0).argmax(axis=1)
         idx = idx.take(moved)
         w = w.take(moved)
-        first = first.take(moved)
-        a, b, conj_b, conj_a = data.coef.take(first, 0).T
-        den = conj_b * w + conj_a
-        w = (a * w + b) / den
+        a, b, conj_b, conj_a = data.coef.take(first, 1)
+        den = conj_b * w
+        den += conj_a
+        w *= a
+        w += b
+        w /= den
         z[idx] = w
         if alpha is not None:
             alpha[idx] -= 2.0 * np.arctan2(den.imag, den.real)

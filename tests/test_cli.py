@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -389,6 +390,16 @@ def test_usage_error_exit_codes(tmp_path, capsys, argv, code):
     assert exc.value.code == code
     assert ("error:" in capsys.readouterr().err) == (code == 1)
     assert not (tmp_path / "u.csv").exists()
+
+
+def test_top_level_help_names_nothing_private(capsys):
+    # the description is for users: no private name of the cli module
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hyplyap") and "exit codes" in out
+    assert re.findall(r"(?<!\w)_\w+", out) == []
 
 
 _NO_SCIPY_SCRIPT = """
@@ -988,6 +999,13 @@ _ROW_NEEDS = "needs multiplicity >= 1, a finite chi and a finite ci_halfwidth >=
      "brownian,10,1,0.03,1,inf,0,100\n", f"row 2 {_ROW_NEEDS}, got 1, 0.03, inf"),
     ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
      "brownian,10,1,0.03,1,-0.002,0,100\n", f"row 2 {_ROW_NEEDS}, got 1, 0.03, -0.002"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
+     "brownian,10,1,0.03,x,0.002,0,100\n", "row 2: invalid literal for int() with base 10: 'x'"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
+     "brownian,10,1,0.03,1,0.002,0,100\nbrownian,10,2,abc,1,0.002,0,100\n",
+     "row 3: could not convert string to float: 'abc'"),
+    ("method,horizon,index,chi,multiplicity,ci_halfwidth,seed,n_samples\n"
+     "brownian,10,1,0.03,1,,0,100\n", "row 2: could not convert string to float: ''"),
 ])
 def test_compare_refuses_unreadable_report(tmp_path, capsys, text, problem):
     bad = tmp_path / "bad.csv"

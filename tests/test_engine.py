@@ -14,7 +14,10 @@ bit for bit, a polar walk from the origin must land its first jump on the
 drawn polar point, a step walker must refuse a jump it cannot draw before
 drawing, and Specialization.values and Specialization.__call__ must
 reproduce the specialization computed from the scalar reduction and
-cocycle_of_word.
+cocycle_of_word.  A reduction round must move exactly the walkers that
+violate a side, each across its smallest violated side, and
+estimate_regularity must reproduce the per-alpha lstsq fit of
+regularity_reference.py.
 """
 
 import cmath
@@ -25,6 +28,7 @@ import pytest
 
 from hyplyap.cocycle import (
     Representation,
+    _fit_envelope,
     _MatrixAccumulator,
     cocycle_of_word,
     diagonal_representation,
@@ -47,7 +51,8 @@ from hyplyap.hypgeo import DiscPoint
 from hyplyap.lyapunov import _brownian_walk
 from hyplyap.surface import _SIDE_TOL, DeckWord, _reduce_ensemble, build_genus2
 
-from scalar_reduction import contains, scalar_locate
+from regularity_reference import reference_estimate_regularity, reference_fit
+from scalar_reduction import contains, first_violated_side, scalar_locate, side_violations
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +181,98 @@ class _Rounds:
 
     def apply(self, first, idx):
         self.rounds.append((first.copy(), idx.copy()))
+
+
+def _violating(group, side, both=False):
+    """A point just outside `side` (1-based) at its midpoint, or, with
+    both, just outside the vertex it shares with the next side."""
+    if both:
+        r = math.tanh(0.5 * group.circumradius) * 1.05
+        return r * cmath.exp(1j * (2 * side - 1) * math.pi / 8.0)
+    r = math.tanh(0.5 * group.inradius) * 1.05
+    return r * cmath.exp(1j * (side - 1) * math.pi / 4.0)
+
+
+@pytest.mark.parametrize("case", ["side 8 only", "sides 1 and 8", "one walker", "many"])
+def test_round_moves_the_violators_across_their_smallest_side(group, data, case):
+    # a walker moves when any of its 8 side bytes is set, and crosses its
+    # smallest violated side, as the scalar reference decides
+    edge_8, corner_18 = _violating(group, 8), _violating(group, 8, both=True)
+    assert [j for j, s in enumerate(side_violations(group, edge_8), 1) if s < -_SIDE_TOL] == [8]
+    assert [j for j, s in enumerate(side_violations(group, corner_18), 1)
+            if s < -_SIDE_TOL] == [1, 8]
+    inside = 0.5 * cmath.exp(0.3j)  # past the inscribed disc, inside the octagon
+    if case == "side 8 only":
+        z = np.array([inside, edge_8, inside, edge_8 * cmath.exp(0.01j)])
+    elif case == "sides 1 and 8":
+        z = np.array([corner_18, inside, corner_18 * 1.01, edge_8])
+    elif case == "one walker":
+        z = np.array([corner_18])
+    else:
+        gen = np.random.default_rng(20261020)
+        n = 20000
+        z = 0.995 * np.sqrt(gen.random(n)) * np.exp(2j * np.pi * gen.random(n))
+        z[::97] = corner_18
+        z[1::89] = edge_8
+    rec = _Rounds()
+    _reduce_ensemble(data, z.copy(), acc=rec)
+    first, idx = rec.rounds[0]
+    want = [first_violated_side(group, complex(p)) for p in z]
+    moved = [k for k, j in enumerate(want) if j is not None]
+    assert idx.tolist() == moved
+    assert (first + 1).tolist() == [want[k] for k in moved]
+
+
+@pytest.mark.parametrize("seed", range(500, 512))
+def test_regularity_matches_the_per_alpha_lstsq_reference(group, rep_track, seed):
+    spec = specialize(rep_track, [1.0, 0.0], group)
+    got = estimate_regularity(spec, 2000, 6.0, RngStream(seed))
+    want = reference_estimate_regularity(spec, 2000, 6.0, RngStream(seed))
+    assert got.alpha_fit == want.alpha_fit
+    assert got.lipschitz_c == want.lipschitz_c
+    assert got.bin_centers == want.bin_centers
+    assert got.bin_envelope == want.bin_envelope
+    assert got.c_fit == pytest.approx(want.c_fit, rel=1e-13, abs=0.0)
+
+
+class _FixedDraws(np.random.Generator):
+    """A generator whose `random` returns the given array."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = draws
+
+    def random(self, size=None):
+        assert size == self.draws.shape
+        return self.draws.copy()
+
+
+def test_regularity_bins_separations_on_the_edges_as_the_reference(group, rep_track):
+    # bin i is (edges[i], edges[i+1]]: a separation on an edge belongs to the
+    # bin below it, and a separation of 0 to none
+    spec = specialize(rep_track, [1.0, 0.0], group)
+    draws = np.random.default_rng(36).random((240, 4))
+    draws[:, 2] = np.arange(240) % 24 / 24.0
+    edges = np.linspace(0.0, 6.0, 13)
+    assert np.isin(draws[:, 2] * 6.0, edges).sum() == 120  # 0 and the 11 inner edges, 10 times each
+    got = estimate_regularity(spec, 240, 6.0, _FixedDraws(draws))
+    want = reference_estimate_regularity(spec, 240, 6.0, _FixedDraws(draws))
+    assert got.bin_centers == want.bin_centers and len(got.bin_centers) == 12
+    assert got.bin_envelope == want.bin_envelope
+    assert got.alpha_fit == want.alpha_fit
+    assert got.c_fit == pytest.approx(want.c_fit, rel=1e-13, abs=0.0)
+
+
+def test_regularity_fit_of_a_decreasing_envelope_is_flat():
+    # every alpha > 0 fits a negative slope, clipped to 0 with its intercept
+    # kept, so alpha = 0 wins: the minimum-norm split c = c0 = mean / 2
+    x = 0.25 + 0.5 * np.arange(2, 12)
+    y = 3.0 / x + 0.1 * np.sin(x)
+    assert np.all(np.diff(y) < 0)
+    alpha, c = _fit_envelope(x, y)
+    assert (alpha, c) == (0.0, y.mean() / 2)
+    ref_alpha, ref_c = reference_fit(x, y)
+    assert ref_alpha == 0.0 and ref_c == pytest.approx(y.mean() / 2, rel=1e-13, abs=0.0)
 
 
 @pytest.fixture(scope="module")

@@ -12,10 +12,20 @@ In a temporary directory it runs, on <src-dir>/src:
   flags;
 - every `validate` suite at its defaults.
 
-It prints one "name sha256" line per .csv, .summary.txt and .manifest.txt,
-sorted by name.  A manifest's timestamp line is left out of its digest.
-Run it on two checkouts (say, one made with `git archive`) and diff the
-output.  A run that exits with 1 stops the script with exit code 1.
+It prints one "name sha256" line per .csv, .summary.txt and .manifest.txt.
+A manifest's timestamp line is left out of its digest.
+
+It also runs each config and route once more with the domain-reduction
+kernel, `surface._reduce_ensemble`, tapped, and prints one
+"walk:<config>_<route> sha256" line: the digest of every (side, walker)
+array the kernel reports and, after each call (each gap or ray step and
+each initial reduction), every reduced position as float64 bytes and the
+transported direction angles when the route carries them.  Positions and
+letters can thus be compared even where the outputs hide a change.
+
+Lines are sorted by name.  Run the script on two checkouts (say, one made
+with `git archive`) and diff the output.  A run that exits with 1 stops
+the script with exit code 1.
 """
 
 import hashlib
@@ -31,12 +41,48 @@ SUITES = ("geometry", "cocycle", "semigroup", "dynkin", "kernel", "circle", "dri
           "shadowing", "uniformity", "conversion")
 
 
-def _hyplyap(src: Path, cwd: str, *argv: str):
+# `hyplyap <argv>` with every _reduce_ensemble call tapped; prints the walk
+# digest on the last line of stdout
+WALK_TAP = """
+import contextlib, hashlib, io, sys
+import numpy as np
+from hyplyap import cli, cocycle, lyapunov, surface
+
+digest = hashlib.sha256()
+reduce = surface._reduce_ensemble
+
+class Tap:
+    def __init__(self, acc):
+        self.acc = acc
+
+    def apply(self, first, idx):
+        digest.update(np.asarray(first, np.int64).tobytes())
+        digest.update(np.asarray(idx, np.int64).tobytes())
+        self.acc.apply(first, idx)
+
+def tapped(data, z, alpha=None, acc=None):
+    reduce(data, z, alpha, None if acc is None else Tap(acc))
+    digest.update(np.ascontiguousarray(z, np.complex128).view(np.float64).tobytes())
+    if alpha is not None:
+        digest.update(np.ascontiguousarray(alpha, np.float64).tobytes())
+
+for module in (surface, cocycle, lyapunov):
+    module._reduce_ensemble = tapped
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(digest.hexdigest())
+sys.exit(rc)
+"""
+
+
+def _hyplyap(src: Path, cwd: str, *argv: str, tap: bool = False) -> str:
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
-    proc = subprocess.run([sys.executable, "-m", "hyplyap.cli", *argv], cwd=cwd, env=env,
+    entry = ["-c", WALK_TAP] if tap else ["-m", "hyplyap.cli"]
+    proc = subprocess.run([sys.executable, *entry, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
     if proc.returncode not in (0, 2):   # 2 is a failed suite, which still writes
         sys.exit(f"hyplyap {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
 
 
 def _digest(path: Path) -> str:
@@ -51,20 +97,24 @@ def main() -> int:
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     src = Path(sys.argv[1]).resolve()
-    with tempfile.TemporaryDirectory() as tmp:
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as walk_tmp:
         for name in CONFIGS:
             lines = (src / "configs" / f"{name}.cfg").read_text().splitlines(keepends=True)
             cfg = Path(tmp, f"{name}.cfg")
             cfg.write_text("".join(line for line in lines
                                    if line.split("=")[0].strip() not in ("method", "output")))
             for route in ROUTES:
-                _hyplyap(src, tmp, "run", str(cfg), "--method", route,
-                         "--output", f"{name}_{route}")
+                argv = ("run", str(cfg), "--method", route, "--output", f"{name}_{route}")
+                _hyplyap(src, tmp, *argv)
+                walk = _hyplyap(src, walk_tmp, *argv, tap=True).split()[-1]
+                digests.append(f"walk:{name}_{route} {walk}")
         for suite in SUITES:
             _hyplyap(src, tmp, "validate", suite)
-        for path in sorted(Path(tmp).iterdir()):
+        for path in Path(tmp).iterdir():
             if path.name.endswith((".csv", ".summary.txt", ".manifest.txt")):
-                print(path.name, _digest(path))
+                digests.append(f"{path.name} {_digest(path)}")
+    print("\n".join(sorted(digests)))
     return 0
 
 
