@@ -51,8 +51,8 @@ from .diffusion import (
     sample_heat_endpoints,
     smoothed_dist_field,
 )
-from .hypgeo import DiscPoint, MobiusMap, dist_P, mobius_translation
-from .surface import _locate_all, build_genus2
+from .hypgeo import MobiusMap, dist_P, mobius_translation
+from .surface import _DeckMaps, _locate_all, _reduce_ensemble, build_genus2
 from .lyapunov import (
     LyapunovError,
     _cadence_chain,
@@ -439,29 +439,28 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         res = group.relator_residual()
         add("octagon_relator", res, 0.0, 1e-8, res <= 1e-8)
     elif name == "cocycle":
-        # every located point must map back to itself under its word, with a
-        # representative inside the octagon's circumscribed disc.  Probes
+        # every reduced point must map back to itself under its deck map, with
+        # a representative inside the octagon's circumscribed disc.  Probes
         # 0.01 inside and outside each side's midpoint, and the origin, are
-        # located in the same call: a point of the domain has the empty
-        # word, a point just across side j the one letter of side j.  The
-        # 100 walkers are read exactly at t = 1 (midpoints) and t = 2
-        # (endpoints): a path's word depends only on where it ends
+        # reduced in the same pass and located once more for their exact
+        # letters: a point of the domain has the empty word, a point just
+        # across side j the one letter of side j.  The 100 walkers are read
+        # exactly at t = 1 (midpoints) and t = 2 (endpoints): a path's word
+        # depends only on where it ends
         rho, psi = sample_heat_endpoints(100, 2.0, rng.child(0).generator(),
                                          checkpoints=[1.0, 2.0])
-        points = [DiscPoint.from_complex(z)
-                  for z in (np.tanh(0.5 * rho) * np.exp(1j * psi)).ravel()]
         midpoints = np.exp(0.25j * math.pi * np.arange(8))
-        for r in (group.inradius - 0.01, group.inradius + 0.01):
-            points.extend(DiscPoint.from_complex(z) for z in math.tanh(0.5 * r) * midpoints)
-        points.append(DiscPoint.origin())
-        expected = [()] * 8 + [(group.neighbor_letter(j),) for j in range(1, 9)] + [()]
-        reps, words = _locate_all(points, group)
-        roundtrip = max(
-            abs(word.evaluate(group)(complex(r)) - p.z)
-            for r, word, p in zip(reps, words, points)
-        )
+        probes = np.concatenate([math.tanh(0.5 * (group.inradius - 0.01)) * midpoints,
+                                 math.tanh(0.5 * (group.inradius + 0.01)) * midpoints, [0j]])
+        points = np.concatenate([(np.tanh(0.5 * rho) * np.exp(1j * psi)).ravel(), probes])
+        reps = points.copy()
+        maps = _DeckMaps(group, reps.size)
+        _reduce_ensemble(group._layout, reps, acc=maps)
+        roundtrip = float(np.max(np.abs(maps.lift(reps)[0] - points)))
         outside = float(np.max(np.abs(reps))) - math.tanh(0.5 * group.circumradius)
-        wrong = sum(w.letters != e for w, e in zip(words[200:], expected))
+        expected = [()] * 8 + [(group.neighbor_letter(j),) for j in range(1, 9)] + [()]
+        _, words = _locate_all(probes, group)
+        wrong = sum(w.letters != e for w, e in zip(words, expected))
         add("identity_law", wrong, 0.0, 0.0, wrong == 0)
         add("locate_roundtrip", roundtrip, 0.0, 1e-9,
             roundtrip <= 1e-9 and outside <= 1e-12)
@@ -707,11 +706,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(args) -> int:
     """`validate <suite>`: `run --method validate:<suite>` on the default
-    config, written to validate_<suite>.  cocycle and conversion read the
-    representation diag(2, 1/2), I, I, I, which is exact."""
+    config, written to validate_<suite>.  conversion, the one suite that
+    reads a representation, gets diag(2, 1/2), I, I, I, which is exact."""
     cfg = _config_from_raw({})
     cfg.output = f"validate_{args.name}"
-    if args.name in ("cocycle", "conversion"):
+    if args.name == "conversion":
         cfg.matrices = (np.diag([2.0, 0.5]), np.eye(2), np.eye(2), np.eye(2))
     args.method = f"validate:{args.name}"
     cfg = apply_flag_overrides(cfg, args)

@@ -19,7 +19,10 @@ each round's deck letters to an accumulator (the algebra layer,
 octagon have one modulus, so a round tests every side of every walker in
 one real matrix product (`_GroupData`), finds the walkers that violate a
 side by reading each walker's 8 side booleans as one 64-bit word, and
-moves only those, in place.  `locate` is its one-point case.
+moves only those, in place.  `locate` is its one-point case.  Two letter
+consumers serve the checks: `_LetterLog` records each walker's letters,
+and `_DeckMaps` composes them into each walker's deck map in one array
+pass per round, as SU(1,1) coefficient pairs.
 
 The group has no inputs, so `build_genus2()` builds it once per process, on
 its first call, and returns that one shared object from then on.  It is
@@ -287,6 +290,36 @@ class _LetterLog:
     def apply(self, first, idx):
         for j, k in zip(first.tolist(), idx.tolist()):
             self.letters[k].append(self.side_letters[j])
+
+
+class _DeckMaps:
+    """Accumulator that keeps each walker's deck map as its SU(1,1)
+    coefficient pair (a, b), the map z -> (a z + b) / (conj(b) z + conj(a))
+    of its word: each crossing composes the side's generator on the right,
+    as DeckWord.evaluate does, so the pair takes a walker's reduced
+    position back to its lift, where it would be with no reduction.  The
+    generators come from the layout's letter table, one per side."""
+
+    def __init__(self, group: FuchsianGroup, n: int):
+        maps = [group.generator(letter) for letter in group._layout.letters]
+        a = np.array([m.a for m in maps])
+        b = np.array([m.b for m in maps])
+        # rows a, b, conj(b), conj(a) of the side maps, as _GroupData.coef
+        self.side_coef = np.array([a, b, np.conj(b), np.conj(a)])
+        self.a = np.ones(n, complex)
+        self.b = np.zeros(n, complex)
+
+    def apply(self, first, idx):
+        a, b = self.a[idx], self.b[idx]
+        a2, b2, conj_b2, conj_a2 = self.side_coef.take(first, 1)
+        self.a[idx] = a * a2 + b * conj_b2
+        self.b[idx] = a * b2 + b * conj_a2
+
+    def lift(self, w):
+        """(points, turns): every walker's map applied to its w, and the
+        angle the map turns a direction at w by, -2 arg(conj(b) w + conj(a))."""
+        den = np.conj(self.b) * w + np.conj(self.a)
+        return (self.a * w + self.b) / den, -2.0 * np.angle(den)
 
 
 @cache

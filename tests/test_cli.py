@@ -1103,6 +1103,20 @@ def test_validate_cocycle_catches_wrong_letters(tmp_path, capsys):
     assert "[FAIL] identity_law" in out and "[FAIL] locate_roundtrip" in out
 
 
+def test_validate_geometry_catches_wrong_letters():
+    # the ray lift takes its generators from the layout's letter table: with
+    # the letters of sides 1 and 2 swapped, in a private copy of the shared
+    # group, the rays that cross those sides lift to the wrong points
+    cfg = ExperimentConfig(method="validate:geometry", seed=0, output="unused")
+    group = dataclasses.replace(build_genus2())
+    rows = {c["name"]: c for c in run_validation(cfg, group, None)}
+    assert rows["ray_lift"]["passed"]
+    letters = group._layout.letters
+    group._layout.letters = (letters[1], letters[0]) + letters[2:]
+    rows = {c["name"]: c for c in run_validation(cfg, group, None)}
+    assert not rows["ray_lift"]["passed"] and rows["ray_lift"]["lhs"] > 1e-3
+
+
 def _suite_rows(suite, **kwargs):
     """{name: row} of a validation suite run at seed 0, in-process."""
     cfg = ExperimentConfig(method=f"validate:{suite}", seed=0, output="unused", **kwargs)

@@ -4,9 +4,12 @@ The engine has a geometry layer, surface._reduce_ensemble, which emits deck
 letters, and an algebra layer, cocycle._MatrixAccumulator, which folds them
 into cocycle products; lyapunov walks ensembles on top of both.  The
 reduction kernel must reproduce the scalar reduction of scalar_reduction.py
-walker by walker, the inscribed disc it never tests must lie inside the
-octagon, the accumulator must reproduce cocycle_of_word on each walker's
-recorded word and skip exactly the identity letters bit for bit, the
+walker by walker, the deck maps _DeckMaps composes must equal the
+evaluated words of the same reduction, and the ray lift of validate
+geometry must agree with the word-by-word lift of ray_lift_reference.py;
+the inscribed disc the kernel never tests must lie inside the octagon,
+the accumulator must reproduce cocycle_of_word on each walker's recorded
+word and skip exactly the identity letters bit for bit, the
 cadence walk must keep its reduction invariants and lift to Brownian
 motion, its block draws must reproduce one draw per gap bit for bit, every
 step walker's block and tile draws must reproduce one draw per exact jump
@@ -49,8 +52,9 @@ from hyplyap.diffusion import (
 )
 from hyplyap.hypgeo import DiscPoint
 from hyplyap.lyapunov import _brownian_walk
-from hyplyap.surface import _SIDE_TOL, DeckWord, _reduce_ensemble, build_genus2
+from hyplyap.surface import _SIDE_TOL, DeckWord, _DeckMaps, _reduce_ensemble, build_genus2
 
+from ray_lift_reference import reference_ray_lift
 from regularity_reference import reference_estimate_regularity, reference_fit
 from scalar_reduction import contains, first_violated_side, scalar_locate, side_violations
 
@@ -89,10 +93,16 @@ class _Recorder:
             acc.apply(first, idx)
 
 
-def test_reduction_matches_scalar_locate(group, data):
+def _disc_points():
+    """2000 points uniform in the disc |z| <= 0.999."""
     gen = np.random.default_rng(20150318)
     n = 2000
-    z = 0.999 * np.sqrt(gen.random(n)) * np.exp(2j * np.pi * gen.random(n))
+    return 0.999 * np.sqrt(gen.random(n)) * np.exp(2j * np.pi * gen.random(n))
+
+
+def test_reduction_matches_scalar_locate(group, data):
+    z = _disc_points()
+    n = z.size
     reduced = z.copy()
     rec = _Recorder(data, n)
     _reduce_ensemble(data, reduced, acc=rec)
@@ -101,6 +111,40 @@ def test_reduction_matches_scalar_locate(group, data):
         rep, word = scalar_locate(complex(z[k]), group)
         assert DeckWord(tuple(rec.letters[k])) == word, k
         assert abs(rep.z - reduced[k]) <= 1e-12, k
+
+
+def test_deck_maps_match_scalar_words(group, data):
+    # the pairs composed in one array pass per round take every
+    # representative back to its point, and equal DeckWord.evaluate of the
+    # word recorded in the same reduction, up to the sign and positive scale
+    # that MobiusMap normalizes away
+    z = _disc_points()
+    reduced = z.copy()
+    maps = _DeckMaps(group, z.size)
+    rec = _Recorder(data, z.size, maps)
+    _reduce_ensemble(data, reduced, acc=rec)
+    assert np.max(np.abs(maps.lift(reduced)[0] - z)) <= 1e-12
+    for k in range(z.size):
+        m = DeckWord(tuple(rec.letters[k])).evaluate(group)
+        want = np.array([m.a, m.b])
+        got = np.array([maps.a[k], maps.b[k]])
+        scale = np.vdot(want, got).real / np.vdot(want, want).real
+        assert np.linalg.norm(got - scale * want) <= 1e-12 * np.linalg.norm(got), k
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ray_lift_matches_word_by_word_reference(group, data, seed):
+    # 32 rays to R = 12: both lifts land on the exact rays within the
+    # ray_lift row's tolerances, and on each other ray by ray, step by step
+    thetas = np.random.default_rng(seed).random(32)
+    end, turn = lyapunov._ray_lift_error(group, thetas, 12.0)
+    ref_end, ref_turn, ref_lifted = reference_ray_lift(group, thetas, 12.0)
+    assert end <= 1e-8 and turn <= 1e-12
+    assert ref_end <= 1e-8 and ref_turn <= 1e-12
+    maps = _DeckMaps(group, thetas.size)
+    walk = lyapunov._ray_walk(data, maps, thetas, 12.0, lyapunov._REDUCE_EVERY)
+    lifted = np.array([maps.lift(w)[0] for w, _ in walk])
+    assert np.max(np.abs(lifted - ref_lifted)) <= 1e-9
 
 
 def _near_tie_points(group):

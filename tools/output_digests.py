@@ -3,7 +3,7 @@ outputs byte-identical.
 
 Usage, with <src-dir> a checkout of this repository:
 
-    python tools/output_digests.py <src-dir>
+    python tools/output_digests.py <src-dir> [--keep DIR]
 
 In a temporary directory it runs, on <src-dir>/src:
 
@@ -24,12 +24,16 @@ transported direction angles when the route carries them.  Positions and
 letters can thus be compared even where the outputs hide a change.
 
 Lines are sorted by name.  Run the script on two checkouts (say, one made
-with `git archive`) and diff the output.  A run that exits with 1 stops
-the script with exit code 1.
+with `git archive`) and diff the output.  With `--keep DIR` it also copies
+every file it digests into DIR (created if missing; manifests keep their
+timestamp line), so the two checkouts' rows can be diffed where their
+digests differ.  A run that exits with 1 stops the script with exit code 1.
 """
 
+import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -94,9 +98,14 @@ def _digest(path: Path) -> str:
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    src = Path(sys.argv[1]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("src", help="a checkout of this repository")
+    parser.add_argument("--keep", metavar="DIR", help="copy every digested file into DIR")
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
     digests = []
     with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as walk_tmp:
         for name in CONFIGS:
@@ -114,6 +123,8 @@ def main() -> int:
         for path in Path(tmp).iterdir():
             if path.name.endswith((".csv", ".summary.txt", ".manifest.txt")):
                 digests.append(f"{path.name} {_digest(path)}")
+                if args.keep:
+                    shutil.copy(path, args.keep)
     print("\n".join(sorted(digests)))
     return 0
 
