@@ -36,7 +36,6 @@ from .diffusion import (
     circle_average,
     constant_field,
     diffuse,
-    dist_field,
     dist_squared_field,
     exp_neg_dist_field,
     heat_kernel,
@@ -52,29 +51,23 @@ from .cocycle import (
     Representation,
     Specialization,
     cocycle_of_word,
-    convert_direction,
     diagonal_representation,
     estimate_regularity,
     evaluate,
     fuchsian_representation,
     specialize,
-    trivial_representation,
 )
 from .lyapunov import (
-    ExpansionSample,
     LyapunovError,
     SpectrumReport,
     benettin_spectrum,
     brownian_norm_rate,
-    brownian_rate,
     check_exp_conversion,
     diffusion_spectrum,
     direction_distribution_check,
     expansion_interval,
     expectation_functions,
-    geodesic_norm_rate,
     geodesic_norm_rates,
-    geodesic_rate,
     geodesic_spectrum,
     shadowing_report,
 )

@@ -108,6 +108,13 @@ def _unread_keys(method: str):
                  if key not in _SUITE_DEFAULTS[suite])
 
 
+def _reads_representation(method: str) -> bool:
+    """Whether a method reads the representation: the spectrum routes and
+    validate:conversion do.  Every other suite accepts a [representation]
+    section, but neither builds nor records it."""
+    return _suite(method) in (None, "conversion")
+
+
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configs."""
 
@@ -365,19 +372,23 @@ def manifest_text(cfg: ExperimentConfig, group, extra=None) -> str:
         f"numpy {np.__version__}",
         f"platform {sys.platform}",
     ]
+    reads_rep = _reads_representation(cfg.method)
+    omit = {"matrices", "defaulted", *_unread_keys(cfg.method)}
+    if not reads_rep:
+        omit |= {"dim", "rep_field"}
     keys = [f.name for f in dc_fields(ExperimentConfig)]
     for name in keys:
-        if name in ("matrices", "defaulted") or name in _unread_keys(cfg.method):
+        if name in omit:
             continue
         mark = " (default)" if name in cfg.defaulted else ""
         lines.append(f"{name} {getattr(cfg, name)}{mark}")
-    if cfg.matrices:
+    if reads_rep and cfg.matrices:
         for k, m in enumerate(cfg.matrices, start=1):
             flat = " ".join(_fmt(complex(v).real) if cfg.rep_field == "real"
                             else f"({_fmt(complex(v).real)}, {_fmt(complex(v).imag)})"
                             for v in np.ravel(m))
             lines.append(f"g{k} {flat}")
-    else:
+    elif reads_rep:
         lines.append("representation identity (default)")
     # provenance that repeats a config key is already recorded above
     for k, v in (extra or {}).items():
@@ -522,7 +533,7 @@ def cmd_run(args) -> int:
     try:
         cfg = apply_flag_overrides(load_config(args.config), args)
         group = build_genus2()
-        rep = build_representation(cfg, group)
+        rep = build_representation(cfg, group) if _reads_representation(cfg.method) else None
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -707,7 +718,8 @@ def make_parser() -> argparse.ArgumentParser:
 def cmd_validate(args) -> int:
     """`validate <suite>`: `run --method validate:<suite>` on the default
     config, written to validate_<suite>.  conversion, the one suite that
-    reads a representation, gets diag(2, 1/2), I, I, I, which is exact."""
+    reads a representation, gets diag(2, 1/2), I, I, I, which is exact; the
+    other suites build none."""
     cfg = _config_from_raw({})
     cfg.output = f"validate_{args.name}"
     if args.name == "conversion":
@@ -715,7 +727,8 @@ def cmd_validate(args) -> int:
     args.method = f"validate:{args.name}"
     cfg = apply_flag_overrides(cfg, args)
     group = build_genus2()
-    return _execute(cfg, group, build_representation(cfg, group))
+    rep = build_representation(cfg, group) if _reads_representation(cfg.method) else None
+    return _execute(cfg, group, rep)
 
 
 def cmd_dump_surface(args) -> int:

@@ -39,9 +39,7 @@ __all__ = [
     "diagonal_representation",
     "evaluate",
     "fuchsian_representation",
-    "trivial_representation",
     "specialize",
-    "convert_direction",
     "estimate_regularity",
 ]
 
@@ -150,10 +148,6 @@ def fuchsian_representation(group: FuchsianGroup) -> Representation:
     return Representation.from_matrices(2, "complex", mats, group)
 
 
-def trivial_representation(dim: int, field: str = "real") -> Representation:
-    return Representation.from_matrices(dim, field)
-
-
 def cocycle_of_word(rep: Representation, word: DeckWord) -> np.ndarray:
     """Ordered product of generator images along the word; empty -> identity.
 
@@ -254,14 +248,6 @@ class Specialization:
         return acc.log_vector_growth(self.direction)
 
 
-def convert_direction(rep: Representation, u, eta, group: FuchsianGroup) -> np.ndarray:
-    """[A(path 0 -> eta, 1) u]: the direction pairing with specializations
-    rebased at the lift eta (the first conversion rule's v)."""
-    _, word = locate(eta, group)
-    v = cocycle_of_word(rep, word) @ np.asarray(u)
-    return v / np.linalg.norm(v)
-
-
 def specialize(rep: Representation, u, group: FuchsianGroup, base=DiscPoint(0.0, 0.0)) -> Specialization:
     rep.require_exact()
     u = np.asarray(u, dtype=np.float64 if rep.field == "real" else np.complex128)
@@ -284,12 +270,6 @@ class RegularityReport:
     radius: float
     bin_centers: tuple = ()
     bin_envelope: tuple = ()
-
-    def __str__(self):
-        return (
-            f"regularity: alpha={self.alpha_fit:.3f} c={self.c_fit:.4g} "
-            f"lipschitz={self.lipschitz_c:.4g} (n={self.n_pairs}, radius={self.radius})"
-        )
 
 
 def _fit_envelope(fit_x, fit_y):

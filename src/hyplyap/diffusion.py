@@ -77,7 +77,6 @@ __all__ = [
     "constant_field",
     "real_part_field",
     "exp_neg_dist_field",
-    "dist_field",
     "smoothed_dist_field",
     "dist_squared_field",
     "pairwise_sum",
@@ -165,10 +164,6 @@ class LeafPath:
                     raise DiffusionError(
                         f"segment {i - 1} has implausible length {d:.3g} for step {self.step}"
                     )
-
-    @property
-    def end(self) -> DiscPoint:
-        return self.points[-1]
 
     def subpath(self, i0: int, i1: int) -> "LeafPath":
         """Shifted restriction to index range [i0, i1]; realizes the shift
@@ -362,13 +357,6 @@ def exp_neg_dist_field() -> ScalarField:
     return ScalarField(
         polar_fn=lambda rho, psi: np.exp(-np.asarray(rho, dtype=float)),
         name="exp(-dist)",
-    )
-
-
-def dist_field() -> ScalarField:
-    return ScalarField(
-        polar_fn=lambda rho, psi: np.asarray(rho, dtype=float),
-        name="dist",
     )
 
 
@@ -829,10 +817,6 @@ class SlopeReport:
     slope: float
     threshold: float
     passed: bool
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: slope={self.slope:.3f} threshold={self.threshold}"
 
 
 # inner endpoints per outer endpoint on the nested side of the semigroup check

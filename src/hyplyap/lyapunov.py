@@ -3,8 +3,8 @@
 Three independent routes to the same spectrum:
 
 * Brownian: grow the cocycle along Brownian paths and average
-  log-norm rates (single-vector, operator-norm, and full QR-deflation
-  variants).
+  log-norm rates (the operator-norm rate and the full QR-deflation
+  spectrum).
 * Geodesic: evaluate expansion rates along unit-speed geodesic rays with
   uniformly distributed directions.
 * Diffusion: Benettin's QR deflation along Brownian paths at an integer
@@ -106,14 +106,10 @@ from .surface import _DeckMaps, _reduce_ensemble, locate
 __all__ = [
     "LyapunovError",
     "SpectrumReport",
-    "ExpansionSample",
     "ShadowingReport",
     "UniformityReport",
-    "brownian_rate",
     "brownian_norm_rate",
     "benettin_spectrum",
-    "geodesic_rate",
-    "geodesic_norm_rate",
     "geodesic_norm_rates",
     "geodesic_spectrum",
     "diffusion_spectrum",
@@ -312,20 +308,6 @@ def _ray_lift_error(group, thetas, R):
 
 
 @dataclass(frozen=True)
-class ExpansionSample:
-    """Expansion rate along one geodesic ray."""
-
-    theta: float
-    R: float
-    value: float
-    vector: tuple = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise LyapunovError("expansion rate must be finite")
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
     """Estimated Lyapunov spectrum with multiplicities and provenance.
 
@@ -358,10 +340,6 @@ class SpectrumReport:
         if any(b >= a for a, b in zip(self.exponents[:-1], self.exponents[1:])):
             raise LyapunovError("block exponents must decrease strictly")
 
-    @property
-    def dim(self) -> int:
-        return len(self.raw_exponents)
-
     def rows(self):
         """Per-block rows for CSV emission."""
         out = []
@@ -380,16 +358,6 @@ class ShadowingReport:
     slope_shadow_95: float
     passed: bool
 
-    def __str__(self):
-        lines = [f"shadowing over t={self.t_values} (normalization t^0.5 (log t)^1.5)"]
-        for q in sorted(self.shadow_quantiles):
-            vals = " ".join(f"{v:.3f}" for v in self.shadow_quantiles[q])
-            lines.append(f"  shadow q{q:02d}: {vals}")
-        lines.append(f"  95th-percentile log-log slope: {self.slope_shadow_95:+.3f}")
-        lines.append(f"  drift medians: {['%.4f' % m for m in self.drift_median]}")
-        lines.append("  pass" if self.passed else "  FAIL")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class UniformityReport:
@@ -399,30 +367,14 @@ class UniformityReport:
     p_value: float
     passed: bool
 
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"[{status}] direction uniformity: chi2={self.statistic:.2f} "
-            f"({self.n_bins} bins, {self.n_paths} paths), p={self.p_value:.4g}"
-        )
-
 
 # -------------------------------------------------------- Brownian rates
 
 
-def brownian_rate(rep, group, v, t, n_paths, step, rng):
-    """Mean single-vector growth rate (1/t) log(|A(omega,t) v| / |v|)
-    over Brownian paths from the origin; returns (mean, std_error).  `step`
-    is validated but not read: the walk jumps exactly."""
-    if t < 1.0:
-        raise LyapunovError("brownian_rate needs t >= 1")
-    acc = _brownian_matrices(rep, group, t, n_paths, step, rng)
-    return _mean_se(acc.log_vector_growth(v) / t)
-
-
 def brownian_norm_rate(rep, group, t, n_paths, step, rng):
-    """Mean operator-norm growth rate (1/t) log |A(omega,t)|; `step` as in
-    brownian_rate."""
+    """Mean operator-norm growth rate (1/t) log |A(omega,t)| over Brownian
+    paths from the origin; returns (mean, std_error).  `step` is validated
+    but not read: the walk jumps exactly."""
     if t < 1.0:
         raise LyapunovError("brownian_norm_rate needs t >= 1")
     acc = _brownian_matrices(rep, group, t, n_paths, step, rng)
@@ -569,30 +521,6 @@ def _cluster(raw_sorted, se_sorted):
 
 
 # -------------------------------------------------------- geodesic rates
-
-
-def geodesic_rate(rep, group, theta, R, v, spacing=_REDUCE_EVERY) -> ExpansionSample:
-    """Deterministic expansion rate (1/R) log(|A(gamma_theta, R) v| / |v|).
-
-    Deterministic for a fixed operation order, but past R ~ 37 a float64
-    ray is a shadowing pseudo-orbit, not the ray of theta: nudging every
-    theta of the 256-direction grid by 1e-15 changes 0, 2 and 196 of its
-    diag(2, 1/2) norm rates at R = 20, 30 and 40.
-    """
-    acc = _geodesic_matrices(rep, group, [theta], R, spacing)
-    val = float(acc.log_vector_growth(v)[0]) / R
-    return ExpansionSample(theta=float(theta) % 1.0, R=R, value=val, vector=tuple(np.ravel(v)))
-
-
-def geodesic_norm_rate(rep, group, theta, R, spacing=_REDUCE_EVERY) -> ExpansionSample:
-    """Deterministic maximal expansion rate (1/R) log |A(gamma_theta, R)|.
-
-    Past R ~ 37 the float64 ray is a shadowing pseudo-orbit; see
-    geodesic_rate.
-    """
-    acc = _geodesic_matrices(rep, group, [theta], R, spacing)
-    val = float(acc.log_operator_norm()[0]) / R
-    return ExpansionSample(theta=float(theta) % 1.0, R=R, value=val)
 
 
 def geodesic_norm_rates(rep, group, R, n_dirs, spacing=_REDUCE_EVERY):

@@ -249,6 +249,26 @@ output = %s
     assert "g1..g4" in err and "residual" in err
 
 
+_PROJECTIVE_CONFIG = ("[representation]\ng1 = 1 1 0 1\ng2 = 1 0 1 1\ng3 = 1 0 0 1\n"
+                      "g4 = 1 0 0 1\n[run]\nmethod = validate:%s\noutput = %s\n")
+
+
+def test_only_runs_that_read_a_representation_build_one(tmp_path, capsys):
+    # kernel reads no representation: a projective-only one is accepted,
+    # neither built nor recorded; conversion reads it and refuses it
+    kernel = write_config(tmp_path, _PROJECTIVE_CONFIG % ("kernel", tmp_path / "k"), name="k.cfg")
+    assert run_cli(["run", kernel]) == 0
+    keys = _manifest_keys(tmp_path / "k.manifest.txt")
+    assert not {"dim", "rep_field", "g1", "representation"} & set(keys)
+    capsys.readouterr()
+    conversion = write_config(tmp_path, _PROJECTIVE_CONFIG % ("conversion", tmp_path / "c"),
+                              name="c.cfg")
+    assert run_cli(["run", conversion]) == 1
+    captured = capsys.readouterr()
+    assert "projective-only" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_negative_seed_exits_1(tmp_path, capsys, where):
     text = GOOD_CONFIG.format(out=tmp_path / "neg")

@@ -14,9 +14,8 @@ from hyplyap.cocycle import (
     evaluate,
     fuchsian_representation,
     specialize,
-    trivial_representation,
 )
-from hyplyap.diffusion import RngStream, dist_field, sample_path
+from hyplyap.diffusion import RngStream, ScalarField, sample_path
 from hyplyap.hypgeo import DiscPoint, dist_P
 from hyplyap.surface import DeckWord, build_genus2, locate
 
@@ -180,7 +179,7 @@ def test_long_word_product_raises():
 
 
 def test_trivial_rep_any_path(group):
-    rep = trivial_representation(3)
+    rep = Representation.from_matrices(3, "real")
     path = sample_path(DiscPoint.origin(), 3.0, 0.05, RngStream(77))
     val = evaluate(rep, path, group)
     assert np.array_equal(val, np.eye(3))
@@ -229,7 +228,7 @@ def test_determinant_additivity(group):
 
 
 def test_specialization_trivial_rep(group):
-    spec = specialize(trivial_representation(2), [1.0, 0.0], group)
+    spec = specialize(Representation.from_matrices(2, "real"), [1.0, 0.0], group)
     rng = np.random.default_rng(5)
     for _ in range(20):
         z = 0.9 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
@@ -260,12 +259,12 @@ def test_specialization_known_value(group, rep22):
 
 def test_conversion_rule_change_of_base(group, rep22):
     # f_{y,v}(zeta) = f_{x,u}(zeta) - f_{x,u}(eta) for eta = g1(0), v = [A u]
-    from hyplyap.cocycle import convert_direction
-
+    # with A the cocycle of the path 0 -> eta, read off eta's reduction word
     eta = group.generators[0](0j)
     u = np.array([1.0, 1.0]) / math.sqrt(2.0)
     f_xu = specialize(rep22, u, group)
-    v = convert_direction(rep22, u, eta, group)
+    v = cocycle_of_word(rep22, locate(eta, group)[1]) @ u
+    v /= np.linalg.norm(v)
     shifted = specialize(rep22, v, group, base=eta)
     rng = np.random.default_rng(7)
     f_eta = f_xu(eta)
@@ -278,7 +277,7 @@ def test_conversion_rule_change_of_base(group, rep22):
 
 
 def test_regularity_constant_field(group):
-    rep = trivial_representation(2)
+    rep = Representation.from_matrices(2, "real")
     spec = specialize(rep, [1.0, 0.0], group)
     out = estimate_regularity(spec, 400, 6.0, RngStream(8))
     assert out.alpha_fit == 0.0
@@ -288,7 +287,7 @@ def test_regularity_constant_field(group):
 
 def test_regularity_distance_field():
     # dist is exactly 1-Lipschitz; the envelope ratio cannot exceed 1
-    f = dist_field()
+    f = ScalarField(lambda rho, psi: np.asarray(rho, float))
     out = estimate_regularity(f, 2000, 6.0, RngStream(9))
     assert out.lipschitz_c <= 1.0 + 0.05
     assert out.lipschitz_c >= 0.7
@@ -308,4 +307,5 @@ def test_regularity_diag_rep_finite_and_stable(group, rep22):
 
 def test_regularity_needs_pairs():
     with pytest.raises(CocycleError):
-        estimate_regularity(dist_field(), 50, 4.0, RngStream(1))
+        estimate_regularity(ScalarField(lambda rho, psi: np.asarray(rho, float)), 50, 4.0,
+                            RngStream(1))

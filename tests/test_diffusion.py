@@ -24,7 +24,6 @@ from hyplyap.diffusion import (
     circle_average,
     constant_field,
     diffuse,
-    dist_field,
     dist_squared_field,
     exp_neg_dist_field,
     heat_kernel,
@@ -105,7 +104,7 @@ def test_leafpath_invariants():
     with pytest.raises(DiffusionError):
         LeafPath((0.0,), pts, 0.05)                # length mismatch
     path = LeafPath((0.0, 0.05), pts, 0.05)
-    assert path.end.z == 0.1
+    assert path.points[-1].z == 0.1
 
 
 def test_subpath_shift():
@@ -145,7 +144,7 @@ def test_sample_path_agrees_with_polar_walker_in_law():
     d2 = []
     for i in range(200):
         p = sample_path(DiscPoint.origin(), 2.0, 0.05, RngStream(30, i))
-        d2.append(dist_P(DiscPoint.origin(), p.end) ** 2)
+        d2.append(dist_P(DiscPoint.origin(), p.points[-1]) ** 2)
     rho, _ = sample_polar_endpoints(2000, 2.0, 0.05, RngStream(31).generator())
     a, b = np.mean(d2), np.mean(rho[-1] ** 2)
     se = math.hypot(np.std(d2, ddof=1) / math.sqrt(len(d2)),
@@ -698,7 +697,8 @@ def test_circle_average_odd_harmonic_exact_zero():
 
 
 def test_circle_average_radial_field():
-    assert circle_average(dist_field(), 3.0, 64) == pytest.approx(3.0, abs=1e-9)
+    dist = ScalarField(lambda rho, psi: np.asarray(rho, float))
+    assert circle_average(dist, 3.0, 64) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_circle_average_needs_dirs():

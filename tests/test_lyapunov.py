@@ -19,27 +19,23 @@ from hyplyap.cocycle import (
     _MatrixAccumulator,
     diagonal_representation,
     fuchsian_representation,
-    trivial_representation,
 )
-from hyplyap.diffusion import DiffusionError, RngStream
+from hyplyap.diffusion import DiffusionError, RngStream, _mean_se
 from hyplyap.lyapunov import (
-    ExpansionSample,
     LyapunovError,
     SpectrumReport,
     benettin_spectrum,
     brownian_norm_rate,
-    brownian_rate,
     check_exp_conversion,
     diffusion_spectrum,
     direction_distribution_check,
     expansion_interval,
     expectation_functions,
-    geodesic_norm_rate,
     geodesic_norm_rates,
-    geodesic_rate,
     geodesic_spectrum,
     shadowing_report,
     _RESCALE_STEPS,
+    _brownian_matrices,
     _chi2_sf,
     _geodesic_matrices,
     _gram_schmidt_rows,
@@ -74,7 +70,8 @@ def combined_pass(a, sa, b, sb, rel=0.05):
 
 
 def test_benettin_trivial_rep(group):
-    sp = benettin_spectrum(trivial_representation(3), group, 5.0, 0.05, 10, 60, RngStream(1))
+    rep = Representation.from_matrices(3, "real")
+    sp = benettin_spectrum(rep, group, 5.0, 0.05, 10, 60, RngStream(1))
     assert sp.exponents == (0.0,)
     assert sp.multiplicities == (3,)
     assert sp.exponent_sum == 0.0
@@ -93,7 +90,7 @@ def test_benettin_diag22(group, spectrum30):
 def test_benettin_diag313(group):
     rep = diagonal_representation([3.0, 1.0, 1.0 / 3.0])
     sp = benettin_spectrum(rep, group, 30.0, 0.05, 10, 300, RngStream(51))
-    assert sp.dim == 3
+    assert len(sp.raw_exponents) == 3
     raw = sp.raw_exponents
     assert abs(raw[1]) <= sp.raw_ci[1] + 1e-12          # middle exponent ~ 0
     assert raw[0] == pytest.approx(-raw[2], abs=1e-12)  # det-1 symmetry
@@ -522,8 +519,9 @@ def test_diffusion_spectrum_is_benettin_at_integer_horizon(group, fuchsian):
 
 
 def test_brownian_rates_trivial(group):
-    rep = trivial_representation(2)
-    mean, se = brownian_rate(rep, group, [1.0, 0.0], 2.0, 200, 0.05, RngStream(55))
+    rep = Representation.from_matrices(2, "real")
+    acc = _brownian_matrices(rep, group, 2.0, 200, 0.05, RngStream(55))
+    mean, se = _mean_se(acc.log_vector_growth([1.0, 0.0]) / 2.0)
     assert mean == 0.0 and se == 0.0
     mean, se = brownian_norm_rate(rep, group, 2.0, 200, 0.05, RngStream(55))
     assert mean == 0.0 and se == 0.0
@@ -552,19 +550,20 @@ def test_norm_rate_spills_into_log_scale(group, monkeypatch):
 
 
 def test_brownian_rate_requires_horizon(group, rep22):
-    with pytest.raises(LyapunovError):
-        brownian_rate(rep22, group, [1.0, 0.0], 0.5, 200, 0.05, RngStream(1))
+    with pytest.raises(LyapunovError, match="needs t >= 1"):
+        brownian_norm_rate(rep22, group, 0.5, 200, 0.05, RngStream(1))
 
 
 def test_brownian_axis_vector_is_signed_winding(group, rep22):
     # the winding has zero drift (hyperelliptic symmetry), so the signed
     # axis rate straddles 0 while the mixed vector rides the norm growth
-    mean, se = brownian_rate(rep22, group, [1.0, 0.0], 40.0, 1200, 0.05, RngStream(56))
+    t = 40.0
+    acc = _brownian_matrices(rep22, group, t, 1200, 0.05, RngStream(56))
+    mean, se = _mean_se(acc.log_vector_growth([1.0, 0.0]) / t)
     assert abs(mean) <= 4.0 * se + 0.005
     # samplewise sandwich on shared paths: |A v| <= |A| and, for the mixed
     # vector under diag(2, 1/2), |A v|^2 / |v|^2 >= |A|^2 / 2
-    t = 40.0
-    mixed, _ = brownian_rate(rep22, group, [1.0, 1.0], t, 1200, 0.05, RngStream(56))
+    mixed, _ = _mean_se(acc.log_vector_growth([1.0, 1.0]) / t)
     norm, _ = brownian_norm_rate(rep22, group, t, 1200, 0.05, RngStream(56))
     assert mixed <= norm + 1e-12
     assert mixed >= norm - 0.5 * math.log(2.0) / t - 1e-12
@@ -572,7 +571,8 @@ def test_brownian_axis_vector_is_signed_winding(group, rep22):
 
 def test_norm_rate_dominates_vector_rate(group, rep22):
     # shared stream: same paths, so domination holds samplewise
-    v, _ = brownian_rate(rep22, group, [0.6, 0.8], 10.0, 300, 0.05, RngStream(57))
+    acc = _brownian_matrices(rep22, group, 10.0, 300, 0.05, RngStream(57))
+    v, _ = _mean_se(acc.log_vector_growth([0.6, 0.8]) / 10.0)
     n, _ = brownian_norm_rate(rep22, group, 10.0, 300, 0.05, RngStream(57))
     assert n >= v - 1e-12
 
@@ -593,19 +593,16 @@ def test_unipotent_subexponential(group):
 
 
 def test_geodesic_rates_trivial(group):
-    rep = trivial_representation(2)
-    s = geodesic_rate(rep, group, 0.3, 10.0, [1.0, 0.0])
-    assert s.value == 0.0
-    s = geodesic_norm_rate(rep, group, 0.3, 10.0)
-    assert s.value == 0.0
-    assert s.theta == pytest.approx(0.3)
+    acc = _geodesic_matrices(Representation.from_matrices(2, "real"), group, [0.3], 10.0, 0.5)
+    assert acc.log_vector_growth([1.0, 0.0])[0] == 0.0
+    assert acc.log_operator_norm()[0] == 0.0
 
 
 def test_geodesic_norm_dominates_vector(group, rep22):
-    for theta in (0.1, 0.37, 0.8):
-        nv = geodesic_norm_rate(rep22, group, theta, 20.0).value
-        for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
-            assert nv >= geodesic_rate(rep22, group, theta, 20.0, v).value - 1e-12
+    R = 20.0
+    acc = _geodesic_matrices(rep22, group, [0.1, 0.37, 0.8], R, 0.5)
+    for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
+        assert np.all(acc.log_operator_norm() / R >= acc.log_vector_growth(v) / R - 1e-12)
 
 
 def test_geodesic_split_additivity(group, rep22):
@@ -618,9 +615,8 @@ def test_geodesic_split_additivity(group, rep22):
     tail = m_2R.m[0] @ np.linalg.inv(m_R.m[0])
     lo = -math.log(np.linalg.norm(np.linalg.inv(tail), 2))
     hi = math.log(np.linalg.norm(tail, 2))
-    delta = (2 * R) * geodesic_rate(rep22, group, theta, 2 * R, v).value - R * geodesic_rate(
-        rep22, group, theta, R, v
-    ).value
+    delta = (_geodesic_matrices(rep22, group, [theta], 2 * R, 0.5).log_vector_growth(v)[0]
+             - _geodesic_matrices(rep22, group, [theta], R, 0.5).log_vector_growth(v)[0])
     assert lo - 1e-9 <= delta <= hi + 1e-9
 
 
@@ -676,14 +672,7 @@ def test_geodesic_spectrum_reads_whole_rays(group, R):
     assert np.max(np.abs(np.subtract(sp.raw_exponents, want))) <= 1e-12
 
 
-def test_geodesic_requires_positive_R(group, rep22):
-    with pytest.raises(LyapunovError):
-        geodesic_rate(rep22, group, 0.1, 0.0, [1.0, 0.0])
-
-
 _RAY_ESTIMATORS = {
-    "geodesic_rate": lambda rep, g, R, sp: geodesic_rate(rep, g, 0.1, R, [1.0, 0.0], spacing=sp),
-    "geodesic_norm_rate": lambda rep, g, R, sp: geodesic_norm_rate(rep, g, 0.1, R, spacing=sp),
     "geodesic_norm_rates": lambda rep, g, R, sp: geodesic_norm_rates(rep, g, R, 8, spacing=sp),
     "geodesic_spectrum": lambda rep, g, R, sp: geodesic_spectrum(rep, g, R, 8, spacing=sp),
     "expansion_interval": lambda rep, g, R, sp: expansion_interval(
@@ -732,11 +721,6 @@ def test_geodesic_norm_rates_needs_a_direction(group, rep22):
         geodesic_norm_rates(rep22, group, 2.0, 0)
 
 
-def test_expansion_sample_finite():
-    with pytest.raises(LyapunovError):
-        ExpansionSample(theta=0.1, R=1.0, value=math.inf)
-
-
 # ------------------------------------------------------ expansion interval
 
 
@@ -747,7 +731,7 @@ def test_interval_dim1_zero_width(group, rep22):
 
 def test_interval_trivial_rep(group):
     a, b = expansion_interval(
-        trivial_representation(2), group, 10.0, np.eye(2), n_dirs=64
+        Representation.from_matrices(2, "real"), group, 10.0, np.eye(2), n_dirs=64
     )
     assert a == 0.0 and b == 0.0
 
@@ -786,7 +770,7 @@ def test_interval_preconditions(group, rep22):
 
 def test_expectation_trivial(group):
     m, M = expectation_functions(
-        trivial_representation(2), group, np.eye(2), 5, 200, 0.05, RngStream(62)
+        Representation.from_matrices(2, "real"), group, np.eye(2), 5, 200, 0.05, RngStream(62)
     )
     assert m == 0.0 and M == 0.0
 
@@ -809,8 +793,9 @@ def test_expectation_interval_contains_invariant_line_rates(group, rep22):
     # the K^2 interval at n = 20 must cover the single-vector Brownian rate
     # of each invariant axis, up to Monte Carlo tolerance
     m, M = expectation_functions(rep22, group, np.eye(2), 20, 800, 0.05, RngStream(73))
+    acc = _brownian_matrices(rep22, group, 20.0, 800, 0.05, RngStream(74))
     for axis in ([1.0, 0.0], [0.0, 1.0]):
-        r, se = brownian_rate(rep22, group, axis, 20.0, 800, 0.05, RngStream(74))
+        r, se = _mean_se(acc.log_vector_growth(axis) / 20.0)
         assert m - 3.0 * se - 0.01 <= r <= M + 3.0 * se + 0.01
 
 
@@ -835,7 +820,7 @@ def test_expectation_refuses_a_non_integer_horizon(group, rep22, monkeypatch, n)
 
 
 def test_exp_conversion_trivial(group):
-    rep = trivial_representation(2)
+    rep = Representation.from_matrices(2, "real")
     r = check_exp_conversion(rep, group, [1.0, 0.0], 0j, 1.0, 400, 0.05, RngStream(65))
     assert r.lhs == 0.0 and r.rhs == 0.0 and r.passed
 
