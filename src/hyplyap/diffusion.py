@@ -21,7 +21,8 @@ tile size never changes a result.
 - `sample_heat_endpoints` applies them in the polar chart, one jump per
   gap between checkpoints: `diffuse` and so the semigroup, Dynkin and
   circle checks, `shadowing_report` and `validate cocycle` (each walker at
-  t = 1 and 2) use it.  A walk from the origin lands its first jump at
+  t = 1 and 2) use it.  `diffuse` draws nothing for a constant field,
+  which it diffuses exactly.  A walk from the origin lands its first jump at
   the drawn polar point (length, psi + angle), which the law of cosines
   gives up to rounding; other jumps go through `_polar_step`.  Semigroup
   tests Chapman-Kolmogorov of the sampled law composed through
@@ -307,11 +308,19 @@ class ScalarField:
     angle psi.  polar_laplacian, when present, is its Laplacian for the
     curvature -1 metric in the same coordinates; without it the Laplacian
     is the 5-point stencil fd_laplacian.
+
+    constant, when not None, is the value of a field that is constant, for
+    which polar_fn must return it everywhere.  The heat kernel conserves
+    mass, so D_t c = c: diffuse returns c exactly and draws nothing for
+    such a field.  constant_field sets it, and laplacian_field marks as
+    constant 0.0 the Laplacian of a field whose polar_laplacian is the
+    zero function (constant_field's and real_part_field's).
     """
 
     polar_fn: Callable
     polar_laplacian: Optional[Callable] = None
     name: str = "field"
+    constant: Optional[float] = None
 
     def value(self, p: DiscPoint) -> float:
         return float(self.polar_fn(*_polar_coordinates(p)))
@@ -331,16 +340,24 @@ class ScalarField:
         return (total - 4.0 * self.values_polar(rho, psi)) / (h * h)
 
     def laplacian_field(self) -> "ScalarField":
+        if self.polar_laplacian is _zero:
+            return ScalarField(_zero, _zero, f"lap({self.name})", 0.0)
         if self.polar_laplacian is not None:
             return ScalarField(self.polar_laplacian, name=f"lap({self.name})")
         return ScalarField(self.fd_laplacian, name=f"fd_lap({self.name})")
 
 
+def _zero(rho, psi):
+    """The zero function: the Laplacian of a constant or harmonic field."""
+    return np.zeros_like(np.asarray(rho, dtype=float))
+
+
 def constant_field(c: float) -> ScalarField:
     return ScalarField(
         polar_fn=lambda rho, psi: np.full_like(np.asarray(rho, dtype=float), c),
-        polar_laplacian=lambda rho, psi: np.zeros_like(np.asarray(rho, dtype=float)),
+        polar_laplacian=_zero,
         name=f"const({c})",
+        constant=float(c),
     )
 
 
@@ -348,7 +365,7 @@ def real_part_field() -> ScalarField:
     # harmonic and bounded: Delta Re(z) = 0 for the conformal Laplacian
     return ScalarField(
         polar_fn=lambda rho, psi: np.tanh(0.5 * np.asarray(rho)) * np.cos(psi),
-        polar_laplacian=lambda rho, psi: np.zeros_like(np.asarray(rho, dtype=float)),
+        polar_laplacian=_zero,
         name="re(z)",
     )
 
@@ -711,14 +728,10 @@ def _start_coordinates(n_paths, start):
     return np.full(n_paths, rho), np.full(n_paths, psi)
 
 
-def _polar_walk(n_paths, t_max, max_gap, rng, start, checkpoints):
-    """(rho, psi) at each checkpoint of n_paths Brownian paths from `start`,
-    in the polar chart: each gap between checkpoints is cut into
-    ceil(gap / max_gap) equal exact jumps (_jump_counts), applied tile by
-    tile by _polar_step.  From the origin (every start radius 0) the first
-    jump lands at the drawn polar point (length, psi + angle) with no
-    cos/sin and no _polar_step: the exact end point, which the law of
-    cosines gives up to rounding (and with an angle in (-pi, pi])."""
+def _walk_plan(n_paths, t_max, max_gap, rng, start, checkpoints):
+    """Every refusal of _polar_walk, made before any draw; returns the
+    start's (rho, psi) arrays, the generator, the sorted checkpoints, their
+    gaps and each gap's jump count."""
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise DiffusionError(f"t_max must be finite and >= 0, got {t_max}")
     if n_paths < 1:
@@ -727,7 +740,19 @@ def _polar_walk(n_paths, t_max, max_gap, rng, start, checkpoints):
     gen = _resolve_rng(rng)
     checkpoints = _check_checkpoints(checkpoints, t_max)
     gaps = np.diff(checkpoints, prepend=0.0).tolist()
-    counts = _jump_counts(gaps, max_gap)
+    return rho, psi, gen, checkpoints, gaps, _jump_counts(gaps, max_gap)
+
+
+def _polar_walk(n_paths, t_max, max_gap, rng, start, checkpoints):
+    """(rho, psi) at each checkpoint of n_paths Brownian paths from `start`,
+    in the polar chart: each gap between checkpoints is cut into
+    ceil(gap / max_gap) equal exact jumps (_jump_counts), applied tile by
+    tile by _polar_step.  From the origin (every start radius 0) the first
+    jump lands at the drawn polar point (length, psi + angle) with no
+    cos/sin and no _polar_step: the exact end point, which the law of
+    cosines gives up to rounding (and with an angle in (-pi, pi])."""
+    rho, psi, gen, checkpoints, gaps, counts = _walk_plan(
+        n_paths, t_max, max_gap, rng, start, checkpoints)
     origin = not rho.any()
     out_rho = np.empty((len(checkpoints), n_paths))
     out_psi = np.empty((len(checkpoints), n_paths))
@@ -843,7 +868,9 @@ def diffuse(
 
     Returns (estimate, std_error); the estimate is the pairwise-summed mean
     of f at Brownian endpoints, each one exact jump of time t
-    (sample_heat_endpoints).
+    (sample_heat_endpoints).  A constant field (f.constant) is diffused
+    exactly, D_t c = c: after every refusal of the sampled path, with the
+    same messages, it returns (c, 0.0) and draws nothing from rng.
     """
     if n_samples < DIFFUSE_MIN_SAMPLES:
         raise DiffusionError(f"diffuse needs n_samples >= {DIFFUSE_MIN_SAMPLES}")
@@ -851,7 +878,11 @@ def diffuse(
         raise DiffusionError(f"diffuse needs finite t >= 0, got {t}")
     if isinstance(start, DiscPoint):
         start = _polar_coordinates(start)
-    rhos, psis = sample_heat_endpoints(n_samples, t, _resolve_rng(rng), start=start)
+    gen = _resolve_rng(rng)
+    if f.constant is not None:
+        _walk_plan(n_samples, t, _GAP_MAX, gen, start, None)
+        return f.constant, 0.0
+    rhos, psis = sample_heat_endpoints(n_samples, t, gen, start=start)
     return _mean_se(f.values_polar(rhos[-1], psis[-1]))
 
 
@@ -871,7 +902,9 @@ def check_semigroup(f: ScalarField, t: float, s: float, n: int, rng) -> CheckRep
     error?  The nested side subsamples _SEMIGROUP_INNER inner endpoints per
     outer endpoint.  Every side jumps exactly, so this is Chapman-Kolmogorov
     for the sampled law: one jump of t + s against a jump of t composed with
-    jumps of s through _polar_step."""
+    jumps of s through _polar_step.  For a constant field both sides are
+    exact (see diffuse): the walks' refusals still run, but nothing is
+    drawn from child(0), child(1) or child(2)."""
     if isinstance(rng, np.random.Generator):
         raise DiffusionError("check_semigroup needs an RngStream (it derives substreams)")
     gen_flat = rng.child(0).generator()
@@ -881,13 +914,17 @@ def check_semigroup(f: ScalarField, t: float, s: float, n: int, rng) -> CheckRep
     lhs, lhs_se = diffuse(f, t + s, n, gen_flat)
 
     inner = _SEMIGROUP_INNER
-    rhos, psis = sample_heat_endpoints(n, t, gen_outer)
-    rho_i, psi_i = sample_heat_endpoints(
-        n * inner, s, gen_inner, start=(np.repeat(rhos[-1], inner), np.repeat(psis[-1], inner))
-    )
-    inner_vals = f.values_polar(rho_i[-1], psi_i[-1]).reshape(n, inner)
-
-    rhs, rhs_se = _mean_se(inner_vals.mean(axis=1))
+    if f.constant is not None:
+        _walk_plan(n, t, _GAP_MAX, gen_outer, (0.0, 0.0), None)
+        _walk_plan(n * inner, s, _GAP_MAX, gen_inner, (0.0, 0.0), None)
+        rhs, rhs_se = f.constant, 0.0
+    else:
+        rhos, psis = sample_heat_endpoints(n, t, gen_outer)
+        rho_i, psi_i = sample_heat_endpoints(
+            n * inner, s, gen_inner, start=(np.repeat(rhos[-1], inner), np.repeat(psis[-1], inner))
+        )
+        inner_vals = f.values_polar(rho_i[-1], psi_i[-1]).reshape(n, inner)
+        rhs, rhs_se = _mean_se(inner_vals.mean(axis=1))
     return CheckReport.compare(
         f"semigroup({f.name}, t={t}, s={s})", lhs, lhs_se, rhs, rhs_se,
         {"n": n, "inner_samples": inner},
@@ -899,7 +936,10 @@ def check_dynkin(f: ScalarField, t: float, n: int, rng) -> CheckReport:
 
     The right side is a trapezoid over an s-grid of diffusion estimates of
     the Laplacian; its quadrature error is estimated from second differences
-    of the node values and added to the Monte Carlo tolerance.
+    of the node values and added to the Monte Carlo tolerance.  diffuse is
+    exact for constant fields, so a constant f draws nothing, and a field
+    whose Laplacian is marked constant (laplacian_field: constant_field,
+    real_part_field) draws nothing at the nodes child(11..18).
     """
     lap = f.laplacian_field()
     if isinstance(rng, np.random.Generator):

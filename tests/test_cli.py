@@ -613,6 +613,40 @@ def test_run_validate_dynkin_pass_fail_lines(tmp_path, capsys):
     assert body.splitlines()[0] == "name,lhs,rhs,tolerance,passed"
 
 
+# `validate semigroup` and `validate dynkin` at seed 0, every row's (lhs,
+# rhs, tolerance, passed) as read back from the CSV, pinned like
+# test_lyapunov's _QR_PINS.  The constant rows are exact and draw nothing;
+# the sampled rows move if any check's stream moves.
+_SUITE_PINS = {
+    "semigroup": {
+        "semigroup(const(1.0); t=0.5; s=0.5)": (1.0, 1.0, 1e-12, True),
+        "semigroup(exp(-dist); t=0.5; s=0.5)": (
+            0.20781186133212287, 0.20331117421182035, 0.0208905471287363, True),
+        "semigroup(re(z); t=1.0; s=1.0)": (
+            0.011702629018077686, -0.006828758671240479, 0.08354430170730104, True),
+    },
+    "dynkin": {
+        "dynkin(const(2.0); t=1.0)": (0.0, 0.0, 1e-09, True),
+        "dynkin(re(z); t=1.0)": (-0.007072444103432772, 0.0, 0.044748265857848885, True),
+        "dynkin(dist^2; t=1.0)": (
+            5.525984270633583, 5.2248326620278736, 0.4506046010141909, True),
+    },
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_PINS))
+def test_diffusion_suite_rows_pinned(tmp_path, capsys, suite):
+    assert run_cli(["validate", suite, "--seed", "0", "--output", str(tmp_path / "v")]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "v.csv").read_text().splitlines()
+    assert lines[0] == "name,lhs,rhs,tolerance,passed"
+    rows = {}
+    for line in lines[1:]:
+        name, lhs, rhs, tol, passed = line.rsplit(",", 4)
+        rows[name] = (float(lhs), float(rhs), float(tol), passed == "1")
+    assert rows == _SUITE_PINS[suite]
+
+
 @pytest.mark.parametrize("suite", ["semigroup", "dynkin", "circle", "shadowing",
                                    "kernel", "cocycle", "geometry", "conversion",
                                    "drift", "uniformity"])

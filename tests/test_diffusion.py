@@ -614,6 +614,97 @@ def test_diffuse_rejects_horizon_past_jump_limit():
         diffuse(real_part_field(), 2e6, 100, RngStream(1))
 
 
+@pytest.fixture
+def drawn_streams(monkeypatch):
+    """Spy on every generator an RngStream hands out: the returned function
+    gives the stream indices whose generator has drawn since (its bit
+    generator's state moved), so a test fails on any draw it forbids."""
+    handed = []
+    make = RngStream.generator
+
+    def spy(stream):
+        gen = make(stream)
+        handed.append((stream.stream_index, gen, gen.bit_generator.state))
+        return gen
+
+    monkeypatch.setattr(RngStream, "generator", spy)
+    return lambda: {i for i, gen, state in handed if gen.bit_generator.state != state}
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 2.0, -0.3])
+def test_constant_field_diffuses_exactly_and_draws_nothing(drawn_streams, c):
+    # D_t c = c: no sample can change the mean, so none is drawn, from a
+    # Generator or from any child of an RngStream
+    f = constant_field(c)
+    gen = np.random.default_rng(5)
+    state = gen.bit_generator.state
+    for t in (0.0, 0.5, 150.0):
+        assert diffuse(f, t, 100, gen, start=(1.5, 0.25)) == (c, 0.0)
+    assert gen.bit_generator.state == state
+    assert diffuse(f, 1.0, 100, RngStream(5)) == (c, 0.0)
+    stream = RngStream(6)
+    rep = check_semigroup(f, 0.5, 0.5, 800, stream)
+    assert (rep.lhs, rep.rhs, rep.lhs_se, rep.rhs_se, rep.passed) == (c, c, 0.0, 0.0, True)
+    rep = check_dynkin(f, 1.0, 200, stream)
+    assert (rep.lhs, rep.rhs, rep.passed) == (0.0, 0.0, True)
+    assert drawn_streams() == set()
+    assert check_circle_vs_diffusion(constant_field(1.0), [4.0, 8.0, 16.0, 32.0], 400,
+                                     stream).errors == (0.0,) * 4
+    assert drawn_streams() == set()
+
+
+def test_dynkin_of_a_harmonic_field_draws_only_its_left_side(drawn_streams):
+    # the Laplacian of Re(z) is marked constant 0: the quadrature nodes
+    # child(11..18) are exact, only the left side's child(0) samples
+    stream = RngStream(17)
+    rep = check_dynkin(real_part_field(), 1.0, 800, stream)
+    assert rep.rhs == 0.0 and rep.rhs_se == 0.0
+    assert drawn_streams() == {stream.child(0).stream_index}
+    assert real_part_field().laplacian_field().constant == 0.0
+    assert dist_squared_field().laplacian_field().constant is None
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("n, t, start, rng", [
+    (50, 1.0, (0.0, 0.0), RngStream(1)),
+    (100, 0.005, (0.0, 0.0), RngStream(1)),
+    (100, 2e6, (0.0, 0.0), RngStream(1)),
+    (100, -1.0, (0.0, 0.0), RngStream(1)),
+    (100, _NAN, (0.0, 0.0), RngStream(1)),
+    (100, 1.0, (np.zeros(3), 0.0), RngStream(1)),
+    (100, 1.0, (_NAN, 0.0), RngStream(1)),
+    (100, 1.0, (-1.0, 0.0), RngStream(1)),
+    (100, 1.0, (0.0, 0.0), 12345),
+], ids=["few_samples", "short_t", "long_t", "negative_t", "nan_t", "start_shape",
+        "nan_radius", "negative_radius", "bad_rng"])
+def test_constant_field_refused_as_a_sampled_field(n, t, start, rng):
+    messages = []
+    for f in (real_part_field(), constant_field(1.0)):
+        with pytest.raises(DiffusionError) as err:
+            diffuse(f, t, n, rng, start=start)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("t, s", [(0.005, 1.0), (1.0, 0.005)], ids=["short_outer", "short_inner"])
+def test_constant_semigroup_refused_as_a_sampled_one(t, s):
+    # the walks a constant field skips still refuse what they would refuse
+    messages = []
+    for f in (real_part_field(), constant_field(1.0)):
+        with pytest.raises(DiffusionError) as err:
+            check_semigroup(f, t, s, 100, RngStream(2))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_constant_field_checks_still_refuse_a_generator():
+    for check, args in ((check_semigroup, (0.5, 0.5, 100)), (check_dynkin, (1.0, 100))):
+        with pytest.raises(DiffusionError, match="needs an RngStream"):
+            check(constant_field(1.0), *args, np.random.default_rng(1))
+
+
 def test_diffuse_from_offset_start():
     # rotational symmetry: diffusion of dist from a point at radius 1 equals
     # the same run restarted at the rotated point

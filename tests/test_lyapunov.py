@@ -468,6 +468,39 @@ def sym2(group, fuchsian):
     return rep
 
 
+def _conjugated_sum(group, *block_images):
+    """The direct sum of representations given by their generator images,
+    conjugated by a fixed random unitary, so that no basis vector spans an
+    invariant subspace: the spectrum is the union of the summands'."""
+    d = sum(images[0].shape[0] for images in block_images)
+    q, r = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d, 2)) @ [1.0, 1.0j])
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    matrices = []
+    for k in range(4):
+        m = np.zeros((d, d), dtype=complex)
+        lo = 0
+        for images in block_images:
+            hi = lo + images[k].shape[0]
+            m[lo:hi, lo:hi] = images[k]
+            lo = hi
+        matrices.append(u @ m @ u.conj().T)
+    rep = Representation.from_matrices(d, "complex", matrices, group)
+    assert rep.relator_residual <= 1e-10
+    return rep
+
+
+@pytest.fixture(scope="module")
+def fuchsian_fuchsian(group, fuchsian):
+    """fuchsian + fuchsian: spectrum exactly (1/2, 1/2, -1/2, -1/2)."""
+    return _conjugated_sum(group, fuchsian.images, fuchsian.images)
+
+
+@pytest.fixture(scope="module")
+def fuchsian_sym2(group, fuchsian, sym2):
+    """fuchsian + Sym^2: spectrum exactly (1, 1/2, 0, -1/2, -1)."""
+    return _conjugated_sum(group, fuchsian.images, sym2.images)
+
+
 # Each route's raw exponents against the exact spectrum, at the CLI's seed
 # and streams, within raw_ci + c / horizon.  c is the octagon's
 # circumradius, 2.45: a path ending at z in tile gamma F has cocycle
@@ -475,7 +508,9 @@ def sym2(group, fuchsian):
 # moves the log singular values of Sym^k(rho(gamma)) / horizon by at most
 # k/2 circumradius / horizon (k <= 2 here).  The xy basis vector of Sym^2
 # has length 1, not the 1/sqrt(2) of an isometric basis, and that alone
-# moves the middle exponent by log(sqrt 2) / horizon on every path.
+# moves the middle exponent by log(sqrt 2) / horizon on every path.  The
+# conjugated direct sums carry their summands' bounds: a unitary change of
+# basis moves no singular value.
 _ORACLE_ROUTES = {
     "brownian": lambda rep, g: benettin_spectrum(rep, g, 60.0, 0.05, 1, 400, RngStream(0, 0)),
     "diffusion": lambda rep, g: diffusion_spectrum(rep, g, 60, 400, 0.05, RngStream(0, 2)),
@@ -484,8 +519,12 @@ _ORACLE_ROUTES = {
 
 
 @pytest.mark.parametrize("route", sorted(_ORACLE_ROUTES))
-@pytest.mark.parametrize("rep_name, truth", [("fuchsian", (0.5, -0.5)), ("sym2", (1.0, 0.0, -1.0))],
-                         ids=["fuchsian", "sym2"])
+@pytest.mark.parametrize("rep_name, truth", [
+    ("fuchsian", (0.5, -0.5)),
+    ("sym2", (1.0, 0.0, -1.0)),
+    ("fuchsian_fuchsian", (0.5, 0.5, -0.5, -0.5)),
+    ("fuchsian_sym2", (1.0, 0.5, 0.0, -0.5, -1.0)),
+], ids=["fuchsian", "sym2", "fuchsian_fuchsian", "fuchsian_sym2"])
 def test_spectrum_routes_meet_exact_spectrum(group, request, rep_name, truth, route):
     sp = _ORACLE_ROUTES[route](request.getfixturevalue(rep_name), group)
     c = group.circumradius
