@@ -13,7 +13,8 @@ human-readable summary.
 `validate <suite>` is `run --method validate:<suite>` on the default
 config; both take a suite's defaults from one table, _SUITE_DEFAULTS.  A
 run walks the horizon its manifest records or none: one below a suite's
-minimum, or past 10^4 steps of 0.5 on any route or suite, exits 1.
+minimum, or past 5000 (10^4 ray steps of 0.5, or 5000 Brownian gaps of
+1) on any route or suite, exits 1.
 
 Exit codes: 0 success, 1 usage/config error, 2 validation-suite failure.
 """
@@ -499,7 +500,7 @@ def run_validation(cfg: ExperimentConfig, group, rep):
         )
         add(r.name, r.slope, 0.0, r.threshold, r.passed)
     elif name == "drift":
-        # the chain the matrix routes walk, 80 exact jumps of 0.5 to t = 40;
+        # the chain the matrix routes walk, 40 exact jumps of 1 to t = 40;
         # shadowing's drift row reads one jump per checkpoint
         rho, _ = _cadence_chain(rng.generator(), cfg.n_paths, 40.0)
         med = float(np.median(rho) / 40.0)

@@ -31,7 +31,7 @@ tile size never changes a result.
 - The matrix routes' walk (`lyapunov._brownian_walk`) applies them in the
   raw chart, in whole rows (`_heat_jump_blocks`): `_disc_jump` forms a
   block's disc jumps at once, and one Mobius move `_disc_step` per gap of
-  0.5 applies them, reducing every walker after each;
+  1 applies them, reducing every walker after each;
   `lyapunov._cadence_chain` walks them in the polar chart for `validate
   drift` and `validate uniformity`.
 - `sample_polar_endpoints` and `sample_path` cut every gap into equal
@@ -542,8 +542,10 @@ _TABLE_KNOTS = 128
 # are cut into equal pieces that lie inside it
 _GAP_MIN = 0.01
 _GAP_MAX = 100.0
-# jumps per walk past this are refused, and so are Brownian gaps and ray
-# steps past it on every route (lyapunov._walk_steps): horizon <= 5000
+# jumps per walk past this are refused, and so are ray steps past it on
+# every route (lyapunov._walk_steps).  Every route's horizon stops where
+# rays of 0.5 do, at 5000: a Brownian walk or chain, with gaps of 1, at
+# half this many
 MAX_JUMP_COUNT = 10**4
 # _radial_quantile finds a key's knot through a guide table of _GUIDE_SIZE
 # equal buckets of s = sqrt(u): 2-3% of keys land in a bucket holding more

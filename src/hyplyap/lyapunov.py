@@ -52,27 +52,31 @@ step.
 
 The disc is simply connected, so a lifted path's cocycle value depends
 only on its endpoint tile, and the matrix routes need each walker only at
-the reduction cadence _REDUCE_EVERY.  The one Brownian walker,
-`_brownian_walk`, takes ceil(t / _REDUCE_EVERY) equal gaps; in each it
-moves every walker once by an exact heat-kernel jump and reduces every
-walker once.  The jumps come a block of gaps at a time
-(`diffusion._heat_jump_blocks`), `diffusion._disc_jump` forms the disc
-jumps of a whole block in one pass, and the Mobius move
-`diffusion._disc_step` applies them gap by gap.  There is no step, no
-guard and no partial reduction.  Every Brownian estimator, the conversion
-check's left side included, walks through `_brownian_ensemble` (the
-whole-product readouts through `_brownian_matrices`), which still
-validates a `step` it does not read: the estimators keep `step` (and
-Benettin `reorth_every`) in their signatures because the benchmark's
-tracer and layer timings pass them.  `_cadence_chain` runs the same
-jumps in the polar chart, without reduction, for the drift and uniformity
-checks.  The ray tracker `_ray_walk` moves each ray exactly
-(`_ray_step`), one step per _REDUCE_EVERY of arc length, and reduces
-after every step; `_geodesic_matrices` folds its letters into products
-over the direction grid `_direction_grid`, and `_ray_lift_error` lifts
-its rays back for `validate geometry` through the deck maps that
-`surface._DeckMaps` composes, in one array pass per step.  Each
-estimator walks one ensemble on `rng.child(0)`.
+the reduction cadence, _JUMP_GAP on a Brownian walk.  The one Brownian
+walker, `_brownian_walk`, takes ceil(t / _JUMP_GAP) equal gaps; in each
+it moves every walker once by an exact heat-kernel jump, exact at any
+gap, and reduces every walker once.  So the gap changes only cost and
+rounding, not the law of the products, and Benettin's per-gap QR logs
+telescope to those of one QR of the whole product.  The jumps come a
+block of gaps at a time (`diffusion._heat_jump_blocks`),
+`diffusion._disc_jump` forms the disc jumps of a whole block in one pass,
+and the Mobius move `diffusion._disc_step` applies them gap by gap.
+There is no step, no guard and no partial reduction.  Every Brownian
+estimator, the conversion check's left side included, walks through
+`_brownian_ensemble` (the whole-product readouts through
+`_brownian_matrices`), which still validates a `step` it does not read:
+the estimators keep `step` (and Benettin `reorth_every`) in their
+signatures because the benchmark's tracer and layer timings pass them.
+`_cadence_chain` runs the same jumps, one per _JUMP_GAP, in the polar
+chart, without reduction, for the drift and uniformity checks.  The ray
+tracker `_ray_walk` moves each ray exactly (`_ray_step`), one step per
+_REDUCE_EVERY of arc length, and reduces after every step; rays keep
+this shorter cadence, as past R ~ 37 a float64 ray's grid mean moves with
+the step.  `_geodesic_matrices` folds its letters into products over the
+direction grid `_direction_grid`, and `_ray_lift_error` lifts its rays
+back for `validate geometry` through the deck maps that `surface._DeckMaps`
+composes, in one array pass per step.  Each estimator walks one ensemble
+on `rng.child(0)`.
 """
 
 from __future__ import annotations
@@ -129,21 +133,26 @@ class LyapunovError(RuntimeError):
 
 # ------------------------------------------------------- ensemble engine
 
-# the reduction cadence: a Brownian walk of length t takes ceil(t / 0.5)
-# equal gaps, one exact jump and one full reduction each, and a ray one
-# exact step per 0.5 of arc length; any cadence gives the same product
+# the rays' reduction cadence: a ray takes one exact step per 0.5 of arc
+# length; any cadence gives the same product
 _REDUCE_EVERY = 0.5
+# the Brownian reduction cadence: a walk of length t takes ceil(t / 1.0)
+# equal gaps, one exact jump, one full reduction and (on the spectrum
+# routes) one QR each; any gap gives the same law of products
+_JUMP_GAP = 1.0
 # the whole-product readouts spill into their log scale every 8 steps of a
-# walk, Brownian gaps and ray steps alike (4 units of time or arc length at
-# _REDUCE_EVERY): a product outgrowing the 1e100 threshold by 1e208 in that
-# time would need an exponent past 100
+# walk, Brownian gaps and ray steps alike: 8 units of time at _JUMP_GAP,
+# 4 of arc length at _REDUCE_EVERY.  A product outgrowing the 1e100
+# threshold by 1e208 (e^479) in that span would need an exponent past 60
+# on a Brownian walk, past 120 on a ray
 _RESCALE_STEPS = 8
 # the geodesic spectrum's QR cadence: rays never cross back, so rounding
 # grows with the net displacement.  On Sym^2 of the uniformizing
 # representation at R = 60 the worst per-ray |log det| error (truth 0) is
 # 7.3e-10 at a QR every 8 steps and 8.5e-12 at every step, which costs the
-# route 29%.  (Brownian walkers cross a side and back: 5.2e-2 at a QR every
-# 8 gaps, 6.3e-10 at every gap, so they take one per gap.)
+# route 29%.  (Brownian walkers cross a side and back: at t = 60 over 400
+# paths of RngStream(0), (1) and (2), 7.6 to 10.5 at a QR every 8 gaps of
+# _JUMP_GAP and 5.0e-9 to 1.2e-8 at every gap, so they take one per gap.)
 _RAY_REORTH_STEPS = 8
 
 
@@ -155,12 +164,13 @@ def _ensemble_generator(rng):
 
 
 def _walk_steps(t, gap, walk, unit="jumps"):
-    """ceil(t / gap), the steps a walk of length t takes; more than
-    MAX_JUMP_COUNT (t > 5000 at _REDUCE_EVERY), or a non-finite t, is a
+    """ceil(t / gap), the steps a walk of length t takes.  A walk longer
+    than MAX_JUMP_COUNT steps of min(gap, _REDUCE_EVERY) (t > 5000 for a
+    Brownian walk and for rays at _REDUCE_EVERY), or a non-finite t, is a
     mistyped horizon and is refused before the walk starts."""
-    t_max = MAX_JUMP_COUNT * gap
+    t_max = MAX_JUMP_COUNT * min(gap, _REDUCE_EVERY)
     if not t <= t_max:
-        raise LyapunovError(f"{walk} at most {MAX_JUMP_COUNT:,} {unit} of {gap:g}: its length "
+        raise LyapunovError(f"{walk} at most {t_max / gap:,.0f} {unit} of {gap:g}: its length "
                             f"must be finite and at most {t_max:g}, got {t}")
     return math.ceil(t / gap)
 
@@ -169,18 +179,18 @@ def _brownian_walk(data, acc, gen, n, t, start=0j):
     """Walk n Brownian paths from `start` for time t, folding their deck
     letters into acc; yields the reduced positions z after each gap.
 
-    The walk takes k = ceil(t / _REDUCE_EVERY) equal gaps of t / k.  Each
-    gap moves every walker once, by an exact heat-kernel jump, and then
-    reduces every walker into the octagon.  The jumps are drawn a block of
-    gaps at a time (diffusion._heat_jump_blocks) and turned into disc jumps
-    a block at a time by _disc_jump; both are elementwise, so every gap's
-    jump is bit for bit the one a single gap's draw would give.  A gap
-    below diffusion's _GAP_MIN, the shortest time its radial table covers,
-    is refused; as t / k >= min(t, 1/4), that is a t below _GAP_MIN.  So
-    is a walk of more than MAX_JUMP_COUNT gaps."""
+    The walk takes k = ceil(t / _JUMP_GAP) equal gaps of t / k (an integer
+    t takes t gaps of 1).  Each gap moves every walker once, by an exact
+    heat-kernel jump, and then reduces every walker into the octagon.  The
+    jumps are drawn a block of gaps at a time (diffusion._heat_jump_blocks)
+    and turned into disc jumps a block at a time by _disc_jump; both are
+    elementwise, so every gap's jump is bit for bit the one a single gap's
+    draw would give.  A gap below diffusion's _GAP_MIN, the shortest time
+    its radial table covers, is refused; as t / k >= min(t, 1/2), that is a
+    t below _GAP_MIN.  So is a t past 5000 (_walk_steps)."""
     if not (math.isfinite(t) and t >= _GAP_MIN):
         raise LyapunovError(f"a Brownian walk needs finite t >= {_GAP_MIN}, got {t}")
-    k = _walk_steps(t, _REDUCE_EVERY, "a Brownian walk takes")
+    k = _walk_steps(t, _JUMP_GAP, "a Brownian walk takes")
     z = np.full(n, complex(start))
     _reduce_ensemble(data, z)  # initial reduction: not part of the word
     for c, s, ell in _heat_jump_blocks(gen, n, t / k, k):
@@ -223,14 +233,13 @@ def _brownian_matrices(rep, group, t, n_paths, step, rng, start=0j):
 
 def _cadence_chain(gen, n, t):
     """(rho, psi) of n Brownian paths from the origin at time t, walked as
-    the matrix routes walk them: k = ceil(t / _REDUCE_EVERY) chained exact
+    the matrix routes walk them: k = ceil(t / _JUMP_GAP) chained exact
     jumps of t / k, applied in the polar chart (diffusion._polar_walk).  A
-    t below _GAP_MIN is refused, as is a chain of more than MAX_JUMP_COUNT
-    jumps (_walk_steps)."""
+    t below _GAP_MIN is refused, as is a t past 5000 (_walk_steps)."""
     if not t >= _GAP_MIN:
         raise LyapunovError(f"a cadence chain needs t >= {_GAP_MIN}, got {t}")
-    _walk_steps(t, _REDUCE_EVERY, "a cadence chain takes")
-    rho, psi = _polar_walk(n, t, _REDUCE_EVERY, gen, (0.0, 0.0), None)
+    _walk_steps(t, _JUMP_GAP, "a cadence chain takes")
+    rho, psi = _polar_walk(n, t, _JUMP_GAP, gen, (0.0, 0.0), None)
     return rho[0], psi[0]
 
 
@@ -387,7 +396,7 @@ def brownian_norm_rate(rep, group, t, n_paths, step, rng):
 def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> SpectrumReport:
     """Full spectrum by QR deflation along Brownian paths: _deflation_spectrum
     of the Brownian walk to t_max, with one QR per gap of the walk (one per
-    _REDUCE_EVERY time units).  A single path is refused: its exponents
+    _JUMP_GAP time units).  A single path is refused: its exponents
     would have no standard error.
 
     `step` and `reorth_every` are validated (0 < step <= 0.05,
@@ -405,11 +414,13 @@ def benettin_spectrum(rep, group, t_max, step, reorth_every, n_paths, rng) -> Sp
 
 def _brownian_spectrum(rep, group, t, n_paths, step, rng, method, provenance) -> SpectrumReport:
     """_deflation_spectrum of an ensemble of Brownian paths to time t, one QR
-    per gap; the provenance gains the ensemble's size and stream."""
+    per gap; the provenance gains the walk's gap and the ensemble's size
+    and stream."""
     if n_paths < 2:
         raise LyapunovError(f"an ensemble spectrum needs n_paths >= 2, got {n_paths}")
     acc, walk = _brownian_ensemble(rep, group, t, n_paths, step, rng)
-    provenance.update(n_paths=n_paths, master_seed=rng.master_seed, stream_index=rng.stream_index)
+    provenance.update(jump_gap=_JUMP_GAP, n_paths=n_paths, master_seed=rng.master_seed,
+                      stream_index=rng.stream_index)
     return _deflation_spectrum(acc, walk, 1, t, method, provenance)
 
 

@@ -27,7 +27,7 @@ from hyplyap.cli import (
     run_validation,
 )
 from hyplyap import diffusion, lyapunov
-from hyplyap.lyapunov import LyapunovError, _cadence_chain
+from hyplyap.lyapunov import _JUMP_GAP, LyapunovError, _cadence_chain
 from hyplyap.surface import build_genus2
 
 GOOD_CONFIG = """
@@ -369,9 +369,9 @@ def test_step_past_max_exits_1_on_every_route(tmp_path, capsys, method):
 
 @pytest.mark.parametrize("method", ["brownian", "geodesic", "diffusion"])
 def test_overflowing_step_count_exits_1(tmp_path, capsys, method):
-    # a horizon of 1e308, 1e9 or 6000 needs more than MAX_JUMP_COUNT gaps or
-    # ray steps of 0.5: every route refuses it before it lays out or takes
-    # its steps
+    # a horizon of 1e308, 1e9 or 6000 is past 5000, the end of MAX_JUMP_COUNT
+    # ray steps of 0.5 and of 5000 Brownian gaps of 1: every route refuses
+    # it before it lays out or takes its steps
     cfg = write_config(
         tmp_path, "[run]\nmethod = %s\nn_dirs = 8\noutput = %s\n" % (method, tmp_path / "h"))
     for horizon in ("1e308", "1e9", "6000"):
@@ -856,6 +856,22 @@ def test_walker_manifest_lists_each_key_once(tmp_path, capsys, method):
     assert {"n_paths", "master_seed"} <= set(keys)
 
 
+@pytest.mark.parametrize("method, walk", [
+    ("brownian", f"jump_gap {_JUMP_GAP}"),
+    ("diffusion", f"jump_gap {_JUMP_GAP}"),
+    ("geodesic", "spacing 0.5"),
+])
+def test_route_manifest_records_its_walk(tmp_path, capsys, method, walk):
+    # each route's manifest says which walk wrote its CSV: the Brownian gap
+    # of the brownian and diffusion routes, the ray spacing of the geodesic
+    text = ROUTE_CONFIG.replace("horizon = 60", "horizon = 4").replace("400", "8")
+    cfg = write_config(tmp_path, text + "n_dirs = 8\n")
+    assert run_cli(["run", cfg, "--method", method, "--output", str(tmp_path / "w")]) == 0
+    lines = (tmp_path / "w.manifest.txt").read_text().splitlines()
+    assert walk in lines
+    assert sum(line.startswith(("jump_gap ", "spacing ")) for line in lines) == 1
+
+
 def test_manifests_record_python_numpy_and_platform(tmp_path, capsys):
     # the three provenance lines follow the header, once each, in a run
     # manifest and a validate manifest alike
@@ -885,8 +901,8 @@ def test_diffusion_route_refuses_a_non_integer_horizon(tmp_path, capsys):
 
 
 def test_uniformity_refuses_a_runaway_horizon(tmp_path, capsys):
-    # the chain takes one jump per 0.5 and at most MAX_JUMP_COUNT of them:
-    # horizon 5000 is the last it walks, and 1e9 exits 1 before drawing
+    # the chain takes one jump per _JUMP_GAP and stops at horizon 5000, the
+    # last it walks; 1e9 exits 1 before drawing
     cfg = write_config(tmp_path, "[run]\nmethod = validate:uniformity\noutput = %s\n"
                        % (tmp_path / "u"))
     t0 = time.perf_counter()
@@ -894,7 +910,9 @@ def test_uniformity_refuses_a_runaway_horizon(tmp_path, capsys):
     assert time.perf_counter() - t0 < 10.0
     err = capsys.readouterr().err
     assert rc == 1
-    assert "error: a cadence chain takes at most 10,000 jumps" in err and "Traceback" not in err
+    gap = _JUMP_GAP
+    assert f"error: a cadence chain takes at most {5000 / gap:,.0f} jumps of {gap:g}: " in err
+    assert "Traceback" not in err
     assert not (tmp_path / "u.csv").exists()
     with pytest.raises(LyapunovError, match="at most 5000, got 5000.5"):
         _cadence_chain(np.random.default_rng(0), 1, 5000.5)

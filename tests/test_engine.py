@@ -394,9 +394,9 @@ def test_accumulator_skip_keeps_a_negative_zero(data):
 
 @pytest.mark.parametrize("start, t", [(0j, 5.0), (0.99 * cmath.exp(0.7j), 5.0), (0j, 5.25)])
 def test_cadence_walk_invariants(group, data, rep_track, start, t):
-    # the walk takes ceil(t / 0.5) gaps (t = 5.25: 11 gaps of 0.477), and
-    # after each one every walker is in the closed octagon; the product is
-    # the cocycle of the letters the walk reported
+    # the walk takes ceil(t / _JUMP_GAP) gaps (t = 5.25: 6 gaps of 0.875),
+    # and after each one every walker is in the closed octagon; the product
+    # is the cocycle of the letters the walk reported
     n = 500
     acc = _MatrixAccumulator(rep_track, data, n)
     rec = _Recorder(data, n, acc)
@@ -404,7 +404,7 @@ def test_cadence_walk_invariants(group, data, rep_track, start, t):
     for z in _brownian_walk(data, rec, np.random.default_rng(11), n, t, start):
         gaps += 1
         assert all(contains(group, complex(w)) for w in z), gaps
-    assert gaps == math.ceil(t / lyapunov._REDUCE_EVERY)
+    assert gaps == math.ceil(t / lyapunov._JUMP_GAP)
     assert sum(len(w) >= 3 for w in rec.letters) > n // 4
     for k in range(n):
         want = cocycle_of_word(rep_track, DeckWord(tuple(rec.letters[k])))
@@ -450,11 +450,12 @@ class _DrawSpy:
 
 def test_block_draws_match_per_step_draws(data, rep_track):
     # the walk draws a block of gaps at once: at n = 2000, 2 gaps of 8000
-    # uniforms, and t = 5.25 takes 11 gaps, so the last block is short.  Its
-    # uniforms, and the positions and products after every gap, equal bit
-    # for bit those of one (2, n) draw per gap
-    n, t = 2000, 5.25
-    gaps = math.ceil(t / lyapunov._REDUCE_EVERY)
+    # uniforms, and t = 4.25 takes ceil(t / _JUMP_GAP) gaps (5 of 0.85, so
+    # 2 full blocks and a short one).  Its uniforms, and the positions and
+    # products after every gap, equal bit for bit those of one (2, n) draw
+    # per gap
+    n, t = 2000, 4.25
+    gaps = math.ceil(t / lyapunov._JUMP_GAP)
     spy = _DrawSpy(np.random.default_rng(12))
     acc = _MatrixAccumulator(rep_track, data, n)
     walk = _brownian_walk(data, acc, spy, n, t)
@@ -471,7 +472,7 @@ def test_block_draws_match_per_step_draws(data, rep_track):
         assert np.array_equal(z, z_ref), i
         assert np.array_equal(acc.m, ref_acc.m), i
     assert i == gaps
-    assert spy.shapes == [(2, 2, n)] * 5 + [(1, 2, n)]
+    assert spy.shapes == [(2, 2, n)] * 2 + [(1, 2, n)]
 
 
 @pytest.mark.parametrize("walker, n", [
@@ -481,16 +482,16 @@ def test_block_draws_match_per_step_draws(data, rep_track):
 ] + [pytest.param("sample_path", 1, id="sample_path-1")])
 def test_walk_draws_two_normals_per_path_step(data, rep_track, walker, n):
     # every walker draws two uniforms per path and jump: the cadence walk
-    # takes its 11 gaps of t / 11, and the step walkers cut each checkpoint
-    # gap into ceil(gap / step) jumps.  n = 300 draws blocks of 13 jumps,
-    # n = 2000 of 2 and n = 5000 of 1
+    # takes its ceil(t / _JUMP_GAP) gaps (6 of t / 6), and the step walkers
+    # cut each checkpoint gap into ceil(gap / step) jumps.  n = 300 draws
+    # blocks of 13 jumps, n = 2000 of 2 and n = 5000 of 1
     t, step = 5.25, 0.05
     gen, ref = np.random.default_rng(13), np.random.default_rng(13)
     if walker == "brownian_walk":
         acc = _MatrixAccumulator(rep_track, data, n)
         for _ in _brownian_walk(data, acc, gen, n, t):
             pass
-        jumps = math.ceil(t / 0.5)
+        jumps = math.ceil(t / lyapunov._JUMP_GAP)
     elif walker == "polar_endpoints":
         sample_polar_endpoints(n, t, step, gen, checkpoints=[1.0, 5.25])
         jumps = math.ceil(1.0 / step) + math.ceil((5.25 - 1.0) / step)

@@ -229,31 +229,31 @@ def test_real_2x2_kernel_refuses_a_zero_row_as_the_loop_does(row):
 
 # Benettin at t = 60 over 400 paths of RngStream(0), as computed with
 # np.linalg.qr and a sign fix-up in place of the Gram-Schmidt kernel, on the
-# exact-jump walk (one QR per gap of 0.5): the diagonal representations keep
-# every bit (their frames stay diagonal, so both kernels are exact); the
-# others agree to rounding.
+# exact-jump walk (one QR per gap of lyapunov._JUMP_GAP = 1): the diagonal
+# representations keep every bit (their frames stay diagonal, so both
+# kernels are exact); the others agree to rounding.
 _QR_PINS = {
     "diag22": dict(
-        raw=(0.033386589196970705, -0.033386589196970705),
-        ci=(0.002520198486035448, 0.002520198486035448),
+        raw=(0.03350211372706402, -0.03350211372706402),
+        ci=(0.0024601086484117773, 0.0024601086484117773),
         total=(0.0, 0.0),
     ),
     "diag313": dict(
-        raw=(0.052916491904180615, 0.0, -0.052916491904180615),
-        ci=(0.003994420094740422, 0.0, 0.003994420094740422),
+        raw=(0.05309959395229197, 0.0, -0.05309959395229197),
+        ci=(0.0038991799554324805, 0.0, 0.0038991799554324805),
         total=(0.0, 0.0),
     ),
     "pair": dict(
-        raw=(0.14794810608343367, -0.14794810608343367),
-        basis=[[0.6978900354706881, -0.7162049276504048],
-               [0.7162049276504048, 0.6978900354706882]],
+        raw=(0.1457673548167047, -0.14576735481670472),
+        basis=[[0.19246769040223466, 0.9813033109855636],
+               [-0.9813033109855636, 0.19246769040223455]],
     ),
     "fuchsian": dict(
-        raw=(0.5128552573558407, -0.5128552573558409),
-        basis=[[0.7070124608617083 - 0.01154903399731498j,
-                0.5660305312793733 - 0.423803536629404j],
-               [-0.5660305312793872 - 0.42380353662938536j,
-                0.7070124608617089 + 0.011549033997291739j]],
+        raw=(0.5091191511757587, -0.5091191511757589),
+        basis=[[0.585632264948225 + 0.3962762297332658j,
+                0.7068451253939512 + 0.019234570616718284j],
+               [-0.706845125393951 + 0.019234570616720566j,
+                0.5856322649482237 - 0.39627622973326776j]],
     ),
 }
 
@@ -279,8 +279,10 @@ def test_benettin_pinned_to_lapack_qr(group, fuchsian, name):
         assert np.max(np.abs(sp.oseledec_basis - np.array(pin["basis"]))) <= 1e-13
 
 
-# The geodesic route (256 rays to R = 60) and the diffusion route (n = 30
-# over 200 paths of RngStream(7)), pinned like _QR_PINS: every ray step and
+# The geodesic route (256 rays to R = 60) and the diffusion route (n = 30,
+# 30 gaps of _JUMP_GAP, over 200 paths of RngStream(7)), pinned like
+# _QR_PINS (the geodesic pins predate the Brownian gap of 1, which no ray
+# step reads): every ray step and
 # every Brownian gap runs the reduction kernel, so a kernel change that
 # moves one walker's bit moves these.  The diagonal representation keeps
 # every bit; the non-commuting pair agrees to rounding.
@@ -291,8 +293,8 @@ _ROUTE_PINS = {
         total=(0.0, 0.0),
     ),
     ("diffusion", "diag22"): dict(
-        raw=(0.04736505733826293, -0.04736505733826293),
-        ci=(0.005011942174531969, 0.005011942174531969),
+        raw=(0.04574771391695638, -0.04574771391695638),
+        ci=(0.005024366672000076, 0.005024366672000076),
         total=(0.0, 0.0),
     ),
     ("geodesic", "pair"): dict(
@@ -301,9 +303,9 @@ _ROUTE_PINS = {
                [-0.994602867596235, -0.1037551722534657]],
     ),
     ("diffusion", "pair"): dict(
-        raw=(0.15661177467554613, -0.1566117746755461),
-        basis=[[0.8696859152361966, -0.4936055194583819],
-               [0.49360551945838194, 0.8696859152361965]],
+        raw=(0.153751730860257, -0.153751730860257),
+        basis=[[0.6517723811962726, 0.7584146379848828],
+               [-0.7584146379848828, 0.6517723811962725]],
     ),
 }
 
@@ -366,13 +368,14 @@ def test_benettin_preconditions(group, rep22):
 
 
 def test_benettin_refuses_more_than_max_jump_count_gaps(group, rep22, monkeypatch):
-    # t = 5000.5 needs 10001 gaps of 0.5: refused before the first jump
-    # block is drawn
+    # a walk stops at horizon 5000, 5000 / _JUMP_GAP gaps: t = 5000.5 is
+    # refused before the first jump block is drawn
     def refuse(*args):
         raise AssertionError("walked")
 
     monkeypatch.setattr(lyapunov, "_heat_jump_blocks", refuse)
-    with pytest.raises(LyapunovError, match="at most 10,000 jumps of 0.5"):
+    gap = lyapunov._JUMP_GAP
+    with pytest.raises(LyapunovError, match=f"at most {5000 / gap:,.0f} jumps of {gap:g}: "):
         benettin_spectrum(rep22, group, 5000.5, 0.05, 1, 4, RngStream(1))
 
 
