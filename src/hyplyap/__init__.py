@@ -29,22 +29,11 @@ from .diffusion import (
     DiffusionError,
     LeafPath,
     RngStream,
-    ScalarField,
-    check_circle_vs_diffusion,
-    check_dynkin,
-    check_semigroup,
-    circle_average,
-    constant_field,
-    diffuse,
-    dist_squared_field,
-    exp_neg_dist_field,
     heat_kernel,
     heat_kernel_mass,
-    real_part_field,
     sample_heat_endpoints,
     sample_path,
     sample_polar_endpoints,
-    smoothed_dist_field,
 )
 from .cocycle import (
     CocycleError,
@@ -64,12 +53,25 @@ from .lyapunov import (
     brownian_norm_rate,
     check_exp_conversion,
     diffusion_spectrum,
-    direction_distribution_check,
     expansion_interval,
     expectation_functions,
     geodesic_norm_rates,
     geodesic_spectrum,
+)
+from .validate import (
+    ScalarField,
+    check_circle_vs_diffusion,
+    check_dynkin,
+    check_semigroup,
+    circle_average,
+    constant_field,
+    diffuse,
+    direction_distribution_check,
+    dist_squared_field,
+    exp_neg_dist_field,
+    real_part_field,
     shadowing_report,
+    smoothed_dist_field,
 )
 
 __version__ = "0.1.0"

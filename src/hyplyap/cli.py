@@ -11,8 +11,8 @@ body is byte-identical across reruns of the same config, and a
 human-readable summary.
 
 `validate <suite>` is `run --method validate:<suite>` on the default
-config; both take a suite's defaults from one table, _SUITE_DEFAULTS.  A
-run walks the horizon its manifest records or none: one below a suite's
+config; both read the suite's row of one table, validate.SUITES.  A run
+walks the horizon its manifest records or none: one below a suite's
 minimum, or past 5000 (10^4 ray steps of 0.5, or 5000 Brownian gaps of
 1) on any route or suite, exits 1.
 
@@ -22,75 +22,24 @@ Exit codes: 0 success, 1 usage/config error, 2 validation-suite failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import datetime
 import functools
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
 from . import __version__
 from .cocycle import CocycleError, Representation
-from .diffusion import (
-    DIFFUSE_MIN_SAMPLES,
-    MAX_STEP,
-    DiffusionError,
-    RngStream,
-    check_circle_vs_diffusion,
-    check_dynkin,
-    check_semigroup,
-    constant_field,
-    dist_squared_field,
-    exp_neg_dist_field,
-    heat_kernel_mass,
-    _polar_step_error,
-    real_part_field,
-    sample_heat_endpoints,
-    smoothed_dist_field,
-)
-from .hypgeo import MobiusMap, dist_P, mobius_translation
-from .surface import _DeckMaps, _locate_all, _reduce_ensemble, build_genus2
-from .lyapunov import (
-    LyapunovError,
-    _cadence_chain,
-    _ray_lift_error,
-    benettin_spectrum,
-    check_exp_conversion,
-    diffusion_spectrum,
-    direction_distribution_check,
-    geodesic_spectrum,
-    shadowing_report,
-)
+from .diffusion import MAX_STEP, DiffusionError, RngStream
+from .surface import build_genus2
+from .lyapunov import LyapunovError, benettin_spectrum, diffusion_spectrum, geodesic_spectrum
+from .validate import SUITES
 
 _METHODS = ("brownian", "geodesic", "diffusion")
-# every validation suite's defaults for the run keys it reads, filled in for
-# `validate <suite>` and `run --method validate:<suite>` alike.  A key a
-# suite leaves out it does not read, and an explicit value is refused:
-# geometry (1000 maps) and cocycle (100 paths) have a fixed size, kernel
-# draws nothing, and every suite samples exactly, so none reads step or
-# n_dirs
-_SUITE_DEFAULTS = {
-    "geometry": {}, "cocycle": {}, "semigroup": {"n_paths": 800},
-    "dynkin": {"n_paths": 1200}, "kernel": {}, "circle": {"n_paths": 3000},
-    "drift": {"n_paths": 10000}, "shadowing": {"n_paths": 10000},
-    "uniformity": {"n_paths": 10000, "horizon": 60.0},
-    "conversion": {"n_paths": 2000, "horizon": 5.0},
-}
-_VALIDATIONS = tuple(_SUITE_DEFAULTS)
-# the fewest paths a suite's checks can read: the suites that diffuse average
-# each estimate over at least DIFFUSE_MIN_SAMPLES endpoints, and a median
-# drift or a standard error needs two paths
-_SUITE_MIN_PATHS = {
-    "semigroup": DIFFUSE_MIN_SAMPLES, "dynkin": DIFFUSE_MIN_SAMPLES,
-    "circle": DIFFUSE_MIN_SAMPLES, "drift": 2, "shadowing": 2, "conversion": 2,
-}
-# the largest horizon validate:conversion accepts: beyond it an endpoint of
-# its exact sampler can leave the representable disc (rho > ~35)
-_CONVERSION_MAX_HORIZON = 12.0
 
 
 def _suite(method: str):
@@ -106,14 +55,15 @@ def _unread_keys(method: str):
     if suite is None:
         return ("step", "n_paths") if method == "geodesic" else ("step", "n_dirs")
     return tuple(key for key in ("step", "n_paths", "horizon", "n_dirs")
-                 if key not in _SUITE_DEFAULTS[suite])
+                 if key not in SUITES[suite].keys)
 
 
 def _reads_representation(method: str) -> bool:
     """Whether a method reads the representation: the spectrum routes and
-    validate:conversion do.  Every other suite accepts a [representation]
-    section, but neither builds nor records it."""
-    return _suite(method) in (None, "conversion")
+    a suite with default images do.  Every other suite accepts a
+    [representation] section, but neither builds nor records it."""
+    suite = _suite(method)
+    return suite is None or SUITES[suite].images is not None
 
 
 class ConfigError(ValueError):
@@ -143,9 +93,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if base == "validate":
             name = _suite(self.method) or ""
-            if name not in _VALIDATIONS:
+            if name not in SUITES:
                 raise ConfigError(
-                    f"unknown validation {name!r}; choose from {', '.join(_VALIDATIONS)}"
+                    f"unknown validation {name!r}; choose from {', '.join(SUITES)}"
                 )
             for key in _unread_keys(self.method):
                 if key not in self.defaulted:
@@ -280,9 +230,9 @@ def load_config(path: str) -> ExperimentConfig:
 def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """Flags mirror config keys; a conflicting explicit value is an error,
     never a silent precedence decision.  A validation suite's keys left at
-    their defaults then take the suite's own (_SUITE_DEFAULTS), so the run
-    and its manifest agree.  A suite with fewer paths than its minimum
-    (_SUITE_MIN_PATHS) is refused here, before any draw."""
+    their defaults then take the suite's own (its SUITES row), so the run
+    and its manifest agree.  A suite with fewer paths than its minimum is
+    refused here, before any draw."""
     for attr in _RUN_KEYS:
         flag_val = getattr(args, attr, None)
         if flag_val is None:
@@ -297,10 +247,10 @@ def apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
             )
     cfg.validate()
     suite = _suite(cfg.method)
-    for key, value in _SUITE_DEFAULTS.get(suite, {}).items():
+    keys, least = (SUITES[suite].keys, SUITES[suite].min_paths) if suite else ({}, 0)
+    for key, value in keys.items():
         if key in cfg.defaulted:
             setattr(cfg, key, value)
-    least = _SUITE_MIN_PATHS.get(suite, 0)
     if cfg.n_paths < least:
         raise ConfigError(f"validate:{suite} needs n_paths (--n-paths) >= {least}, "
                           f"got {cfg.n_paths}")
@@ -423,111 +373,9 @@ def run_spectrum(cfg: ExperimentConfig, group, rep):
 
 
 def run_validation(cfg: ExperimentConfig, group, rep):
-    """Returns a list of {name, lhs, rhs, tol, passed} dicts."""
-    name = _suite(cfg.method)
-    rng = RngStream(cfg.seed)
-    checks = []
-
-    def add(nm, lhs, rhs, tol, passed):
-        checks.append({"name": nm, "lhs": float(lhs), "rhs": float(rhs),
-                       "tol": float(tol), "passed": bool(passed)})
-
-    if name == "geometry":
-        gen = rng.generator()
-        worst = 0.0
-        for _ in range(1000):
-            rotation = MobiusMap(cmath.exp(1j * math.pi * gen.random()), 0j)
-            m = mobius_translation(gen.random(), 3.0 * gen.random()) * rotation
-            z = 0.95 * math.sqrt(gen.random()) * np.exp(2j * np.pi * gen.random())
-            w = 0.95 * math.sqrt(gen.random()) * np.exp(2j * np.pi * gen.random())
-            worst = max(worst, abs(dist_P(m(z), m(w)) - dist_P(z, w)))
-        add("isometry_invariance", worst, 0.0, 1e-10, worst <= 1e-10)
-        # the geodesic route's rays, lifted back by their deck words, and the
-        # polar chart's jump, against the exact ray and the jump's length
-        end, turn = _ray_lift_error(group, gen.random(32), 12.0)
-        add("ray_lift", end, 0.0, 1e-8, end <= 1e-8 and turn <= 1e-12)
-        worst = _polar_step_error(gen, 1000)
-        add("polar_step_length", worst, 0.0, 1e-10, worst <= 1e-10)
-        res = group.relator_residual()
-        add("octagon_relator", res, 0.0, 1e-8, res <= 1e-8)
-    elif name == "cocycle":
-        # every reduced point must map back to itself under its deck map, with
-        # a representative inside the octagon's circumscribed disc.  Probes
-        # 0.01 inside and outside each side's midpoint, and the origin, are
-        # reduced in the same pass and located once more for their exact
-        # letters: a point of the domain has the empty word, a point just
-        # across side j the one letter of side j.  The 100 walkers are read
-        # exactly at t = 1 (midpoints) and t = 2 (endpoints): a path's word
-        # depends only on where it ends
-        rho, psi = sample_heat_endpoints(100, 2.0, rng.child(0).generator(),
-                                         checkpoints=[1.0, 2.0])
-        midpoints = np.exp(0.25j * math.pi * np.arange(8))
-        probes = np.concatenate([math.tanh(0.5 * (group.inradius - 0.01)) * midpoints,
-                                 math.tanh(0.5 * (group.inradius + 0.01)) * midpoints, [0j]])
-        points = np.concatenate([(np.tanh(0.5 * rho) * np.exp(1j * psi)).ravel(), probes])
-        reps = points.copy()
-        maps = _DeckMaps(group, reps.size)
-        _reduce_ensemble(group._layout, reps, acc=maps)
-        roundtrip = float(np.max(np.abs(maps.lift(reps)[0] - points)))
-        outside = float(np.max(np.abs(reps))) - math.tanh(0.5 * group.circumradius)
-        expected = [()] * 8 + [(group.neighbor_letter(j),) for j in range(1, 9)] + [()]
-        _, words = _locate_all(probes, group)
-        wrong = sum(w.letters != e for w, e in zip(words, expected))
-        add("identity_law", wrong, 0.0, 0.0, wrong == 0)
-        add("locate_roundtrip", roundtrip, 0.0, 1e-9,
-            roundtrip <= 1e-9 and outside <= 1e-12)
-    elif name == "semigroup":
-        for i, (f, t, s) in enumerate(
-            (
-                (constant_field(1.0), 0.5, 0.5),
-                (exp_neg_dist_field(), 0.5, 0.5),
-                (real_part_field(), 1.0, 1.0),
-            )
-        ):
-            r = check_semigroup(f, t, s, cfg.n_paths, rng.child(10 + i))
-            add(r.name, r.lhs, r.rhs, r.tolerance, r.passed)
-    elif name == "dynkin":
-        for i, f in enumerate((constant_field(2.0), real_part_field(), dist_squared_field())):
-            r = check_dynkin(f, 1.0, cfg.n_paths, rng.child(20 + i))
-            add(r.name, r.lhs, r.rhs, r.tolerance, r.passed)
-    elif name == "kernel":
-        for t in (0.25, 1.0, 4.0):
-            mass = heat_kernel_mass(t)
-            add(f"kernel_mass(t={t})", mass, 1.0, 1e-9, abs(mass - 1.0) <= 1e-9)
-    elif name == "circle":
-        r = check_circle_vs_diffusion(
-            smoothed_dist_field(), [4.0, 8.0, 16.0, 32.0], cfg.n_paths, rng
-        )
-        add(r.name, r.slope, 0.0, r.threshold, r.passed)
-    elif name == "drift":
-        # the chain the matrix routes walk, 40 exact jumps of 1 to t = 40;
-        # shadowing's drift row reads one jump per checkpoint
-        rho, _ = _cadence_chain(rng.generator(), cfg.n_paths, 40.0)
-        med = float(np.median(rho) / 40.0)
-        add("drift_median(t=40)", med, 1.0, 0.08, 0.92 <= med <= 1.08)
-    elif name == "shadowing":
-        r = shadowing_report(cfg.n_paths, [20.0, 40.0, 80.0], rng)
-        add("shadowing_slope", r.slope_shadow_95, 0.0, 0.1, r.passed)
-        i40 = r.t_values.index(40.0)
-        add("drift_median(t=40)", r.drift_median[i40], 1.0, 0.08,
-            0.92 <= r.drift_median[i40] <= 1.08)
-    elif name == "uniformity":
-        r = direction_distribution_check(cfg.n_paths, cfg.horizon, 32, rng)
-        add("direction_uniformity_p", r.p_value, 1.0, 0.001, r.passed)
-    elif name == "conversion":
-        eta = group.generators[0](0j)
-        u = np.zeros(rep.dim)
-        u[0] = 1.0
-        if cfg.horizon > _CONVERSION_MAX_HORIZON:
-            raise ConfigError(
-                f"validate:conversion needs horizon <= {_CONVERSION_MAX_HORIZON:g}: an "
-                f"endpoint can leave the representable disc beyond it, and with a "
-                f"larger n_paths even at or below it")
-        r = check_exp_conversion(rep, group, u, eta, cfg.horizon, cfg.n_paths, cfg.step, rng)
-        add(r.name, r.lhs, r.rhs, r.tolerance, r.passed)
-    else:  # pragma: no cover - guarded by validate()
-        raise ConfigError(f"unknown validation {name!r}")
-    return checks
+    """The check rows, {name, lhs, rhs, tol, passed} dicts, of the suite's
+    SUITES row, on the stream RngStream(cfg.seed)."""
+    return SUITES[_suite(cfg.method)].checks(cfg, group, rep, RngStream(cfg.seed))
 
 
 def cmd_run(args) -> int:
@@ -709,7 +557,7 @@ def make_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--rel", type=float, default=0.05)
 
     val = sub.add_parser("validate", help="run a named validation suite")
-    val.add_argument("name", choices=_VALIDATIONS)
+    val.add_argument("name", choices=tuple(SUITES))
     _add_key_flags(val, ("n_paths", "seed", "output"))
 
     sub.add_parser("dump-surface", help="print the generator coefficients")
@@ -718,13 +566,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(args) -> int:
     """`validate <suite>`: `run --method validate:<suite>` on the default
-    config, written to validate_<suite>.  conversion, the one suite that
-    reads a representation, gets diag(2, 1/2), I, I, I, which is exact; the
-    other suites build none."""
+    config, written to validate_<suite>.  A suite that reads a
+    representation gets its row's default images; the others build none."""
     cfg = _config_from_raw({})
     cfg.output = f"validate_{args.name}"
-    if args.name == "conversion":
-        cfg.matrices = (np.diag([2.0, 0.5]), np.eye(2), np.eye(2), np.eye(2))
+    cfg.matrices = SUITES[args.name].images or ()
     args.method = f"validate:{args.name}"
     cfg = apply_flag_overrides(cfg, args)
     group = build_genus2()

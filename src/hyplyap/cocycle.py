@@ -318,6 +318,8 @@ def estimate_regularity(
     """
     if n_pairs < 100:
         raise CocycleError("estimate_regularity needs n_pairs >= 100")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise CocycleError(f"estimate_regularity needs a finite radius > 0, got {radius}")
     gen = _resolve_rng(rng)
     # per pair: radius and angle of y, then separation and direction of z
     draws = gen.random((n_pairs, 4))

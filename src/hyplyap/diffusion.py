@@ -1,5 +1,5 @@
 """Brownian motion with generator the full Laplace-Beltrami operator on the
-Poincare disc, plus the heat kernel and diffusion-operator checks.
+Poincare disc, plus the heat kernel.
 
 Generator convention
 --------------------
@@ -19,15 +19,15 @@ step bias.  A tile spans many jumps of a small ensemble, or one jump of
 at most 4096 walkers of a larger one; it is formed elementwise, so the
 tile size never changes a result.
 - `sample_heat_endpoints` applies them in the polar chart, one jump per
-  gap between checkpoints: `diffuse` and so the semigroup, Dynkin and
-  circle checks, `shadowing_report` and `validate cocycle` (each walker at
-  t = 1 and 2) use it.  `diffuse` draws nothing for a constant field,
-  which it diffuses exactly.  A walk from the origin lands its first jump at
-  the drawn polar point (length, psi + angle), which the law of cosines
-  gives up to rounding; other jumps go through `_polar_step`.  Semigroup
-  tests Chapman-Kolmogorov of the sampled law composed through
-  `_polar_step`, and Dynkin tests that the kernel's generator is Delta;
-  the mpmath tests of `heat_kernel` anchor both.
+  gap between checkpoints: `validate.diffuse` and so the semigroup,
+  Dynkin and circle checks, `validate.shadowing_report` and the cocycle
+  suite (each walker at t = 1 and 2) use it.  `diffuse` draws nothing for
+  a constant field, which it diffuses exactly.  A walk from the origin
+  lands its first jump at the drawn polar point (length, psi + angle),
+  which the law of cosines gives up to rounding; other jumps go through
+  `_polar_step`.  Semigroup tests Chapman-Kolmogorov of the sampled law
+  composed through `_polar_step`, and Dynkin tests that the kernel's
+  generator is Delta; the mpmath tests of `heat_kernel` anchor both.
 - The matrix routes' walk (`lyapunov._brownian_walk`) applies them in the
   raw chart, in whole rows (`_heat_jump_blocks`): `_disc_jump` forms a
   block's disc jumps at once, and one Mobius move `_disc_step` per gap of
@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,24 +62,12 @@ __all__ = [
     "DiffusionError",
     "RngStream",
     "LeafPath",
-    "ScalarField",
     "CheckReport",
-    "SlopeReport",
     "sample_path",
     "sample_polar_endpoints",
     "sample_heat_endpoints",
     "heat_kernel",
     "heat_kernel_mass",
-    "diffuse",
-    "circle_average",
-    "check_semigroup",
-    "check_dynkin",
-    "check_circle_vs_diffusion",
-    "constant_field",
-    "real_part_field",
-    "exp_neg_dist_field",
-    "smoothed_dist_field",
-    "dist_squared_field",
     "pairwise_sum",
 ]
 
@@ -264,160 +252,10 @@ def _check_checkpoints(checkpoints, t_max):
     return sorted(cps)
 
 
-def polar_separation(rho1, psi1, rho2, psi2):
-    """Hyperbolic distance between polar points, stable when both radii are
-    large: cosh d = cosh(r1 - r2) + 2 sinh r1 sinh r2 sin^2(dpsi / 2)."""
-    half = 0.5 * (np.asarray(psi1) - np.asarray(psi2))
-    s = np.sin(half)
-    arg = np.cosh(np.asarray(rho1) - np.asarray(rho2)) + (
-        2.0 * np.sinh(rho1) * np.sinh(rho2) * s * s
-    )
-    return np.arccosh(np.maximum(arg, 1.0))
-
-
-def _polar_step_error(gen, n):
-    """Worst |d(start, _polar_step(start, jump)) - length| over n random
-    jumps, the distance by polar_separation: starts at radius below 5 (past
-    about 30 polar_separation's own rounding reaches 1e-3), any angle, unit
-    directions and lengths below 3, all from one gen.random((4, n)).  The
-    arccosh in polar_separation resolves a jump of length l to about
-    1e-16 / l."""
-    rho, psi, angle, ell = gen.random((4, n)) * np.array([[5.0], [2.0 * np.pi], [2.0 * np.pi], [3.0]])
-    end = _polar_step(rho, psi, np.cos(angle), np.sin(angle), ell)
-    return float(np.max(np.abs(polar_separation(rho, psi, *end) - ell)))
-
-
-# ------------------------------------------------------------ scalar data
-
-
-# geodesic spacing of the 5-point Laplacian stencil
-_FD_SPACING = 1e-3
-
-
 def _polar_coordinates(p: DiscPoint):
     """(hyperbolic radius, angle) of a disc point; the angle of 0 is 0."""
     rho = dist_P(DiscPoint.origin(), p)
     return rho, math.atan2(p.im, p.re) if rho > 0 else 0.0
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Real function on the disc, in geodesic polar coordinates about 0.
-
-    polar_fn evaluates vectorized on arrays of hyperbolic radius rho and
-    angle psi.  polar_laplacian, when present, is its Laplacian for the
-    curvature -1 metric in the same coordinates; without it the Laplacian
-    is the 5-point stencil fd_laplacian.
-
-    constant, when not None, is the value of a field that is constant, for
-    which polar_fn must return it everywhere.  The heat kernel conserves
-    mass, so D_t c = c: diffuse returns c exactly and draws nothing for
-    such a field.  constant_field sets it, and laplacian_field marks as
-    constant 0.0 the Laplacian of a field whose polar_laplacian is the
-    zero function (constant_field's and real_part_field's).
-    """
-
-    polar_fn: Callable
-    polar_laplacian: Optional[Callable] = None
-    name: str = "field"
-    constant: Optional[float] = None
-
-    def value(self, p: DiscPoint) -> float:
-        return float(self.polar_fn(*_polar_coordinates(p)))
-
-    def values_polar(self, rho, psi):
-        return np.asarray(self.polar_fn(rho, psi), dtype=float)
-
-    def fd_laplacian(self, rho, psi):
-        """Intrinsic 5-point stencil with geodesic spacing _FD_SPACING,
-        vectorized on (rho, psi): the four neighbours are polar jumps of
-        that length along and across the outward radial direction."""
-        h = _FD_SPACING
-        total = sum(
-            self.values_polar(*_polar_step(rho, psi, a, b, h))
-            for a, b in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-        )
-        return (total - 4.0 * self.values_polar(rho, psi)) / (h * h)
-
-    def laplacian_field(self) -> "ScalarField":
-        if self.polar_laplacian is _zero:
-            return ScalarField(_zero, _zero, f"lap({self.name})", 0.0)
-        if self.polar_laplacian is not None:
-            return ScalarField(self.polar_laplacian, name=f"lap({self.name})")
-        return ScalarField(self.fd_laplacian, name=f"fd_lap({self.name})")
-
-
-def _zero(rho, psi):
-    """The zero function: the Laplacian of a constant or harmonic field."""
-    return np.zeros_like(np.asarray(rho, dtype=float))
-
-
-def constant_field(c: float) -> ScalarField:
-    return ScalarField(
-        polar_fn=lambda rho, psi: np.full_like(np.asarray(rho, dtype=float), c),
-        polar_laplacian=_zero,
-        name=f"const({c})",
-        constant=float(c),
-    )
-
-
-def real_part_field() -> ScalarField:
-    # harmonic and bounded: Delta Re(z) = 0 for the conformal Laplacian
-    return ScalarField(
-        polar_fn=lambda rho, psi: np.tanh(0.5 * np.asarray(rho)) * np.cos(psi),
-        polar_laplacian=_zero,
-        name="re(z)",
-    )
-
-
-def exp_neg_dist_field() -> ScalarField:
-    return ScalarField(
-        polar_fn=lambda rho, psi: np.exp(-np.asarray(rho, dtype=float)),
-        name="exp(-dist)",
-    )
-
-
-def _smoothed_dist(rho, eps=0.5):
-    rho = np.asarray(rho, dtype=float)
-    return np.sqrt(rho * rho + eps * eps) - eps
-
-
-def _smoothed_dist_laplacian(rho, eps=0.5):
-    # f(rho) = sqrt(rho^2 + eps^2) - eps, radial:
-    # Delta f = f'' + coth(rho) f', with the rho -> 0 limit 2 f''(0)
-    rho = np.asarray(rho, dtype=float)
-    s = np.sqrt(rho * rho + eps * eps)
-    fpp = eps * eps / (s * s * s)
-    fp = rho / s
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        cot = np.where(rho > 1e-8, 1.0 / np.tanh(np.where(rho > 0, rho, 1.0)), np.inf)
-        out = np.where(rho > 1e-8, fpp + cot * fp, 2.0 / eps)
-    return out
-
-
-def smoothed_dist_field(eps: float = 0.5) -> ScalarField:
-    """dist_P(0, .) smoothed at the origin; C^2 with bounded Laplacian."""
-    return ScalarField(
-        polar_fn=lambda rho, psi: _smoothed_dist(rho, eps),
-        polar_laplacian=lambda rho, psi: _smoothed_dist_laplacian(rho, eps),
-        name="smoothed_dist",
-    )
-
-
-def dist_squared_field() -> ScalarField:
-    """dist_P(0,.)^2; smooth everywhere, Delta f = 2 + 2 rho coth(rho)."""
-
-    def lap(rho):
-        rho = np.asarray(rho, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(rho > 1e-8, 2.0 + 2.0 * rho / np.tanh(np.where(rho > 0, rho, 1.0)), 4.0)
-        return out
-
-    return ScalarField(
-        polar_fn=lambda rho, psi: np.asarray(rho, dtype=float) ** 2,
-        polar_laplacian=lambda rho, psi: lap(rho),
-        name="dist^2",
-    )
 
 
 # ------------------------------------------------------------- heat kernel
@@ -803,7 +641,7 @@ def sample_polar_endpoints(n_paths: int, t_max: float, step: float, rng, start=(
     return _polar_walk(n_paths, t_max, step, rng, start, checkpoints)
 
 
-# ------------------------------------------------------- diffusion checks
+# ----------------------------------------------------------- check report
 
 
 @dataclass(frozen=True)
@@ -834,170 +672,3 @@ class CheckReport:
             f"[{status}] {self.name}: lhs={self.lhs:.6g} rhs={self.rhs:.6g} "
             f"|diff|={self.difference:.3g} tol={self.tolerance:.3g}"
         )
-
-
-@dataclass(frozen=True)
-class SlopeReport:
-    name: str
-    abscissae: tuple
-    errors: tuple
-    slope: float
-    threshold: float
-    passed: bool
-
-
-# inner endpoints per outer endpoint on the nested side of the semigroup check
-_SEMIGROUP_INNER = 32
-# the fewest endpoints diffuse averages, and so the fewest paths of the
-# semigroup, Dynkin and circle checks
-DIFFUSE_MIN_SAMPLES = 100
-# trapezoid nodes in s of the Dynkin check
-_DYNKIN_NODES = 9
-# direction grid and log-log slope bound of the circle check
-_CIRCLE_DIRS = 256
-_CIRCLE_THRESHOLD = 0.75
-
-
-def diffuse(
-    f: ScalarField,
-    t: float,
-    n_samples: int,
-    rng,
-    start=DiscPoint.origin(),
-) -> tuple:
-    """Monte Carlo estimate of the heat diffusion (D_t f)(start), where
-    start is a DiscPoint or polar (rho, psi).
-
-    Returns (estimate, std_error); the estimate is the pairwise-summed mean
-    of f at Brownian endpoints, each one exact jump of time t
-    (sample_heat_endpoints).  A constant field (f.constant) is diffused
-    exactly, D_t c = c: after every refusal of the sampled path, with the
-    same messages, it returns (c, 0.0) and draws nothing from rng.
-    """
-    if n_samples < DIFFUSE_MIN_SAMPLES:
-        raise DiffusionError(f"diffuse needs n_samples >= {DIFFUSE_MIN_SAMPLES}")
-    if t < 0 or not math.isfinite(t):
-        raise DiffusionError(f"diffuse needs finite t >= 0, got {t}")
-    if isinstance(start, DiscPoint):
-        start = _polar_coordinates(start)
-    gen = _resolve_rng(rng)
-    if f.constant is not None:
-        _walk_plan(n_samples, t, _GAP_MAX, gen, start, None)
-        return f.constant, 0.0
-    rhos, psis = sample_heat_endpoints(n_samples, t, gen, start=start)
-    return _mean_se(f.values_polar(rhos[-1], psis[-1]))
-
-
-def circle_average(f: ScalarField, R: float, n_dirs: int) -> float:
-    """Uniform direction-grid average of f on the hyperbolic circle of
-    radius R about the origin (periodic trapezoid rule)."""
-    if n_dirs < 8:
-        raise DiffusionError("circle_average needs n_dirs >= 8")
-    if R < 0 or not math.isfinite(R):
-        raise DiffusionError(f"circle_average needs finite R >= 0, got {R}")
-    thetas = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
-    return pairwise_sum(f.values_polar(np.full(n_dirs, R), thetas)) / n_dirs
-
-
-def check_semigroup(f: ScalarField, t: float, s: float, n: int, rng) -> CheckReport:
-    """Does D_{t+s} f = D_t (D_s f) hold at the origin within Monte Carlo
-    error?  The nested side subsamples _SEMIGROUP_INNER inner endpoints per
-    outer endpoint.  Every side jumps exactly, so this is Chapman-Kolmogorov
-    for the sampled law: one jump of t + s against a jump of t composed with
-    jumps of s through _polar_step.  For a constant field both sides are
-    exact (see diffuse): the walks' refusals still run, but nothing is
-    drawn from child(0), child(1) or child(2)."""
-    if isinstance(rng, np.random.Generator):
-        raise DiffusionError("check_semigroup needs an RngStream (it derives substreams)")
-    gen_flat = rng.child(0).generator()
-    gen_outer = rng.child(1).generator()
-    gen_inner = rng.child(2).generator()
-
-    lhs, lhs_se = diffuse(f, t + s, n, gen_flat)
-
-    inner = _SEMIGROUP_INNER
-    if f.constant is not None:
-        _walk_plan(n, t, _GAP_MAX, gen_outer, (0.0, 0.0), None)
-        _walk_plan(n * inner, s, _GAP_MAX, gen_inner, (0.0, 0.0), None)
-        rhs, rhs_se = f.constant, 0.0
-    else:
-        rhos, psis = sample_heat_endpoints(n, t, gen_outer)
-        rho_i, psi_i = sample_heat_endpoints(
-            n * inner, s, gen_inner, start=(np.repeat(rhos[-1], inner), np.repeat(psis[-1], inner))
-        )
-        inner_vals = f.values_polar(rho_i[-1], psi_i[-1]).reshape(n, inner)
-        rhs, rhs_se = _mean_se(inner_vals.mean(axis=1))
-    return CheckReport.compare(
-        f"semigroup({f.name}, t={t}, s={s})", lhs, lhs_se, rhs, rhs_se,
-        {"n": n, "inner_samples": inner},
-    )
-
-
-def check_dynkin(f: ScalarField, t: float, n: int, rng) -> CheckReport:
-    """Does (D_t f)(0) - f(0) equal the time integral of (D_s Delta f)(0)?
-
-    The right side is a trapezoid over an s-grid of diffusion estimates of
-    the Laplacian; its quadrature error is estimated from second differences
-    of the node values and added to the Monte Carlo tolerance.  diffuse is
-    exact for constant fields, so a constant f draws nothing, and a field
-    whose Laplacian is marked constant (laplacian_field: constant_field,
-    real_part_field) draws nothing at the nodes child(11..18).
-    """
-    lap = f.laplacian_field()
-    if isinstance(rng, np.random.Generator):
-        raise DiffusionError("check_dynkin needs an RngStream (it derives substreams)")
-    lhs_val, lhs_se = diffuse(f, t, n, rng.child(0).generator())
-    f0 = f.value(DiscPoint.origin())
-    lhs = lhs_val - f0
-
-    n_nodes = _DYNKIN_NODES
-    s_grid = np.linspace(0.0, t, n_nodes)
-    node_vals = np.empty(n_nodes)
-    node_ses = np.empty(n_nodes)
-    node_vals[0] = lap.value(DiscPoint.origin())
-    node_ses[0] = 0.0
-    for i, s in enumerate(s_grid[1:], start=1):
-        v, se = diffuse(lap, s, n, rng.child(10 + i).generator())
-        node_vals[i] = v
-        node_ses[i] = se
-    h = s_grid[1] - s_grid[0]
-    weights = np.full(n_nodes, h)
-    weights[0] = weights[-1] = 0.5 * h
-    rhs = float(np.dot(weights, node_vals))
-    rhs_se = float(math.sqrt(np.sum((weights * node_ses) ** 2)))
-    second_diffs = np.abs(np.diff(node_vals, 2))
-    quad_term = float(h / 12.0 * np.sum(second_diffs)) + 1e-9
-    return CheckReport.compare(
-        f"dynkin({f.name}, t={t})", lhs, lhs_se, rhs, rhs_se,
-        {"n": n, "n_nodes": n_nodes, "quad_term": quad_term}, extra_tol=quad_term,
-    )
-
-
-def check_circle_vs_diffusion(f: ScalarField, R_list, n: int, rng) -> SlopeReport:
-    """Circle averages against diffusion values at integer-part times.
-
-    err(R) = |circle average at radius R - (D_[R] f)(0) estimate| should
-    grow no faster than ~ sqrt(R log R); the check fits the log-log slope
-    and passes when it stays below _CIRCLE_THRESHOLD.
-    """
-    R_list = sorted(R_list)
-    if len(R_list) < 4:
-        raise DiffusionError("circle-vs-diffusion needs at least 4 radii")
-    if isinstance(rng, np.random.Generator):
-        raise DiffusionError("check_circle_vs_diffusion needs an RngStream")
-    errs = []
-    for i, R in enumerate(R_list):
-        ca = circle_average(f, R, _CIRCLE_DIRS)
-        de, _ = diffuse(f, float(int(R)), n, rng.child(i).generator())
-        errs.append(abs(ca - de))
-    logs = np.log(np.maximum(errs, 1e-15))
-    logR = np.log(np.asarray(R_list, dtype=float))
-    slope = float(np.polyfit(logR, logs, 1)[0])
-    return SlopeReport(
-        name=f"circle_vs_diffusion({f.name})",
-        abscissae=tuple(R_list),
-        errors=tuple(float(e) for e in errs),
-        slope=slope,
-        threshold=_CIRCLE_THRESHOLD,
-        passed=slope <= _CIRCLE_THRESHOLD,
-    )

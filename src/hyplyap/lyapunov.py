@@ -12,10 +12,9 @@ Three independent routes to the same spectrum:
   route); `expectation_functions` extremizes the expected log growth over
   the directions of a subspace at such a horizon.
 
-Plus the probabilistic diagnostics that justify swapping the routes:
-radial drift, geodesic shadowing, and uniformity of limiting directions.
-Shadowing samples the exact law at its checkpoints
-(`diffusion.sample_heat_endpoints`); the uniformity check chains the
+Plus the conversion check, `check_exp_conversion`.  The diagnostics that
+justify swapping the routes (radial drift, geodesic shadowing, uniformity
+of limiting directions) are in `validate`; drift and uniformity chain the
 matrix routes' exact jumps (`_cadence_chain`).
 
 Every route runs on one vectorized engine in two layers: the geometry layer
@@ -73,10 +72,10 @@ tracker `_ray_walk` moves each ray exactly (`_ray_step`), one step per
 _REDUCE_EVERY of arc length, and reduces after every step; rays keep
 this shorter cadence, as past R ~ 37 a float64 ray's grid mean moves with
 the step.  `_geodesic_matrices` folds its letters into products over the
-direction grid `_direction_grid`, and `_ray_lift_error` lifts its rays
-back for `validate geometry` through the deck maps that `surface._DeckMaps`
-composes, in one array pass per step.  Each estimator walks one ensemble
-on `rng.child(0)`.
+direction grid `_direction_grid`, and `validate._ray_lift_error` lifts
+its rays back through the deck maps that `surface._DeckMaps` composes, in
+one array pass per step.  Each estimator walks one ensemble on
+`rng.child(0)`.
 """
 
 from __future__ import annotations
@@ -99,19 +98,15 @@ from .diffusion import (
     _mean_se,
     _polar_coordinates,
     _polar_walk,
-    _resolve_rng,
     pairwise_sum,
-    polar_separation,
     sample_heat_endpoints,
 )
 from .hypgeo import DiscPoint
-from .surface import _DeckMaps, _reduce_ensemble, locate
+from .surface import _reduce_ensemble, locate
 
 __all__ = [
     "LyapunovError",
     "SpectrumReport",
-    "ShadowingReport",
-    "UniformityReport",
     "brownian_norm_rate",
     "benettin_spectrum",
     "geodesic_norm_rates",
@@ -120,8 +115,6 @@ __all__ = [
     "expansion_interval",
     "expectation_functions",
     "check_exp_conversion",
-    "shadowing_report",
-    "direction_distribution_check",
 ]
 
 CLUSTER_GAP = 0.02
@@ -290,29 +283,6 @@ def _geodesic_matrices(rep, group, thetas, R, spacing):
     return acc
 
 
-def _ray_lift_error(group, thetas, R):
-    """Worst (position, direction) error of the geodesic route's rays,
-    lifted back to the disc after every step of _ray_walk: the deck map a
-    _DeckMaps composes maps the reduced point w to the exact ray point
-    tanh(r/2) e^{2 pi i theta} at arc length r, and turns the direction
-    alpha at w to e^{2 pi i theta}.  The position error is the hyperbolic
-    distance, the direction error Euclidean on the unit circle.  Keep
-    R <= 12: the composed map alone is off by 3e-7 to 6e-7 at R = 20."""
-    thetas = np.asarray(thetas, dtype=float)
-    maps = _DeckMaps(group, thetas.size)
-    exact = np.exp(2j * np.pi * thetas)
-    worst_z = worst_dir = 0.0
-    walk = _ray_walk(group._layout, maps, thetas, R, _REDUCE_EVERY)
-    for k, (w, alpha) in enumerate(walk, start=1):
-        lifted, turn = maps.lift(w)
-        target = math.tanh(0.5 * min(k * _REDUCE_EVERY, R)) * exact
-        # dist_P, elementwise
-        dist = 2.0 * np.arctanh(np.abs(lifted - target) / np.abs(1.0 - np.conj(lifted) * target))
-        worst_z = max(worst_z, float(dist.max()))
-        worst_dir = max(worst_dir, float(np.abs(np.exp(1j * (alpha + turn)) - exact).max()))
-    return worst_z, worst_dir
-
-
 # ----------------------------------------------------------- domain types
 
 
@@ -357,24 +327,6 @@ class SpectrumReport:
         ):
             out.append({"index": i, "chi": chi, "multiplicity": mult, "ci_halfwidth": ci})
         return out
-
-
-@dataclass(frozen=True)
-class ShadowingReport:
-    t_values: tuple
-    drift_median: tuple          # median of dist(omega_t, 0)/t
-    shadow_quantiles: dict       # q -> tuple over t of normalized shadowing stat
-    slope_shadow_95: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    n_bins: int
-    n_paths: int
-    statistic: float
-    p_value: float
-    passed: bool
 
 
 # -------------------------------------------------------- Brownian rates
@@ -809,94 +761,4 @@ def check_exp_conversion(rep, group, u, eta, t, n_paths, step, rng) -> CheckRepo
     return CheckReport.compare(
         f"exp_conversion(t={t})", lhs, lhs_se, rhs, rhs_se,
         {"eta": (eta_pt.re, eta_pt.im), "n_paths": n_paths},
-    )
-
-
-# ------------------------------------------------------------ diagnostics
-
-
-def shadowing_report(n_paths, t_list, rng) -> ShadowingReport:
-    """Distance between Brownian paths and their limiting geodesic rays.
-
-    The paths are sampled exactly at the times in t_list, one jump per gap
-    (sample_heat_endpoints).  The landing direction is approximated by the
-    angular coordinate at the final sampled time; statistics are normalized
-    by t^(1/2) (log t)^1.5 and the check passes when the 95th percentile
-    shows no growth trend (fitted log-log slope <= 0.1)."""
-    t_list = sorted(t_list)
-    if t_list[-1] < 20.0:
-        raise LyapunovError("shadowing needs max(t_list) >= 20")
-    rho, psi = sample_heat_endpoints(n_paths, t_list[-1], _ensemble_generator(rng), checkpoints=t_list)
-
-    psi_final = psi[-1]
-    qs = (50, 90, 95)
-    shadow_q = {q: [] for q in qs}
-    drift_median = []
-    for i, t in enumerate(t_list):
-        # normalizer degenerates below t ~ e; early entries report raw scale
-        norm = max(math.sqrt(t) * math.log(max(t, math.e)) ** 1.5, 1e-9)
-        d = polar_separation(rho[i], psi[i], np.full(rho.shape[1], float(t)), psi_final)
-        # one partition serves all three quantiles
-        for q, v in zip(qs, np.percentile(d, qs).tolist()):
-            shadow_q[q].append(v / norm)
-        drift_median.append(float(np.median(rho[i]) / t) if t > 0 else 0.0)
-
-    fit_ts = [t for t in t_list if t >= 10.0]
-    if len(fit_ts) < 2:
-        raise LyapunovError("shadowing slope fit needs at least two horizons >= 10")
-    fit_vals = [shadow_q[95][t_list.index(t)] for t in fit_ts]
-    logt = np.log(np.asarray(fit_ts, dtype=float))
-    log95 = np.log(np.maximum(fit_vals, 1e-12))
-    slope = float(np.polyfit(logt, log95, 1)[0])
-    return ShadowingReport(
-        t_values=tuple(t_list),
-        drift_median=tuple(drift_median),
-        shadow_quantiles={q: tuple(v) for q, v in shadow_q.items()},
-        slope_shadow_95=slope,
-        passed=slope <= 0.1,
-    )
-
-
-def _chi2_sf(stat: float, df: int) -> float:
-    """P(X >= stat) for X chi-square with integer df >= 1 degrees of freedom:
-    the regularized upper incomplete gamma Q(df/2, stat/2).  Q(k, x) is the
-    Poisson sum e^-x sum_{j<k} x^j / j!; Q(k + 1/2, x) is erfc(sqrt x) plus
-    sum_{j<k} e^-x x^(j+1/2) / Gamma(j + 3/2).  Each term is formed in log
-    space, so large df cannot overflow."""
-    x = 0.5 * stat
-    if x <= 0.0:
-        return 1.0
-    k, odd = divmod(df, 2)
-    c = 0.5 * odd
-    lx = math.log(x)
-    terms = [math.exp((j + c) * lx - x - math.lgamma(j + c + 1.0)) for j in range(k)]
-    if odd:
-        terms.append(math.erfc(math.sqrt(x)))
-    return math.fsum(terms)
-
-
-def direction_distribution_check(n_paths, t, n_bins, rng) -> UniformityReport:
-    """Chi-square uniformity of the final angles of the chain the matrix
-    routes run, _cadence_chain to time t.  (A single exact jump from the
-    origin has a uniform angle by construction, so the check chains.)"""
-    if t < 40.0:
-        raise LyapunovError("direction check needs t >= 40 (direction nearly frozen)")
-    if n_bins < 1:
-        raise LyapunovError("need n_bins >= 1")
-    if n_paths < n_bins:
-        raise LyapunovError(f"the direction check needs n_paths >= n_bins = {n_bins}, got "
-                            f"{n_paths}: with fewer, a bin expects under one count, below "
-                            f"Cochran's minimum for the chi-square approximation")
-    _, psi = _cadence_chain(_resolve_rng(rng), n_paths, t)
-    angles = np.mod(psi, 2.0 * np.pi)
-    counts, _ = np.histogram(angles, bins=n_bins, range=(0.0, 2.0 * np.pi))
-    expected = n_paths / n_bins
-    stat = float(np.sum((counts - expected) ** 2) / expected)
-    p = _chi2_sf(stat, n_bins - 1) if n_bins > 1 else 1.0
-    return UniformityReport(
-        n_bins=n_bins,
-        n_paths=n_paths,
-        statistic=stat,
-        p_value=p,
-        passed=p > 0.001,
     )

@@ -1,6 +1,6 @@
 """The word-by-word ray lift: one DeckWord and one MobiusMap per ray and step.
 
-The reference that lyapunov._ray_lift_error, which lifts the rays through
+The reference that validate._ray_lift_error, which lifts the rays through
 surface._DeckMaps' coefficient pairs in one array pass, is tested against.
 After every step of lyapunov._ray_walk each ray's recorded letters are
 evaluated as a DeckWord, and the map takes the reduced point back to the

@@ -18,20 +18,7 @@ from hyplyap.cocycle import (
     fuchsian_representation,
     specialize,
 )
-from hyplyap.diffusion import (
-    RngStream,
-    check_circle_vs_diffusion,
-    check_dynkin,
-    check_semigroup,
-    constant_field,
-    dist_squared_field,
-    exp_neg_dist_field,
-    heat_kernel_mass,
-    real_part_field,
-    sample_path,
-    smoothed_dist_field,
-)
-from hyplyap.diffusion import _polar_step_error
+from hyplyap.diffusion import RngStream, heat_kernel_mass, sample_path
 from hyplyap.hypgeo import (
     DiscPoint,
     MobiusMap,
@@ -40,16 +27,27 @@ from hyplyap.hypgeo import (
     mobius_translation,
 )
 from hyplyap.lyapunov import (
-    _ray_lift_error,
     benettin_spectrum,
     brownian_norm_rate,
-    direction_distribution_check,
     expansion_interval,
     expectation_functions,
     geodesic_norm_rates,
-    shadowing_report,
 )
 from hyplyap.surface import build_genus2, track
+from hyplyap.validate import (
+    _polar_step_error,
+    _ray_lift_error,
+    check_circle_vs_diffusion,
+    check_dynkin,
+    check_semigroup,
+    constant_field,
+    direction_distribution_check,
+    dist_squared_field,
+    exp_neg_dist_field,
+    real_part_field,
+    shadowing_report,
+    smoothed_dist_field,
+)
 
 
 def report(number, passed, detail):

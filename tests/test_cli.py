@@ -1,12 +1,14 @@
 """Config parsing, run artifacts, determinism, compare, dump-surface."""
 
 import dataclasses
+import importlib.util
 import math
 import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from hyplyap.cli import (
     ConfigError,
     ExperimentConfig,
     _KEYS,
-    _SUITE_DEFAULTS,
     _execute,
     apply_flag_overrides,
     build_representation,
@@ -29,6 +30,7 @@ from hyplyap.cli import (
 from hyplyap import diffusion, lyapunov
 from hyplyap.lyapunov import _JUMP_GAP, LyapunovError, _cadence_chain
 from hyplyap.surface import build_genus2
+from hyplyap.validate import SUITES
 
 GOOD_CONFIG = """
 [surface]
@@ -751,7 +753,7 @@ def test_run_validate_takes_the_suite_defaults(tmp_path, capsys):
     assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
 
 
-@pytest.mark.parametrize("suite", sorted(_SUITE_DEFAULTS))
+@pytest.mark.parametrize("suite", sorted(SUITES))
 def test_manifest_records_the_suite_defaults(tmp_path, suite):
     # the keys a suite reads are filled from its defaults and recorded;
     # the keys it does not read are left out
@@ -762,7 +764,7 @@ def test_manifest_records_the_suite_defaults(tmp_path, suite):
 
     cfg = apply_flag_overrides(cfg, Args())
     lines = manifest_text(cfg, build_genus2()).splitlines()
-    defaults = _SUITE_DEFAULTS[suite]
+    defaults = SUITES[suite].keys
     for key in ("n_paths", "horizon"):
         recorded = [line for line in lines if line.startswith(key + " ")]
         want = [f"{key} {defaults[key]} (default)"] if key in defaults else []
@@ -959,6 +961,7 @@ def test_median_and_error_suites_refuse_one_path(tmp_path, capsys, monkeypatch, 
 
     for name in ("sample_heat_endpoints", "_heat_jump_blocks", "_polar_walk"):
         monkeypatch.setattr(lyapunov, name, refuse)
+        monkeypatch.setattr(diffusion, name, refuse)
     monkeypatch.setattr("hyplyap.cli.build_genus2", refuse)
     cfg = tmp_path / "v.cfg"
     cfg.write_text(f"[run]\nmethod = validate:{suite}\nn_paths = 1\n")
@@ -976,17 +979,17 @@ def _out_of_memory(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv, route", [
-    (["--method", "brownian"], "benettin_spectrum"),
-    (["--method", "geodesic"], "geodesic_spectrum"),
-    (["--method", "diffusion"], "diffusion_spectrum"),
-    (["validate", "semigroup"], "check_semigroup"),
-    (["validate", "shadowing"], "shadowing_report"),
+    (["--method", "brownian"], "cli.benettin_spectrum"),
+    (["--method", "geodesic"], "cli.geodesic_spectrum"),
+    (["--method", "diffusion"], "cli.diffusion_spectrum"),
+    (["validate", "semigroup"], "validate.check_semigroup"),
+    (["validate", "shadowing"], "validate.shadowing_report"),
 ], ids=["brownian", "geodesic", "diffusion", "semigroup", "shadowing"])
 def test_an_ensemble_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch, argv, route):
     # the route raises MemoryError as numpy does for an n_paths or n_dirs
     # it cannot allocate; a real allocation that large is not made, since
     # whether it fails at once depends on the machine's overcommit policy
-    monkeypatch.setattr(f"hyplyap.cli.{route}", _out_of_memory)
+    monkeypatch.setattr(f"hyplyap.{route}", _out_of_memory)
     out = str(tmp_path / "m")
     if argv[0] == "validate":
         rc = run_cli([*argv, "--output", out])
@@ -1236,6 +1239,18 @@ def test_validate_uniformity_catches_half_circle_jumps(monkeypatch):
     monkeypatch.setattr(diffusion, "_heat_jump_tiles", half_circle)
     row = _suite_rows("uniformity", n_paths=10000)["direction_uniformity_p"]
     assert not row["passed"] and row["lhs"] < 1e-10
+
+
+@pytest.mark.parametrize("tool", ["reach", "output_digests"])
+def test_tools_run_every_suite(tool):
+    # reach.py's traffic and the output digests run every suite of the
+    # table, in its order, so a new suite cannot silently drop out of them
+    # (tools/sweep.py runs a subset on purpose)
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{tool}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{tool}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.SUITES == tuple(SUITES)
 
 
 def test_validate_writes_summary_equal_to_stdout(tmp_path, capsys):

@@ -15,9 +15,10 @@ from hyplyap.cocycle import (
     fuchsian_representation,
     specialize,
 )
-from hyplyap.diffusion import RngStream, ScalarField, sample_path
+from hyplyap.diffusion import RngStream, sample_path
 from hyplyap.hypgeo import DiscPoint, dist_P
 from hyplyap.surface import DeckWord, build_genus2, locate
+from hyplyap.validate import ScalarField
 
 
 @pytest.fixture(scope="module")
@@ -309,3 +310,16 @@ def test_regularity_needs_pairs():
     with pytest.raises(CocycleError):
         estimate_regularity(ScalarField(lambda rho, psi: np.asarray(rho, float)), 50, 4.0,
                             RngStream(1))
+
+
+@pytest.mark.parametrize("radius", [-6.0, 0.0, math.inf, math.nan])
+def test_regularity_refuses_a_radius_not_finite_and_positive(group, rep22, radius):
+    # a negative or infinite radius used to end in an IndexError, and nan in
+    # an all-zero report after a RuntimeWarning: each is refused before any
+    # draw
+    spec = specialize(rep22, [1.0, 0.0], group)
+    gen = np.random.default_rng(1)
+    state = gen.bit_generator.state
+    with pytest.raises(CocycleError, match="needs a finite radius > 0"):
+        estimate_regularity(spec, 200, radius, gen)
+    assert gen.bit_generator.state == state

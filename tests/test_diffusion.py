@@ -17,6 +17,13 @@ from hyplyap.diffusion import (
     DiffusionError,
     LeafPath,
     RngStream,
+    heat_kernel,
+    heat_kernel_mass,
+    sample_heat_endpoints,
+    sample_path,
+    sample_polar_endpoints,
+)
+from hyplyap.validate import (
     ScalarField,
     check_circle_vs_diffusion,
     check_dynkin,
@@ -26,12 +33,7 @@ from hyplyap.diffusion import (
     diffuse,
     dist_squared_field,
     exp_neg_dist_field,
-    heat_kernel,
-    heat_kernel_mass,
     real_part_field,
-    sample_heat_endpoints,
-    sample_path,
-    sample_polar_endpoints,
     smoothed_dist_field,
 )
 from hyplyap.diffusion import (

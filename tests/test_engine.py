@@ -38,7 +38,7 @@ from hyplyap.cocycle import (
     estimate_regularity,
     specialize,
 )
-from hyplyap import diffusion, lyapunov
+from hyplyap import diffusion, lyapunov, validate
 from hyplyap.diffusion import (
     DiffusionError,
     RngStream,
@@ -137,7 +137,7 @@ def test_ray_lift_matches_word_by_word_reference(group, data, seed):
     # 32 rays to R = 12: both lifts land on the exact rays within the
     # ray_lift row's tolerances, and on each other ray by ray, step by step
     thetas = np.random.default_rng(seed).random(32)
-    end, turn = lyapunov._ray_lift_error(group, thetas, 12.0)
+    end, turn = validate._ray_lift_error(group, thetas, 12.0)
     ref_end, ref_turn, ref_lifted = reference_ray_lift(group, thetas, 12.0)
     assert end <= 1e-8 and turn <= 1e-12
     assert ref_end <= 1e-8 and ref_turn <= 1e-12

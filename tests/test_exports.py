@@ -1,6 +1,7 @@
 """Every exported name resolves: bench/tracer.py wraps each name in a
 module's __all__ through getattr, and the package re-exports the modules'
-names."""
+names.  The tracer does not span `validate` until its own MODULES lists
+it; the names `validate` exports are checked here all the same."""
 
 import importlib
 import inspect
@@ -9,7 +10,7 @@ import pytest
 
 import hyplyap
 
-MODULES = ("hypgeo", "surface", "diffusion", "cocycle", "lyapunov")
+MODULES = ("hypgeo", "surface", "diffusion", "cocycle", "lyapunov", "validate")
 
 
 @pytest.mark.parametrize("module", MODULES)

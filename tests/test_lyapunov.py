@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from hyplyap import lyapunov
+from hyplyap import diffusion, lyapunov
 from hyplyap.cocycle import (
     Representation,
     _MatrixAccumulator,
@@ -28,21 +28,19 @@ from hyplyap.lyapunov import (
     brownian_norm_rate,
     check_exp_conversion,
     diffusion_spectrum,
-    direction_distribution_check,
     expansion_interval,
     expectation_functions,
     geodesic_norm_rates,
     geodesic_spectrum,
-    shadowing_report,
     _RESCALE_STEPS,
     _brownian_matrices,
-    _chi2_sf,
     _geodesic_matrices,
     _gram_schmidt_rows,
     _orthonormal_rows,
     _sphere_sample,
 )
 from hyplyap.surface import build_genus2
+from hyplyap.validate import _chi2_sf, direction_distribution_check, shadowing_report
 
 
 @pytest.fixture(scope="module")
@@ -910,6 +908,17 @@ def test_shadowing_includes_zero_time():
 def test_shadowing_needs_horizon():
     with pytest.raises(LyapunovError):
         shadowing_report(100, [5.0, 10.0], RngStream(1))
+
+
+def test_shadowing_refuses_an_empty_t_list(monkeypatch):
+    # an empty t_list used to end in an IndexError; it is refused before
+    # any draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(diffusion, "sample_heat_endpoints", refuse)
+    with pytest.raises(LyapunovError, match="nonempty t_list"):
+        shadowing_report(100, [], RngStream(1))
 
 
 # ------------------------------------------------------ direction checks
