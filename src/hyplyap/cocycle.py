@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import _resolve_rng
-from .hypgeo import DiscPoint
+from .hypgeo import _MAX_ABS, DiscPoint
 from .surface import (_OCTAGON_RELATOR, DeckWord, FuchsianGroup, _GroupData, _reduce_ensemble,
                       locate, track)
 
@@ -50,6 +50,9 @@ _SPILL_THRESHOLD = 1e100
 # its fit tries
 _REGULARITY_BINS = 12
 _REGULARITY_ALPHAS = np.linspace(0.0, 2.0, 81)
+# a pair reaches up to twice the radius from 0, and a point past
+# 2 atanh(_MAX_ABS) ~ 35.23 from 0 leaves the representable disc
+_REGULARITY_MAX_RADIUS = math.atanh(_MAX_ABS)
 
 
 class CocycleError(ValueError):
@@ -320,6 +323,9 @@ def estimate_regularity(
         raise CocycleError("estimate_regularity needs n_pairs >= 100")
     if not (math.isfinite(radius) and radius > 0.0):
         raise CocycleError(f"estimate_regularity needs a finite radius > 0, got {radius}")
+    if radius >= _REGULARITY_MAX_RADIUS:
+        raise CocycleError(f"estimate_regularity needs radius < {_REGULARITY_MAX_RADIUS:.2f}, "
+                           "or its pairs leave the representable disc")
     gen = _resolve_rng(rng)
     # per pair: radius and angle of y, then separation and direction of z
     draws = gen.random((n_pairs, 4))

@@ -315,8 +315,9 @@ def check_circle_vs_diffusion(f: ScalarField, R_list, n: int, rng) -> SlopeRepor
     and passes when it stays below _CIRCLE_THRESHOLD.
     """
     R_list = sorted(R_list)
-    if len(R_list) < 4:
-        raise diffusion.DiffusionError("circle-vs-diffusion needs at least 4 radii")
+    if not all(math.isfinite(R) and R > 0.0 for R in R_list) or len(set(R_list)) < 4:
+        raise diffusion.DiffusionError(
+            "circle-vs-diffusion needs at least 4 distinct radii, each finite and > 0")
     if isinstance(rng, np.random.Generator):
         raise diffusion.DiffusionError("check_circle_vs_diffusion needs an RngStream")
     errs = []
@@ -382,6 +383,10 @@ def shadowing_report(n_paths, t_list, rng) -> ShadowingReport:
         raise lyapunov.LyapunovError("shadowing needs a nonempty t_list")
     if t_list[-1] < 20.0:
         raise lyapunov.LyapunovError("shadowing needs max(t_list) >= 20")
+    fit_ts = [t for t in t_list if t >= 10.0]
+    if len(set(fit_ts)) < 2:
+        raise lyapunov.LyapunovError(
+            "shadowing slope fit needs at least two distinct horizons >= 10")
     rho, psi = diffusion.sample_heat_endpoints(
         n_paths, t_list[-1], lyapunov._ensemble_generator(rng), checkpoints=t_list)
 
@@ -398,9 +403,6 @@ def shadowing_report(n_paths, t_list, rng) -> ShadowingReport:
             shadow_q[q].append(v / norm)
         drift_median.append(float(np.median(rho[i]) / t) if t > 0 else 0.0)
 
-    fit_ts = [t for t in t_list if t >= 10.0]
-    if len(fit_ts) < 2:
-        raise lyapunov.LyapunovError("shadowing slope fit needs at least two horizons >= 10")
     fit_vals = [shadow_q[95][t_list.index(t)] for t in fit_ts]
     logt = np.log(np.asarray(fit_ts, dtype=float))
     log95 = np.log(np.maximum(fit_vals, 1e-12))

@@ -323,3 +323,21 @@ def test_regularity_refuses_a_radius_not_finite_and_positive(group, rep22, radiu
     with pytest.raises(CocycleError, match="needs a finite radius > 0"):
         estimate_regularity(spec, 200, radius, gen)
     assert gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize("radius", [18.0, 800.0])
+def test_regularity_refuses_a_radius_past_the_representable_disc(group, rep22, radius):
+    # a pair reaches up to twice the radius from 0: at radius 18, 11 of 4000
+    # sampled points used to reach |z| >= _MAX_ABS, and past about 710
+    # math.cosh overflowed.  Each is refused before any draw
+    spec = specialize(rep22, [1.0, 0.0], group)
+    gen = np.random.default_rng(1)
+    state = gen.bit_generator.state
+    with pytest.raises(CocycleError, match="needs radius < 17.62"):
+        estimate_regularity(spec, 200, radius, gen)
+    assert gen.bit_generator.state == state
+
+
+def test_regularity_runs_at_radius_17(group, rep22):
+    out = estimate_regularity(specialize(rep22, [1.0, 0.0], group), 200, 17.0, RngStream(1))
+    assert out.radius == 17.0 and math.isfinite(out.lipschitz_c)

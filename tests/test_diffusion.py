@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hyplyap import validate
 from hyplyap.diffusion import (
     CheckReport,
     DiffusionError,
@@ -813,6 +814,19 @@ def test_circle_vs_diffusion_constant():
 def test_circle_vs_diffusion_needs_radii():
     with pytest.raises(DiffusionError):
         check_circle_vs_diffusion(constant_field(1.0), [4.0, 8.0], 400, RngStream(23))
+
+
+@pytest.mark.parametrize("radii", [[4.0] * 4, [0.0, 4.0, 8.0, 16.0], [4.0, 8.0, 16.0, math.inf]])
+def test_circle_vs_diffusion_refuses_radii_it_cannot_fit(monkeypatch, radii):
+    # four equal radii used to fit a slope through one abscissa (RankWarning,
+    # slope 0.105, passed), and a radius 0 ended in LinAlgError after LAPACK
+    # errors on stderr; each is refused before any draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(validate, "diffuse", refuse)
+    with pytest.raises(DiffusionError, match="4 distinct radii"):
+        check_circle_vs_diffusion(smoothed_dist_field(), radii, 400, RngStream(23))
 
 
 def oracle_slope(xs, ys):

@@ -36,8 +36,8 @@ from hyplyap.lyapunov import (
     _brownian_matrices,
     _geodesic_matrices,
     _gram_schmidt_rows,
+    _optimize_rate,
     _orthonormal_rows,
-    _sphere_sample,
 )
 from hyplyap.surface import build_genus2
 from hyplyap.validate import _chi2_sf, direction_distribution_check, shadowing_report
@@ -766,7 +766,7 @@ def test_geodesic_norm_rates_needs_a_direction(group, rep22):
 
 def test_interval_dim1_zero_width(group, rep22):
     a, b = expansion_interval(rep22, group, 20.0, np.array([1.0, 0.0]), n_dirs=64)
-    assert b - a <= 1e-12
+    assert a == b
 
 
 def test_interval_trivial_rep(group):
@@ -789,7 +789,7 @@ def test_interval_complex_line_zero_width(group, fuchsian):
     # a complex phase does not change |M v|, so the complex line span(e1),
     # a real circle of unit vectors, has one rate
     a, b = expansion_interval(fuchsian, group, 20.0, np.array([1.0, 0.0]))
-    assert b - a <= 1e-12
+    assert a == b
 
 
 def test_interval_three_space_contains_axis_rates(group):
@@ -803,6 +803,59 @@ def test_interval_three_space_contains_axis_rates(group):
 def test_interval_preconditions(group, rep22):
     with pytest.raises(LyapunovError):
         expansion_interval(rep22, group, 10.0, np.eye(2), n_dirs=32)
+
+
+_BASIS_WALKS = {
+    "expansion_interval": ("_geodesic_matrices",
+                           lambda rep, g, b: expansion_interval(rep, g, 20.0, b)),
+    "expectation_functions": ("_brownian_matrices", lambda rep, g, b: expectation_functions(
+        rep, g, b, 10, 200, 0.05, RngStream(1))),
+}
+
+
+@pytest.mark.parametrize("basis", [np.zeros((2, 1)), np.array([[1.0, 1.0], [0.0, 0.0]]),
+                                   np.array([[1.0, 0.0], [math.nan, 1.0]])],
+                         ids=["zero", "dependent", "nan"])
+@pytest.mark.parametrize("name", sorted(_BASIS_WALKS))
+def test_rate_range_refuses_a_basis_it_cannot_span(group, rep22, monkeypatch, name, basis):
+    # on diag(2, 1/2) at R = 20 a zero basis used to read span(e1)'s rate,
+    # [[1, 1], [0, 0]] (span(e1) alone) the whole plane's interval, and a nan
+    # entry (nan, nan); each is refused before any walk
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked")
+
+    walk, call = _BASIS_WALKS[name]
+    monkeypatch.setattr(lyapunov, walk, refuse)
+    with pytest.raises(LyapunovError, match="basis"):
+        call(rep22, group, basis)
+
+
+def _rayleigh_oracle(dim, seed):
+    # f(v) = 1/2 log(v^T A v / v^T v) with A = Q diag(e^u) Q^T, u uniform in
+    # [-2, 2]: its extremes over v != 0 are 1/2 log of A's extreme eigenvalues
+    gen = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+    lam = np.exp(gen.uniform(-2.0, 2.0, dim))
+    a = (q * lam) @ q.T
+
+    def f(vs):
+        return 0.5 * np.log(np.einsum("ni,ij,nj->n", vs, a, vs) / np.einsum("ni,ni->n", vs, vs))
+
+    return f, 0.5 * math.log(lam.min()), 0.5 * math.log(lam.max())
+
+
+@pytest.mark.parametrize("dim, tol", [(2, 1e-9), (3, 1e-9), (4, 1e-2), (5, 1e-2), (6, 1e-2)])
+def test_optimize_rate_meets_rayleigh_extremes(dim, tol):
+    for seed in range(100 * dim, 100 * dim + 8):
+        f, lo, hi = _rayleigh_oracle(dim, seed)
+        a, b = _optimize_rate(f, dim)
+        assert abs(a - lo) <= tol and abs(b - hi) <= tol, (seed, a - lo, b - hi)
+
+
+def test_optimize_rate_is_deterministic():
+    # the search draws from a generator of its own, never from a run's stream
+    f, _, _ = _rayleigh_oracle(4, 7)
+    assert _optimize_rate(f, 4) == _optimize_rate(f, 4)
 
 
 # ------------------------------------------------------------- expectation
@@ -910,6 +963,19 @@ def test_shadowing_needs_horizon():
         shadowing_report(100, [5.0, 10.0], RngStream(1))
 
 
+@pytest.mark.parametrize("t_list", [[20.0, 20.0], [5.0, 20.0, 20.0]])
+def test_shadowing_refuses_a_fit_through_one_horizon(monkeypatch, t_list):
+    # [20, 20] used to fit its slope through one abscissa: numpy warned
+    # RankWarning and the report read slope -0.12, passed.  It is refused
+    # before any draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(diffusion, "sample_heat_endpoints", refuse)
+    with pytest.raises(LyapunovError, match="two distinct horizons >= 10"):
+        shadowing_report(200, t_list, RngStream(1))
+
+
 def test_shadowing_refuses_an_empty_t_list(monkeypatch):
     # an empty t_list used to end in an IndexError; it is refused before
     # any draw
@@ -971,16 +1037,6 @@ def test_chi2_sf_matches_scipy():
             assert _chi2_sf(stat, df) == pytest.approx(want, rel=1e-12, abs=0.0), (stat, df)
     # terms in log space: a df whose e^-x and x^k / k! over- and underflow
     assert 0.49 < _chi2_sf(1e5, 100000) < 0.51
-
-
-@pytest.mark.parametrize("m_real", [4, 5, 8])
-def test_sphere_sample_matches_scipy_halton(m_real):
-    from scipy.stats import norm, qmc
-
-    h = qmc.Halton(d=m_real, scramble=False).random(65)[1:]
-    g = norm.ppf(h)
-    want = g / np.linalg.norm(g, axis=1, keepdims=True)
-    assert np.max(np.abs(_sphere_sample(m_real, 64) - want)) <= 1e-12
 
 
 def test_direction_needs_frozen_horizon():
